@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -25,14 +24,12 @@ import click
 from . import __version__, bounds
 from .boxes import (depolarize, ideal_quantum_box, make_adversarial_device,
                     make_iid_device, uniform_box)
-from .extractor import (ExtractorConfig, extract as extract_bits,
-                        extraction_report, transcript_to_source)
+from .extractor import ExtractorConfig
 from .ks_bell import build_bell_functional, build_ks_model
 from .ns_certify import build_lp, solve_lp, verify_certificate, zero_target_box
-from .protocol import (ProtocolParams, ProtocolRun, monte_carlo,
-                       read_transcript, replay_transcript, run_protocol,
-                       security_report, write_transcript)
-from .seeding import derive_seed
+from .protocol import (ProtocolParams, ProtocolRun, default_functional,
+                       extract_output, monte_carlo, read_transcript,
+                       replay_transcript, security_report, write_transcript)
 from .sv_source import SVSource
 
 EXIT_OK = 0
@@ -222,10 +219,7 @@ def simulate(config_path, n, epsilon, delta, mu1, kappa, device,
     stats = monte_carlo(device_factory, source_factory, params, ntrials, seed)
     stamp = f"# randamp {__version__} config={chash}\n"
     (outdir / "campaign.csv").write_text(stamp + stats.to_csv())
-    # Full transcript for trial 0, re-run with identical seeds.
-    run = run_protocol(device_factory(derive_seed(seed, 0, 1)),
-                       source_factory(derive_seed(seed, 0, 2)), params)
-    write_transcript(run, outdir / "trial0.jsonl", config_hash=chash,
+    write_transcript(stats.first_run, outdir / "trial0.jsonl", config_hash=chash,
                      package_version=__version__)
     summary = {"version": __version__, "config_hash": chash, "config": cfg,
                "accept_rate": stats.accept_rate,
@@ -285,27 +279,22 @@ def extract_cmd(run_file, outdir):
     if summary["verdict"] != "Accept":
         _fail_usage("run was not accepted; nothing to extract")
     pconf = header["params"]
-    econf = pconf["extractor"]
-    cfg = ExtractorConfig(m=econf["m"], L=econf["L"], rule=econf["rule"],
-                          xi=econf.get("xi", 2.0 ** -32))
-    run = ProtocolRun(params=pconf, device_spec=header["device"],
-                      source_spec=header["source"], n=len(records),
-                      bell_count=0, target_count=0, verdict="Accept",
-                      target_settings=(1, 2), target_outcomes=(1, 3),
-                      records=records)
-    x_bits = transcript_to_source(run, cfg.rule)
+    params = build_params({"protocol": pconf, "extractor": pconf["extractor"]})
+    target_outcomes, target_settings = default_functional().d_target
     src = header["source"]
+    # Extraction reads only the records, the verdict and the target.
+    run = ProtocolRun(params=pconf, device_spec=header["device"],
+                      source_spec=src, n=len(records), bell_count=0,
+                      target_count=0, verdict=summary["verdict"],
+                      target_settings=target_settings,
+                      target_outcomes=target_outcomes, records=records)
     source = SVSource(src["epsilon"], src["strategy"], src["seed"])
     source.next_bits(8 * len(records))          # settings draws come first
-    t_bits = source.next_bits(len(records))
-    out_bits = extract_bits(x_bits, t_bits, cfg)
-    bits = "".join(map(str, out_bits))
+    extract_output(run, source, params)
+    bits = "".join(map(str, run.output_bits))
     hexed = f"{int(bits, 2):0{(len(bits) + 3) // 4}x}"
-    eps = float(pconf["eps"])
-    rate_t = -math.log2(0.5 + eps) if eps < 0.5 else 0.0
-    rates = extraction_report(len(x_bits), len(t_bits), cfg,
-                              honest_rate_x=0.5, rate_t=rate_t)
-    sidecar = {"m": cfg.m, "L": cfg.L, "rule": cfg.rule,
+    rates = run.extraction
+    sidecar = {"m": rates["m"], "L": rates["L"], "rule": rates["rule"],
                "output_hex": hexed, "version": __version__,
                "rates": {"honest_rate_x": rates["honest_rate_x"],
                          "rate_t": rates["rate_t"],

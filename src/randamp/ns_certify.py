@@ -23,14 +23,11 @@ equality rows plus a nonnegative multiplier beta on the cap row with
 implies  M.P <= bound  for every feasible P by weak duality.  When the
 rounded primal value equals the dual bound the optimum is certified exactly.
 
-Solving strategy: a floating-point simplex produces the vertex, its entries
-and duals are rounded to small rationals, and the exact checker settles the
-claim.  The production float engine is HiGHS via scipy; the in-package
-Bland-rule tableau simplex (`_simplex`) solves small systems exactly, serves
-as an engine cross-check, and is the fallback when rounding fails.  The
-dense Bland tableau is not practical at the full 1296-variable size (the
-problem is massively degenerate), which is why the float engine is bought
-rather than built.
+Solving strategy: HiGHS (via scipy) produces a floating-point vertex and
+its duals, both are rounded to small rationals, and the exact checker
+settles the claim.  Trust rests on that check alone, not on the float
+engine; a vertex that no rounding denominator turns into a verified pair
+raises `CertificationError`.
 """
 
 from __future__ import annotations
@@ -43,9 +40,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from . import _simplex
 from .boxes import Behavior
 from .ks_bell import BellFunctional
+from .sv_source import _as_fraction
 
 N_VARS = 1296
 _ROUND_DENOMS = (10 ** 6, 10 ** 9, 10 ** 13)
@@ -58,17 +55,6 @@ class CertificationError(RuntimeError):
 def var_index(u1: int, u2: int, x1: int, x2: int) -> int:
     """Canonical column of table entry (x1,x2|u1,u2); all arguments 1..n."""
     return ((u1 - 1) * 9 + (u2 - 1)) * 16 + (x1 - 1) * 4 + (x2 - 1)
-
-
-def _as_fraction(v) -> Fraction:
-    """Exact conversion; floats convert by their exact binary value."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, (int, str)):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
-    raise TypeError(f"cannot convert {type(v).__name__} to Fraction")
 
 
 @dataclass(frozen=True)
@@ -143,7 +129,6 @@ class LPSolution:
     primal: Behavior
     certificate: DualCertificate | None
     certified_equality: bool
-    engine: str
     sense: str
 
 
@@ -255,17 +240,6 @@ def _solve_float_highs(p: LPProblem, sense: str):
     return np.asarray(res.x), y, beta
 
 
-def _solve_float_bland(p: LPProblem, sense: str):
-    cost = {p.target_col: -1.0 if sense == "max" else 1.0}
-    rows = [list(r) for r in p.eq_rows]
-    rows.append([(c, 1) for c in p.cap_cols] + [(p.num_vars, 1)])
-    rhs = list(p.eq_rhs) + [float(p.delta_tilde)]
-    res = _simplex.solve_standard_form(rows, rhs, cost, p.num_vars + 1)
-    if res.status != "optimal":
-        raise CertificationError(f"bland solve: {res.status}")
-    return np.array(res.x[:p.num_vars]), np.array(res.y[:-1]), -res.y[-1]
-
-
 def _certify(p: LPProblem, sense: str, x, y, beta):
     """Round float primal/dual to rationals and verify both exactly."""
     sign = 1 if sense == "max" else -1
@@ -297,25 +271,16 @@ def _behavior_from_values(values, exact_values=None, meta=None) -> Behavior:
     return Behavior(table=table, exact=exact, meta=meta)
 
 
-def solve_lp(p: LPProblem, sense: str = "max", mode: str = "exact",
-             engine: str = "auto") -> LPSolution:
+def solve_lp(p: LPProblem, sense: str = "max", mode: str = "exact") -> LPSolution:
     """Optimize P(target) over the feasible set.
 
     mode "float": fast solve, no exactness claims.  mode "exact": the float
     vertex is lifted to rationals and both sides are verified; failure to
-    certify with the primary engine falls back to the exact Bland tableau
-    (practical only for reduced systems) and otherwise raises.
+    certify raises.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
-    if engine == "auto":
-        engine = "highs"
-    if engine == "highs":
-        x, y, beta = _solve_float_highs(p, sense)
-    elif engine == "bland":
-        x, y, beta = _solve_float_bland(p, sense)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    x, y, beta = _solve_float_highs(p, sense)
 
     if mode == "float":
         meta = {"kind": "lp_vertex", "delta_tilde": float(p.delta_tilde),
@@ -323,16 +288,11 @@ def solve_lp(p: LPProblem, sense: str = "max", mode: str = "exact",
         return LPSolution(optimum=float(x[p.target_col]), exact_optimum=None,
                           primal=_behavior_from_values(x, meta=meta),
                           certificate=None, certified_equality=False,
-                          engine=engine, sense=sense)
+                          sense=sense)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
     got = _certify(p, sense, x, y, beta)
-    if got is None and engine != "bland" and p.num_vars <= 200:
-        # Exact retry on the independent engine; its dense Bland tableau is
-        # only practical on small systems.
-        x, y, beta = _solve_float_bland(p, sense)
-        got = _certify(p, sense, x, y, beta)
     if got is None:
         raise CertificationError(
             f"could not produce an exact certificate (cap={p.delta_tilde})")
@@ -342,7 +302,7 @@ def solve_lp(p: LPProblem, sense: str = "max", mode: str = "exact",
     primal = _behavior_from_values([float(v) for v in pf], pf, meta)
     return LPSolution(optimum=float(value), exact_optimum=value,
                       primal=primal, certificate=cert,
-                      certified_equality=equal, engine=engine, sense=sense)
+                      certified_equality=equal, sense=sense)
 
 
 def max_target_box(f: BellFunctional, delta_tilde=0) -> tuple[Behavior, Fraction]:

@@ -6,10 +6,11 @@ queries the device for an outcome pair.  After n rounds two tests are
 evaluated in order: the Bell test (the empirical indicator average must not
 exceed delta) and then, only if it passed, the tomographic test (the
 empirical frequency of the target setting/outcome pair must reach mu1).
-Both aborts are verdicts, not errors.  On acceptance, n further bits are
-drawn from the same source (the stream positions of setting draws and
-extraction draws are disjoint by construction) and fed to the two-source
-extractor together with the selected transcript bits.
+Both aborts are verdicts, not errors.  On acceptance of a run whose
+transcript is kept, n further bits are drawn from the same source (the
+stream positions of setting draws and extraction draws are disjoint by
+construction) and fed to the two-source extractor together with the
+selected transcript bits.
 
 The parameter constraints mirror the derived security chain: for source
 parameter eps and thresholds (mu1, kappa) with 0 < kappa < mu1/2 the Bell
@@ -26,8 +27,8 @@ Architectural notes.  The device oracle is constructed, with its own
 generator, before any source bits are drawn, and the two objects share no
 state: the device cannot signal to the source and the box is fixed
 independently of the source by construction.  A single run is sequential
-(outcomes may depend on past settings only); campaigns parallelize across
-runs via derived seeds.
+(outcomes may depend on past settings only); a campaign runs its trials one
+after another, each from its own derived seeds.
 """
 
 from __future__ import annotations
@@ -143,13 +144,13 @@ def _verdict(bell_average: float, target_frequency: float,
 
 def run_protocol(device: DeviceOracle, source: SVSource, params: ProtocolParams,
                  functional: BellFunctional | None = None,
-                 keep_transcript: bool = True,
-                 run_extraction: bool = True) -> ProtocolRun:
+                 keep_transcript: bool = True) -> ProtocolRun:
     """Execute one full run; aborts are verdicts.
 
     The transcript is fully reproducible from (device spec, source spec,
     seeds): rounds consume exactly 8 source bits plus one device draw, in
-    round order, and extraction consumes exactly n further source bits.
+    round order.  An accepted run whose transcript is kept goes on to
+    `extract_output`, which consumes exactly n further source bits.
     """
     params.validate()
     f = functional or default_functional()
@@ -158,14 +159,11 @@ def run_protocol(device: DeviceOracle, source: SVSource, params: ProtocolParams,
                            for (x1, x2), (u1, u2) in f.sb)
     (x1t, x2t), (u1t, u2t) = f.d_target
     target_code = ((u1t - 1) * 9 + (u2t - 1)) * 16 + (x1t - 1) * 4 + (x2t - 1)
-    target_pair = (u1t, u2t)
 
     n = params.n
     bell_count = 0
     target_count = 0
     records: list[tuple[int, int, int, int]] | None = [] if keep_transcript else None
-    target_round_bits: list[int] = []
-    want_target_bits = run_extraction and params.extractor.rule == "target_rounds"
 
     for k in range(n):
         block = source.next_block(BITS_PER_ROUND)
@@ -178,38 +176,41 @@ def run_protocol(device: DeviceOracle, source: SVSource, params: ProtocolParams,
             target_count += 1
         if records is not None:
             records.append((u[0], u[1], x[0], x[1]))
-        if want_target_bits and u == target_pair:
-            target_round_bits.extend(extractor_mod.encode_outcome_bits(x[0], x[1]))
 
     verdict = _verdict(bell_count / n, target_count / n, params.delta, params.mu1)
     run = ProtocolRun(params=params.to_dict(), device_spec=device.spec(),
                       source_spec=source.spec(), n=n,
                       bell_count=bell_count, target_count=target_count,
-                      verdict=verdict, target_settings=target_pair,
+                      verdict=verdict, target_settings=(u1t, u2t),
                       target_outcomes=(x1t, x2t), records=records)
-    if verdict == "Accept" and run_extraction:
-        t_bits = source.next_bits(n)
-        cfg = params.extractor
-        if cfg.rule == "target_rounds":
-            x_bits = target_round_bits
-        else:
-            if records is None:
-                raise ValueError("all_rounds extraction needs a kept transcript")
-            x_bits = extractor_mod.transcript_to_source(run, "all_rounds")
-        if not x_bits:
-            raise ValueError("no device bits selected for extraction")
-        run.output_bits = extractor_mod.extract(x_bits, t_bits, cfg)
-        # Honest device-side rate: at most 1/4 on any outcome pair at the
-        # target setting for the ideal box, so 2 bits per 4 encoded.  The
-        # certified worst-case rate spreads the accepted-run min-entropy
-        # floor over the selected bits; at desk scale it is vanishing and
-        # the report says so rather than hiding it.
-        rate_t = -math.log2(0.5 + params.eps) if params.eps < 0.5 else 0.0
-        certified = security_report(params).min_entropy_bound / len(x_bits)
-        run.extraction = extractor_mod.extraction_report(
-            len(x_bits), len(t_bits), cfg,
-            honest_rate_x=0.5, rate_t=rate_t, certified_rate_x=certified)
+    if verdict == "Accept" and records is not None:
+        extract_output(run, source, params)
     return run
+
+
+def extract_output(run: ProtocolRun, source: SVSource,
+                   params: ProtocolParams) -> None:
+    """Extract from an accepted run with kept records; set `output_bits`
+    and the `extraction` rate report on the run.
+
+    `source` must stand right after the run's setting draws: n bits are
+    drawn from it for the extractor's t side, and the x side is selected
+    from the records by the configured rule.
+    """
+    t_bits = source.next_bits(run.n)
+    cfg = params.extractor
+    x_bits = extractor_mod.transcript_to_source(run, cfg.rule)
+    run.output_bits = extractor_mod.extract(x_bits, t_bits, cfg)
+    # Honest device-side rate: at most 1/4 on any outcome pair at the
+    # target setting for the ideal box, so 2 bits per 4 encoded.  The
+    # certified worst-case rate spreads the accepted-run min-entropy
+    # floor over the selected bits; at desk scale it is vanishing and
+    # the report says so rather than hiding it.
+    rate_t = -math.log2(0.5 + params.eps) if params.eps < 0.5 else 0.0
+    certified = security_report(params).min_entropy_bound / len(x_bits)
+    run.extraction = extractor_mod.extraction_report(
+        len(x_bits), len(t_bits), cfg,
+        honest_rate_x=0.5, rate_t=rate_t, certified_rate_x=certified)
 
 
 def expected_tomography_rate(b: Behavior, measure=None,
@@ -369,6 +370,7 @@ class CampaignStats:
     rows: list[dict]
     verdict_counts: dict[str, int]
     master_seed: int
+    first_run: ProtocolRun          # trial 0, with its records kept
 
     def to_csv(self) -> str:
         lines = ["trial,Ln,Sn,verdict"]
@@ -396,6 +398,8 @@ def monte_carlo(device_factory: Callable[[int], DeviceOracle],
     Trial t uses device seed derive_seed(master, t, 1) and source seed
     derive_seed(master, t, 2); aggregation is order-independent and the
     whole campaign is a pure function of (specs, params, master seed).
+    Trial 0 keeps its transcript (and extracts, when accepted) and is
+    returned as `first_run`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -406,7 +410,9 @@ def monte_carlo(device_factory: Callable[[int], DeviceOracle],
         device = device_factory(derive_seed(master_seed, t, 1))
         source = source_factory(derive_seed(master_seed, t, 2))
         run = run_protocol(device, source, params, functional=functional,
-                           keep_transcript=False, run_extraction=False)
+                           keep_transcript=t == 0)
+        if t == 0:
+            first_run = run
         rows.append({"trial": t, "Ln": run.bell_average,
                      "Sn": run.target_frequency, "verdict": run.verdict})
         verdicts[run.verdict] = verdicts.get(run.verdict, 0) + 1
@@ -416,7 +422,7 @@ def monte_carlo(device_factory: Callable[[int], DeviceOracle],
     return CampaignStats(trials=trials, accept_count=accept,
                          accept_rate=accept / trials, ci_low=lo, ci_high=hi,
                          rows=rows, verdict_counts=verdicts,
-                         master_seed=master_seed)
+                         master_seed=master_seed, first_run=first_run)
 
 
 # --- transcript files -----------------------------------------------------
@@ -457,12 +463,19 @@ def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{line_no}: malformed JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{line_no}: not a JSON object")
             if obj.get("type") == "header":
                 header = obj
             elif obj.get("type") == "summary":
                 summary = obj
             else:
-                records.append((obj["u"][0], obj["u"][1], obj["x"][0], obj["x"][1]))
+                u, x = obj.get("u"), obj.get("x")
+                if not (isinstance(u, list) and isinstance(x, list)
+                        and len(u) == len(x) == 2):
+                    raise ValueError(
+                        f"{path}:{line_no}: record needs two-element 'u' and 'x'")
+                records.append((u[0], u[1], x[0], x[1]))
     if header is None or summary is None:
         raise ValueError(f"{path}: missing header or summary record")
     return header, records, summary

@@ -35,6 +35,7 @@ BITS_PER_ROUND = 2 * BITS_PER_PARTY
 
 
 def _as_fraction(v) -> Fraction:
+    """Exact conversion; floats convert by their exact binary value."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, (int, str)):

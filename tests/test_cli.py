@@ -108,27 +108,34 @@ def test_replay_detects_tampering(runner, tmp_path):
 
 def test_replay_malformed_file(runner, tmp_path):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("this is not json\n")
-    res = runner.invoke(main, ["replay", str(bad)])
-    assert res.exit_code == 2
+    for text in ("this is not json\n",
+                 '{"type": "header", "params": {}}\n{"i": 1, "u": [1, 2]}\n'):
+        bad.write_text(text)
+        res = runner.invoke(main, ["replay", str(bad)])
+        assert res.exit_code == 2, res.output
+        assert "bad.jsonl" in res.output
 
 
 def test_extract_matches_stored_output(runner, tmp_path):
-    cfg = write_config(tmp_path, SMALL_SIM)
-    out = tmp_path / "out"
-    assert runner.invoke(main, ["simulate", "--config", cfg,
-                                "--out", str(out)]).exit_code == 0
-    summary = json.loads((out / "trial0.jsonl").read_text().splitlines()[-1])
-    assert summary["verdict"] == "Accept"
-    res = runner.invoke(main, ["extract", str(out / "trial0.jsonl"),
-                               "--out", str(out)])
-    assert res.exit_code == 0, res.output
-    assert res.output.strip().endswith(summary["output_hex"])
-    sidecar = json.loads((out / "extracted.json").read_text())
-    assert sidecar["output_hex"] == summary["output_hex"]
-    stored = summary["extraction"]
-    assert sidecar["validity_condition_met"] == stored["honest_condition_met"]
-    assert sidecar["rates"]["rate_t"] == stored["rate_t"] == 1.0
+    for rule in ("target_rounds", "all_rounds"):
+        cfg = write_config(tmp_path, dict(SMALL_SIM, extractor=dict(
+            SMALL_SIM["extractor"], rule=rule)))
+        out = tmp_path / rule
+        assert runner.invoke(main, ["simulate", "--config", cfg,
+                                    "--out", str(out)]).exit_code == 0
+        summary = json.loads((out / "trial0.jsonl").read_text().splitlines()[-1])
+        assert summary["verdict"] == "Accept"
+        res = runner.invoke(main, ["extract", str(out / "trial0.jsonl"),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.output.strip().endswith(summary["output_hex"])
+        sidecar = json.loads((out / "extracted.json").read_text())
+        assert sidecar["output_hex"] == summary["output_hex"]
+        assert sidecar["rule"] == rule
+        stored = summary["extraction"]
+        assert stored["rule"] == rule
+        assert sidecar["validity_condition_met"] == stored["honest_condition_met"]
+        assert sidecar["rates"]["rate_t"] == stored["rate_t"] == 1.0
 
 
 def test_report_fields_and_aborted_run(runner, tmp_path):

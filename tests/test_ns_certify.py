@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from randamp import _simplex
 from randamp.boxes import bell_value_exact, validate_behavior
 from randamp.ks_bell import build_bell_functional, build_ks_model
 from randamp.ns_certify import (DualCertificate, build_lp, max_target_box,
@@ -140,46 +139,3 @@ def test_randomness_bound_values():
         randomness_bound(0.1, 0.5)
     with pytest.raises(ValueError):
         randomness_bound(-0.1, 0.0)
-
-
-# --- the in-package Bland engine on small systems -------------------------
-
-
-def test_simplex_small_lp_float_and_exact():
-    # max x0 + x1 s.t. x0 + x1 + s = 1 -> min -(x0+x1); optimum -1
-    rows = [[(0, 1), (1, 1), (2, 1)]]
-    rhs = [1]
-    cost = {0: -1, 1: -1}
-    for exact in (False, True):
-        res = _simplex.solve_standard_form(rows, rhs, cost, 3, exact=exact)
-        assert res.status == "optimal"
-        assert res.objective == (Fraction(-1) if exact else pytest.approx(-1.0))
-
-
-def test_simplex_degenerate_and_duals():
-    # min -2a - 3b  s.t. a + b + s1 = 4, a + 2b + s2 = 6
-    rows = [[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (3, 1)]]
-    rhs = [4, 6]
-    cost = {0: -2, 1: -3}
-    res = _simplex.solve_standard_form(rows, rhs, cost, 4, exact=True)
-    assert res.status == "optimal"
-    assert res.objective == Fraction(-10)
-    assert res.x[0] == 2 and res.x[1] == 2
-    # duals certify the optimum: y.b == objective at optimality
-    assert sum(y * b for y, b in zip(res.y, rhs)) == Fraction(-10)
-
-
-def test_simplex_infeasible_detected():
-    # x0 + s = 1 and x0 - t = 2 with s,t >= 0 is infeasible... use equalities:
-    rows = [[(0, 1)], [(0, 1)]]
-    rhs = [1, 2]
-    res = _simplex.solve_standard_form(rows, rhs, {0: 1}, 1, exact=True)
-    assert res.status == "infeasible"
-
-
-def test_simplex_unbounded_detected():
-    # min -x0 with x0 - x1 = 0: ray x0 = x1 -> unbounded
-    rows = [[(0, 1), (1, -1)]]
-    rhs = [0]
-    res = _simplex.solve_standard_form(rows, rhs, {0: -1}, 2, exact=True)
-    assert res.status == "unbounded"

@@ -253,10 +253,18 @@ def test_monte_carlo_single_trial_reproduces_run(ideal):
     stats = monte_carlo(factory_d, factory_s, params, trials=1, master_seed=55)
     run = run_protocol(make_iid_device(ideal, derive_seed(55, 0, 1)),
                        SVSource(0, "unbiased", derive_seed(55, 0, 2)),
-                       params, keep_transcript=False, run_extraction=False)
+                       params, keep_transcript=False)
     row = stats.rows[0]
     assert (row["Ln"], row["Sn"], row["verdict"]) == \
         (run.bell_average, run.target_frequency, run.verdict)
+    first = stats.first_run
+    assert (first.bell_average, first.target_frequency, first.verdict) == \
+        (row["Ln"], row["Sn"], row["verdict"])
+    assert first.output_bits is not None
+    full = run_protocol(make_iid_device(ideal, derive_seed(55, 0, 1)),
+                        SVSource(0, "unbiased", derive_seed(55, 0, 2)), params)
+    assert (first.records, first.output_bits, first.extraction) == \
+        (full.records, full.output_bits, full.extraction)
     assert stats.to_csv().splitlines()[0] == "trial,Ln,Sn,verdict"
 
 
