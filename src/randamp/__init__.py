@@ -5,7 +5,7 @@ Subpackage map:
     ks_bell     the 18-vector model, the 504-term Bell functional, the
                 exhaustive classical bound and the coloring count
     boxes       behaviors (tables), the ideal box, noise, validation,
-                sampling, and stateful device oracles
+                and the device (b1 until round tau, then b2)
     ns_certify  the randomness LP, exact rational dual certificates
     sv_source   bounded-bias bit sources, the bits-to-settings map, and the
                 exact adversarial concentration oracle
@@ -21,7 +21,7 @@ from .ks_bell import (build_ks_model, build_bell_functional,
                       classical_minimum, ks_coloring_count,
                       KSModel, BellFunctional)
 from .boxes import (Behavior, ideal_quantum_box, uniform_box, depolarize,
-                    validate_behavior, bell_value, sample_outcome,
+                    validate_behavior, bell_value,
                     make_iid_device, make_adversarial_device)
 from .ns_certify import (build_lp, solve_lp, verify_certificate,
                          randomness_bound, DualCertificate, LPProblem)

@@ -1,4 +1,4 @@
-"""Two-party conditional-probability behaviors and stateful device oracles.
+"""Two-party conditional-probability behaviors and the stateful device.
 
 A Behavior is a table P(x1,x2|u1,u2) over 4x4 outcomes and 9x9 settings,
 nonnegative, normalized per setting pair, and no-signaling (each party's
@@ -10,18 +10,22 @@ vectors selected by the settings and outcomes.  All denominators are powers
 of two not exceeding 64, so the float table is exact and the 504 indicator
 entries are exactly zero.
 
-Device oracles answer one round at a time.  Their memory holds only the
-settings seen so far, their own past outcomes and private randomness, so the
-distribution of round k's outcome never depends on settings of later rounds
-(time-ordered no-signaling holds by construction).  Oracles and bit sources
-share no state: a device is built, with its own generator, before any source
-bits are drawn.
+A Device answers one round at a time with one model for every kind: it
+plays behavior b1 until round tau and b2 from then on (iid devices never
+reach tau).  Its memory holds only the settings seen so far and private
+randomness, and tau depends on past settings only, so the distribution of
+round k's outcome never depends on settings of later rounds (time-ordered
+no-signaling holds by construction).  Devices and bit sources share no
+state: a device is built, with its own generator, before any source bits
+are drawn.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -213,121 +217,65 @@ def cumulative_tables(b: Behavior) -> list[list[float]]:
     return cums
 
 
-def outcome_from_r(cum: list[float], r: float) -> tuple[int, int]:
-    k = bisect_right(cum, r)
-    if k > 15:
-        k = 15
-    return (k // 4 + 1, k % 4 + 1)
+class Device:
+    """Plays behavior b1 until round tau, then b2 from round tau on.
 
-
-def sample_outcome(b: Behavior, u: tuple[int, int], rng: Random) -> tuple[int, int]:
-    """One exact categorical draw for setting pair u (components 1..9)."""
-    flat = b.table[u[0] - 1, u[1] - 1].reshape(-1)
-    cum = np.cumsum(flat).tolist()
-    cum[-1] = max(cum[-1], 1.0)
-    return outcome_from_r(cum, rng.random())
-
-
-class DeviceOracle:
-    """Round-response interface: respond(k, u) -> (x1, x2).
-
-    k is the 0-based round index; calls must be made in round order.  The
-    concrete oracles only ever read the current and past settings.
+    respond(k, u) -> (x1, x2) draws exactly one `rng.random()`; k is the
+    0-based round index and calls must be made in round order.  tau never
+    changes the draw, only the table it is read from:
+        iid              tau is never reached (b1 throughout)
+        switch_after     tau = k
+        history_trigger  tau = the round after `pattern` first completes as a
+                         contiguous block of past settings
+    Build devices with `make_iid_device` or `make_adversarial_device`.
     """
 
-    def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def spec(self) -> dict:
-        raise NotImplementedError
-
-
-class IIDDevice(DeviceOracle):
-    """Answers every round from one fixed behavior."""
-
-    def __init__(self, behavior: Behavior, seed: int):
-        self.behavior = behavior
+    def __init__(self, spec: dict, b1: Behavior, b2: Behavior, seed: int,
+                 tau: float = math.inf, pattern: tuple = ()):
+        self._spec = spec
         self.seed = seed
         self.rng = Random(seed)
-        self._cums = cumulative_tables(behavior)
-
-    def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
-        cum = self._cums[(u[0] - 1) * 9 + (u[1] - 1)]
-        return outcome_from_r(cum, self.rng.random())
-
-    def spec(self) -> dict:
-        return {"kind": "iid", "behavior": (self.behavior.meta or {}),
-                "seed": self.seed}
-
-
-class SwitchAfterDevice(DeviceOracle):
-    """Plays behavior b1 for the first k rounds, then b2."""
-
-    def __init__(self, k: int, b1: Behavior, b2: Behavior, seed: int):
-        if k < 0:
-            raise ValueError("switch round must be >= 0")
-        self.k = k
-        self.seed = seed
-        self.rng = Random(seed)
+        self.tau = tau
+        self.pattern = pattern
+        self._recent: deque = deque(maxlen=len(pattern))
         self._cums1 = cumulative_tables(b1)
-        self._cums2 = cumulative_tables(b2)
+        self._cums2 = self._cums1 if b2 is b1 else cumulative_tables(b2)
 
     def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
-        cums = self._cums1 if k < self.k else self._cums2
-        return outcome_from_r(cums[(u[0] - 1) * 9 + (u[1] - 1)], self.rng.random())
-
-    def spec(self) -> dict:
-        return {"kind": "switch_after", "k": self.k, "seed": self.seed}
-
-
-class HistoryTriggerDevice(DeviceOracle):
-    """Plays b1 until `pattern` (a tuple of setting pairs) has occurred as a
-    contiguous block of *past* settings, then plays b2 from the next round.
-
-    The trigger only ever inspects settings with smaller round index, so the
-    time ordering of the no-signaling structure is preserved.
-    """
-
-    def __init__(self, pattern, b1: Behavior, b2: Behavior, seed: int):
-        self.pattern = tuple(tuple(p) for p in pattern)
-        if not self.pattern:
-            raise ValueError("pattern must be non-empty")
-        self.seed = seed
-        self.rng = Random(seed)
-        self._cums1 = cumulative_tables(b1)
-        self._cums2 = cumulative_tables(b2)
-        self._recent: list[tuple[int, int]] = []
-        self._triggered = False
-
-    def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
-        cums = self._cums2 if self._triggered else self._cums1
-        x = outcome_from_r(cums[(u[0] - 1) * 9 + (u[1] - 1)], self.rng.random())
-        if not self._triggered:
+        cums = self._cums1 if k < self.tau else self._cums2
+        # every cum[-1] >= 1 > random(), so c is an outcome pair code 0..15
+        c = bisect_right(cums[(u[0] - 1) * 9 + (u[1] - 1)], self.rng.random())
+        if self.pattern and k < self.tau:
             self._recent.append(tuple(u))
-            if len(self._recent) > len(self.pattern):
-                self._recent.pop(0)
             if tuple(self._recent) == self.pattern:
-                self._triggered = True
-        return x
+                self.tau = k + 1
+        return (c // 4 + 1, c % 4 + 1)
 
     def spec(self) -> dict:
-        return {"kind": "history_trigger",
-                "pattern": [list(p) for p in self.pattern], "seed": self.seed}
+        return dict(self._spec, seed=self.seed)
 
 
-def make_iid_device(behavior: Behavior, seed: int = 0) -> IIDDevice:
-    return IIDDevice(behavior, seed)
+def make_iid_device(behavior: Behavior, seed: int = 0) -> Device:
+    return Device({"kind": "iid", "behavior": behavior.meta or {}},
+                  behavior, behavior, seed)
 
 
-def make_adversarial_device(spec: dict, seed: int = 0) -> DeviceOracle:
-    """Build a stateful oracle from a serializable spec.
+def make_adversarial_device(spec: dict, seed: int = 0) -> Device:
+    """Build a stateful device from a serializable spec.
 
     Supported kinds: switch_after {k, b1, b2} and history_trigger
     {pattern, b1, b2}; b1/b2 are Behavior objects supplied by the caller.
     """
     kind = spec.get("kind")
     if kind == "switch_after":
-        return SwitchAfterDevice(spec["k"], spec["b1"], spec["b2"], seed)
+        if spec["k"] < 0:
+            raise ValueError("switch round must be >= 0")
+        return Device({"kind": kind, "k": spec["k"]}, spec["b1"], spec["b2"],
+                      seed, tau=spec["k"])
     if kind == "history_trigger":
-        return HistoryTriggerDevice(spec["pattern"], spec["b1"], spec["b2"], seed)
+        pattern = tuple(tuple(p) for p in spec["pattern"])
+        if not pattern:
+            raise ValueError("pattern must be non-empty")
+        return Device({"kind": kind, "pattern": [list(p) for p in pattern]},
+                      spec["b1"], spec["b2"], seed, pattern=pattern)
     raise ValueError(f"unknown adversarial device kind: {kind!r}")

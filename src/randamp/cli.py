@@ -27,9 +27,9 @@ from .boxes import (depolarize, ideal_quantum_box, make_adversarial_device,
 from .extractor import ExtractorConfig
 from .ks_bell import build_bell_functional, build_ks_model
 from .ns_certify import build_lp, solve_lp, verify_certificate, zero_target_box
-from .protocol import (ProtocolParams, ProtocolRun, default_functional,
-                       extract_output, monte_carlo, read_transcript,
-                       replay_transcript, security_report, write_transcript)
+from .protocol import (ProtocolParams, extract_output, monte_carlo,
+                       read_transcript, replay_transcript, run_from_records,
+                       security_report, write_transcript)
 from .sv_source import SVSource
 
 EXIT_OK = 0
@@ -95,7 +95,23 @@ def build_params(cfg: dict) -> ProtocolParams:
 
 
 def build_device_factory(spec: dict):
+    """Device factory for a config's device section, which is outside input:
+    a missing or out-of-range `eta`, `k` or `pattern` exits 2."""
     kind = spec.get("kind", "ideal")
+    if kind == "depolarized" and not (type(spec.get("eta")) in (int, float)
+                                      and 0 <= spec["eta"] <= 1):
+        _fail_usage("device depolarized needs eta in [0, 1]")
+    if kind == "switch_after" and not (type(spec.get("k")) is int
+                                       and spec["k"] >= 0):
+        _fail_usage("device switch_after needs an integer k >= 0")
+    if kind == "history_trigger":
+        pattern = spec.get("pattern")
+        if not (isinstance(pattern, list) and pattern and all(
+                isinstance(p, list) and len(p) == 2
+                and all(type(v) is int and 1 <= v <= 9 for v in p)
+                for p in pattern)):
+            _fail_usage("device history_trigger needs a non-empty pattern of"
+                        " setting pairs in 1..9")
     model = build_ks_model()
     func = build_bell_functional(model)
     if kind == "ideal":
@@ -120,9 +136,6 @@ def build_device_factory(spec: dict):
 def build_source_factory(cfg: dict):
     eps = float(cfg["protocol"]["eps"])
     strategy = cfg["source"].get("strategy", "unbiased")
-    if isinstance(strategy, list):
-        strategy = tuple(strategy[:1] + [tuple(s) if isinstance(s, list) else s
-                                         for s in strategy[1:]])
     return lambda seed: SVSource(eps, strategy, seed)
 
 
@@ -278,17 +291,16 @@ def extract_cmd(run_file, outdir):
         _fail_usage(str(e))
     if summary["verdict"] != "Accept":
         _fail_usage("run was not accepted; nothing to extract")
-    pconf = header["params"]
-    params = build_params({"protocol": pconf, "extractor": pconf["extractor"]})
-    target_outcomes, target_settings = default_functional().d_target
-    src = header["source"]
-    # Extraction reads only the records, the verdict and the target.
-    run = ProtocolRun(params=pconf, device_spec=header["device"],
-                      source_spec=src, n=len(records), bell_count=0,
-                      target_count=0, verdict=summary["verdict"],
-                      target_settings=target_settings,
-                      target_outcomes=target_outcomes, records=records)
-    source = SVSource(src["epsilon"], src["strategy"], src["seed"])
+    pconf, src = header["params"], header["source"]
+    try:
+        params = build_params({"protocol": pconf, "extractor": pconf["extractor"]})
+        run = run_from_records(header, records)
+        source = SVSource(src["epsilon"], src["strategy"], src["seed"])
+    except (KeyError, TypeError, ValueError) as e:
+        _fail_usage(f"{run_file}: cannot rebuild the run: {e!r}")
+    if run.verdict != "Accept":
+        click.echo(f"stored verdict Accept, recomputed {run.verdict}", err=True)
+        sys.exit(EXIT_SCIENTIFIC)
     source.next_bits(8 * len(records))          # settings draws come first
     extract_output(run, source, params)
     bits = "".join(map(str, run.output_bits))

@@ -17,13 +17,16 @@ outcomes that share a printed basis gives 432.  This package implements the
 the 432 count is exposed in the docs and tests for reference.
 
 Indexing convention used across the whole package: settings are 1..9 in
-printed basis order, outcomes 1..4 in printed slot order.
+printed basis order, outcomes 1..4 in printed slot order.  A cell is one
+(setting pair, outcome pair); `var_index` numbers the 1296 cells, and every
+cell list (LP columns, run histograms) follows that order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -49,6 +52,13 @@ KS_BASES = (
 # indicator set and its ideal-box probability is 1/16 rather than 0.
 TARGET_OUTCOMES = (1, 3)
 TARGET_SETTINGS = (1, 2)
+
+N_CELLS = 9 * 9 * 4 * 4
+
+
+def var_index(u1: int, u2: int, x1: int, x2: int) -> int:
+    """Canonical cell of table entry (x1,x2|u1,u2); all arguments 1..n."""
+    return ((u1 - 1) * 9 + (u2 - 1)) * 16 + (x1 - 1) * 4 + (x2 - 1)
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,17 @@ class BellFunctional:
         for (x1, x2), (u1, u2) in self.sb:
             arr[u1 - 1, u2 - 1, x1 - 1, x2 - 1] = 1
         return arr
+
+    @cached_property
+    def bell_cells(self) -> tuple[int, ...]:
+        """The indicator set as sorted cells (`var_index`)."""
+        return tuple(sorted(var_index(u1, u2, x1, x2)
+                            for (x1, x2), (u1, u2) in self.sb))
+
+    @cached_property
+    def target_cell(self) -> int:
+        (x1, x2), (u1, u2) = self.d_target
+        return var_index(u1, u2, x1, x2)
 
     def to_json(self) -> str:
         return json.dumps(

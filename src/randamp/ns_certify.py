@@ -41,20 +41,14 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .boxes import Behavior
-from .ks_bell import BellFunctional
+from .ks_bell import N_CELLS, BellFunctional, var_index
 from .sv_source import _as_fraction
 
-N_VARS = 1296
 _ROUND_DENOMS = (10 ** 6, 10 ** 9, 10 ** 13)
 
 
 class CertificationError(RuntimeError):
     """Raised when no exact rational certificate could be produced."""
-
-
-def var_index(u1: int, u2: int, x1: int, x2: int) -> int:
-    """Canonical column of table entry (x1,x2|u1,u2); all arguments 1..n."""
-    return ((u1 - 1) * 9 + (u2 - 1)) * 16 + (x1 - 1) * 4 + (x2 - 1)
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ class LPProblem:
     delta_tilde: Fraction
     target: tuple[tuple[int, int], tuple[int, int]]
     target_col: int
-    num_vars: int = N_VARS
+    num_vars: int = N_CELLS
 
     @property
     def n_equalities(self) -> int:
@@ -164,10 +158,8 @@ def build_lp(f: BellFunctional, delta_tilde, target=None) -> LPProblem:
                 row += [(var_index(1, u2, x1, x2), -1) for x1 in range(1, 5)]
                 rows.append(tuple(row))
                 rhs.append(0)
-    cap_cols = tuple(sorted(var_index(u1, u2, x1, x2)
-                            for (x1, x2), (u1, u2) in f.sb))
     return LPProblem(eq_rows=tuple(rows), eq_rhs=tuple(rhs),
-                     cap_cols=cap_cols, delta_tilde=dt, target=target,
+                     cap_cols=f.bell_cells, delta_tilde=dt, target=target,
                      target_col=var_index(u1t, u2t, x1t, x2t))
 
 

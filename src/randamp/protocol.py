@@ -1,11 +1,13 @@
 """End-to-end protocol execution, parameter selection, the derived security
 constants, and Monte Carlo campaigns.
 
-One run: each round draws 8 source bits, maps them to a setting pair, and
-queries the device for an outcome pair.  After n rounds two tests are
-evaluated in order: the Bell test (the empirical indicator average must not
-exceed delta) and then, only if it passed, the tomographic test (the
-empirical frequency of the target setting/outcome pair must reach mu1).
+One run: each round draws 8 source bits, maps them to a setting pair,
+queries the device for an outcome pair, and counts the round in a histogram
+over the 1296 cells (`ks_bell.var_index`).  After n rounds two tests are
+evaluated in order on sums over that histogram: the Bell test (the
+empirical indicator average must not exceed delta) and then, only if it
+passed, the tomographic test (the empirical frequency of the target cell
+must reach mu1).  Replaying stored records goes through the same histogram.
 Both aborts are verdicts, not errors.  On acceptance of a run whose
 transcript is kept, n further bits are drawn from the same source (the
 stream positions of setting draws and extraction draws are disjoint by
@@ -23,7 +25,7 @@ constraint check can be switched off explicitly (`enforce_bounds=False`) for
 exploratory noise studies; the security report marks such parameter sets as
 outside the certified regime.
 
-Architectural notes.  The device oracle is constructed, with its own
+Architectural notes.  The device is constructed, with its own
 generator, before any source bits are drawn, and the two objects share no
 state: the device cannot signal to the source and the box is fixed
 independently of the source by construction.  A single run is sequential
@@ -42,9 +44,10 @@ from typing import Callable
 import numpy as np
 
 from . import extractor as extractor_mod
-from .boxes import Behavior, DeviceOracle
+from .boxes import Behavior, Device
 from .bounds import markov_split_epsilon
-from .ks_bell import BellFunctional, build_bell_functional, build_ks_model
+from .ks_bell import (N_CELLS, BellFunctional, build_bell_functional,
+                      build_ks_model, var_index)
 from .seeding import derive_seed
 from .sv_source import BITS_PER_ROUND, DEFAULT_MAP, SettingMap, SVSource
 
@@ -142,7 +145,12 @@ def _verdict(bell_average: float, target_frequency: float,
     return "Accept"
 
 
-def run_protocol(device: DeviceOracle, source: SVSource, params: ProtocolParams,
+def _tally(hist: list[int], f: BellFunctional) -> tuple[int, int]:
+    """(bell_count, target_count) of a cell histogram."""
+    return sum(hist[c] for c in f.bell_cells), hist[f.target_cell]
+
+
+def run_protocol(device: Device, source: SVSource, params: ProtocolParams,
                  functional: BellFunctional | None = None,
                  keep_transcript: bool = True) -> ProtocolRun:
     """Execute one full run; aborts are verdicts.
@@ -155,28 +163,21 @@ def run_protocol(device: DeviceOracle, source: SVSource, params: ProtocolParams,
     params.validate()
     f = functional or default_functional()
     mapping = params.mapping
-    bell_codes = frozenset(((u1 - 1) * 9 + (u2 - 1)) * 16 + (x1 - 1) * 4 + (x2 - 1)
-                           for (x1, x2), (u1, u2) in f.sb)
     (x1t, x2t), (u1t, u2t) = f.d_target
-    target_code = ((u1t - 1) * 9 + (u2t - 1)) * 16 + (x1t - 1) * 4 + (x2t - 1)
-
     n = params.n
-    bell_count = 0
-    target_count = 0
+    hist = [0] * N_CELLS
     records: list[tuple[int, int, int, int]] | None = [] if keep_transcript else None
 
     for k in range(n):
         block = source.next_block(BITS_PER_ROUND)
         u = mapping.map_block(block)
         x = device.respond(k, u)
-        code = ((u[0] - 1) * 9 + (u[1] - 1)) * 16 + (x[0] - 1) * 4 + (x[1] - 1)
-        if code in bell_codes:
-            bell_count += 1
-        if code == target_code:
-            target_count += 1
+        # var_index(*u, *x), inlined: a call per round slows campaigns ~6%
+        hist[((u[0] - 1) * 9 + (u[1] - 1)) * 16 + (x[0] - 1) * 4 + (x[1] - 1)] += 1
         if records is not None:
             records.append((u[0], u[1], x[0], x[1]))
 
+    bell_count, target_count = _tally(hist, f)
     verdict = _verdict(bell_count / n, target_count / n, params.delta, params.mu1)
     run = ProtocolRun(params=params.to_dict(), device_spec=device.spec(),
                       source_spec=source.spec(), n=n,
@@ -243,11 +244,14 @@ class SecurityReport:
                                      per-round max outcome probability
     eps_az1 = 2 exp(-n delta^2/4), eps_az2 = 2 exp(-n mu1^2/16)
     delta1 = 2(eps_az1+eps_az2) + gamma^(mu4 n)
-    min_entropy_bound = mu4 n log2(1/gamma)
+    min_entropy_bound = max(0, mu4 n log2(1/gamma))
 
     The deviation parameter of the Bell-side tail is set equal to delta
     itself (no separate knob).  mu4 is computed as mu3 - sqrt(2 delta),
     algebraically identical to mu2 + mu3 - 1 but immune to cancellation.
+    Outside the certified regime mu4 can be negative, and a negative count
+    of min-entropy bits certifies nothing, so the bound is clamped at 0;
+    `params_valid` says whether the chain applies at all.
     """
 
     n: int
@@ -300,7 +304,7 @@ def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityRepor
     eps_az2 = markov_split_epsilon(n, mu1 / 2.0)
     tail = math.exp(mu4 * n * math.log(gamma)) if 0 < gamma < 1 else 1.0
     delta1 = 2.0 * (eps_az1 + eps_az2) + tail
-    hmin = mu4 * n * (-math.log2(gamma)) if 0 < gamma < 1 else 0.0
+    hmin = max(0.0, mu4 * n * (-math.log2(gamma))) if 0 < gamma < 1 else 0.0
     zeta = 1.0 - (0.5 - eps) ** 8
     mu5 = (0.5 - eps) ** 8 / 2.0
     chernoff_fail = math.exp(-2.0 * n * (1.0 - mu5 - zeta) ** 2)
@@ -389,7 +393,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def monte_carlo(device_factory: Callable[[int], DeviceOracle],
+def monte_carlo(device_factory: Callable[[int], Device],
                 source_factory: Callable[[int], SVSource],
                 params: ProtocolParams, trials: int, master_seed: int = 0,
                 functional: BellFunctional | None = None) -> CampaignStats:
@@ -451,8 +455,15 @@ def write_transcript(run: ProtocolRun, path, config_hash: str = "",
 
 
 def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
-    header = None
-    summary = None
+    """Header, records and summary of a transcript file.
+
+    The file is untrusted.  A file without a header, a summary or round
+    records, a line that is not a JSON object, a record whose settings are
+    not ints in 1..9 or outcomes not ints in 1..4, a header without `source`
+    or `params` (numbers n, delta, mu1, and `extractor`), or a summary
+    without Ln, Sn and verdict raises ValueError("<path>[:<line>]: ...").
+    """
+    header = summary = None
     records = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -466,31 +477,65 @@ def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{line_no}: not a JSON object")
             if obj.get("type") == "header":
-                header = obj
+                header, header_line = obj, line_no
             elif obj.get("type") == "summary":
-                summary = obj
+                summary, summary_line = obj, line_no
             else:
                 u, x = obj.get("u"), obj.get("x")
                 if not (isinstance(u, list) and isinstance(x, list)
-                        and len(u) == len(x) == 2):
+                        and len(u) == len(x) == 2
+                        and type(u[0]) is type(u[1]) is type(x[0]) is type(x[1]) is int
+                        and 1 <= u[0] <= 9 and 1 <= u[1] <= 9
+                        and 1 <= x[0] <= 4 and 1 <= x[1] <= 4):
                     raise ValueError(
-                        f"{path}:{line_no}: record needs two-element 'u' and 'x'")
+                        f"{path}:{line_no}: record needs 'u' (two ints in 1..9)"
+                        " and 'x' (two ints in 1..4)")
                 records.append((u[0], u[1], x[0], x[1]))
-    if header is None or summary is None:
-        raise ValueError(f"{path}: missing header or summary record")
+    if header is None or summary is None or not records:
+        raise ValueError(f"{path}: missing header, summary or round records")
+    params, source = header.get("params"), header.get("source")
+    if not (isinstance(params, dict) and isinstance(source, dict)
+            and all(type(params.get(k)) in (int, float) for k in ("n", "delta", "mu1"))
+            and "extractor" in params):
+        raise ValueError(f"{path}:{header_line}: header needs 'params' (numbers "
+                         "n, delta, mu1, and extractor) and 'source'")
+    if not all(k in summary for k in ("Ln", "Sn", "verdict")):
+        raise ValueError(f"{path}:{summary_line}: summary needs Ln, Sn and verdict")
     return header, records, summary
+
+
+def record_counts(records, functional: BellFunctional | None = None
+                  ) -> tuple[int, int]:
+    """(bell_count, target_count) of stored records, via their cell histogram."""
+    if not records:
+        raise ValueError("empty transcript")
+    hist = [0] * N_CELLS
+    for u1, u2, x1, x2 in records:
+        hist[var_index(u1, u2, x1, x2)] += 1
+    return _tally(hist, functional or default_functional())
 
 
 def replay_transcript(records, delta: float, mu1: float,
                       functional: BellFunctional | None = None) -> dict:
     """Recompute the statistics and verdict of a stored transcript."""
-    f = functional or default_functional()
+    bell, tgt = record_counts(records, functional)
     n = len(records)
-    if n == 0:
-        raise ValueError("empty transcript")
-    bell = sum(1 for (u1, u2, x1, x2) in records
-               if ((x1, x2), (u1, u2)) in f.sb)
-    (x1t, x2t), (u1t, u2t) = f.d_target
-    tgt = sum(1 for r in records if r == (u1t, u2t, x1t, x2t))
     return {"Ln": bell / n, "Sn": tgt / n,
             "verdict": _verdict(bell / n, tgt / n, delta, mu1)}
+
+
+def run_from_records(header: dict, records,
+                     functional: BellFunctional | None = None) -> ProtocolRun:
+    """The run a stored transcript describes, with its statistics and verdict
+    recomputed from the records rather than taken from the summary."""
+    f = functional or default_functional()
+    bell_count, target_count = record_counts(records, f)
+    n, p = len(records), header["params"]
+    target_outcomes, target_settings = f.d_target
+    return ProtocolRun(
+        params=p, device_spec=header.get("device", {}),
+        source_spec=header["source"], n=n, bell_count=bell_count,
+        target_count=target_count,
+        verdict=_verdict(bell_count / n, target_count / n, p["delta"], p["mu1"]),
+        target_settings=target_settings, target_outcomes=target_outcomes,
+        records=records)

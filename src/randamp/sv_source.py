@@ -25,6 +25,7 @@ envelope zeta^k with zeta = 1 - (1/2 - eps)^8.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -204,15 +205,24 @@ def make_strategy(spec, eps):
     ("avoid_target", (u1, u2)), ("toward_pattern", pattern)."""
     if spec == "unbiased" or spec is None:
         return UnbiasedStrategy()
-    kind = spec[0] if isinstance(spec, (tuple, list)) else spec
-    if kind == "constant_bias":
-        return ConstantBiasStrategy(spec[1], eps)
+    kind, *args = spec if isinstance(spec, (tuple, list)) else (spec,)
+    if kind == "constant_bias" and args:
+        return ConstantBiasStrategy(args[0], eps)
     if kind == "avoid_target":
-        target = tuple(spec[1]) if len(spec) > 1 else (1, 2)
-        return AvoidTargetStrategy(eps, target)
-    if kind == "toward_pattern":
-        return TowardPatternStrategy(eps, spec[1])
+        return AvoidTargetStrategy(eps, tuple(args[0]) if args else (1, 2))
+    if kind == "toward_pattern" and args:
+        return TowardPatternStrategy(eps, args[0])
     raise ValueError(f"unknown source strategy {spec!r}")
+
+
+def _plain_spec(spec):
+    """JSON form of a valid strategy spec: lists for tuples, exact strings
+    for Fractions, and a bare name for a spec without arguments."""
+    if spec is None or isinstance(spec, str):
+        return spec or "unbiased"
+    if len(spec) == 1:
+        return spec[0]
+    return json.loads(json.dumps(spec, default=str))
 
 
 class SVSource:
@@ -227,8 +237,12 @@ class SVSource:
         self.eps = _as_fraction(eps)
         if not 0 <= self.eps < Fraction(1, 2):
             raise ValueError("source parameter must be in [0, 1/2)")
-        self.strategy = strategy if hasattr(strategy, "p0") \
-            else make_strategy(strategy, self.eps)
+        if hasattr(strategy, "p0"):
+            self.strategy = strategy
+            self._spec = getattr(strategy, "name", "custom")
+        else:
+            self.strategy = make_strategy(strategy, self.eps)
+            self._spec = _plain_spec(strategy)
         if self.strategy.eps > self.eps:
             raise ValueError("strategy bias exceeds the source parameter")
         self.seed = seed
@@ -297,8 +311,11 @@ class SVSource:
         return self.strategy.p0(list(history))
 
     def spec(self) -> dict:
-        name = getattr(self.strategy, "name", "custom")
-        return {"epsilon": float(self.eps), "strategy": name, "seed": self.seed}
+        """Serializable (epsilon, strategy, seed).  A source built from a
+        strategy spec is rebuilt, stream and all, by passing these three
+        back to SVSource; a strategy object is recorded by name only."""
+        return {"epsilon": float(self.eps), "strategy": self._spec,
+                "seed": self.seed}
 
 
 # --- measure bounds and the concentration premise ------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from random import Random
@@ -9,7 +10,7 @@ from scipy.stats import chisquare
 from randamp.boxes import (Behavior, bell_value, bell_value_exact,
                            depolarize, deterministic_behavior,
                            ideal_quantum_box, make_adversarial_device,
-                           make_iid_device, sample_outcome, uniform_box,
+                           make_iid_device, uniform_box,
                            validate_behavior)
 from randamp.ks_bell import build_bell_functional, build_ks_model
 
@@ -114,33 +115,30 @@ def test_bell_value_linear_in_behavior(ideal, functional):
         assert bell_value(mix, functional) == pytest.approx(want, rel=1e-12)
 
 
-def test_sample_outcome_deterministic_box():
+def test_iid_device_deterministic_box():
     alice = tuple([2] * 9)
     bob = tuple([3] * 9)
-    box = deterministic_behavior(alice, bob)
-    rng = Random(0)
-    for _ in range(50):
-        assert sample_outcome(box, (4, 7), rng) == (2, 3)
+    dev = make_iid_device(deterministic_behavior(alice, bob), seed=0)
+    for k in range(50):
+        assert dev.respond(k, (4, 7)) == (2, 3)
 
 
-def test_sample_outcome_chi2_uniform():
-    box = uniform_box()
-    rng = Random(123)
+def test_iid_device_chi2_uniform():
+    dev = make_iid_device(uniform_box(), seed=123)
     counts = [0] * 16
     n = 100_000
-    for _ in range(n):
-        x1, x2 = sample_outcome(box, (1, 1), rng)
+    for k in range(n):
+        x1, x2 = dev.respond(k, (1, 1))
         counts[(x1 - 1) * 4 + (x2 - 1)] += 1
     _, p = chisquare(counts)
     assert p > 1e-3
 
 
-def test_sample_outcome_seed_fixture():
+def test_iid_device_seed_fixture():
     # Regression anchor, generated once at first release from the ideal box:
     # seed 2024, settings cycling (1,1),(1,2),...,(1,5).
-    box = ideal_quantum_box(build_ks_model())
-    rng = Random(2024)
-    got = [sample_outcome(box, (1, k), rng) for k in range(1, 6)]
+    dev = make_iid_device(ideal_quantum_box(build_ks_model()), seed=2024)
+    got = [dev.respond(k - 1, (1, k)) for k in range(1, 6)]
     assert got == [(2, 2), (3, 4), (2, 1), (4, 3), (2, 4)]
 
 
@@ -234,3 +232,26 @@ def test_all_module_behaviors_validate(ideal):
              depolarize(uniform_box(), 0.7), deterministic_behavior(alice, bob)]
     for box in boxes:
         assert validate_behavior(box, tol=1e-12).ok
+
+
+def _anchor_settings(n=10_000):
+    rng = Random(31)
+    settings = [(rng.randrange(9) + 1, rng.randrange(9) + 1) for _ in range(n)]
+    settings[6000:6002] = [(5, 5), (6, 6)]       # first completes the pattern
+    return settings
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ({"kind": "switch_after", "k": 5000},
+     "ca147d20d60ac0587b02c028c722922feea1c638559c2f193be039f8ee864708"),
+    ({"kind": "history_trigger", "pattern": [(5, 5), (6, 6)]},
+     "6aece58db51e8f5c5166d02088c6536b73da5836ac3fd74be79e2b602a3bb459"),
+])
+def test_adversarial_device_digest(ideal, spec, digest):
+    """Regression anchor: sha256 of 10^4 outcome pairs (ideal, then uniform
+    from tau on), frozen from the per-kind device classes that preceded the
+    single device model."""
+    dev = make_adversarial_device(dict(spec, b1=ideal, b2=uniform_box()),
+                                  seed=2026)
+    out = [dev.respond(k, u) for k, u in enumerate(_anchor_settings())]
+    assert hashlib.sha256(bytes(v for x in out for v in x)).hexdigest() == digest

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -71,12 +72,25 @@ def test_simulate_idempotent(runner, tmp_path):
 
 
 def test_simulate_rejects_invalid_params(runner, tmp_path):
-    bad = dict(SMALL_SIM, protocol=dict(SMALL_SIM["protocol"],
-                                        enforce_bounds=True, delta=0.5))
-    cfg = write_config(tmp_path, bad)
-    res = runner.invoke(main, ["simulate", "--config", cfg,
-                               "--out", str(tmp_path / "out")])
-    assert res.exit_code == 2
+    bad = [dict(SMALL_SIM, protocol=dict(SMALL_SIM["protocol"],
+                                         enforce_bounds=True, delta=0.5))]
+    bad += [dict(SMALL_SIM, device=device) for device in (
+        {"kind": "switch_after"},
+        {"kind": "switch_after", "k": -1},
+        {"kind": "history_trigger"},
+        {"kind": "history_trigger", "pattern": []},
+        {"kind": "history_trigger", "pattern": [[5, 12]]},
+        {"kind": "depolarized"},
+        {"kind": "depolarized", "eta": 1.5})]
+    for cfg in bad:
+        res = runner.invoke(main, ["simulate", "--config", write_config(tmp_path, cfg),
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, (cfg["device"], res.output)
+    cfg = write_config(tmp_path, SMALL_SIM)
+    for kind in ("switch_after", "depolarized"):
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--device", kind,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, (kind, res.output)
 
 
 def test_replay_reproduces_stored_run(runner, tmp_path):
@@ -106,10 +120,37 @@ def test_replay_detects_tampering(runner, tmp_path):
     assert res.exit_code == 1
 
 
+def _transcript_text(header=None, record=None, summary=None):
+    """A well-formed one-round transcript, with any line replaced."""
+    lines = [header or {"type": "header", "source": {
+                 "epsilon": 0.0, "strategy": "unbiased", "seed": 0},
+                 "params": {"n": 1, "delta": 1e-8, "mu1": 1e-9, "extractor": {}}},
+             record or {"i": 1, "u": [1, 1], "x": [1, 1]},
+             summary or {"type": "summary", "Ln": 0.0, "Sn": 0.0,
+                         "verdict": "AbortTomography"}]
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
 def test_replay_malformed_file(runner, tmp_path):
     bad = tmp_path / "bad.jsonl"
+    bad.write_text(_transcript_text())
+    assert runner.invoke(main, ["replay", str(bad)]).exit_code == 0
     for text in ("this is not json\n",
-                 '{"type": "header", "params": {}}\n{"i": 1, "u": [1, 2]}\n'):
+                 '{"type": "header", "params": {}}\n{"i": 1, "u": [1, 2]}\n',
+                 _transcript_text(record={"i": 1, "u": [1, 12], "x": [1, 1]}),
+                 _transcript_text(record={"i": 1, "u": [1, 1], "x": [0, 1]}),
+                 _transcript_text(record={"i": 1, "u": [True, 1], "x": [1, 1]}),
+                 _transcript_text(record={"i": 1, "u": [1, 1], "x": [1.0, 1]}),
+                 _transcript_text(header={"type": "header"}),
+                 _transcript_text(header={"type": "header", "params": {
+                     "n": 1, "delta": 1e-8, "mu1": 1e-9, "extractor": {}}}),
+                 _transcript_text(header={"type": "header", "source": {}, "params": {
+                     "n": 1, "delta": 1e-8, "extractor": {}}}),
+                 _transcript_text(header={"type": "header", "source": {}, "params": {
+                     "n": 1, "delta": "1e-8", "mu1": 1e-9, "extractor": {}}}),
+                 _transcript_text(summary={"type": "summary", "Sn": 0.0,
+                                           "verdict": "AbortTomography"}),
+                 "".join(_transcript_text().splitlines(True)[::2])):
         bad.write_text(text)
         res = runner.invoke(main, ["replay", str(bad)])
         assert res.exit_code == 2, res.output
@@ -117,10 +158,15 @@ def test_replay_malformed_file(runner, tmp_path):
 
 
 def test_extract_matches_stored_output(runner, tmp_path):
-    for rule in ("target_rounds", "all_rounds"):
-        cfg = write_config(tmp_path, dict(SMALL_SIM, extractor=dict(
-            SMALL_SIM["extractor"], rule=rule)))
-        out = tmp_path / rule
+    biased = ["constant_bias", [0.05, -0.05]]
+    for rule, eps, strategy in (("target_rounds", 0.0, "unbiased"),
+                                ("all_rounds", 0.0, "unbiased"),
+                                ("target_rounds", 0.05, biased)):
+        cfg = write_config(tmp_path, dict(
+            SMALL_SIM, protocol=dict(SMALL_SIM["protocol"], eps=eps),
+            source={"strategy": strategy},
+            extractor=dict(SMALL_SIM["extractor"], rule=rule)))
+        out = tmp_path / f"{rule}-{eps}"
         assert runner.invoke(main, ["simulate", "--config", cfg,
                                     "--out", str(out)]).exit_code == 0
         summary = json.loads((out / "trial0.jsonl").read_text().splitlines()[-1])
@@ -135,7 +181,32 @@ def test_extract_matches_stored_output(runner, tmp_path):
         stored = summary["extraction"]
         assert stored["rule"] == rule
         assert sidecar["validity_condition_met"] == stored["honest_condition_met"]
-        assert sidecar["rates"]["rate_t"] == stored["rate_t"] == 1.0
+        assert sidecar["rates"]["rate_t"] == stored["rate_t"]
+        assert stored["rate_t"] == (1.0 if eps == 0 else -math.log2(0.55))
+        assert stored["certified_rate_x"] >= 0
+
+
+def test_extract_recomputes_the_verdict(runner, tmp_path):
+    cfg = write_config(tmp_path, SMALL_SIM)
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["simulate", "--config", cfg,
+                                "--out", str(out)]).exit_code == 0
+    path = out / "trial0.jsonl"
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[-1])["verdict"] == "Accept"
+    changed = 0
+    for i in range(1, len(lines) - 1):
+        rec = json.loads(lines[i])
+        if rec["u"] != [1, 2] and changed < 3:
+            # ((1,2),(1,1)) is a Bell-indicator cell; the target rounds and
+            # so the extracted bits stay as they were
+            rec["u"], rec["x"] = [1, 1], [1, 2]
+            lines[i] = json.dumps(rec)
+            changed += 1
+    path.write_text("\n".join(lines) + "\n")
+    res = runner.invoke(main, ["extract", str(path), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "recomputed AbortBell" in res.output
 
 
 def test_report_fields_and_aborted_run(runner, tmp_path):

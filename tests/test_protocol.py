@@ -169,6 +169,15 @@ def test_security_report_values():
     assert rep.output_bias_bound == 1.0        # vacuous at desk scale, reported
 
 
+def test_min_entropy_bound_clamped_outside_certified_regime():
+    params = ProtocolParams(n=10 ** 7, delta=1e-6, mu1=3e-4, kappa=1e-4,
+                            enforce_bounds=False)
+    rep = security_report(params)
+    assert rep.mu4 < 0
+    assert rep.min_entropy_bound == 0
+    assert not rep.params_valid
+
+
 def test_security_report_gamma_other_branch():
     # large kappa pushes the Bell-side branch to the max
     params = ProtocolParams(n=1000, eps=0.0, delta=1e-8, mu1=0.9, kappa=0.4,
