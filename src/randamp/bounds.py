@@ -214,31 +214,21 @@ def settings_tail_empirical(eps, strategy_spec, n: int, gamma: float,
     """Tail of "target setting missed in >= gamma n rounds" under a
     source-driven settings stream, against exp(-n D(gamma||zeta)).
 
-    zeta = 1 - (1/2 - eps)^8.  The stream is simulated vectorized with the
-    same per-block conditional laws as the sequential source strategies.
+    zeta = 1 - (1/2 - eps)^8.  The stream is simulated vectorized, 8 steps
+    down the block tree per round, from the same `Strategy.floats` table the
+    sequential source compares against; bias cycles may have any length.
     """
     epsf = _as_fraction(eps)
     zeta = float(1 - (1 - 2 * epsf) ** 8 / 256)   # 1 - (1/2-eps)^8, exactly
-    strat = make_strategy(strategy_spec, epsf)
-    policy = getattr(strat, "policy", None)
-    p0_table = np.full(512, 0.5)
-    if policy is not None:
-        for node, p in policy.items():
-            p0_table[node] = float(p)
-    elif getattr(strat, "biases", None) is not None:
-        if len(strat.biases) not in (1, 2, 4, 8):
-            raise ValueError("vectorized run needs a bias cycle dividing 8")
-        for node in range(1, 256):
-            depth = node.bit_length() - 1
-            p0_table[node] = 0.5 + float(strat.biases[depth % len(strat.biases)])
+    rows = np.array(make_strategy(strategy_spec, epsf).floats)
     is_miss = np.array([mapping.map_block(v) != tuple(target) for v in range(256)])
     rng = np.random.default_rng(seed)
     misses = np.zeros(trials, dtype=np.int64)
-    for _ in range(n):
+    for i in range(n):
+        row = rows[i % len(rows)]
         node = np.ones(trials, dtype=np.int64)
         for _bit in range(8):
-            p0 = p0_table[node]
-            bit = (rng.random(trials) >= p0).astype(np.int64)
+            bit = (rng.random(trials) >= row[node]).astype(np.int64)
             node = 2 * node + bit
         misses += is_miss[node - 256]
     freq = float((misses >= gamma * n).mean())

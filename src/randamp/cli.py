@@ -30,7 +30,7 @@ from .ns_certify import build_lp, solve_lp, verify_certificate, zero_target_box
 from .protocol import (ProtocolParams, extract_output, monte_carlo,
                        read_transcript, replay_transcript, run_from_records,
                        security_report, write_transcript)
-from .sv_source import SVSource
+from .sv_source import BITS_PER_ROUND, SVSource
 
 EXIT_OK = 0
 EXIT_SCIENTIFIC = 1
@@ -158,7 +158,8 @@ def certify(delta_grid, outdir):
         _fail_usage(f"bad grid: {e}")
     if any(g < 0 for g in grid):
         _fail_usage("grid values must be >= 0")
-    func = build_bell_functional(build_ks_model())
+    model = build_ks_model()
+    func = build_bell_functional(model)
     all_ok = True
     rows = []
     for g in grid:
@@ -184,11 +185,9 @@ def certify(delta_grid, outdir):
                      "file": name.name})
         click.echo(f"cap={g}: optimum={sol.exact_optimum} "
                    f"verified={verified} within_reference={within}")
-    func_model = build_ks_model()
     summary = {"version": __version__, "grid": [str(g) for g in grid],
-               "model_sha256": hashlib.sha256(func_model.to_json().encode()).hexdigest(),
-               "functional_sha256": hashlib.sha256(
-                   build_bell_functional(func_model).to_json().encode()).hexdigest(),
+               "model_sha256": hashlib.sha256(model.to_json().encode()).hexdigest(),
+               "functional_sha256": hashlib.sha256(func.to_json().encode()).hexdigest(),
                "results": rows}
     (outdir / "certify_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     sys.exit(EXIT_OK if all_ok else EXIT_SCIENTIFIC)
@@ -250,10 +249,14 @@ def simulate(config_path, n, epsilon, delta, mu1, kappa, device,
 @click.option("--q-acc", type=float, default=1.0,
               help="Acceptance probability estimate for the guarantee.")
 @click.option("--run-file", default=None,
-              help="Transcript whose verdict gates the entropy claims.")
+              help="Transcript whose verdict, recomputed from its records, "
+                   "gates the entropy claims.")
 @click.option("--out", "outdir", default=None)
 def report(config_path, q_acc, run_file, outdir):
-    """Emit the derived security constants for a parameter set."""
+    """Emit the derived security constants for a parameter set.
+
+    A run file must have the config's n, eps, delta, mu1 and kappa (else
+    exit 2) and a stored verdict its records reproduce (else exit 1)."""
     cfg = load_config(config_path, {})
     outdir = Path(outdir or os.environ.get("RANDAMP_OUT", "."))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -266,11 +269,20 @@ def report(config_path, q_acc, run_file, outdir):
     rep["config_hash"] = config_hash(cfg)
     if run_file:
         try:
-            _, _, summary = read_transcript(run_file)
+            header, records, summary = read_transcript(run_file)
         except (OSError, ValueError) as e:
             _fail_usage(str(e))
-        rep["run_verdict"] = summary["verdict"]
-        if summary["verdict"] != "Accept":
+        differ = [k for k in ("n", "eps", "delta", "mu1", "kappa")
+                  if header["params"].get(k) != getattr(params, k)]
+        if differ:
+            _fail_usage(f"{run_file}: run params {', '.join(differ)} differ from the config")
+        run = run_from_records(header, records)
+        if run.verdict != summary["verdict"]:
+            click.echo(f"stored verdict {summary['verdict']}, recomputed "
+                       f"{run.verdict}", err=True)
+            sys.exit(EXIT_SCIENTIFIC)
+        rep["run_verdict"] = run.verdict
+        if run.verdict != "Accept":
             rep.pop("min_entropy_bound")
             rep["note"] = "run aborted; no entropy claims apply"
     (outdir / "security_report.json").write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
@@ -282,7 +294,10 @@ def report(config_path, q_acc, run_file, outdir):
 @click.argument("run_file")
 @click.option("--out", "outdir", default=None)
 def extract_cmd(run_file, outdir):
-    """Recompute the extractor output of an accepted stored run."""
+    """Recompute the extractor output of an accepted stored run.
+
+    The rebuilt source must reproduce every round's settings (else exit 1)
+    before it draws the extractor's bits."""
     outdir = Path(outdir or os.environ.get("RANDAMP_OUT", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -301,7 +316,11 @@ def extract_cmd(run_file, outdir):
     if run.verdict != "Accept":
         click.echo(f"stored verdict Accept, recomputed {run.verdict}", err=True)
         sys.exit(EXIT_SCIENTIFIC)
-    source.next_bits(8 * len(records))          # settings draws come first
+    for i, (u1, u2, _, _) in enumerate(records, start=1):
+        if params.mapping.map_block(source.next_block(BITS_PER_ROUND)) != (u1, u2):
+            click.echo(f"{run_file}: round {i} settings are not the source's",
+                       err=True)
+            sys.exit(EXIT_SCIENTIFIC)
     extract_output(run, source, params)
     bits = "".join(map(str, run.output_bits))
     hexed = f"{int(bits, 2):0{(len(bits) + 3) // 4}x}"

@@ -458,10 +458,12 @@ def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
     """Header, records and summary of a transcript file.
 
     The file is untrusted.  A file without a header, a summary or round
-    records, a line that is not a JSON object, a record whose settings are
-    not ints in 1..9 or outcomes not ints in 1..4, a header without `source`
-    or `params` (numbers n, delta, mu1, and `extractor`), or a summary
-    without Ln, Sn and verdict raises ValueError("<path>[:<line>]: ...").
+    records, a line that is not a JSON object, a record whose `i` breaks the
+    sequence 1, 2, ..., whose settings are not ints in 1..9 or outcomes not
+    ints in 1..4, a header of another format version or without `source` or
+    `params` (numbers n, delta, mu1, and `extractor`), a record count other
+    than n, or a summary without Ln, Sn and verdict raises
+    ValueError("<path>[:<line>]: ...").
     """
     header = summary = None
     records = []
@@ -481,7 +483,10 @@ def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
             elif obj.get("type") == "summary":
                 summary, summary_line = obj, line_no
             else:
-                u, x = obj.get("u"), obj.get("x")
+                i, u, x = obj.get("i"), obj.get("u"), obj.get("x")
+                if not (type(i) is int and i == len(records) + 1):
+                    raise ValueError(f"{path}:{line_no}: record 'i' is {i!r},"
+                                     f" expected {len(records) + 1}")
                 if not (isinstance(u, list) and isinstance(x, list)
                         and len(u) == len(x) == 2
                         and type(u[0]) is type(u[1]) is type(x[0]) is type(x[1]) is int
@@ -493,12 +498,18 @@ def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
                 records.append((u[0], u[1], x[0], x[1]))
     if header is None or summary is None or not records:
         raise ValueError(f"{path}: missing header, summary or round records")
+    if header.get("version") != FORMAT_VERSION:
+        raise ValueError(f"{path}:{header_line}: format version "
+                         f"{header.get('version')!r}, expected {FORMAT_VERSION}")
     params, source = header.get("params"), header.get("source")
     if not (isinstance(params, dict) and isinstance(source, dict)
             and all(type(params.get(k)) in (int, float) for k in ("n", "delta", "mu1"))
             and "extractor" in params):
         raise ValueError(f"{path}:{header_line}: header needs 'params' (numbers "
                          "n, delta, mu1, and extractor) and 'source'")
+    if params["n"] != len(records):
+        raise ValueError(f"{path}:{header_line}: header n is {params['n']}"
+                         f" but the file has {len(records)} records")
     if not all(k in summary for k in ("Ln", "Sn", "verdict")):
         raise ValueError(f"{path}:{summary_line}: summary needs Ln, Sn and verdict")
     return header, records, summary

@@ -3,9 +3,11 @@ map used to pick measurement settings.
 
 A source with reliability parameter eps emits bits whose conditional
 probability of 0, given the entire history, always lies in
-[1/2 - eps, 1/2 + eps].  Honest and adversarial strategies are provided;
-each one exposes its conditional law exactly (`conditional_p0`), so the band
-constraint can be checked by exhaustive enumeration rather than trusted.
+[1/2 - eps, 1/2 + eps].  Every strategy, honest or adversarial, is one
+`Strategy` table over the 8-bit block tree (exact P(0) per block row and
+node, plus the floats the sampler compares against).  The exact law
+(`conditional_p0`, checked against the band by exhaustive enumeration), the
+bit stream and the vectorized tail check in `bounds` all read that table.
 
 Settings are chosen with 4 bits per party, MSB first (b1 b2 b3 b4 gives
 v = 8 b1 + 4 b2 + 2 b3 + b4) and the surjection setting = (v mod 9) + 1.
@@ -26,6 +28,7 @@ envelope zeta^k with zeta = 1 - (1/2 - eps)^8.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -39,9 +42,7 @@ def _as_fraction(v) -> Fraction:
     """Exact conversion; floats convert by their exact binary value."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, (int, str)):
-        return Fraction(v)
-    if isinstance(v, float):
+    if isinstance(v, (int, float, str)):
         return Fraction(v)
     raise TypeError(f"cannot convert {type(v).__name__} to Fraction")
 
@@ -86,55 +87,35 @@ def map_bits_to_settings(bits, mapping: SettingMap = DEFAULT_MAP) -> tuple[int, 
 
 # --- strategies ---------------------------------------------------------
 #
-# A strategy reports the conditional probability of emitting 0 given the
-# bits emitted so far.  All built-ins depend on history only through the
-# position in the stream and the prefix of the current 8-bit block, which
-# keeps the exact checks cheap.
+# A bit's conditional law depends on its history only through the index of
+# its 8-bit block, modulo the table's row count, and the node that the
+# block's prefix has reached.
+
+HALF = Fraction(1, 2)
+NODES = 1 << BITS_PER_ROUND     # heap nodes 1..255 of a block; 0 is unused
 
 
-class UnbiasedStrategy:
-    name = "unbiased"
+@dataclass(frozen=True)
+class Strategy:
+    """A source strategy as one block-tree table.
 
-    def __init__(self):
-        self.eps = Fraction(0)
-
-    def p0(self, history) -> Fraction:
-        return Fraction(1, 2)
-
-
-class ConstantBiasStrategy:
-    """Cycles through a fixed sequence of signed biases, by bit position."""
-
-    name = "constant_bias"
-
-    def __init__(self, biases, eps):
-        self.eps = _as_fraction(eps)
-        self.biases = tuple(_as_fraction(b) for b in biases)
-        if not self.biases:
-            raise ValueError("bias sequence must be non-empty")
-        if any(abs(b) > self.eps for b in self.biases):
-            raise ValueError("bias magnitude exceeds the source parameter")
-
-    def p0(self, history) -> Fraction:
-        return Fraction(1, 2) + self.biases[len(history) % len(self.biases)]
-
-
-class _BlockPolicyStrategy:
-    """Base for strategies defined by a per-block policy table.
-
-    Node 1 is the block root; consuming bit b moves to node 2*node + b.
-    The policy assigns each internal node a probability of emitting 0.
+    Node 1 is the root of every 8-bit block, and consuming bit b moves from
+    a node to 2*node + b.  rows[r][node] is the exact P(0) at `node` of
+    every block whose index is r modulo len(rows); floats[r][node] is the
+    value a uniform draw is compared against.  Index 0 of a row is unused.
     """
 
-    def __init__(self, eps, policy: dict[int, Fraction]):
-        self.eps = _as_fraction(eps)
-        self.policy = policy
+    name: str
+    rows: tuple[tuple[Fraction, ...], ...]
+    floats: tuple[tuple[float, ...], ...]
 
     def p0(self, history) -> Fraction:
+        """Exact conditional probability of 0 after `history`."""
+        depth = len(history) % BITS_PER_ROUND
         node = 1
-        for b in history[len(history) - len(history) % BITS_PER_ROUND:]:
+        for b in history[len(history) - depth:]:
             node = 2 * node + b
-        return self.policy[node]
+        return self.rows[len(history) // BITS_PER_ROUND % len(self.rows)][node]
 
 
 def _leaf_values(leaf_fn: Callable[[int], Fraction]) -> list:
@@ -153,65 +134,75 @@ def _tree_extremum(eps: Fraction, leaf_fn: Callable[[int], Fraction],
     so the optimum sits at a band endpoint: the favored child gets weight
     1/2 + eps.  Ties resolve toward bit 0 for determinism.
     """
-    half = Fraction(1, 2)
     vals = _leaf_values(leaf_fn)
     policy: dict[int, Fraction] = {}
     for node in range(255, 0, -1):
         v0, v1 = vals[2 * node], vals[2 * node + 1]
         prefer0 = (v0 <= v1) if minimize else (v0 >= v1)
-        p0 = half + eps if prefer0 else half - eps
+        p0 = HALF + eps if prefer0 else HALF - eps
         policy[node] = p0
         vals[node] = p0 * v0 + (1 - p0) * v1
     return vals[1], policy
 
 
-class AvoidTargetStrategy(_BlockPolicyStrategy):
-    """Each bit biased to minimize the mass left on a target setting pair."""
-
-    name = "avoid_target"
-
-    def __init__(self, eps, target: tuple[int, int] = (1, 2),
-                 mapping: SettingMap = DEFAULT_MAP):
-        epsf = _as_fraction(eps)
-        pre = set(mapping.pair_block_preimages(target))
-        _, policy = _tree_extremum(
-            epsf, lambda leaf: Fraction(1 if leaf in pre else 0), minimize=True)
-        super().__init__(epsf, policy)
-        self.target = tuple(target)
-
-
-class TowardPatternStrategy(_BlockPolicyStrategy):
-    """Per block, pushes every bit toward a fixed 8-bit pattern."""
-
-    name = "toward_pattern"
-
-    def __init__(self, eps, pattern: int):
-        epsf = _as_fraction(eps)
-        if not 0 <= pattern < 256:
-            raise ValueError("pattern must be an 8-bit value")
-        half = Fraction(1, 2)
-        policy = {}
-        for node in range(1, 256):
-            depth = node.bit_length() - 1
-            want = (pattern >> (BITS_PER_ROUND - 1 - depth)) & 1
-            policy[node] = half - epsf if want else half + epsf
-        super().__init__(epsf, policy)
-        self.pattern = pattern
+def _table(name: str, eps: Fraction, p0_of: Callable[[int, int], Fraction],
+           n_rows: int = 1, float_of: Callable[[Fraction], float] = float
+           ) -> Strategy:
+    """The strategy with P(0) = p0_of(r, node) at `node` of block row r,
+    checked against the band |P(0) - 1/2| <= eps."""
+    rows = tuple(tuple([HALF] + [p0_of(r, node) for node in range(1, NODES)])
+                 for r in range(n_rows))
+    as_float = {p: float_of(p) for p in set().union(*rows)}
+    if any(abs(p - HALF) > eps for p in as_float):
+        raise ValueError("bias magnitude exceeds the source parameter")
+    return Strategy(name, rows,
+                    tuple(tuple(as_float[p] for p in row) for row in rows))
 
 
-def make_strategy(spec, eps):
-    """Strategy from a serializable spec: "unbiased",
-    ("constant_bias", [b1, b2, ...]), ("avoid_target",) or
-    ("avoid_target", (u1, u2)), ("toward_pattern", pattern)."""
-    if spec == "unbiased" or spec is None:
-        return UnbiasedStrategy()
+# built once: a campaign builds a source, and so a strategy, per trial
+UNBIASED = _table("unbiased", Fraction(0), lambda r, node: HALF)
+
+
+def make_strategy(spec, eps) -> Strategy:
+    """Strategy from a serializable spec:
+    "unbiased";
+    ("constant_bias", [b1, b2, ...]): bit j has P(0) = 1/2 + b[j mod len(b)],
+        for a cycle of any length;
+    ("avoid_target",) or ("avoid_target", (u1, u2)): per block, the least
+        mass on the setting pair (default (1, 2));
+    ("toward_pattern", p): per block, every bit pushed toward the 8-bit p."""
+    eps = _as_fraction(eps)
     kind, *args = spec if isinstance(spec, (tuple, list)) else (spec,)
+    if kind in ("unbiased", None):
+        return UNBIASED
     if kind == "constant_bias" and args:
-        return ConstantBiasStrategy(args[0], eps)
+        biases = [_as_fraction(b) for b in args[0]]
+        if not biases:
+            raise ValueError("bias sequence must be non-empty")
+        cycle = len(biases)
+
+        def p0_of(r, node):     # bit 8r + depth of the stream
+            depth = node.bit_length() - 1
+            return HALF + biases[(BITS_PER_ROUND * r + depth) % cycle]
+        # 0.5 + float(b) rather than float(1/2 + b): they differ for some
+        # exact b (1/3, say), and a stream from a Fraction spec compares
+        # against the former
+        return _table(kind, eps, p0_of, cycle // math.gcd(cycle, BITS_PER_ROUND),
+                      float_of=lambda p: 0.5 + float(p - HALF))
     if kind == "avoid_target":
-        return AvoidTargetStrategy(eps, tuple(args[0]) if args else (1, 2))
+        pre = set(DEFAULT_MAP.pair_block_preimages(tuple(args[0]) if args else (1, 2)))
+        _, policy = _tree_extremum(
+            eps, lambda leaf: Fraction(1 if leaf in pre else 0), minimize=True)
+        return _table(kind, eps, lambda r, node: policy[node])
     if kind == "toward_pattern" and args:
-        return TowardPatternStrategy(eps, args[0])
+        pattern = args[0]
+        if not 0 <= pattern < NODES:
+            raise ValueError("pattern must be an 8-bit value")
+
+        def p0_of(r, node):     # the pattern's bit at this node's depth
+            want = (pattern >> (BITS_PER_ROUND - node.bit_length())) & 1
+            return HALF - eps if want else HALF + eps
+        return _table(kind, eps, p0_of)
     raise ValueError(f"unknown source strategy {spec!r}")
 
 
@@ -228,49 +219,29 @@ def _plain_spec(spec):
 class SVSource:
     """Stateful bit stream with bounded conditional bias.
 
-    The stream is deterministic given (eps, strategy, seed).  The unbiased
-    strategy consumes the generator via getrandbits; biased strategies draw
-    one uniform per bit and compare against the strategy's conditional law.
+    The stream is deterministic given (eps, strategy spec, seed).  The
+    unbiased strategy consumes the generator via getrandbits; every other
+    strategy draws one uniform per bit and emits 0 when it falls below the
+    strategy's `floats` entry at the current block row and node.
     """
 
     def __init__(self, eps=0, strategy="unbiased", seed: int = 0):
         self.eps = _as_fraction(eps)
-        if not 0 <= self.eps < Fraction(1, 2):
+        if not 0 <= self.eps < HALF:
             raise ValueError("source parameter must be in [0, 1/2)")
-        if hasattr(strategy, "p0"):
-            self.strategy = strategy
-            self._spec = getattr(strategy, "name", "custom")
-        else:
-            self.strategy = make_strategy(strategy, self.eps)
-            self._spec = _plain_spec(strategy)
-        if self.strategy.eps > self.eps:
-            raise ValueError("strategy bias exceeds the source parameter")
+        self.strategy = make_strategy(strategy, self.eps)
+        self._spec = _plain_spec(strategy)
         self.seed = seed
         self.rng = Random(seed)
         self.bits_emitted = 0
-        self._unbiased = isinstance(self.strategy, UnbiasedStrategy)
+        # The spec name, not the table, picks the getrandbits path: a
+        # constant_bias [0] source has the unbiased law but draws uniforms.
+        self._unbiased = self.strategy.name == "unbiased"
         # Unbiased stream: refilled in fixed 32-bit units so the emitted
         # bit sequence does not depend on the caller's chunking.
         self._buf = 0
         self._buf_len = 0
-        # Block-policy strategies: track (node, position) incrementally.
-        self._node = 1
-        self._policy = getattr(self.strategy, "policy", None)
-        self._cycle = getattr(self.strategy, "biases", None)
-
-    def _p0_float(self) -> float:
-        if self._policy is not None:
-            return float(self._policy[self._node])
-        if self._cycle is not None:
-            return 0.5 + float(self._cycle[self.bits_emitted % len(self._cycle)])
-        return 0.5
-
-    def _advance(self, bit: int) -> None:
-        self.bits_emitted += 1
-        if self._policy is not None:
-            self._node = 2 * self._node + bit
-            if self.bits_emitted % BITS_PER_ROUND == 0:
-                self._node = 1
+        self._node = 1          # biased stream: node in the current block
 
     def _take_unbiased(self, k: int) -> int:
         while self._buf_len < k:
@@ -282,28 +253,39 @@ class SVSource:
         self.bits_emitted += k
         return block
 
+    def _take_biased(self, k: int) -> list[int]:
+        """k bits down the block tree, one uniform each against `floats`."""
+        floats, rand = self.strategy.floats, self.rng.random
+        block, node = self.bits_emitted // BITS_PER_ROUND, self._node
+        row = floats[block % len(floats)]
+        bits = []
+        for _ in range(k):
+            bit = 0 if rand() < row[node] else 1
+            bits.append(bit)
+            node = 2 * node + bit
+            if node >= NODES:
+                node = 1
+                block += 1
+                row = floats[block % len(floats)]
+        self._node = node
+        self.bits_emitted += k
+        return bits
+
     def next_bits(self, k: int) -> list[int]:
         if k < 1:
             raise ValueError("k must be >= 1")
         if self._unbiased:
             block = self._take_unbiased(k)
             return [(block >> (k - 1 - i)) & 1 for i in range(k)]
-        out = []
-        for _ in range(k):
-            bit = 0 if self.rng.random() < self._p0_float() else 1
-            out.append(bit)
-            self._advance(bit)
-        return out
+        return self._take_biased(k)
 
     def next_block(self, k: int) -> int:
         """Next k bits packed MSB-first; same stream as next_bits."""
         if self._unbiased:
             return self._take_unbiased(k)
         block = 0
-        for _ in range(k):
-            bit = 0 if self.rng.random() < self._p0_float() else 1
-            block = block * 2 + bit
-            self._advance(bit)
+        for bit in self._take_biased(k):
+            block = 2 * block + bit
         return block
 
     def conditional_p0(self, history) -> Fraction:
@@ -311,9 +293,8 @@ class SVSource:
         return self.strategy.p0(list(history))
 
     def spec(self) -> dict:
-        """Serializable (epsilon, strategy, seed).  A source built from a
-        strategy spec is rebuilt, stream and all, by passing these three
-        back to SVSource; a strategy object is recorded by name only."""
+        """Serializable (epsilon, strategy, seed); passing these three back
+        to SVSource rebuilds the source, stream and all."""
         return {"epsilon": float(self.eps), "strategy": self._spec,
                 "seed": self.seed}
 

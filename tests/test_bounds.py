@@ -153,6 +153,17 @@ def test_settings_tail_avoidance_adversary():
     assert r["zeta"] == pytest.approx(zeta)
 
 
+def test_settings_tail_bias_cycle_of_any_length():
+    # a 3-entry cycle gives every block of a 3-block period its own row
+    eps = 0.05
+    zeta = 1 - float((Fraction(1, 2) - Fraction(eps)) ** 8)
+    r = settings_tail_empirical(eps, ("constant_bias", [eps, -eps, 0.0]),
+                                n=500, gamma=min(zeta + 0.01, 1.0),
+                                trials=2000, seed=8)
+    assert r["empirical"] <= r["bound"] + r["slack"]
+    assert r["zeta"] == pytest.approx(zeta)
+
+
 def test_closed_form_monotonicity():
     assert azuma_bound(100, 0.1) > azuma_bound(100, 0.2)
     assert azuma_bound(100, 0.1) > azuma_bound(1000, 0.1)

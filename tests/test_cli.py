@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from randamp.cli import main
+from randamp.ks_bell import var_index
+from randamp.protocol import default_functional
 
 
 @pytest.fixture()
@@ -122,7 +124,7 @@ def test_replay_detects_tampering(runner, tmp_path):
 
 def _transcript_text(header=None, record=None, summary=None):
     """A well-formed one-round transcript, with any line replaced."""
-    lines = [header or {"type": "header", "source": {
+    lines = [header or {"type": "header", "version": 1, "source": {
                  "epsilon": 0.0, "strategy": "unbiased", "seed": 0},
                  "params": {"n": 1, "delta": 1e-8, "mu1": 1e-9, "extractor": {}}},
              record or {"i": 1, "u": [1, 1], "x": [1, 1]},
@@ -141,16 +143,27 @@ def test_replay_malformed_file(runner, tmp_path):
                  _transcript_text(record={"i": 1, "u": [1, 1], "x": [0, 1]}),
                  _transcript_text(record={"i": 1, "u": [True, 1], "x": [1, 1]}),
                  _transcript_text(record={"i": 1, "u": [1, 1], "x": [1.0, 1]}),
-                 _transcript_text(header={"type": "header"}),
-                 _transcript_text(header={"type": "header", "params": {
+                 _transcript_text(header={"type": "header", "version": 1}),
+                 _transcript_text(header={"type": "header", "version": 1, "params": {
                      "n": 1, "delta": 1e-8, "mu1": 1e-9, "extractor": {}}}),
-                 _transcript_text(header={"type": "header", "source": {}, "params": {
-                     "n": 1, "delta": 1e-8, "extractor": {}}}),
-                 _transcript_text(header={"type": "header", "source": {}, "params": {
-                     "n": 1, "delta": "1e-8", "mu1": 1e-9, "extractor": {}}}),
+                 _transcript_text(header={"type": "header", "version": 1, "source": {},
+                                          "params": {"n": 1, "delta": 1e-8,
+                                                     "extractor": {}}}),
+                 _transcript_text(header={"type": "header", "version": 1, "source": {},
+                                          "params": {"n": 1, "delta": "1e-8",
+                                                     "mu1": 1e-9, "extractor": {}}}),
                  _transcript_text(summary={"type": "summary", "Sn": 0.0,
                                            "verdict": "AbortTomography"}),
-                 "".join(_transcript_text().splitlines(True)[::2])):
+                 "".join(_transcript_text().splitlines(True)[::2]),
+                 # another format version, and a header without one
+                 _transcript_text().replace('"version": 1', '"version": 2'),
+                 _transcript_text().replace('"version": 1, ', ''),
+                 # record count other than n: a truncated file
+                 _transcript_text().replace('"n": 1', '"n": 2'),
+                 # record numbers other than 1, 2, ..., n
+                 _transcript_text(record={"i": 2, "u": [1, 1], "x": [1, 1]}),
+                 _transcript_text(record={"u": [1, 1], "x": [1, 1]}),
+                 _transcript_text(record={"i": True, "u": [1, 1], "x": [1, 1]})):
         bad.write_text(text)
         res = runner.invoke(main, ["replay", str(bad)])
         assert res.exit_code == 2, res.output
@@ -209,6 +222,30 @@ def test_extract_recomputes_the_verdict(runner, tmp_path):
     assert "recomputed AbortBell" in res.output
 
 
+def test_extract_checks_the_settings_stream(runner, tmp_path):
+    cfg = write_config(tmp_path, SMALL_SIM)
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["simulate", "--config", cfg,
+                                "--out", str(out)]).exit_code == 0
+    path = out / "trial0.jsonl"
+    lines = path.read_text().splitlines()
+    f = default_functional()
+    target = list(f.d_target[1])
+    rec = json.loads(lines[1])
+    assert rec["u"] != target
+    # another non-target pair whose cell is not a Bell cell: the verdict
+    # and the extracted bits stay as they were, only the settings moved
+    rec["u"] = next([u1, u2] for u1 in range(1, 10) for u2 in range(1, 10)
+                    if [u1, u2] not in (rec["u"], target)
+                    and var_index(u1, u2, *rec["x"]) not in f.bell_cells)
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    assert runner.invoke(main, ["replay", str(path)]).exit_code == 0
+    res = runner.invoke(main, ["extract", str(path), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "round 1 settings" in res.output
+
+
 def test_report_fields_and_aborted_run(runner, tmp_path):
     cfg = write_config(tmp_path, dict(SMALL_SIM, device={"kind": "uniform"}))
     out = tmp_path / "out"
@@ -223,6 +260,32 @@ def test_report_fields_and_aborted_run(runner, tmp_path):
     assert "min_entropy_bound" not in rep
     assert rep["note"].startswith("run aborted")
     assert "config_hash" in rep and "version" in rep
+
+
+def test_report_recomputes_the_run(runner, tmp_path):
+    cfg = write_config(tmp_path, dict(SMALL_SIM, device={"kind": "uniform"}))
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["simulate", "--config", cfg,
+                                "--out", str(out)]).exit_code == 0
+    path = out / "trial0.jsonl"
+    lines = path.read_text().splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["verdict"] == "AbortBell"
+    summary["verdict"] = "Accept"
+    lines[-1] = json.dumps(summary)
+    path.write_text("\n".join(lines) + "\n")
+    res = runner.invoke(main, ["report", "--config", cfg, "--run-file", str(path),
+                               "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "min_entropy_bound" not in res.output
+    for key, val in (("n", 3000), ("eps", 0.01), ("delta", 1e-9),
+                     ("mu1", 2e-9), ("kappa", 1e-10)):
+        other = write_config(tmp_path, dict(
+            SMALL_SIM, protocol=dict(SMALL_SIM["protocol"], **{key: val})))
+        res = runner.invoke(main, ["report", "--config", other,
+                                   "--run-file", str(path), "--out", str(out)])
+        assert res.exit_code == 2, (key, res.output)
+        assert key in res.output
 
 
 def test_report_plain(runner, tmp_path):

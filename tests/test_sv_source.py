@@ -1,10 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from randamp.sv_source import (DEFAULT_MAP, SVSource, _tree_extremum,
-                               map_bits_to_settings, setting_measure_bounds,
-                               setting_measure_extrema, sv_chernoff_oracle)
+                               make_strategy, map_bits_to_settings,
+                               setting_measure_bounds, setting_measure_extrema,
+                               sv_chernoff_oracle)
 
 HALF = Fraction(1, 2)
 
@@ -26,6 +28,7 @@ def all_histories(max_depth):
     (Fraction(3, 10), ("avoid_target",)),
     (Fraction(1, 10), ("toward_pattern", 0b00000001)),
     (Fraction(45, 100), ("toward_pattern", 0b10110001)),
+    (Fraction(2, 5), ("constant_bias", [Fraction(1, 3), Fraction(-2, 5), 0.25])),
 ])
 def test_band_exhaustive_depth_12(eps, strategy):
     src = SVSource(eps, strategy, seed=0)
@@ -59,6 +62,62 @@ def test_constant_bias_empirical():
 def test_strategy_bias_cannot_exceed_source_parameter():
     with pytest.raises(ValueError):
         SVSource(Fraction(1, 20), ("constant_bias", [Fraction(1, 10)]), seed=0)
+
+
+def test_constant_bias_cycle_of_any_length():
+    """Bit j has P(0) = 1/2 + b[j mod len(b)], also across block boundaries
+    for a cycle length that does not divide 8."""
+    for biases in ([Fraction(1, 10)], [Fraction(1, 10), -0.05],
+                   [Fraction(1, 3), Fraction(-1, 10), 0.25],
+                   [0.1, -0.2, 0.3, Fraction(-1, 7), 0.0]):
+        src = SVSource(Fraction(2, 5), ("constant_bias", biases), seed=0)
+        for j in range(48):
+            assert src.conditional_p0([j % 2] * j) == \
+                HALF + Fraction(biases[j % len(biases)])
+
+
+def test_source_takes_a_spec_only():
+    with pytest.raises(ValueError):
+        SVSource(0, make_strategy("unbiased", 0), seed=0)
+
+
+# (eps, spec, sha256 of the first 4020 bits), frozen from the per-kind
+# strategy classes that preceded the single block-tree table
+STREAM_DIGESTS = [
+    (0, "unbiased",
+     "1cf3abc548f3b1897fca067b151b2f5cf0472a5a6f33d4483225cf9b639fd86c"),
+    (0.05, ("constant_bias", [0.05]),
+     "08797653ae7448af2d90c6cfc5bddb715f18c98317a0dc792ae08177a474a793"),
+    (0.05, ("constant_bias", [0.05, -0.05]),
+     "4ee745ba3a3ccbcb8db7e4392b7c32be758de628865bfc487699eaef0e53edcc"),
+    (Fraction(2, 5), ("constant_bias", [Fraction(1, 3), Fraction(-1, 10), 0.25]),
+     "84276a9466c6d501a9118abc98c5c151e77eb78273816209a005425fd92fbff7"),
+    (0.3, ("constant_bias", [0.1, -0.2, 0.3, Fraction(-1, 7), 0.0]),
+     "4bfd39e9b94b0610b8ef58aaf2f7fdb9b220e976ccf707961f258029c5b6ab78"),
+    (Fraction(1, 10), ("avoid_target",),
+     "59a47b65e6178c5e89a2779ea8f86af9870b8054cda3a3b06affa2da0db13ffc"),
+    (0.05, ("avoid_target", (3, 4)),
+     "4179789f6e8c3975eff6b244894e9cfd2fb31a780e95b260b706a3ad2cd14d91"),
+    (0.05, ("toward_pattern", 0b10110001),
+     "e09ab7b9500ce08488e1a37ebff34d2be908fa0eb4bcc8190f97bf4e501bc960"),
+]
+
+
+@pytest.mark.parametrize("eps, spec, digest", STREAM_DIGESTS)
+def test_stream_digest(eps, spec, digest):
+    """Regression anchor for every strategy kind: next_bits and next_block
+    calls of mixed lengths, so draws start and end inside blocks."""
+    src = SVSource(eps, spec, seed=2026)
+    out = []
+    for _ in range(60):
+        for how, k in (("bits", 3), ("block", 8), ("bits", 13), ("block", 5),
+                       ("block", 8), ("bits", 1), ("block", 21), ("bits", 8)):
+            if how == "bits":
+                out += src.next_bits(k)
+            else:
+                blk = src.next_block(k)
+                out += [(blk >> (k - 1 - i)) & 1 for i in range(k)]
+    assert hashlib.sha256(bytes(out)).hexdigest() == digest
 
 
 def test_stream_is_chunking_invariant():
