@@ -5,7 +5,8 @@ The empirical checks are white-box: they simulate processes whose
 conditional means are known by construction, because the arithmetic average
 of conditional means is not observable from a transcript alone.  All checks
 are one-sided (empirical frequency must not exceed the bound plus sampling
-slack) and seeded.
+slack) and seeded, and each returns its verdict as `passed` rather than
+raising, so a failed check stays visible under `python -O`.
 
 Two tail constants appear for the same deviation `s`: the direct martingale
 tail 2 exp(-n s^2 / 2), and the weaker 2 exp(-n s^2 / 4) used when the tail
@@ -66,7 +67,7 @@ def markov_split_epsilon(n: int, s: float) -> float:
 def _simulate_traces(spec, n: int, trials: int, rng: np.random.Generator):
     """Vectorized white-box Bernoulli processes.
 
-    Kinds: ("fair_coin",), ("iid", p), ("constant", bit),
+    Kinds: ("fair_coin",), ("constant", bit),
     ("markov", p_after0, p_after1) with round 0 mean p_after0.
     Returns (indicators, conditional_means) of shape (trials, n).
     """
@@ -74,11 +75,6 @@ def _simulate_traces(spec, n: int, trials: int, rng: np.random.Generator):
     if kind == "fair_coin":
         means = np.full((trials, n), 0.5)
         vals = (rng.random((trials, n)) < 0.5).astype(np.int8)
-        return vals, means
-    if kind == "iid":
-        p = float(spec[1])
-        means = np.full((trials, n), p)
-        vals = (rng.random((trials, n)) < p).astype(np.int8)
         return vals, means
     if kind == "constant":
         bit = int(spec[1])
@@ -99,21 +95,22 @@ def _simulate_traces(spec, n: int, trials: int, rng: np.random.Generator):
     raise ValueError(f"unknown trace spec {spec!r}")
 
 
-def azuma_empirical(spec, n: int, s: float, trials: int, seed: int = 0) -> dict:
-    """Fraction of trials with |L_n - Lbar_n| >= s, against the bound.
+def _tail_check(freq: float, bound: float, trials: int, **fields) -> dict:
+    """Verdict of one tail check: passed iff the empirical frequency is at
+    most bound + 3 sigma, sigma the binomial standard error of a frequency
+    estimate at the bound."""
+    slack = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
+    return {"empirical": freq, "bound": bound, "slack": slack,
+            "passed": freq <= bound + slack, "trials": trials, **fields}
 
-    Asserts empirical <= bound + 3 sigma where sigma is the binomial
-    standard error of the frequency estimate at the bound.
-    """
+
+def azuma_empirical(spec, n: int, s: float, trials: int, seed: int = 0) -> dict:
+    """Fraction of trials with |L_n - Lbar_n| >= s, against the bound."""
     rng = np.random.default_rng(seed)
     vals, means = _simulate_traces(spec, n, trials, rng)
     dev = np.abs(vals.mean(axis=1) - means.mean(axis=1))
-    freq = float((dev >= s).mean())
-    bound = azuma_bound(n, s)
-    slack = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
-    assert freq <= bound + slack, f"empirical {freq} exceeds {bound} + {slack}"
-    return {"empirical": freq, "bound": bound, "slack": slack,
-            "n": n, "s": s, "trials": trials}
+    return _tail_check(float((dev >= s).mean()), azuma_bound(n, s), trials,
+                       n=n, s=s)
 
 
 def linear_fraction(values, delta: float) -> list[int]:
@@ -199,12 +196,9 @@ def chernoff_empirical(n: int, gamma: float, zeta: float, trials: int,
     product premise with equality."""
     rng = np.random.default_rng(seed)
     counts = (rng.random((trials, n)) < zeta).sum(axis=1)
-    freq = float((counts >= gamma * n).mean())
-    bound = chernoff_bound(n, gamma, zeta)
-    slack = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
-    assert freq <= bound + slack, f"empirical {freq} exceeds {bound} + {slack}"
-    return {"empirical": freq, "bound": bound, "slack": slack,
-            "n": n, "gamma": gamma, "zeta": zeta, "trials": trials}
+    return _tail_check(float((counts >= gamma * n).mean()),
+                       chernoff_bound(n, gamma, zeta), trials,
+                       n=n, gamma=gamma, zeta=zeta)
 
 
 def settings_tail_empirical(eps, strategy_spec, n: int, gamma: float,
@@ -231,9 +225,6 @@ def settings_tail_empirical(eps, strategy_spec, n: int, gamma: float,
             bit = (rng.random(trials) >= row[node]).astype(np.int64)
             node = 2 * node + bit
         misses += is_miss[node - 256]
-    freq = float((misses >= gamma * n).mean())
-    bound = chernoff_bound(n, gamma, zeta)
-    slack = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
-    assert freq <= bound + slack, f"empirical {freq} exceeds {bound} + {slack}"
-    return {"empirical": freq, "bound": bound, "slack": slack, "zeta": zeta,
-            "n": n, "gamma": gamma, "trials": trials}
+    return _tail_check(float((misses >= gamma * n).mean()),
+                       chernoff_bound(n, gamma, zeta), trials,
+                       zeta=zeta, n=n, gamma=gamma)

@@ -32,10 +32,7 @@ from random import Random
 
 import numpy as np
 
-from .ks_bell import BellFunctional, KSModel
-
-N_SETTINGS = 9
-N_OUTCOMES = 4
+from .ks_bell import N_OUTCOMES, N_SETTINGS, BellFunctional, KSModel
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ def ideal_quantum_box(model: KSModel) -> Behavior:
 def uniform_box() -> Behavior:
     exact = np.full((N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES),
                     Fraction(1, 16), dtype=object)
-    return Behavior(table=np.full((9, 9, 4, 4), 1.0 / 16.0), exact=exact,
+    return Behavior(table=np.full(exact.shape, 1.0 / 16.0), exact=exact,
                     meta={"kind": "uniform"})
 
 

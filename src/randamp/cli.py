@@ -24,7 +24,7 @@ import click
 from . import __version__, bounds
 from .boxes import (depolarize, ideal_quantum_box, make_adversarial_device,
                     make_iid_device, uniform_box)
-from .extractor import ExtractorConfig
+from .extractor import ExtractorConfig, output_hex
 from .ks_bell import build_bell_functional, build_ks_model
 from .ns_certify import build_lp, solve_lp, verify_certificate, zero_target_box
 from .protocol import (ProtocolParams, extract_output, monte_carlo,
@@ -63,8 +63,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
         try:
             with open(path) as fh:
                 user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, RecursionError) as e:
             _fail_usage(f"cannot read config {path}: {e}")
+        if not isinstance(user, dict):
+            _fail_usage(f"config {path} is not a JSON object")
         for key, val in user.items():
             if isinstance(val, dict) and isinstance(cfg.get(key), dict):
                 cfg[key].update(val)
@@ -134,8 +136,14 @@ def build_device_factory(spec: dict):
 
 
 def build_source_factory(cfg: dict):
+    """Source factory for a config's source section; the strategy is built
+    once up front, so a spec that cannot be a source exits 2."""
     eps = float(cfg["protocol"]["eps"])
     strategy = cfg["source"].get("strategy", "unbiased")
+    try:
+        SVSource(eps, strategy)
+    except (TypeError, ValueError, ArithmeticError) as e:
+        _fail_usage(f"source strategy {strategy!r}: {e}")
     return lambda seed: SVSource(eps, strategy, seed)
 
 
@@ -165,7 +173,7 @@ def certify(delta_grid, outdir):
     for g in grid:
         problem = build_lp(func, g)
         try:
-            sol = solve_lp(problem, sense="max", mode="exact")
+            sol = solve_lp(problem, sense="max")
         except Exception as e:
             click.echo(f"solver failure at cap {g}: {e}", err=True)
             sys.exit(EXIT_USAGE)
@@ -322,8 +330,7 @@ def extract_cmd(run_file, outdir):
                        err=True)
             sys.exit(EXIT_SCIENTIFIC)
     extract_output(run, source, params)
-    bits = "".join(map(str, run.output_bits))
-    hexed = f"{int(bits, 2):0{(len(bits) + 3) // 4}x}"
+    hexed = output_hex(run.output_bits)
     rates = run.extraction
     sidecar = {"m": rates["m"], "L": rates["L"], "rule": rates["rule"],
                "output_hex": hexed, "version": __version__,
@@ -348,29 +355,19 @@ def verify_bounds(trials, seed, outdir):
     """Empirical tail checks across a parameter grid; CSV pass/fail table."""
     outdir = Path(outdir or os.environ.get("RANDAMP_OUT", "."))
     outdir.mkdir(parents=True, exist_ok=True)
+    checks = [(f"azuma,{n},s={s}", bounds.azuma_empirical,
+               (("fair_coin",), n, s, trials, seed))
+              for n in (100, 1000, 2000) for s in (0.05, 0.1, 0.2)]
+    checks += [(f"chernoff,{n},g={gamma};z={zeta}", bounds.chernoff_empirical,
+                (n, gamma, zeta, trials, seed))
+               for n in (100, 1000, 2000)
+               for gamma, zeta in ((0.35, 0.25), (0.5, 0.25), (0.6, 0.5))]
     rows = [f"# randamp {__version__}", "family,n,param,empirical,bound,pass"]
     ok_all = True
-    for n in (100, 1000, 2000):
-        for s in (0.05, 0.1, 0.2):
-            try:
-                r = bounds.azuma_empirical(("fair_coin",), n, s, trials, seed)
-                passed = True
-            except AssertionError:
-                passed = False
-                r = {"empirical": float("nan"), "bound": bounds.azuma_bound(n, s)}
-            ok_all &= passed
-            rows.append(f"azuma,{n},s={s},{r['empirical']},{r['bound']},{passed}")
-    for n in (100, 1000, 2000):
-        for gamma, zeta in ((0.35, 0.25), (0.5, 0.25), (0.6, 0.5)):
-            try:
-                r = bounds.chernoff_empirical(n, gamma, zeta, trials, seed)
-                passed = True
-            except AssertionError:
-                passed = False
-                r = {"empirical": float("nan"),
-                     "bound": bounds.chernoff_bound(n, gamma, zeta)}
-            ok_all &= passed
-            rows.append(f"chernoff,{n},g={gamma};z={zeta},{r['empirical']},{r['bound']},{passed}")
+    for label, check, args in checks:
+        r = check(*args)
+        ok_all &= r["passed"]
+        rows.append(f"{label},{r['empirical']},{r['bound']},{r['passed']}")
     (outdir / "bounds_table.csv").write_text("\n".join(rows) + "\n")
     click.echo("\n".join(rows))
     sys.exit(EXIT_OK if ok_all else EXIT_SCIENTIFIC)

@@ -3,7 +3,10 @@
 The extractor is the classical inner-product construction: output bit j is
 the parity of x AND (t cyclically left-shifted by j).  It is deterministic,
 bilinear in both arguments, and balanced over a uniform t for any fixed
-nonzero x.  Its guarantee needs two *independent* sources whose min-entropy
+nonzero x.  One integer core computes it for bit lists and packed words
+alike, with one bit order: position i of a bit list is bit i of its
+integer, so shifting the list left by j is a right rotation of the integer.
+Its guarantee needs two *independent* sources whose min-entropy
 rates satisfy  rate(x) + rate(t) > 1 + (2 log2(1/xi) + m) / L  for output
 error xi; the validity of that condition is recorded in every extraction
 report rather than silently assumed.  In the honest demonstration the
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import log2
 
 import numpy as np
@@ -57,41 +61,38 @@ class ExtractorConfig:
             raise ValueError(f"unknown restriction rule {self.rule!r}")
 
 
-def _fit_length(bits, L: int) -> list[int]:
-    bits = list(bits)
-    if len(bits) >= L:
-        return bits[:L]
-    return bits + [0] * (L - len(bits))
+def _pack(bits, L: int) -> int:
+    """The first L bits of a bit sequence as an integer (zero-padded)."""
+    return sum(int(b) << i for i, b in enumerate(islice(bits, L)))
+
+
+def _inner_products(x: int, t: int, L: int, m: int) -> list[int]:
+    """The m output bits of packed L-bit inputs: bit j is the parity of x
+    AND t rotated right by j (the bit list t rotated left by j)."""
+    return [(x & (t >> j | t << (L - j))).bit_count() & 1 for j in range(m)]
 
 
 def extract(x_bits, t_bits, cfg: ExtractorConfig) -> list[int]:
-    """Inner-product extraction: bit j = <x, rotl(t, j)> mod 2, j < m."""
-    x = _fit_length(x_bits, cfg.L)
-    t = _fit_length(t_bits, cfg.L)
-    out = []
-    for j in range(cfg.m):
-        acc = 0
-        for i in range(cfg.L):
-            acc ^= x[i] & t[(i + j) % cfg.L]
-        out.append(acc)
-    return out
+    """Inner-product extraction: bit j = <x, rotl(t, j)> mod 2, j < m.
+
+    Both inputs are truncated or zero-padded to cfg.L bits."""
+    return _inner_products(_pack(x_bits, cfg.L), _pack(t_bits, cfg.L),
+                           cfg.L, cfg.m)
 
 
 def extract_u64_batch(x_words: np.ndarray, t_words: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized extraction on packed 64-bit inputs (L = 64).
-
-    Bit i of a word is the bit at position i of the corresponding bit list
-    (LSB = index 0); agrees with `extract` on the unpacked lists.
-    """
+    """`extract` with L = 64 on packed words, one output row per word pair."""
     if m > 64:
         raise ValueError("packed variant supports m <= 64")
-    x = np.asarray(x_words, dtype=np.uint64)
-    t = np.asarray(t_words, dtype=np.uint64)
-    out = np.zeros((len(x), m), dtype=np.uint8)
-    for j in range(m):
-        rot = (t >> np.uint64(j)) | (t << np.uint64((64 - j) % 64))
-        out[:, j] = (np.bitwise_count(x & rot) & 1).astype(np.uint8)
-    return out
+    x = np.asarray(x_words, dtype=np.uint64).tolist()
+    t = np.asarray(t_words, dtype=np.uint64).tolist()
+    return np.array([_inner_products(a, b, 64, m) for a, b in zip(x, t)],
+                    dtype=np.uint8).reshape(-1, m)
+
+
+def output_hex(bits) -> str:
+    """Hex form of an output bit list, first bit most significant."""
+    return f"{int(''.join(map(str, bits)), 2):0{(len(bits) + 3) // 4}x}"
 
 
 def encode_outcome_bits(x1: int, x2: int) -> list[int]:

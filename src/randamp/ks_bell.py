@@ -53,7 +53,10 @@ KS_BASES = (
 TARGET_OUTCOMES = (1, 3)
 TARGET_SETTINGS = (1, 2)
 
-N_CELLS = 9 * 9 * 4 * 4
+# The fixed shape: 9 settings with 4 outcomes each, per party.
+N_SETTINGS = 9
+N_OUTCOMES = 4
+N_CELLS = N_SETTINGS ** 2 * N_OUTCOMES ** 2
 
 
 def var_index(u1: int, u2: int, x1: int, x2: int) -> int:
@@ -114,22 +117,14 @@ class BellFunctional:
 
     sb: frozenset[tuple[tuple[int, int], tuple[int, int]]]
     d_target: tuple[tuple[int, int], tuple[int, int]]
-    num_settings: int = 81
-    num_outcomes_per_setting: int = 16
-
-    def settings_per_party(self) -> int:
-        return round(self.num_settings ** 0.5)
-
-    def outcomes_per_party(self) -> int:
-        return round(self.num_outcomes_per_setting ** 0.5)
 
     def indicator(self, x: tuple[int, int], u: tuple[int, int]) -> int:
         return 1 if (x, u) in self.sb else 0
 
     def indicator_array(self) -> np.ndarray:
         """Dense indicator, shape (9,9,4,4) indexed [u1-1,u2-1,x1-1,x2-1]."""
-        s, o = self.settings_per_party(), self.outcomes_per_party()
-        arr = np.zeros((s, s, o, o), dtype=np.int16)
+        arr = np.zeros((N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES),
+                       dtype=np.int16)
         for (x1, x2), (u1, u2) in self.sb:
             arr[u1 - 1, u2 - 1, x1 - 1, x2 - 1] = 1
         return arr
@@ -149,8 +144,8 @@ class BellFunctional:
         return json.dumps(
             {"sb": sorted([x1, x2, u1, u2] for (x1, x2), (u1, u2) in self.sb),
              "d_target": list(self.d_target[0]) + list(self.d_target[1]),
-             "num_settings": self.num_settings,
-             "num_outcomes_per_setting": self.num_outcomes_per_setting},
+             "num_settings": N_SETTINGS ** 2,
+             "num_outcomes_per_setting": N_OUTCOMES ** 2},
             sort_keys=True, separators=(",", ":"))
 
 
@@ -203,22 +198,18 @@ def build_bell_functional(model: KSModel,
     basis u1 differs from the vector at slot x2 of basis u2 and the two are
     orthogonal.  For the fixed model this yields 504 members.
     """
-    ns = len(model.bases)
-    no = len(model.bases[0])
     sb = set()
-    for u1 in range(1, ns + 1):
-        for u2 in range(1, ns + 1):
-            for x1 in range(1, no + 1):
-                for x2 in range(1, no + 1):
+    for u1 in range(1, N_SETTINGS + 1):
+        for u2 in range(1, N_SETTINGS + 1):
+            for x1 in range(1, N_OUTCOMES + 1):
+                for x2 in range(1, N_OUTCOMES + 1):
                     a = model.vector_at(u1, x1)
                     b = model.vector_at(u2, x2)
                     if a != b and model.orthogonal(a, b):
                         sb.add(((x1, x2), (u1, u2)))
     if d_target is None:
         d_target = (TARGET_OUTCOMES, TARGET_SETTINGS)
-    return BellFunctional(sb=frozenset(sb), d_target=d_target,
-                          num_settings=ns * ns,
-                          num_outcomes_per_setting=no * no)
+    return BellFunctional(sb=frozenset(sb), d_target=d_target)
 
 
 def evaluate_deterministic(f: BellFunctional,
@@ -228,9 +219,8 @@ def evaluate_deterministic(f: BellFunctional,
 
     alice[u-1] / bob[u-1] give each party's outcome (1-indexed) for setting u.
     """
-    s = f.settings_per_party()
     return sum(f.indicator((alice[u1 - 1], bob[u2 - 1]), (u1, u2))
-               for u1 in range(1, s + 1) for u2 in range(1, s + 1))
+               for u1 in range(1, N_SETTINGS + 1) for u2 in range(1, N_SETTINGS + 1))
 
 
 def classical_minimum(f: BellFunctional, chunk: int = 1 << 13
@@ -244,8 +234,7 @@ def classical_minimum(f: BellFunctional, chunk: int = 1 << 13
     the first party's assignment is fixed.  Ties are broken to the
     lexicographically smallest witness.
     """
-    s = f.settings_per_party()
-    o = f.outcomes_per_party()
+    s, o = N_SETTINGS, N_OUTCOMES
     C = f.indicator_array()                      # (s, s, o, o) as [u1,u2,x1,x2]
     # Rearranged so that gathering on Alice's outcome is a flat index:
     # CC[u1*o + x1, u2, x2]

@@ -119,9 +119,9 @@ class DualCertificate:
 @dataclass
 class LPSolution:
     optimum: float
-    exact_optimum: Fraction | None
+    exact_optimum: Fraction
     primal: Behavior
-    certificate: DualCertificate | None
+    certificate: DualCertificate
     certified_equality: bool
     sense: str
 
@@ -252,46 +252,23 @@ def _certify(p: LPProblem, sense: str, x, y, beta):
     return None
 
 
-def _behavior_from_values(values, exact_values=None, meta=None) -> Behavior:
-    table = np.asarray(values, dtype=float).reshape(9, 9, 4, 4)
-    exact = None
-    if exact_values is not None:
-        exact = np.empty((9, 9, 4, 4), dtype=object)
-        flat = exact.reshape(-1)
-        for i, v in enumerate(exact_values):
-            flat[i] = v
-    return Behavior(table=table, exact=exact, meta=meta)
+def solve_lp(p: LPProblem, sense: str = "max") -> LPSolution:
+    """Optimize P(target) over the feasible set, exactly.
 
-
-def solve_lp(p: LPProblem, sense: str = "max", mode: str = "exact") -> LPSolution:
-    """Optimize P(target) over the feasible set.
-
-    mode "float": fast solve, no exactness claims.  mode "exact": the float
-    vertex is lifted to rationals and both sides are verified; failure to
-    certify raises.
+    The float vertex is lifted to rationals and both sides are verified;
+    failure to certify raises `CertificationError`.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
-    x, y, beta = _solve_float_highs(p, sense)
-
-    if mode == "float":
-        meta = {"kind": "lp_vertex", "delta_tilde": float(p.delta_tilde),
-                "sense": sense, "certified": False}
-        return LPSolution(optimum=float(x[p.target_col]), exact_optimum=None,
-                          primal=_behavior_from_values(x, meta=meta),
-                          certificate=None, certified_equality=False,
-                          sense=sense)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    got = _certify(p, sense, x, y, beta)
+    got = _certify(p, sense, *_solve_float_highs(p, sense))
     if got is None:
         raise CertificationError(
             f"could not produce an exact certificate (cap={p.delta_tilde})")
     pf, cert, value, equal = got
-    meta = {"kind": "lp_vertex", "delta_tilde": float(p.delta_tilde),
-            "sense": sense, "certified": True}
-    primal = _behavior_from_values([float(v) for v in pf], pf, meta)
+    exact = np.array(pf, dtype=object).reshape(9, 9, 4, 4)
+    primal = Behavior(table=exact.astype(float), exact=exact,
+                      meta={"kind": "lp_vertex", "delta_tilde": float(p.delta_tilde),
+                            "sense": sense, "certified": True})
     return LPSolution(optimum=float(value), exact_optimum=value,
                       primal=primal, certificate=cert,
                       certified_equality=equal, sense=sense)
@@ -299,13 +276,13 @@ def solve_lp(p: LPProblem, sense: str = "max", mode: str = "exact") -> LPSolutio
 
 def max_target_box(f: BellFunctional, delta_tilde=0) -> tuple[Behavior, Fraction]:
     """Feasible behavior maximizing P(target) at the given cap, exact."""
-    sol = solve_lp(build_lp(f, delta_tilde), sense="max", mode="exact")
+    sol = solve_lp(build_lp(f, delta_tilde), sense="max")
     return sol.primal, sol.exact_optimum
 
 
 def zero_target_box(f: BellFunctional, delta_tilde=0) -> tuple[Behavior, Fraction]:
     """Feasible behavior minimizing P(target) at the given cap, exact."""
-    sol = solve_lp(build_lp(f, delta_tilde), sense="min", mode="exact")
+    sol = solve_lp(build_lp(f, delta_tilde), sense="min")
     return sol.primal, sol.exact_optimum
 
 

@@ -448,8 +448,7 @@ def write_transcript(run: ProtocolRun, path, config_hash: str = "",
         summary = {"type": "summary", "Ln": run.bell_average,
                    "Sn": run.target_frequency, "verdict": run.verdict}
         if run.output_bits is not None:
-            bits = "".join(map(str, run.output_bits))
-            summary["output_hex"] = f"{int(bits, 2):0{(len(bits) + 3) // 4}x}"
+            summary["output_hex"] = extractor_mod.output_hex(run.output_bits)
             summary["extraction"] = run.extraction
         fh.write(json.dumps(summary, sort_keys=True) + "\n")
 
@@ -474,7 +473,8 @@ def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            # RecursionError: nesting too deep for the parser
+            except (ValueError, RecursionError) as e:
                 raise ValueError(f"{path}:{line_no}: malformed JSON: {e}") from e
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{line_no}: not a JSON object")

@@ -190,7 +190,12 @@ def make_strategy(spec, eps) -> Strategy:
         return _table(kind, eps, p0_of, cycle // math.gcd(cycle, BITS_PER_ROUND),
                       float_of=lambda p: 0.5 + float(p - HALF))
     if kind == "avoid_target":
-        pre = set(DEFAULT_MAP.pair_block_preimages(tuple(args[0]) if args else (1, 2)))
+        target = args[0] if args else (1, 2)
+        if not (isinstance(target, (tuple, list)) and len(target) == 2
+                and all(type(u) is int and 1 <= u <= 9 for u in target)):
+            raise ValueError(f"avoid_target needs a setting pair in 1..9,"
+                             f" got {target!r}")
+        pre = set(DEFAULT_MAP.pair_block_preimages(tuple(target)))
         _, policy = _tree_extremum(
             eps, lambda leaf: Fraction(1 if leaf in pre else 0), minimize=True)
         return _table(kind, eps, lambda r, node: policy[node])
@@ -274,9 +279,8 @@ class SVSource:
     def next_bits(self, k: int) -> list[int]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self._unbiased:
-            block = self._take_unbiased(k)
-            return [(block >> (k - 1 - i)) & 1 for i in range(k)]
+        if self._unbiased:      # one format: k shifts of a k-bit int are O(k^2)
+            return list(map(int, format(self._take_unbiased(k), f"0{k}b")))
         return self._take_biased(k)
 
     def next_block(self, k: int) -> int:

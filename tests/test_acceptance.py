@@ -101,7 +101,7 @@ def test_criterion_05_lp_certification_grid():
         cap = Fraction(k, 20)
         t0 = time.perf_counter()
         problem = build_lp(FUNCTIONAL, cap)
-        sol = solve_lp(problem, sense="max", mode="exact")
+        sol = solve_lp(problem, sense="max")
         elapsed = time.perf_counter() - t0
         worst = max(worst, elapsed)
         assert verify_certificate(problem, sol.certificate)

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import randamp
+from randamp import bounds
 from randamp.cli import main
 from randamp.ks_bell import var_index
 from randamp.protocol import default_functional
@@ -84,10 +90,24 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
         {"kind": "history_trigger", "pattern": [[5, 12]]},
         {"kind": "depolarized"},
         {"kind": "depolarized", "eta": 1.5})]
+    # source strategies that cannot be built: too biased for eps, unknown,
+    # and an avoid_target pair outside 1..9
+    biased = dict(SMALL_SIM["protocol"], eps=0.05)
+    bad += [dict(SMALL_SIM, protocol=biased, source={"strategy": strategy})
+            for strategy in (["constant_bias", [0.2]], ["bogus"],
+                             ["avoid_target", [0, 12]])]
     for cfg in bad:
         res = runner.invoke(main, ["simulate", "--config", write_config(tmp_path, cfg),
                                    "--out", str(tmp_path / "out")])
-        assert res.exit_code == 2, (cfg["device"], res.output)
+        assert res.exit_code == 2, (cfg["device"], cfg["source"], res.output)
+    # config files that are not one JSON object: nested too deeply to
+    # parse, and a list
+    raw = tmp_path / "raw.json"
+    for text in ("[" * 200_000 + "]" * 200_000, "[1, 2]"):
+        raw.write_text(text)
+        res = runner.invoke(main, ["simulate", "--config", str(raw),
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, (text[:10], res.output)
     cfg = write_config(tmp_path, SMALL_SIM)
     for kind in ("switch_after", "depolarized"):
         res = runner.invoke(main, ["simulate", "--config", cfg, "--device", kind,
@@ -163,7 +183,9 @@ def test_replay_malformed_file(runner, tmp_path):
                  # record numbers other than 1, 2, ..., n
                  _transcript_text(record={"i": 2, "u": [1, 1], "x": [1, 1]}),
                  _transcript_text(record={"u": [1, 1], "x": [1, 1]}),
-                 _transcript_text(record={"i": True, "u": [1, 1], "x": [1, 1]})):
+                 _transcript_text(record={"i": True, "u": [1, 1], "x": [1, 1]}),
+                 # nesting too deep for the JSON parser
+                 "[" * 200_000 + "]" * 200_000 + "\n"):
         bad.write_text(text)
         res = runner.invoke(main, ["replay", str(bad)])
         assert res.exit_code == 2, res.output
@@ -296,6 +318,35 @@ def test_report_plain(runner, tmp_path):
     rep = json.loads((tmp_path / "security_report.json").read_text())
     for key in ("mu2", "mu3", "mu4", "gamma", "eps_az1", "eps_az2", "delta1"):
         assert key in rep
+
+
+def test_verify_bounds_reports_a_failed_check(runner, tmp_path, monkeypatch):
+    """A bound patched to 0 fails its rows, which print the measured
+    frequency, and exits 1, also under python -O (it strips asserts)."""
+    monkeypatch.setattr(bounds, "chernoff_bound", lambda n, gamma, zeta: 0.0)
+    res = runner.invoke(main, ["verify-bounds", "--trials", "500",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    rows = [line.split(",") for line in
+            (tmp_path / "bounds_table.csv").read_text().splitlines()[2:]]
+    failing = [r for r in rows if r[-1] == "False"]
+    assert failing and all(r[0] == "chernoff" for r in failing)
+    for _, n, param, empirical, bound, _ in failing:
+        gamma, zeta = (float(p.split("=")[1]) for p in param.split(";"))
+        want = bounds.chernoff_empirical(int(n), gamma, zeta, 500, seed=7)
+        assert float(empirical) == want["empirical"] > 0
+        assert float(bound) == 0.0
+
+    code = ("import sys, randamp.bounds as b\n"
+            "b.chernoff_bound = lambda n, gamma, zeta: 0.0\n"
+            "from randamp.cli import main\n"
+            "main(['verify-bounds', '--trials', '500', '--out', sys.argv[1]])\n")
+    src = str(Path(randamp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(tmp_path / "O")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
 
 
 def test_verify_bounds_table(runner, tmp_path):

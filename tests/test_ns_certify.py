@@ -22,7 +22,7 @@ def lp_zero(functional):
 
 @pytest.fixture(scope="module")
 def sol_zero(lp_zero):
-    return solve_lp(lp_zero, sense="max", mode="exact")
+    return solve_lp(lp_zero, sense="max")
 
 
 def test_problem_shape(lp_zero):
@@ -77,7 +77,7 @@ def test_grid_certified_values(functional):
     }
     for cap, expect in frozen.items():
         p = build_lp(functional, cap)
-        sol = solve_lp(p, sense="max", mode="exact")
+        sol = solve_lp(p, sense="max")
         assert sol.exact_optimum == expect
         assert sol.certified_equality
         assert verify_certificate(p, sol.certificate)
@@ -88,7 +88,7 @@ def test_monotonicity_and_reference_bound(functional):
     prev = Fraction(-1)
     for k in range(0, 11, 2):
         cap = Fraction(k, 20)
-        sol = solve_lp(build_lp(functional, cap), mode="exact")
+        sol = solve_lp(build_lp(functional, cap))
         assert sol.exact_optimum >= prev
         assert sol.exact_optimum <= min(Fraction(1), Fraction(3, 4) + cap / 2)
         prev = sol.exact_optimum
@@ -114,12 +114,6 @@ def test_certificate_json_roundtrip(lp_zero, sol_zero):
     back = DualCertificate.from_json(text)
     assert back == sol_zero.certificate
     assert verify_certificate(lp_zero, back)
-
-
-def test_float_mode_matches_exact(lp_zero, sol_zero):
-    fast = solve_lp(lp_zero, mode="float")
-    assert fast.certificate is None
-    assert fast.optimum == pytest.approx(float(sol_zero.exact_optimum), abs=1e-9)
 
 
 def test_weak_duality_on_feasible_points(functional, sol_zero):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randamp.boxes import (bell_value, depolarize, ideal_quantum_box,
                            make_iid_device, uniform_box)
@@ -139,6 +141,52 @@ def test_read_transcript_rejects_malformed(tmp_path):
     bad.write_text('{"type": "header"}\nnot json\n')
     with pytest.raises(ValueError, match="bad.jsonl:2"):
         read_transcript(bad)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+_WELL_FORMED = [
+    {"type": "header", "version": 1,
+     "source": {"epsilon": 0.0, "strategy": "unbiased", "seed": 0},
+     "params": {"n": 2, "delta": 1e-8, "mu1": 1e-9, "extractor": {}}},
+    {"i": 1, "u": [1, 2], "x": [1, 3]},
+    {"i": 2, "u": [4, 4], "x": [2, 1]},
+    {"type": "summary", "Ln": 0.0, "Sn": 0.5, "verdict": "Accept"},
+]
+
+
+@st.composite
+def _mutated_transcript(draw):
+    """The well-formed transcript with one line replaced by arbitrary text,
+    by another JSON value, or by itself with one key set to any value."""
+    lines = [json.dumps(obj) for obj in _WELL_FORMED]
+    k = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["text", "value", "key"]))
+    if how == "text":
+        lines[k] = draw(st.text(max_size=40))
+    elif how == "value":
+        lines[k] = json.dumps(draw(_JSON_VALUES))
+    else:
+        obj = dict(_WELL_FORMED[k])
+        obj[draw(st.sampled_from(sorted(obj)) | st.text(max_size=4))] = \
+            draw(_JSON_VALUES)
+        lines[k] = json.dumps(obj)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_mutated_transcript())
+def test_read_transcript_raises_only_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        read_transcript(path)
+    except ValueError:
+        pass
 
 
 def test_expected_tomography_rate(ideal, functional):

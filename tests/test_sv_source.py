@@ -76,6 +76,16 @@ def test_constant_bias_cycle_of_any_length():
                 HALF + Fraction(biases[j % len(biases)])
 
 
+def test_avoid_target_needs_a_setting_pair():
+    # [0, 12] has no 8-bit preimages: it would push every bit toward 0
+    for target in ([0, 12], (1, 10), (1,), (1, 2, 3), (1.0, 2), (True, 2),
+                   "12", 5):
+        with pytest.raises(ValueError):
+            make_strategy(("avoid_target", target), Fraction(1, 20))
+    assert make_strategy(("avoid_target", [9, 9]), Fraction(1, 20)).name == \
+        "avoid_target"
+
+
 def test_source_takes_a_spec_only():
     with pytest.raises(ValueError):
         SVSource(0, make_strategy("unbiased", 0), seed=0)
