@@ -26,8 +26,8 @@ from .boxes import (Behavior, ideal_quantum_box, uniform_box, depolarize,
 from .ns_certify import (build_lp, solve_lp, verify_certificate,
                          randomness_bound, DualCertificate, LPProblem)
 from .sv_source import (SVSource, SettingMap, DEFAULT_MAP,
-                        map_bits_to_settings, setting_measure_bounds,
-                        setting_measure_extrema, sv_chernoff_oracle)
+                        setting_measure_bounds, setting_measure_extrema,
+                        sv_chernoff_oracle)
 from .bounds import (azuma_bound, azuma_empirical, linear_fraction,
                      relative_entropy, chernoff_bound, chernoff_empirical)
 from .protocol import (ProtocolParams, run_protocol, select_params,

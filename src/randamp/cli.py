@@ -7,7 +7,10 @@ version so results are traceable to their inputs.
 
 Exit codes: 0 success, 1 scientific failure (a bound was violated or a
 protocol claim falsified), 2 usage or I/O error.  CI can therefore tell
-falsification apart from breakage.
+falsification apart from breakage.  A config and a transcript header are
+read by the same parsers (`protocol.parse_params`, `parse_source`,
+`parse_header`), so any malformed field of either exits 2 with a message
+naming its JSON path.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ import click
 from . import __version__, bounds
 from .boxes import (depolarize, ideal_quantum_box, make_adversarial_device,
                     make_iid_device, uniform_box)
-from .extractor import ExtractorConfig, output_hex
+from .extractor import output_hex
 from .ks_bell import build_bell_functional, build_ks_model
 from .ns_certify import build_lp, solve_lp, verify_certificate, zero_target_box
-from .protocol import (ProtocolParams, extract_output, monte_carlo,
-                       read_transcript, replay_transcript, run_from_records,
-                       security_report, write_transcript)
-from .sv_source import BITS_PER_ROUND, SVSource
+from .protocol import (extract_output, monte_carlo, parse_header, parse_int,
+                       parse_params, parse_real, parse_source, read_transcript,
+                       replay_transcript, run_from_records, security_report,
+                       write_transcript)
+from .sv_source import BITS_PER_ROUND
 
 EXIT_OK = 0
 EXIT_SCIENTIFIC = 1
@@ -76,75 +80,44 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if val is None:
             continue
         section, _, leaf = key.partition(".")
-        if leaf:
-            cfg.setdefault(section, {})[leaf] = val
-        else:
+        if not leaf:
             cfg[key] = val
+        elif isinstance(cfg[section], dict):    # else the parser rejects it
+            cfg[section][leaf] = val
     return cfg
 
 
-def build_params(cfg: dict) -> ProtocolParams:
-    p = cfg["protocol"]
-    e = cfg.get("extractor", {})
-    return ProtocolParams(
-        n=int(p["n"]), eps=float(p["eps"]), delta=float(p["delta"]),
-        mu1=float(p["mu1"]), kappa=float(p["kappa"]),
-        extractor=ExtractorConfig(
-            m=int(e.get("m", 32)), L=int(e.get("L", 256)),
-            rule=e.get("rule", "target_rounds"),
-            xi=float(e.get("xi", 2.0 ** -32))),
-        enforce_bounds=bool(p.get("enforce_bounds", True)))
-
-
-def build_device_factory(spec: dict):
+def build_device_factory(spec):
     """Device factory for a config's device section, which is outside input:
-    a missing or out-of-range `eta`, `k` or `pattern` exits 2."""
+    a section that is not an object, an unknown kind, or a missing or
+    out-of-range `eta`, `k` or `pattern` raises ValueError("device...: ...")."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"device: needs a JSON object, got {spec!r}")
     kind = spec.get("kind", "ideal")
-    if kind == "depolarized" and not (type(spec.get("eta")) in (int, float)
-                                      and 0 <= spec["eta"] <= 1):
-        _fail_usage("device depolarized needs eta in [0, 1]")
-    if kind == "switch_after" and not (type(spec.get("k")) is int
-                                       and spec["k"] >= 0):
-        _fail_usage("device switch_after needs an integer k >= 0")
-    if kind == "history_trigger":
-        pattern = spec.get("pattern")
-        if not (isinstance(pattern, list) and pattern and all(
-                isinstance(p, list) and len(p) == 2
-                and all(type(v) is int and 1 <= v <= 9 for v in p)
-                for p in pattern)):
-            _fail_usage("device history_trigger needs a non-empty pattern of"
-                        " setting pairs in 1..9")
     model = build_ks_model()
-    func = build_bell_functional(model)
     if kind == "ideal":
         box = ideal_quantum_box(model)
-        return lambda seed: make_iid_device(box, seed)
-    if kind == "uniform":
-        return lambda seed: make_iid_device(uniform_box(), seed)
-    if kind == "depolarized":
-        box = depolarize(ideal_quantum_box(model), float(spec["eta"]))
-        return lambda seed: make_iid_device(box, seed)
-    if kind == "lp_attack_zero":
-        box, _ = zero_target_box(func)
-        return lambda seed: make_iid_device(box, seed)
-    if kind in ("switch_after", "history_trigger"):
-        ideal = ideal_quantum_box(model)
-        uni = uniform_box()
-        full = dict(spec, b1=ideal, b2=uni)
+    elif kind == "uniform":
+        box = uniform_box()
+    elif kind == "depolarized":
+        box = depolarize(ideal_quantum_box(model), parse_real(
+            spec, "eta", "device", lambda v: 0 <= v <= 1, "in [0, 1]"))
+    elif kind == "lp_attack_zero":
+        box, _ = zero_target_box(build_bell_functional(model))
+    elif kind in ("switch_after", "history_trigger"):
+        if kind == "switch_after":
+            parse_int(spec, "k", "device", least=0)
+        elif not (isinstance(pattern := spec.get("pattern"), list) and pattern
+                  and all(isinstance(p, list) and len(p) == 2
+                          and all(type(v) is int and 1 <= v <= 9 for v in p)
+                          for p in pattern)):
+            raise ValueError("device.pattern: needs a non-empty list of setting"
+                             f" pairs in 1..9, got {pattern!r}")
+        full = dict(spec, b1=ideal_quantum_box(model), b2=uniform_box())
         return lambda seed: make_adversarial_device(full, seed)
-    _fail_usage(f"unknown device kind {kind!r}")
-
-
-def build_source_factory(cfg: dict):
-    """Source factory for a config's source section; the strategy is built
-    once up front, so a spec that cannot be a source exits 2."""
-    eps = float(cfg["protocol"]["eps"])
-    strategy = cfg["source"].get("strategy", "unbiased")
-    try:
-        SVSource(eps, strategy)
-    except (TypeError, ValueError, ArithmeticError) as e:
-        _fail_usage(f"source strategy {strategy!r}: {e}")
-    return lambda seed: SVSource(eps, strategy, seed)
+    else:
+        raise ValueError(f"device.kind: unknown device kind {kind!r}")
+    return lambda seed: make_iid_device(box, seed)
 
 
 @click.group()
@@ -227,14 +200,14 @@ def simulate(config_path, n, epsilon, delta, mu1, kappa, device,
     outdir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     try:
-        params = build_params(cfg)
+        params = parse_params(cfg["protocol"], cfg["extractor"])
         params.validate()
+        source_factory = parse_source(cfg["source"], params.eps)
+        device_factory = build_device_factory(cfg["device"])
+        seed = parse_int(cfg, "master_seed")
+        ntrials = parse_int(cfg, "trials", least=1)
     except ValueError as e:
         _fail_usage(str(e))
-    device_factory = build_device_factory(cfg["device"])
-    source_factory = build_source_factory(cfg)
-    seed = int(cfg["master_seed"])
-    ntrials = int(cfg["trials"])
 
     stats = monte_carlo(device_factory, source_factory, params, ntrials, seed)
     stamp = f"# randamp {__version__} config={chash}\n"
@@ -269,19 +242,18 @@ def report(config_path, q_acc, run_file, outdir):
     outdir = Path(outdir or os.environ.get("RANDAMP_OUT", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        params = build_params(cfg)
-    except ValueError as e:
+        params = parse_params(cfg["protocol"], cfg["extractor"])
+        if run_file:
+            header, records, summary = read_transcript(run_file)
+            run_params, _ = parse_header(header)
+    except (OSError, ValueError) as e:
         _fail_usage(str(e))
     rep = security_report(params, q_acc=q_acc).to_dict()
     rep["version"] = __version__
     rep["config_hash"] = config_hash(cfg)
     if run_file:
-        try:
-            header, records, summary = read_transcript(run_file)
-        except (OSError, ValueError) as e:
-            _fail_usage(str(e))
         differ = [k for k in ("n", "eps", "delta", "mu1", "kappa")
-                  if header["params"].get(k) != getattr(params, k)]
+                  if getattr(run_params, k) != getattr(params, k)]
         if differ:
             _fail_usage(f"{run_file}: run params {', '.join(differ)} differ from the config")
         run = run_from_records(header, records)
@@ -310,17 +282,12 @@ def extract_cmd(run_file, outdir):
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         header, records, summary = read_transcript(run_file)
+        params, source = parse_header(header)
     except (OSError, ValueError) as e:
         _fail_usage(str(e))
     if summary["verdict"] != "Accept":
         _fail_usage("run was not accepted; nothing to extract")
-    pconf, src = header["params"], header["source"]
-    try:
-        params = build_params({"protocol": pconf, "extractor": pconf["extractor"]})
-        run = run_from_records(header, records)
-        source = SVSource(src["epsilon"], src["strategy"], src["seed"])
-    except (KeyError, TypeError, ValueError) as e:
-        _fail_usage(f"{run_file}: cannot rebuild the run: {e!r}")
+    run = run_from_records(header, records)
     if run.verdict != "Accept":
         click.echo(f"stored verdict Accept, recomputed {run.verdict}", err=True)
         sys.exit(EXIT_SCIENTIFIC)
@@ -348,7 +315,7 @@ def extract_cmd(run_file, outdir):
 
 
 @main.command("verify-bounds")
-@click.option("--trials", type=int, default=10_000)
+@click.option("--trials", type=click.IntRange(min=1), default=10_000)
 @click.option("--seed", type=int, default=7)
 @click.option("--out", "outdir", default=None)
 def verify_bounds(trials, seed, outdir):

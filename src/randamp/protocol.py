@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -108,6 +109,102 @@ class ProtocolParams:
                               "rule": self.extractor.rule,
                               "xi": self.extractor.xi},
                 "enforce_bounds": self.enforce_bounds}
+
+
+# --- outside input --------------------------------------------------------
+#
+# A config and a transcript header are read by the same rules: a failure
+# raises ValueError("<json path>: ..."), and unknown keys are ignored.
+
+
+def _field(obj, key: str, path: str, ok: Callable, want: str, default=None):
+    """obj[key], or `default` when absent, if ok(value); `path` names obj."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: needs a JSON object, got {obj!r}")
+    if not ok(v := obj.get(key, default)):
+        where = f"{path}.{key}" if path else key
+        raise ValueError(f"{where}: needs {want}, got {v!r}")
+    return v
+
+
+def parse_int(obj, key: str, path: str = "", least: int | None = None,
+              default=None) -> int:
+    """obj[key] if it is an int (a bool is not) of at least `least`."""
+    low = -math.inf if least is None else least
+    return _field(obj, key, path, lambda v: type(v) is int and v >= low,
+                  "an int" if least is None else f"an int >= {least}", default)
+
+
+def parse_real(obj, key: str, path: str, within: Callable, want: str,
+               default=None) -> float:
+    """float(obj[key]) if it is a finite int or float (a bool is not) for
+    which within(value) holds; `want` names that range."""
+    return float(_field(obj, key, path, lambda v: type(v) in (int, float)
+                        and abs(v) <= sys.float_info.max and within(v),
+                        f"a finite number {want}", default))
+
+
+def parse_params(protocol, extractor, path: str = "protocol",
+                 extractor_path: str = "extractor") -> ProtocolParams:
+    """ProtocolParams from a protocol object and an extractor object read
+    from a config or a transcript header; the paths name them in errors.
+
+    n: an int >= 1; eps: a number in [0, 1/2); delta, mu1: numbers in
+    (0, 1]; kappa: a number in [0, 1); enforce_bounds: a bool, default true.
+    The extractor's m, L (ints), rule (a string) and xi (a number > 0)
+    default to ExtractorConfig's, which checks them further.  The derived
+    chain is left to `ProtocolParams.validate`.
+    """
+    unit, d = (lambda v: 0 < v <= 1), extractor_mod.ExtractorConfig()
+    kw = dict(
+        n=parse_int(protocol, "n", path, least=1),
+        eps=parse_real(protocol, "eps", path, lambda v: 0 <= v < 0.5,
+                       "in [0, 1/2)"),
+        delta=parse_real(protocol, "delta", path, unit, "in (0, 1]"),
+        mu1=parse_real(protocol, "mu1", path, unit, "in (0, 1]"),
+        kappa=parse_real(protocol, "kappa", path, lambda v: 0 <= v < 1,
+                         "in [0, 1)"),
+        enforce_bounds=_field(protocol, "enforce_bounds", path,
+                              lambda v: type(v) is bool, "a bool", True))
+    ext = dict(m=parse_int(extractor, "m", extractor_path, default=d.m),
+               L=parse_int(extractor, "L", extractor_path, default=d.L),
+               rule=_field(extractor, "rule", extractor_path,
+                           lambda v: type(v) is str, "a string", d.rule),
+               xi=parse_real(extractor, "xi", extractor_path, lambda v: v > 0,
+                             "> 0", d.xi))
+    try:
+        return ProtocolParams(extractor=extractor_mod.ExtractorConfig(**ext),
+                              **kw)
+    except ValueError as e:         # ExtractorConfig's own checks
+        raise ValueError(f"{extractor_path}: {e}") from e
+
+
+def parse_source(source, eps: float, path: str = "source"
+                 ) -> Callable[[int], SVSource]:
+    """Source factory (seed -> SVSource) at eps for a source object whose
+    `strategy` (default unbiased) is a `make_strategy` spec.  The strategy
+    is built once here, so one that cannot be a source fails before a run."""
+    strategy = _field(source, "strategy", path, lambda v: True, "", "unbiased")
+    try:
+        SVSource(eps, strategy)
+    # TypeError, ArithmeticError: a spec of the wrong shape, an infinite bias
+    except (TypeError, ValueError, ArithmeticError) as e:
+        raise ValueError(f"{path}.strategy: {e}") from e
+    return lambda seed: SVSource(eps, strategy, seed)
+
+
+def parse_header(header: dict) -> tuple[ProtocolParams, SVSource]:
+    """The params of a transcript header (`params`, its `extractor` inside)
+    and its `source` rebuilt at stream position 0; the source needs the
+    params' eps as `epsilon` and an int `seed`."""
+    p = header.get("params")
+    params = parse_params(p, p.get("extractor") if isinstance(p, dict) else
+                          None, "params", "params.extractor")
+    source = header.get("source")
+    parse_real(source, "epsilon", "source", lambda v: v == params.eps,
+               f"equal to params.eps {params.eps!r}")
+    return params, parse_source(source, params.eps)(
+        parse_int(source, "seed", "source"))
 
 
 @dataclass
@@ -243,15 +340,16 @@ class SecurityReport:
     gamma = max(1-k, (3 + 2 sqrt(2 delta)/(1/2-eps)^8)/4)
                                      per-round max outcome probability
     eps_az1 = 2 exp(-n delta^2/4), eps_az2 = 2 exp(-n mu1^2/16)
-    delta1 = 2(eps_az1+eps_az2) + gamma^(mu4 n)
+    delta1 = 2(eps_az1+eps_az2) + min(1, gamma^(mu4 n))
     min_entropy_bound = max(0, mu4 n log2(1/gamma))
 
     The deviation parameter of the Bell-side tail is set equal to delta
     itself (no separate knob).  mu4 is computed as mu3 - sqrt(2 delta),
     algebraically identical to mu2 + mu3 - 1 but immune to cancellation.
     Outside the certified regime mu4 can be negative, and a negative count
-    of min-entropy bits certifies nothing, so the bound is clamped at 0;
-    `params_valid` says whether the chain applies at all.
+    of min-entropy bits certifies nothing, so the bound is clamped at 0; so
+    is the exponent of gamma^(mu4 n), a term above 1 that bounds nothing
+    and can overflow.  `params_valid` says whether the chain applies at all.
     """
 
     n: int
@@ -302,7 +400,7 @@ def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityRepor
                 (3.0 + 2.0 * sqrt2d / (0.5 - eps) ** 8) / 4.0)
     eps_az1 = markov_split_epsilon(n, delta)
     eps_az2 = markov_split_epsilon(n, mu1 / 2.0)
-    tail = math.exp(mu4 * n * math.log(gamma)) if 0 < gamma < 1 else 1.0
+    tail = math.exp(min(0.0, mu4 * n * math.log(gamma))) if 0 < gamma < 1 else 1.0
     delta1 = 2.0 * (eps_az1 + eps_az2) + tail
     hmin = max(0.0, mu4 * n * (-math.log2(gamma))) if 0 < gamma < 1 else 0.0
     zeta = 1.0 - (0.5 - eps) ** 8
@@ -459,9 +557,9 @@ def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
     The file is untrusted.  A file without a header, a summary or round
     records, a line that is not a JSON object, a record whose `i` breaks the
     sequence 1, 2, ..., whose settings are not ints in 1..9 or outcomes not
-    ints in 1..4, a header of another format version or without `source` or
-    `params` (numbers n, delta, mu1, and `extractor`), a record count other
-    than n, or a summary without Ln, Sn and verdict raises
+    ints in 1..4, a header of another format version or one `parse_header`
+    rejects (the rules a config is read by), a record count other than n,
+    or a summary without Ln, Sn and verdict raises
     ValueError("<path>[:<line>]: ...").
     """
     header = summary = None
@@ -501,14 +599,12 @@ def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}:{header_line}: format version "
                          f"{header.get('version')!r}, expected {FORMAT_VERSION}")
-    params, source = header.get("params"), header.get("source")
-    if not (isinstance(params, dict) and isinstance(source, dict)
-            and all(type(params.get(k)) in (int, float) for k in ("n", "delta", "mu1"))
-            and "extractor" in params):
-        raise ValueError(f"{path}:{header_line}: header needs 'params' (numbers "
-                         "n, delta, mu1, and extractor) and 'source'")
-    if params["n"] != len(records):
-        raise ValueError(f"{path}:{header_line}: header n is {params['n']}"
+    try:
+        params, _ = parse_header(header)
+    except ValueError as e:
+        raise ValueError(f"{path}:{header_line}: {e}") from e
+    if params.n != len(records):
+        raise ValueError(f"{path}:{header_line}: header n is {params.n}"
                          f" but the file has {len(records)} records")
     if not all(k in summary for k in ("Ln", "Sn", "verdict")):
         raise ValueError(f"{path}:{summary_line}: summary needs Ln, Sn and verdict")

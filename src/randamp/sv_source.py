@@ -74,17 +74,6 @@ class SettingMap:
 DEFAULT_MAP = SettingMap()
 
 
-def map_bits_to_settings(bits, mapping: SettingMap = DEFAULT_MAP) -> tuple[int, int]:
-    """Map exactly 8 bits, MSB-first per party, to a setting pair."""
-    bits = list(bits)
-    if len(bits) != 8 or any(b not in (0, 1) for b in bits):
-        raise ValueError("expected exactly 8 bits")
-    block = 0
-    for b in bits:
-        block = block * 2 + b
-    return mapping.map_block(block)
-
-
 # --- strategies ---------------------------------------------------------
 #
 # A bit's conditional law depends on its history only through the index of
@@ -250,8 +239,16 @@ class SVSource:
 
     def _take_unbiased(self, k: int) -> int:
         while self._buf_len < k:
-            self._buf = (self._buf << 32) | self.rng.getrandbits(32)
-            self._buf_len += 32
+            if k - self._buf_len <= 32:     # a round's 8 bits: one word
+                self._buf = (self._buf << 32) | self.rng.getrandbits(32)
+                self._buf_len += 32
+            else:   # join the whole words once: growing the int a word at
+                # a time copies it each time, O(k^2) for a long draw
+                words, get = (k - self._buf_len) // 32, self.rng.getrandbits
+                self._buf = (self._buf << 32 * words) | int.from_bytes(
+                    b"".join(get(32).to_bytes(4, "big") for _ in range(words)),
+                    "big")
+                self._buf_len += 32 * words
         self._buf_len -= k
         block = self._buf >> self._buf_len
         self._buf &= (1 << self._buf_len) - 1

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randamp
 from randamp import bounds
@@ -113,6 +115,71 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
         res = runner.invoke(main, ["simulate", "--config", cfg, "--device", kind,
                                    "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, (kind, res.output)
+    # fields of the wrong type or out of range, each named by its JSON path
+    # in the message: the first ten exited 1, the last five were coerced
+    for text, path in (('{"protocol": {"n": null}}', "protocol.n"),
+                       ('{"protocol": [1]}', "protocol"),
+                       ('{"protocol": {"n": 1e400}}', "protocol.n"),
+                       ('{"source": "unbiased"}', "source"),
+                       ('{"device": "ideal"}', "device"),
+                       ('{"extractor": "x"}', "extractor"),
+                       ('{"extractor": {"m": null}}', "extractor.m"),
+                       ('{"master_seed": null}', "master_seed"),
+                       ('{"trials": "abc"}', "trials"),
+                       ('{"trials": 0}', "trials"),
+                       ('{"protocol": {"n": 200.7}}', "protocol.n"),
+                       ('{"trials": 2.5}', "trials"),
+                       ('{"protocol": {"eps": "0.1"}}', "protocol.eps"),
+                       ('{"master_seed": "12"}', "master_seed"),
+                       ('{"protocol": {"enforce_bounds": "no"}}',
+                        "protocol.enforce_bounds")):
+        raw.write_text(text)
+        res = runner.invoke(main, ["simulate", "--config", str(raw),
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, (text, res.output)
+        assert f"error: {path}: " in res.output, (text, res.output)
+    # a flag aimed into a section that is not an object (raised TypeError)
+    raw.write_text('{"protocol": [1]}')
+    res = runner.invoke(main, ["simulate", "--config", str(raw), "--n", "5",
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+
+
+_FUZZ_BASE = dict(SMALL_SIM, protocol=dict(SMALL_SIM["protocol"], n=200),
+                  trials=1)
+# ints within +-500, so no example runs more than 10^5 rounds: n or trials
+# at 500, or a section replaced by an object without n, which merges onto
+# the default n = 10^5 at one trial
+_CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-500, 500) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _mutated_config(draw):
+    """The small config with one key, at the top or in a section, set to
+    an arbitrary JSON value."""
+    cfg = json.loads(json.dumps(_FUZZ_BASE))
+    obj = draw(st.sampled_from([cfg] + [cfg[k] for k in sorted(cfg)
+                                        if isinstance(cfg[k], dict)]))
+    obj[draw(st.sampled_from(sorted(obj)) | st.text(max_size=4))] = \
+        draw(_CONFIG_VALUES)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cfg=_mutated_config())
+def test_simulate_exits_0_or_2_on_any_config(tmp_path_factory, cfg):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz_config.json"
+    path.write_text(json.dumps(cfg))
+    res = CliRunner().invoke(main, ["simulate", "--config", str(path),
+                                    "--out", str(base / "fuzz_out")])
+    assert res.exit_code in (0, 2), (cfg, res.output, res.exception)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 def test_replay_reproduces_stored_run(runner, tmp_path):
@@ -146,7 +213,8 @@ def _transcript_text(header=None, record=None, summary=None):
     """A well-formed one-round transcript, with any line replaced."""
     lines = [header or {"type": "header", "version": 1, "source": {
                  "epsilon": 0.0, "strategy": "unbiased", "seed": 0},
-                 "params": {"n": 1, "delta": 1e-8, "mu1": 1e-9, "extractor": {}}},
+                 "params": {"n": 1, "eps": 0.0, "delta": 1e-8, "mu1": 1e-9,
+                            "kappa": 4e-10, "extractor": {}}},
              record or {"i": 1, "u": [1, 1], "x": [1, 1]},
              summary or {"type": "summary", "Ln": 0.0, "Sn": 0.0,
                          "verdict": "AbortTomography"}]
@@ -165,13 +233,16 @@ def test_replay_malformed_file(runner, tmp_path):
                  _transcript_text(record={"i": 1, "u": [1, 1], "x": [1.0, 1]}),
                  _transcript_text(header={"type": "header", "version": 1}),
                  _transcript_text(header={"type": "header", "version": 1, "params": {
-                     "n": 1, "delta": 1e-8, "mu1": 1e-9, "extractor": {}}}),
+                     "n": 1, "eps": 0.0, "delta": 1e-8, "mu1": 1e-9,
+                     "kappa": 4e-10, "extractor": {}}}),
                  _transcript_text(header={"type": "header", "version": 1, "source": {},
-                                          "params": {"n": 1, "delta": 1e-8,
+                                          "params": {"n": 1, "eps": 0.0,
+                                                     "delta": 1e-8, "kappa": 4e-10,
                                                      "extractor": {}}}),
                  _transcript_text(header={"type": "header", "version": 1, "source": {},
-                                          "params": {"n": 1, "delta": "1e-8",
-                                                     "mu1": 1e-9, "extractor": {}}}),
+                                          "params": {"n": 1, "eps": 0.0,
+                                                     "delta": "1e-8", "mu1": 1e-9,
+                                                     "kappa": 4e-10, "extractor": {}}}),
                  _transcript_text(summary={"type": "summary", "Sn": 0.0,
                                            "verdict": "AbortTomography"}),
                  "".join(_transcript_text().splitlines(True)[::2]),
@@ -268,6 +339,31 @@ def test_extract_checks_the_settings_stream(runner, tmp_path):
     assert "round 1 settings" in res.output
 
 
+def test_extract_rejects_malformed_header(runner, tmp_path):
+    """Header fields of the wrong type exit 2 with their JSON path: an
+    extractor that is not an object (exited 1), a string enforce_bounds and
+    a float n (coerced), and a source epsilon other than params.eps."""
+    cfg = write_config(tmp_path, SMALL_SIM)
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["simulate", "--config", cfg,
+                                "--out", str(out)]).exit_code == 0
+    path = out / "trial0.jsonl"
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[-1])["verdict"] == "Accept"
+    for section, key, val, where in (
+            ("params", "extractor", "x", "params.extractor"),
+            ("params", "enforce_bounds", "no", "params.enforce_bounds"),
+            ("params", "n", 4000.0, "params.n"),
+            ("source", "epsilon", 0.05, "source.epsilon")):
+        header = json.loads(lines[0])
+        header[section][key] = val
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        res = runner.invoke(main, ["extract", str(bad), "--out", str(out)])
+        assert res.exit_code == 2, (key, res.output)
+        assert f"bad.jsonl:1: {where}: " in res.output, (key, res.output)
+
+
 def test_report_fields_and_aborted_run(runner, tmp_path):
     cfg = write_config(tmp_path, dict(SMALL_SIM, device={"kind": "uniform"}))
     out = tmp_path / "out"
@@ -347,6 +443,13 @@ def test_verify_bounds_reports_a_failed_check(runner, tmp_path, monkeypatch):
     proc = subprocess.run([sys.executable, "-O", "-c", code, str(tmp_path / "O")],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 1, proc.stdout + proc.stderr
+
+
+def test_verify_bounds_rejects_trials_below_one(runner, tmp_path):
+    for trials in ("0", "-3"):
+        res = runner.invoke(main, ["verify-bounds", "--trials", trials,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2, (trials, res.output)
 
 
 def test_verify_bounds_table(runner, tmp_path):

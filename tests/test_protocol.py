@@ -152,7 +152,8 @@ _JSON_VALUES = st.recursive(
 _WELL_FORMED = [
     {"type": "header", "version": 1,
      "source": {"epsilon": 0.0, "strategy": "unbiased", "seed": 0},
-     "params": {"n": 2, "delta": 1e-8, "mu1": 1e-9, "extractor": {}}},
+     "params": {"n": 2, "eps": 0.0, "delta": 1e-8, "mu1": 1e-9,
+                "kappa": 4e-10, "extractor": {}}},
     {"i": 1, "u": [1, 2], "x": [1, 3]},
     {"i": 2, "u": [4, 4], "x": [2, 1]},
     {"type": "summary", "Ln": 0.0, "Sn": 0.5, "verdict": "Accept"},
@@ -218,12 +219,16 @@ def test_security_report_values():
 
 
 def test_min_entropy_bound_clamped_outside_certified_regime():
-    params = ProtocolParams(n=10 ** 7, delta=1e-6, mu1=3e-4, kappa=1e-4,
-                            enforce_bounds=False)
-    rep = security_report(params)
-    assert rep.mu4 < 0
-    assert rep.min_entropy_bound == 0
-    assert not rep.params_valid
+    # the second set's gamma^(mu4 n) is about e^17600: it raised OverflowError
+    for params in (ProtocolParams(n=10 ** 7, delta=1e-6, mu1=3e-4, kappa=1e-4,
+                                  enforce_bounds=False),
+                   ProtocolParams(n=10 ** 5, mu1=1e-9, kappa=0.4,
+                                  enforce_bounds=False)):
+        rep = security_report(params)
+        assert rep.mu4 < 0
+        assert rep.min_entropy_bound == 0
+        assert rep.delta1 == 2 * (rep.eps_az1 + rep.eps_az2) + 1
+        assert not rep.params_valid
 
 
 def test_security_report_gamma_other_branch():

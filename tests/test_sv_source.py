@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from randamp.sv_source import (DEFAULT_MAP, SVSource, _tree_extremum,
-                               make_strategy, map_bits_to_settings,
-                               setting_measure_bounds, setting_measure_extrema,
-                               sv_chernoff_oracle)
+                               make_strategy, setting_measure_bounds,
+                               setting_measure_extrema, sv_chernoff_oracle)
 
 HALF = Fraction(1, 2)
 
@@ -141,10 +140,8 @@ def test_stream_is_chunking_invariant():
 
 
 def test_map_examples():
-    assert map_bits_to_settings([0, 0, 0, 0, 0, 0, 0, 1]) == (1, 2)
-    assert map_bits_to_settings([1] * 8) == (7, 7)
-    with pytest.raises(ValueError):
-        map_bits_to_settings([0] * 7)
+    assert DEFAULT_MAP.map_block(0b00000001) == (1, 2)
+    assert DEFAULT_MAP.map_block(0xFF) == (7, 7)
 
 
 def test_map_preimage_structure():
