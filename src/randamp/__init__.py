@@ -24,7 +24,7 @@ from .boxes import (Behavior, ideal_quantum_box, uniform_box, depolarize,
                     validate_behavior, bell_value,
                     make_iid_device, make_adversarial_device)
 from .ns_certify import (build_lp, solve_lp, verify_certificate,
-                         randomness_bound, DualCertificate, LPProblem)
+                         DualCertificate, LPProblem)
 from .sv_source import (SVSource, SettingMap, DEFAULT_MAP,
                         setting_measure_bounds, setting_measure_extrema,
                         sv_chernoff_oracle)

@@ -19,35 +19,10 @@ eps^2 = the direct tail, up to the constant).  Both are exposed;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sv_source import DEFAULT_MAP, SettingMap, make_strategy, _as_fraction
-
-
-@dataclass(frozen=True)
-class MartingaleTrace:
-    """Per-round 0/1 indicators with their known conditional means."""
-
-    indicators: np.ndarray
-    conditional_means: np.ndarray
-
-    def __post_init__(self):
-        if self.indicators.shape != self.conditional_means.shape:
-            raise ValueError("indicator / mean length mismatch")
-        if np.any((self.conditional_means < 0) | (self.conditional_means > 1)):
-            raise ValueError("conditional means must lie in [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return len(self.indicators)
-
-    def empirical_average(self) -> float:
-        return float(self.indicators.mean())
-
-    def conditional_average(self) -> float:
-        return float(self.conditional_means.mean())
 
 
 def azuma_bound(n: int, s: float) -> float:

@@ -10,7 +10,10 @@ protocol claim falsified), 2 usage or I/O error.  CI can therefore tell
 falsification apart from breakage.  A config and a transcript header are
 read by the same parsers (`protocol.parse_params`, `parse_source`,
 `parse_header`), so any malformed field of either exits 2 with a message
-naming its JSON path.
+naming its JSON path.  `replay`, `report --run-file` and `extract` share one
+transcript loader, which rebuilds the run from its records through
+`protocol.replay_transcript`; an output directory that cannot be created
+exits 2 as well.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from .boxes import (depolarize, ideal_quantum_box, make_adversarial_device,
 from .extractor import output_hex
 from .ks_bell import build_bell_functional, build_ks_model
 from .ns_certify import build_lp, solve_lp, verify_certificate, zero_target_box
-from .protocol import (extract_output, monte_carlo, parse_header, parse_int,
-                       parse_params, parse_real, parse_source, read_transcript,
-                       replay_transcript, run_from_records, security_report,
+from .protocol import (ProtocolRun, extract_output, monte_carlo, parse_header,
+                       parse_int, parse_params, parse_real, parse_source,
+                       read_transcript, replay_transcript, security_report,
                        write_transcript)
-from .sv_source import BITS_PER_ROUND
+from .sv_source import BITS_PER_ROUND, DEFAULT_MAP, SVSource
 
 EXIT_OK = 0
 EXIT_SCIENTIFIC = 1
@@ -54,6 +57,28 @@ DEFAULT_CONFIG = {
 def _fail_usage(msg: str):
     click.echo(f"error: {msg}", err=True)
     sys.exit(EXIT_USAGE)
+
+
+def _outdir(outdir: str | None) -> Path:
+    """The --out directory (default RANDAMP_OUT, else "."), created if
+    missing; one that cannot be created exits 2."""
+    path = Path(outdir or os.environ.get("RANDAMP_OUT", "."))
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        _fail_usage(f"cannot create output directory {path}: {e}")
+    return path
+
+
+def _load_run(path: str) -> tuple[dict, SVSource, ProtocolRun, dict]:
+    """Header, rebuilt source, replayed run and stored summary of a
+    transcript file; one that cannot be read or is malformed exits 2."""
+    try:
+        header, records, summary = read_transcript(path)
+        params, source = parse_header(header)
+        return header, source, replay_transcript(params, records), summary
+    except (OSError, ValueError) as e:
+        _fail_usage(str(e))
 
 
 def config_hash(cfg: dict) -> str:
@@ -131,8 +156,7 @@ def main():
 @click.option("--out", "outdir", default=None, help="Output directory.")
 def certify(delta_grid, outdir):
     """Solve the randomness LP on a cap grid and emit verified certificates."""
-    outdir = Path(outdir or os.environ.get("RANDAMP_OUT", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(outdir)
     try:
         grid = [Fraction(tok) for tok in delta_grid.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as e:
@@ -196,8 +220,7 @@ def simulate(config_path, n, epsilon, delta, mu1, kappa, device,
         "device.kind": device, "device.eta": eta,
         "source.strategy": source_strategy,
         "master_seed": master_seed, "trials": trials})
-    outdir = Path(outdir or os.environ.get("RANDAMP_OUT", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(outdir)
     chash = config_hash(cfg)
     try:
         params = parse_params(cfg["protocol"], cfg["extractor"])
@@ -239,24 +262,20 @@ def report(config_path, q_acc, run_file, outdir):
     A run file must have the config's n, eps, delta, mu1 and kappa (else
     exit 2) and a stored verdict its records reproduce (else exit 1)."""
     cfg = load_config(config_path, {})
-    outdir = Path(outdir or os.environ.get("RANDAMP_OUT", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(outdir)
     try:
         params = parse_params(cfg["protocol"], cfg["extractor"])
-        if run_file:
-            header, records, summary = read_transcript(run_file)
-            run_params, _ = parse_header(header)
-    except (OSError, ValueError) as e:
+        rep = security_report(params, q_acc=q_acc).to_dict()
+    except ValueError as e:
         _fail_usage(str(e))
-    rep = security_report(params, q_acc=q_acc).to_dict()
     rep["version"] = __version__
     rep["config_hash"] = config_hash(cfg)
     if run_file:
+        _, _, run, summary = _load_run(run_file)
         differ = [k for k in ("n", "eps", "delta", "mu1", "kappa")
-                  if getattr(run_params, k) != getattr(params, k)]
+                  if getattr(run.params, k) != getattr(params, k)]
         if differ:
             _fail_usage(f"{run_file}: run params {', '.join(differ)} differ from the config")
-        run = run_from_records(header, records)
         if run.verdict != summary["verdict"]:
             click.echo(f"stored verdict {summary['verdict']}, recomputed "
                        f"{run.verdict}", err=True)
@@ -278,25 +297,19 @@ def extract_cmd(run_file, outdir):
 
     The rebuilt source must reproduce every round's settings (else exit 1)
     before it draws the extractor's bits."""
-    outdir = Path(outdir or os.environ.get("RANDAMP_OUT", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        header, records, summary = read_transcript(run_file)
-        params, source = parse_header(header)
-    except (OSError, ValueError) as e:
-        _fail_usage(str(e))
+    outdir = _outdir(outdir)
+    header, source, run, summary = _load_run(run_file)
     if summary["verdict"] != "Accept":
         _fail_usage("run was not accepted; nothing to extract")
-    run = run_from_records(header, records)
     if run.verdict != "Accept":
         click.echo(f"stored verdict Accept, recomputed {run.verdict}", err=True)
         sys.exit(EXIT_SCIENTIFIC)
-    for i, (u1, u2, _, _) in enumerate(records, start=1):
-        if params.mapping.map_block(source.next_block(BITS_PER_ROUND)) != (u1, u2):
+    for i, (u1, u2, _, _) in enumerate(run.records, start=1):
+        if DEFAULT_MAP.map_block(source.next_block(BITS_PER_ROUND)) != (u1, u2):
             click.echo(f"{run_file}: round {i} settings are not the source's",
                        err=True)
             sys.exit(EXIT_SCIENTIFIC)
-    extract_output(run, source, params)
+    extract_output(run, source)
     hexed = output_hex(run.output_bits)
     rates = run.extraction
     sidecar = {"m": rates["m"], "L": rates["L"], "rule": rates["rule"],
@@ -320,8 +333,7 @@ def extract_cmd(run_file, outdir):
 @click.option("--out", "outdir", default=None)
 def verify_bounds(trials, seed, outdir):
     """Empirical tail checks across a parameter grid; CSV pass/fail table."""
-    outdir = Path(outdir or os.environ.get("RANDAMP_OUT", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(outdir)
     checks = [(f"azuma,{n},s={s}", bounds.azuma_empirical,
                (("fair_coin",), n, s, trials, seed))
               for n in (100, 1000, 2000) for s in (0.05, 0.1, 0.2)]
@@ -344,12 +356,9 @@ def verify_bounds(trials, seed, outdir):
 @click.argument("transcript")
 def replay(transcript):
     """Recompute a stored transcript's statistics; fail if they drift."""
-    try:
-        header, records, summary = read_transcript(transcript)
-    except (OSError, ValueError) as e:
-        _fail_usage(str(e))
-    p = header["params"]
-    redo = replay_transcript(records, delta=p["delta"], mu1=p["mu1"])
+    _, _, run, summary = _load_run(transcript)
+    redo = {"Ln": run.bell_average, "Sn": run.target_frequency,
+            "verdict": run.verdict}
     same = (redo["Ln"] == summary["Ln"] and redo["Sn"] == summary["Sn"]
             and redo["verdict"] == summary["verdict"])
     click.echo(json.dumps({"stored": {k: summary[k] for k in ("Ln", "Sn", "verdict")},

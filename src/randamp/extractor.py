@@ -39,6 +39,8 @@ from math import log2
 import numpy as np
 from scipy.stats import chi2 as _chi2
 
+from .ks_bell import TARGET_SETTINGS
+
 
 @dataclass(frozen=True)
 class ExtractorConfig:
@@ -68,8 +70,12 @@ def _pack(bits, L: int) -> int:
 
 def _inner_products(x: int, t: int, L: int, m: int) -> list[int]:
     """The m output bits of packed L-bit inputs: bit j is the parity of x
-    AND t rotated right by j (the bit list t rotated left by j)."""
-    return [(x & (t >> j | t << (L - j))).bit_count() & 1 for j in range(m)]
+    AND t rotated right by j (the bit list t rotated left by j).  The
+    wrapped part t << (L - j) meets x only when L - j < x.bit_length(), so
+    it is built only then and the cost does not grow with L."""
+    reach = x.bit_length()
+    return [(x & (t >> j | (t << (L - j) if L - j < reach else 0))
+             ).bit_count() & 1 for j in range(m)]
 
 
 def extract(x_bits, t_bits, cfg: ExtractorConfig) -> list[int]:
@@ -111,10 +117,9 @@ def transcript_to_source(run, rule: str = "target_rounds") -> list[int]:
     """
     if run.verdict != "Accept":
         raise ValueError("extraction requires an accepted run")
-    target = run.target_settings
     bits: list[int] = []
     for (u1, u2, x1, x2) in run.records:
-        if rule == "all_rounds" or (u1, u2) == target:
+        if rule == "all_rounds" or (u1, u2) == TARGET_SETTINGS:
             bits.extend(encode_outcome_bits(x1, x2))
     if not bits:
         raise ValueError("no rounds selected for extraction")

@@ -189,9 +189,7 @@ def check_model(model: KSModel) -> None:
     assert all(d == 7 for d in deg.values()), "orthogonality graph must be 7-regular"
 
 
-def build_bell_functional(model: KSModel,
-                          d_target: tuple[tuple[int, int], tuple[int, int]] | None = None
-                          ) -> BellFunctional:
+def build_bell_functional(model: KSModel) -> BellFunctional:
     """Indicator set over all setting pairs: distinct orthogonal vector pairs.
 
     ((x1,x2),(u1,u2)) is a member exactly when the vector at slot x1 of
@@ -207,9 +205,8 @@ def build_bell_functional(model: KSModel,
                     b = model.vector_at(u2, x2)
                     if a != b and model.orthogonal(a, b):
                         sb.add(((x1, x2), (u1, u2)))
-    if d_target is None:
-        d_target = (TARGET_OUTCOMES, TARGET_SETTINGS)
-    return BellFunctional(sb=frozenset(sb), d_target=d_target)
+    return BellFunctional(sb=frozenset(sb),
+                          d_target=(TARGET_OUTCOMES, TARGET_SETTINGS))
 
 
 def evaluate_deterministic(f: BellFunctional,

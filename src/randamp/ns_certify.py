@@ -126,16 +126,11 @@ class LPSolution:
     sense: str
 
 
-def build_lp(f: BellFunctional, delta_tilde, target=None) -> LPProblem:
+def build_lp(f: BellFunctional, delta_tilde) -> LPProblem:
     """Assemble the constraint system for the given functional and cap."""
     dt = _as_fraction(delta_tilde)
     if dt < 0:
         raise ValueError("cap must be nonnegative")
-    if target is None:
-        target = f.d_target
-    (x1t, x2t), (u1t, u2t) = target
-    if not (1 <= u1t <= 9 and 1 <= u2t <= 9 and 1 <= x1t <= 4 and 1 <= x2t <= 4):
-        raise ValueError(f"invalid target {target}")
     rows: list[tuple[tuple[int, int], ...]] = []
     rhs: list[int] = []
     for u1 in range(1, 10):
@@ -159,8 +154,8 @@ def build_lp(f: BellFunctional, delta_tilde, target=None) -> LPProblem:
                 rows.append(tuple(row))
                 rhs.append(0)
     return LPProblem(eq_rows=tuple(rows), eq_rhs=tuple(rhs),
-                     cap_cols=f.bell_cells, delta_tilde=dt, target=target,
-                     target_col=var_index(u1t, u2t, x1t, x2t))
+                     cap_cols=f.bell_cells, delta_tilde=dt, target=f.d_target,
+                     target_col=f.target_cell)
 
 
 def verify_certificate(p: LPProblem, d: DualCertificate,
@@ -284,18 +279,3 @@ def zero_target_box(f: BellFunctional, delta_tilde=0) -> tuple[Behavior, Fractio
     """Feasible behavior minimizing P(target) at the given cap, exact."""
     sol = solve_lp(build_lp(f, delta_tilde), sense="min")
     return sol.primal, sol.exact_optimum
-
-
-def randomness_bound(delta: float, eps: float) -> float:
-    """Bound on P(target) implied by an observed source-weighted Bell value.
-
-    With the per-round settings drawn from an eps-biased source, a weighted
-    Bell average <= delta implies a raw indicator sum <= delta/(1/2-eps)^8,
-    and the certified dual at that cap gives
-    min(1, (3 + 2*delta/(1/2-eps)^8) / 4).
-    """
-    if not 0 <= eps < 0.5:
-        raise ValueError("source bias must be in [0, 1/2)")
-    if delta < 0:
-        raise ValueError("Bell value bound must be >= 0")
-    return min(1.0, (3.0 + 2.0 * delta / (0.5 - eps) ** 8) / 4.0)

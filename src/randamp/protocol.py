@@ -3,16 +3,17 @@ constants, and Monte Carlo campaigns.
 
 One run: each round draws 8 source bits, maps them to a setting pair,
 queries the device for an outcome pair, and counts the round in a histogram
-over the 1296 cells (`ks_bell.var_index`).  After n rounds two tests are
-evaluated in order on sums over that histogram: the Bell test (the
-empirical indicator average must not exceed delta) and then, only if it
-passed, the tomographic test (the empirical frequency of the target cell
-must reach mu1).  Replaying stored records goes through the same histogram.
-Both aborts are verdicts, not errors.  On acceptance of a run whose
-transcript is kept, n further bits are drawn from the same source (the
-stream positions of setting draws and extraction draws are disjoint by
-construction) and fed to the two-source extractor together with the
-selected transcript bits.
+over the 1296 cells (`ks_bell.var_index`).  A run is that histogram, its
+params and, when kept, its ordered records (`ProtocolRun`); everything else
+is derived from the histogram.  Two tests are evaluated in order on sums
+over it: the Bell test (the empirical indicator average must not exceed
+delta) and then, only if it passed, the tomographic test (the empirical
+frequency of the target cell must reach mu1).  Both aborts are verdicts,
+not errors.  `replay_transcript` is the one path from stored records back
+to a run.  On acceptance of a run whose transcript is kept, n further bits
+are drawn from the same source (the stream positions of setting draws and
+extraction draws are disjoint by construction) and fed to the two-source
+extractor together with the selected transcript bits.
 
 The parameter constraints mirror the derived security chain: for source
 parameter eps and thresholds (mu1, kappa) with 0 < kappa < mu1/2 the Bell
@@ -47,10 +48,11 @@ import numpy as np
 from . import extractor as extractor_mod
 from .boxes import Behavior, Device
 from .bounds import markov_split_epsilon
-from .ks_bell import (N_CELLS, BellFunctional, build_bell_functional,
-                      build_ks_model, var_index)
+from .ks_bell import (N_CELLS, TARGET_OUTCOMES, TARGET_SETTINGS,
+                      BellFunctional, build_bell_functional, build_ks_model,
+                      var_index)
 from .seeding import derive_seed
-from .sv_source import BITS_PER_ROUND, DEFAULT_MAP, SettingMap, SVSource
+from .sv_source import BITS_PER_ROUND, DEFAULT_MAP, SVSource
 
 FORMAT_VERSION = 1
 
@@ -79,7 +81,6 @@ class ProtocolParams:
     delta: float = 1e-8
     mu1: float = 5e-4
     kappa: float = 1e-4
-    mapping: SettingMap = DEFAULT_MAP
     extractor: extractor_mod.ExtractorConfig = field(
         default_factory=extractor_mod.ExtractorConfig)
     enforce_bounds: bool = True
@@ -104,7 +105,7 @@ class ProtocolParams:
     def to_dict(self) -> dict:
         return {"n": self.n, "eps": self.eps, "delta": self.delta,
                 "mu1": self.mu1, "kappa": self.kappa,
-                "map": self.mapping.name,
+                "map": DEFAULT_MAP.name,
                 "extractor": {"m": self.extractor.m, "L": self.extractor.L,
                               "rule": self.extractor.rule,
                               "xi": self.extractor.xi},
@@ -209,18 +210,29 @@ def parse_header(header: dict) -> tuple[ProtocolParams, SVSource]:
 
 @dataclass
 class ProtocolRun:
-    params: dict
+    """A run is its params, its histogram over the 1296 cells in
+    `ks_bell.var_index` order and, when kept, its ordered records; n, the
+    counts, both statistics and the verdict are derived from the first two."""
+
+    params: ProtocolParams
     device_spec: dict
     source_spec: dict
-    n: int
-    bell_count: int
-    target_count: int
-    verdict: str
-    target_settings: tuple[int, int]
-    target_outcomes: tuple[int, int]
+    hist: list[int]
     records: list[tuple[int, int, int, int]] | None = None
     output_bits: list[int] | None = None
     extraction: dict | None = None
+
+    @property
+    def n(self) -> int:
+        return sum(self.hist)
+
+    @property
+    def bell_count(self) -> int:
+        return sum(self.hist[c] for c in default_functional().bell_cells)
+
+    @property
+    def target_count(self) -> int:
+        return self.hist[default_functional().target_cell]
 
     @property
     def bell_average(self) -> float:        # the Bell-test statistic
@@ -230,25 +242,18 @@ class ProtocolRun:
     def target_frequency(self) -> float:    # the tomography statistic
         return self.target_count / self.n
 
-
-def _verdict(bell_average: float, target_frequency: float,
-             delta: float, mu1: float) -> str:
-    """Ordered tests: the Bell test is evaluated first; the tomography test
-    only applies to runs that survived it."""
-    if not bell_average <= delta:
-        return "AbortBell"
-    if not target_frequency >= mu1:
-        return "AbortTomography"
-    return "Accept"
-
-
-def _tally(hist: list[int], f: BellFunctional) -> tuple[int, int]:
-    """(bell_count, target_count) of a cell histogram."""
-    return sum(hist[c] for c in f.bell_cells), hist[f.target_cell]
+    @property
+    def verdict(self) -> str:
+        """Ordered tests: the Bell test is evaluated first; the tomography
+        test only applies to runs that survived it."""
+        if not self.bell_average <= self.params.delta:
+            return "AbortBell"
+        if not self.target_frequency >= self.params.mu1:
+            return "AbortTomography"
+        return "Accept"
 
 
 def run_protocol(device: Device, source: SVSource, params: ProtocolParams,
-                 functional: BellFunctional | None = None,
                  keep_transcript: bool = True) -> ProtocolRun:
     """Execute one full run; aborts are verdicts.
 
@@ -258,36 +263,26 @@ def run_protocol(device: Device, source: SVSource, params: ProtocolParams,
     `extract_output`, which consumes exactly n further source bits.
     """
     params.validate()
-    f = functional or default_functional()
-    mapping = params.mapping
-    (x1t, x2t), (u1t, u2t) = f.d_target
-    n = params.n
+    map_block = DEFAULT_MAP.map_block
     hist = [0] * N_CELLS
     records: list[tuple[int, int, int, int]] | None = [] if keep_transcript else None
 
-    for k in range(n):
+    for k in range(params.n):
         block = source.next_block(BITS_PER_ROUND)
-        u = mapping.map_block(block)
+        u = map_block(block)
         x = device.respond(k, u)
         # var_index(*u, *x), inlined: a call per round slows campaigns ~6%
         hist[((u[0] - 1) * 9 + (u[1] - 1)) * 16 + (x[0] - 1) * 4 + (x[1] - 1)] += 1
         if records is not None:
             records.append((u[0], u[1], x[0], x[1]))
 
-    bell_count, target_count = _tally(hist, f)
-    verdict = _verdict(bell_count / n, target_count / n, params.delta, params.mu1)
-    run = ProtocolRun(params=params.to_dict(), device_spec=device.spec(),
-                      source_spec=source.spec(), n=n,
-                      bell_count=bell_count, target_count=target_count,
-                      verdict=verdict, target_settings=(u1t, u2t),
-                      target_outcomes=(x1t, x2t), records=records)
-    if verdict == "Accept" and records is not None:
-        extract_output(run, source, params)
+    run = ProtocolRun(params, device.spec(), source.spec(), hist, records)
+    if run.verdict == "Accept" and records is not None:
+        extract_output(run, source)
     return run
 
 
-def extract_output(run: ProtocolRun, source: SVSource,
-                   params: ProtocolParams) -> None:
+def extract_output(run: ProtocolRun, source: SVSource) -> None:
     """Extract from an accepted run with kept records; set `output_bits`
     and the `extraction` rate report on the run.
 
@@ -295,6 +290,7 @@ def extract_output(run: ProtocolRun, source: SVSource,
     drawn from it for the extractor's t side, and the x side is selected
     from the records by the configured rule.
     """
+    params = run.params
     t_bits = source.next_bits(run.n)
     cfg = params.extractor
     x_bits = extractor_mod.transcript_to_source(run, cfg.rule)
@@ -311,23 +307,20 @@ def extract_output(run: ProtocolRun, source: SVSource,
         honest_rate_x=0.5, rate_t=rate_t, certified_rate_x=certified)
 
 
-def expected_tomography_rate(b: Behavior, measure=None,
-                             mapping: SettingMap = DEFAULT_MAP,
-                             functional: BellFunctional | None = None) -> float:
+def expected_tomography_rate(b: Behavior, measure=None) -> float:
     """nu(target settings) * P(target outcomes | target settings).
 
     With measure None the setting distribution induced by uniform bits
     through the map is used (preimage counting); an explicit (9,9) array is
     also accepted.
     """
-    f = functional or default_functional()
-    (x1t, x2t), (u1t, u2t) = f.d_target
+    u1t, u2t = TARGET_SETTINGS
     if measure is None:
-        nu = mapping.pair_preimage_count((u1t, u2t)) / 2.0 ** BITS_PER_ROUND
+        nu = DEFAULT_MAP.pair_preimage_count((u1t, u2t)) / 2.0 ** BITS_PER_ROUND
     else:
         arr = np.asarray(measure, dtype=float)
         nu = float(arr[u1t - 1, u2t - 1])
-    return nu * b.prob((x1t, x2t), (u1t, u2t))
+    return nu * b.prob(TARGET_OUTCOMES, TARGET_SETTINGS)
 
 
 @dataclass(frozen=True)
@@ -387,10 +380,14 @@ def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityRepor
 
     The headline guarantee: with probability at least
     1 - sqrt(delta1/q_acc) over accepted transcripts, every outcome sequence
-    has conditional probability at most sqrt(delta1/q_acc).  At desk-scale n
-    the numbers are typically vacuous (delta1 is near 8); they are reported
-    faithfully rather than beautified.
+    has conditional probability at most sqrt(delta1/q_acc).  q_acc is the
+    acceptance probability, so anything outside (0, 1] raises ValueError.
+    At desk-scale n the numbers are typically vacuous (delta1 is near 8);
+    they are reported faithfully rather than beautified.
     """
+    if not 0 < q_acc <= 1:
+        raise ValueError(f"q_acc: needs an acceptance probability in (0, 1],"
+                         f" got {q_acc!r}")
     n, eps, delta, mu1, kappa = params.n, params.eps, params.delta, params.mu1, params.kappa
     sqrt2d = math.sqrt(2.0 * delta)
     mu2 = 1.0 - sqrt2d
@@ -406,8 +403,7 @@ def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityRepor
     zeta = 1.0 - (0.5 - eps) ** 8
     mu5 = (0.5 - eps) ** 8 / 2.0
     chernoff_fail = math.exp(-2.0 * n * (1.0 - mu5 - zeta) ** 2)
-    ratio = delta1 / q_acc if q_acc > 0 else math.inf
-    sqrt_term = math.sqrt(ratio) if ratio != math.inf else math.inf
+    sqrt_term = math.sqrt(delta1 / q_acc)
     return SecurityReport(
         n=n, eps=eps, delta=delta, mu1=mu1, kappa=kappa,
         mu2=mu2, mu3=mu3, mu4=mu4, gamma=gamma,
@@ -422,7 +418,7 @@ def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityRepor
         # equal setting weights reaches delta (504/1296 per unit weight)
         max_white_noise=delta / (504.0 / 1296.0),
         params_valid=params.in_certified_regime(),
-        map_name=params.mapping.name)
+        map_name=DEFAULT_MAP.name)
 
 
 def dc_distance(p_szew: np.ndarray, acc_weights: np.ndarray | None = None,
@@ -493,8 +489,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 def monte_carlo(device_factory: Callable[[int], Device],
                 source_factory: Callable[[int], SVSource],
-                params: ProtocolParams, trials: int, master_seed: int = 0,
-                functional: BellFunctional | None = None) -> CampaignStats:
+                params: ProtocolParams, trials: int,
+                master_seed: int = 0) -> CampaignStats:
     """Independent runs with derived per-trial seeds.
 
     Trial t uses device seed derive_seed(master, t, 1) and source seed
@@ -511,8 +507,7 @@ def monte_carlo(device_factory: Callable[[int], Device],
     for t in range(trials):
         device = device_factory(derive_seed(master_seed, t, 1))
         source = source_factory(derive_seed(master_seed, t, 2))
-        run = run_protocol(device, source, params, functional=functional,
-                           keep_transcript=t == 0)
+        run = run_protocol(device, source, params, keep_transcript=t == 0)
         if t == 0:
             first_run = run
         rows.append({"trial": t, "Ln": run.bell_average,
@@ -538,7 +533,7 @@ def write_transcript(run: ProtocolRun, path, config_hash: str = "",
     with open(path, "w") as fh:
         header = {"type": "header", "version": FORMAT_VERSION,
                   "package_version": package_version,
-                  "config_hash": config_hash, "params": run.params,
+                  "config_hash": config_hash, "params": run.params.to_dict(),
                   "device": run.device_spec, "source": run.source_spec}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for i, (u1, u2, x1, x2) in enumerate(run.records, start=1):
@@ -611,38 +606,11 @@ def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
     return header, records, summary
 
 
-def record_counts(records, functional: BellFunctional | None = None
-                  ) -> tuple[int, int]:
-    """(bell_count, target_count) of stored records, via their cell histogram."""
-    if not records:
-        raise ValueError("empty transcript")
+def replay_transcript(params: ProtocolParams, records) -> ProtocolRun:
+    """The run that stored records describe under `params`, recomputed from
+    the records rather than taken from a stored summary.  Its device and
+    source specs are left empty; a transcript header keeps them."""
     hist = [0] * N_CELLS
     for u1, u2, x1, x2 in records:
         hist[var_index(u1, u2, x1, x2)] += 1
-    return _tally(hist, functional or default_functional())
-
-
-def replay_transcript(records, delta: float, mu1: float,
-                      functional: BellFunctional | None = None) -> dict:
-    """Recompute the statistics and verdict of a stored transcript."""
-    bell, tgt = record_counts(records, functional)
-    n = len(records)
-    return {"Ln": bell / n, "Sn": tgt / n,
-            "verdict": _verdict(bell / n, tgt / n, delta, mu1)}
-
-
-def run_from_records(header: dict, records,
-                     functional: BellFunctional | None = None) -> ProtocolRun:
-    """The run a stored transcript describes, with its statistics and verdict
-    recomputed from the records rather than taken from the summary."""
-    f = functional or default_functional()
-    bell_count, target_count = record_counts(records, f)
-    n, p = len(records), header["params"]
-    target_outcomes, target_settings = f.d_target
-    return ProtocolRun(
-        params=p, device_spec=header.get("device", {}),
-        source_spec=header["source"], n=n, bell_count=bell_count,
-        target_count=target_count,
-        verdict=_verdict(bell_count / n, target_count / n, p["delta"], p["mu1"]),
-        target_settings=target_settings, target_outcomes=target_outcomes,
-        records=records)
+    return ProtocolRun(params, {}, {}, hist, records)

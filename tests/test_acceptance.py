@@ -290,18 +290,20 @@ def test_criterion_12_replay_determinism(tmp_path):
     path = tmp_path / "fixture.jsonl"
     write_transcript(run, path, config_hash="fixture")
     header, records, summary = read_transcript(path)
-    redo = replay_transcript(records, params.delta, params.mu1)
-    assert (redo["Ln"], redo["Sn"], redo["verdict"]) == \
+    redo = replay_transcript(params, records)
+    assert (redo.bell_average, redo.target_frequency, redo.verdict) == \
         (summary["Ln"], summary["Sn"], summary["verdict"])
     body = "\n".join(path.read_text().splitlines()[1:])
     digest = hashlib.sha256(body.encode()).hexdigest()
     assert digest == FROZEN_BODY_SHA256
     # an aborted run must also replay identically
     dev2 = make_iid_device(uniform_box(), 3)
-    run2 = run_protocol(dev2, SVSource(0, "unbiased", 4),
-                        ProtocolParams(n=5000))
-    redo2 = replay_transcript(run2.records, 1e-8, 5e-4)
-    assert redo2["verdict"] == run2.verdict == "AbortBell"
+    params2 = ProtocolParams(n=5000)
+    run2 = run_protocol(dev2, SVSource(0, "unbiased", 4), params2)
+    redo2 = replay_transcript(params2, run2.records)
+    assert (redo2.bell_average, redo2.target_frequency, redo2.verdict) == \
+        (run2.bell_average, run2.target_frequency, run2.verdict)
+    assert redo2.verdict == "AbortBell"
     report(12, f"stored and replayed (Ln, Sn, verdict) identical for accepted"
                f" and aborted runs; transcript body digest {digest[:12]}... "
                f"matches the frozen fixture (second-platform comparison "

@@ -4,11 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randamp.bounds import (MartingaleTrace, azuma_bound, azuma_empirical,
-                            chernoff_bound, chernoff_empirical,
-                            linear_fraction, markov_split_epsilon,
-                            qualifying_round_count, relative_entropy,
-                            settings_tail_empirical)
+from randamp.bounds import (azuma_bound, azuma_empirical, chernoff_bound,
+                            chernoff_empirical, linear_fraction,
+                            markov_split_epsilon, qualifying_round_count,
+                            relative_entropy, settings_tail_empirical)
 
 
 def test_azuma_bound_values():
@@ -39,16 +38,6 @@ def test_azuma_empirical_deterministic_zero():
 def test_azuma_empirical_markov():
     r = azuma_empirical(("markov", 0.3, 0.7), n=800, s=0.15, trials=5000, seed=3)
     assert r["empirical"] <= r["bound"] + r["slack"]
-
-
-def test_martingale_trace_validation():
-    with pytest.raises(ValueError):
-        MartingaleTrace(np.array([1, 0]), np.array([0.5]))
-    with pytest.raises(ValueError):
-        MartingaleTrace(np.array([1]), np.array([1.5]))
-    tr = MartingaleTrace(np.array([1, 0, 1, 1]), np.array([0.5] * 4))
-    assert tr.empirical_average() == 0.75
-    assert tr.conditional_average() == 0.5
 
 
 def test_linear_fraction_all_equal():

@@ -416,6 +416,34 @@ def test_report_plain(runner, tmp_path):
         assert key in rep
 
 
+def test_report_q_acc_is_an_acceptance_probability(runner, tmp_path):
+    cfg = write_config(tmp_path, SMALL_SIM)
+    report = ["report", "--config", cfg, "--out", str(tmp_path)]
+    for q_acc in ("0", "-1", "1.5", "1e6", "nan"):
+        res = runner.invoke(main, report + ["--q-acc", q_acc])
+        assert res.exit_code == 2, (q_acc, res.output)
+        assert "error: q_acc: " in res.output
+    plain = runner.invoke(main, report)
+    assert runner.invoke(main, report + ["--q-acc", "1"]).output == plain.output
+    res = runner.invoke(main, report + ["--q-acc", "0.5"])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    bias = math.sqrt(rep["delta1"] / 0.5)
+    assert rep["q_acc"] == 0.5
+    assert rep["output_bias_bound"] == min(1.0, bias)
+    assert rep["guarantee_probability"] == max(0.0, 1.0 - bias)
+
+
+def test_out_that_cannot_be_created_exits_2(runner, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for args in (["report", "--out", str(afile)],
+                 ["verify-bounds", "--out", str(afile / "sub")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert "error: cannot create output directory" in res.output
+
+
 def test_verify_bounds_reports_a_failed_check(runner, tmp_path, monkeypatch):
     """A bound patched to 0 fails its rows, which print the measured
     frequency, and exits 1, also under python -O (it strips asserts)."""

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -10,7 +11,7 @@ from randamp.extractor import (ExtractorConfig, encode_outcome_bits, extract,
                                max_sequence_probability_product,
                                sequence_probability_bound,
                                transcript_to_source, uniformity_test)
-from randamp.protocol import ProtocolRun
+from randamp.protocol import ProtocolParams, replay_transcript
 
 
 def bits(s):
@@ -92,6 +93,35 @@ def test_correlated_inputs_show_bias():
     assert bias > 0.03
 
 
+def test_extract_matches_the_rotation_definition():
+    """bit j = sum_i x_i t_((i + j) mod L) mod 2 on the inputs padded or
+    truncated to L, with inputs longer and shorter than L, so the wrapped
+    part of the rotation is exercised."""
+    rng = Random(21)
+    for _ in range(300):
+        L = rng.randint(1, 400)
+        m = rng.randint(1, min(L, 40))
+        x = [rng.randrange(2) for _ in range(rng.randint(0, 500))]
+        t = [rng.randrange(2) for _ in range(rng.randint(0, 500))]
+        xp, tp = (v[:L] + [0] * (L - len(v[:L])) for v in (x, t))
+        want = [sum(xp[i] & tp[(i + j) % L] for i in range(L)) & 1
+                for j in range(m)]
+        assert extract(x, t, ExtractorConfig(m=m, L=L)) == want
+
+
+def test_extract_cost_does_not_grow_with_L():
+    """Inputs of at most 300 bits meet no wrapped bit at L = 400 or at
+    L = 10^9, so both give the same output, and the huge L costs nothing."""
+    rng = Random(22)
+    for _ in range(20):
+        x = [rng.randrange(2) for _ in range(rng.randint(1, 300))]
+        t = [rng.randrange(2) for _ in range(rng.randint(1, 300))]
+        start = time.perf_counter()
+        huge = extract(x, t, ExtractorConfig(m=32, L=10 ** 9))
+        assert time.perf_counter() - start < 1.0
+        assert huge == extract(x, t, ExtractorConfig(m=32, L=400))
+
+
 def test_batch_matches_bitlist():
     rng = Random(77)
     cfg = ExtractorConfig(m=8, L=64)
@@ -108,11 +138,9 @@ def test_batch_matches_bitlist():
 
 
 def _accepted_run(records):
-    return ProtocolRun(params={}, device_spec={}, source_spec={},
-                       n=len(records), bell_count=0,
-                       target_count=sum(1 for r in records if r == (1, 2, 1, 3)),
-                       verdict="Accept", target_settings=(1, 2),
-                       target_outcomes=(1, 3), records=records)
+    """The run of `records` at delta = 1, so its Bell test passes."""
+    params = ProtocolParams(n=len(records), delta=1.0, enforce_bounds=False)
+    return replay_transcript(params, records)
 
 
 def test_transcript_to_source_rules():
@@ -126,9 +154,9 @@ def test_transcript_to_source_rules():
 
 
 def test_transcript_to_source_requires_accept():
-    run = _accepted_run([(1, 2, 1, 3)])
-    run.verdict = "AbortBell"
-    with pytest.raises(ValueError):
+    run = _accepted_run([(3, 3, 1, 1)])     # no target round: aborted
+    assert run.verdict == "AbortTomography"
+    with pytest.raises(ValueError, match="accepted run"):
         transcript_to_source(run, "target_rounds")
 
 

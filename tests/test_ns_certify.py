@@ -5,8 +5,7 @@ import pytest
 from randamp.boxes import bell_value_exact, validate_behavior
 from randamp.ks_bell import build_bell_functional, build_ks_model
 from randamp.ns_certify import (DualCertificate, build_lp, max_target_box,
-                                randomness_bound, solve_lp,
-                                var_index, verify_certificate,
+                                solve_lp, var_index, verify_certificate,
                                 zero_target_box)
 
 
@@ -37,8 +36,6 @@ def test_problem_shape(lp_zero):
 def test_build_lp_rejects_bad_inputs(functional):
     with pytest.raises(ValueError):
         build_lp(functional, -1)
-    with pytest.raises(ValueError):
-        build_lp(functional, 0, target=((0, 1), (1, 2)))
 
 
 def test_optimum_at_zero_cap_is_three_quarters(sol_zero, lp_zero):
@@ -121,15 +118,3 @@ def test_weak_duality_on_feasible_points(functional, sol_zero):
     box, val = max_target_box(functional, Fraction(1, 10))
     assert val <= Fraction(3, 4) + Fraction(1, 20)
     assert sol_zero.certificate.bound >= Fraction(3, 4)
-
-
-def test_randomness_bound_values():
-    assert randomness_bound(0.0, 0.0) == 0.75
-    assert randomness_bound(0.05 * 0.5 ** 8, 0.0) == pytest.approx(0.775)
-    saturation = 0.5 ** 8 / 2
-    assert randomness_bound(saturation, 0.0) == pytest.approx(1.0)
-    assert randomness_bound(2 * saturation, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        randomness_bound(0.1, 0.5)
-    with pytest.raises(ValueError):
-        randomness_bound(-0.1, 0.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from randamp.boxes import (bell_value, depolarize, ideal_quantum_box,
                            make_iid_device, uniform_box)
+from randamp.cli import build_device_factory
 from randamp.ks_bell import build_bell_functional, build_ks_model
 from randamp.ns_certify import max_target_box, zero_target_box
 from randamp.protocol import (ProtocolParams, dc_distance, default_functional,
@@ -112,10 +113,9 @@ def test_verdict_recomputable_from_transcript(ideal):
     dev = make_iid_device(ideal, seed=31)
     src = SVSource(0, "unbiased", seed=32)
     run = run_protocol(dev, src, params)
-    redo = replay_transcript(run.records, delta=params.delta, mu1=params.mu1)
-    assert redo["Ln"] == run.bell_average
-    assert redo["Sn"] == run.target_frequency
-    assert redo["verdict"] == run.verdict
+    redo = replay_transcript(params, run.records)
+    assert (redo.bell_average, redo.target_frequency, redo.verdict) == \
+        (run.bell_average, run.target_frequency, run.verdict)
 
 
 def test_transcript_file_roundtrip(tmp_path, ideal):
@@ -131,9 +131,36 @@ def test_transcript_file_roundtrip(tmp_path, ideal):
     assert header["source"] == {"epsilon": 0.0, "strategy": "unbiased", "seed": 42}
     assert records == run.records
     assert summary["verdict"] == run.verdict
-    redo = replay_transcript(records, params.delta, params.mu1)
-    assert (redo["Ln"], redo["Sn"], redo["verdict"]) == \
+    redo = replay_transcript(params, records)
+    assert (redo.bell_average, redo.target_frequency, redo.verdict) == \
         (summary["Ln"], summary["Sn"], summary["verdict"])
+
+
+DEVICE_SPECS = [{"kind": "ideal"}, {"kind": "uniform"},
+                {"kind": "depolarized", "eta": 0.5}, {"kind": "lp_attack_zero"},
+                {"kind": "switch_after", "k": 3},
+                {"kind": "history_trigger", "pattern": [[1, 2], [1, 2]]}]
+
+
+@pytest.mark.parametrize("spec", DEVICE_SPECS, ids=lambda s: s["kind"])
+def test_histogram_is_the_run(spec):
+    """The round loop's inlined cell index against `var_index` in
+    `replay_transcript`: both histograms, and so every statistic and the
+    verdict, agree for each device kind and source strategy."""
+    device_factory = build_device_factory(spec)
+    for eps, strategy in ((0.0, "unbiased"), (0.05, ["avoid_target"])):
+        for n in (1, 7, 20_000):
+            params = ProtocolParams(n=n, eps=eps)
+            run = run_protocol(device_factory(n), SVSource(eps, strategy, n),
+                               params)
+            redo = replay_transcript(params, run.records)
+            assert run.hist == redo.hist and sum(run.hist) == n
+            assert (run.n, run.bell_count, run.target_count,
+                    run.bell_average, run.target_frequency, run.verdict) == \
+                (redo.n, redo.bell_count, redo.target_count,
+                 redo.bell_average, redo.target_frequency, redo.verdict)
+            if spec["kind"] == "uniform" and eps == 0 and n == 20_000:
+                assert min(run.hist) > 0      # every cell is reached
 
 
 def test_read_transcript_rejects_malformed(tmp_path):
