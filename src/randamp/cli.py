@@ -10,10 +10,10 @@ protocol claim falsified), 2 usage or I/O error.  CI can therefore tell
 falsification apart from breakage.  A config and a transcript header are
 read by the same parsers (`protocol.parse_params`, `parse_source`,
 `parse_header`), so any malformed field of either exits 2 with a message
-naming its JSON path.  `replay`, `report --run-file` and `extract` share one
-transcript loader, which rebuilds the run from its records through
-`protocol.replay_transcript`; an output directory that cannot be created
-exits 2 as well.
+naming its JSON path.  `replay`, `report --run-file` and `extract` load a
+transcript only through `protocol.read_transcript`, which returns the run
+rebuilt from its records; a file in any other layout exits 2, and so does
+an output directory that cannot be created.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from .boxes import (depolarize, ideal_quantum_box, make_adversarial_device,
 from .extractor import output_hex
 from .ks_bell import build_bell_functional, build_ks_model
 from .ns_certify import build_lp, solve_lp, verify_certificate, zero_target_box
-from .protocol import (ProtocolRun, extract_output, monte_carlo, parse_header,
-                       parse_int, parse_params, parse_real, parse_source,
-                       read_transcript, replay_transcript, security_report,
-                       write_transcript)
+from .protocol import (ProtocolRun, extract_output, monte_carlo, parse_int,
+                       parse_params, parse_real, parse_source,
+                       read_transcript, security_report, write_transcript)
 from .sv_source import BITS_PER_ROUND, DEFAULT_MAP, SVSource
 
 EXIT_OK = 0
@@ -71,12 +70,9 @@ def _outdir(outdir: str | None) -> Path:
 
 
 def _load_run(path: str) -> tuple[dict, SVSource, ProtocolRun, dict]:
-    """Header, rebuilt source, replayed run and stored summary of a
-    transcript file; one that cannot be read or is malformed exits 2."""
+    """`read_transcript(path)`; a file it cannot read or rejects exits 2."""
     try:
-        header, records, summary = read_transcript(path)
-        params, source = parse_header(header)
-        return header, source, replay_transcript(params, records), summary
+        return read_transcript(path)
     except (OSError, ValueError) as e:
         _fail_usage(str(e))
 

@@ -10,10 +10,12 @@ over it: the Bell test (the empirical indicator average must not exceed
 delta) and then, only if it passed, the tomographic test (the empirical
 frequency of the target cell must reach mu1).  Both aborts are verdicts,
 not errors.  `replay_transcript` is the one path from stored records back
-to a run.  On acceptance of a run whose transcript is kept, n further bits
-are drawn from the same source (the stream positions of setting draws and
-extraction draws are disjoint by construction) and fed to the two-source
-extractor together with the selected transcript bits.
+to a run; `read_transcript`, the one loader, reads in one pass the one
+layout `write_transcript` writes.  On acceptance of a run whose transcript
+is kept, n further bits are drawn from the same source (the stream
+positions of setting draws and extraction draws are disjoint by
+construction) and fed to the two-source extractor together with the
+selected transcript bits.
 
 The parameter constraints mirror the derived security chain: for source
 parameter eps and thresholds (mu1, kappa) with 0 < kappa < mu1/2 the Bell
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -525,9 +528,16 @@ def monte_carlo(device_factory: Callable[[int], Device],
 # --- transcript files -----------------------------------------------------
 
 
+# A record line, written by this string and read by this pattern only: round
+# number i = 1, 2, ..., settings 1..9, outcomes 1..4.
+_RECORD_LINE = '{"i": %d, "u": [%d, %d], "x": [%d, %d]}\n'
+_RECORD_PATTERN = re.compile(
+    r'\{"i": ([1-9][0-9]*), "u": \[([1-9]), ([1-9])\], "x": \[([1-4]), ([1-4])\]\}\n')
+
+
 def write_transcript(run: ProtocolRun, path, config_hash: str = "",
                      package_version: str = "") -> None:
-    """JSON Lines: header, one record per round, summary."""
+    """JSON Lines: a header, one `_RECORD_LINE` per round, a summary."""
     if run.records is None:
         raise ValueError("run has no kept transcript")
     with open(path, "w") as fh:
@@ -537,7 +547,7 @@ def write_transcript(run: ProtocolRun, path, config_hash: str = "",
                   "device": run.device_spec, "source": run.source_spec}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for i, (u1, u2, x1, x2) in enumerate(run.records, start=1):
-            fh.write(json.dumps({"i": i, "u": [u1, u2], "x": [x1, x2]}) + "\n")
+            fh.write(_RECORD_LINE % (i, u1, u2, x1, x2))
         summary = {"type": "summary", "Ln": run.bell_average,
                    "Sn": run.target_frequency, "verdict": run.verdict}
         if run.output_bits is not None:
@@ -546,64 +556,55 @@ def write_transcript(run: ProtocolRun, path, config_hash: str = "",
         fh.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
-def read_transcript(path) -> tuple[dict, list[tuple[int, int, int, int]], dict]:
-    """Header, records and summary of a transcript file.
+def _tagged(path, line_no: int, line: str, kind: str, want: str) -> dict:
+    """The JSON object on a transcript line if its "type" is `kind`."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as e:   # RecursionError: nesting too deep
+        raise ValueError(f"{path}:{line_no}: malformed JSON: {e}") from e
+    if not (isinstance(obj, dict) and obj.get("type") == kind):
+        raise ValueError(f"{path}:{line_no}: needs {want}")
+    return obj
 
-    The file is untrusted.  A file without a header, a summary or round
-    records, a line that is not a JSON object, a record whose `i` breaks the
-    sequence 1, 2, ..., whose settings are not ints in 1..9 or outcomes not
-    ints in 1..4, a header of another format version or one `parse_header`
-    rejects (the rules a config is read by), a record count other than n,
-    or a summary without Ln, Sn and verdict raises
-    ValueError("<path>[:<line>]: ...").
+
+def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
+    """Header, source at stream position 0, run recomputed from the records
+    by `replay_transcript`, and stored summary of a transcript file.
+
+    The file is untrusted.  Read in one pass, it must have the layout
+    `write_transcript` writes: the header, the k-th record as `_RECORD_LINE`
+    with i = k, one summary, the end of the file.  Then its format version,
+    `parse_header` (the rules a config is read by), n against the record
+    count and the summary's Ln, Sn and verdict are checked.  Any failure
+    raises ValueError("<path>:<line>: ...").
     """
-    header = summary = None
     records = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            # RecursionError: nesting too deep for the parser
-            except (ValueError, RecursionError) as e:
-                raise ValueError(f"{path}:{line_no}: malformed JSON: {e}") from e
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{line_no}: not a JSON object")
-            if obj.get("type") == "header":
-                header, header_line = obj, line_no
-            elif obj.get("type") == "summary":
-                summary, summary_line = obj, line_no
-            else:
-                i, u, x = obj.get("i"), obj.get("u"), obj.get("x")
-                if not (type(i) is int and i == len(records) + 1):
-                    raise ValueError(f"{path}:{line_no}: record 'i' is {i!r},"
-                                     f" expected {len(records) + 1}")
-                if not (isinstance(u, list) and isinstance(x, list)
-                        and len(u) == len(x) == 2
-                        and type(u[0]) is type(u[1]) is type(x[0]) is type(x[1]) is int
-                        and 1 <= u[0] <= 9 and 1 <= u[1] <= 9
-                        and 1 <= x[0] <= 4 and 1 <= x[1] <= 4):
-                    raise ValueError(
-                        f"{path}:{line_no}: record needs 'u' (two ints in 1..9)"
-                        " and 'x' (two ints in 1..4)")
-                records.append((u[0], u[1], x[0], x[1]))
-    if header is None or summary is None or not records:
-        raise ValueError(f"{path}: missing header, summary or round records")
+        header = _tagged(path, 1, next(fh, ""), "header", "the header")
+        for line_no, line in enumerate(fh, start=2):
+            if not (m := _RECORD_PATTERN.fullmatch(line)) or \
+                    m[1] != str(line_no - 1):
+                break
+            records.append((int(m[2]), int(m[3]), int(m[4]), int(m[5])))
+        else:
+            raise ValueError(f"{path}: no summary line")
+        summary = _tagged(path, line_no, line, "summary", f"record"
+                          f" {line_no - 1} in the written form or the summary")
+        if next(fh, None) is not None:
+            raise ValueError(f"{path}:{line_no + 1}: text after the summary")
     if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}:{header_line}: format version "
-                         f"{header.get('version')!r}, expected {FORMAT_VERSION}")
+        raise ValueError(f"{path}:1: format version {header.get('version')!r},"
+                         f" expected {FORMAT_VERSION}")
     try:
-        params, _ = parse_header(header)
+        params, source = parse_header(header)
     except ValueError as e:
-        raise ValueError(f"{path}:{header_line}: {e}") from e
+        raise ValueError(f"{path}:1: {e}") from e
     if params.n != len(records):
-        raise ValueError(f"{path}:{header_line}: header n is {params.n}"
+        raise ValueError(f"{path}:1: header n is {params.n}"
                          f" but the file has {len(records)} records")
     if not all(k in summary for k in ("Ln", "Sn", "verdict")):
-        raise ValueError(f"{path}:{summary_line}: summary needs Ln, Sn and verdict")
-    return header, records, summary
+        raise ValueError(f"{path}:{line_no}: summary needs Ln, Sn and verdict")
+    return header, source, replay_transcript(params, records), summary
 
 
 def replay_transcript(params: ProtocolParams, records) -> ProtocolRun:

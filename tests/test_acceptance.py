@@ -289,8 +289,7 @@ def test_criterion_12_replay_determinism(tmp_path):
     run = run_protocol(dev, src, params)
     path = tmp_path / "fixture.jsonl"
     write_transcript(run, path, config_hash="fixture")
-    header, records, summary = read_transcript(path)
-    redo = replay_transcript(params, records)
+    _, _, redo, summary = read_transcript(path)
     assert (redo.bell_average, redo.target_frequency, redo.verdict) == \
         (summary["Ln"], summary["Sn"], summary["verdict"])
     body = "\n".join(path.read_text().splitlines()[1:])

@@ -256,7 +256,22 @@ def test_replay_malformed_file(runner, tmp_path):
                  _transcript_text(record={"u": [1, 1], "x": [1, 1]}),
                  _transcript_text(record={"i": True, "u": [1, 1], "x": [1, 1]}),
                  # nesting too deep for the JSON parser
-                 "[" * 200_000 + "]" * 200_000 + "\n"):
+                 "[" * 200_000 + "]" * 200_000 + "\n",
+                 # a record in any form but the written one
+                 _transcript_text().replace('{"i": 1, "u": [1, 1], "x": [1, 1]}',
+                                            '{"i":1,"u":[1,1],"x":[1,1]}'),
+                 _transcript_text(record={"u": [1, 1], "i": 1, "x": [1, 1]}),
+                 _transcript_text(record={"i": 1, "u": [1, 1], "x": [1, 1],
+                                          "t": 0}),
+                 # a blank line, a second summary or a second header
+                 _transcript_text().replace('\n{"type": "summary"',
+                                            '\n\n{"type": "summary"'),
+                 _transcript_text(summary={"type": "summary", "Ln": 0.0,
+                                           "Sn": 1.0, "verdict": "Accept"})
+                 + json.dumps({"type": "summary", "Ln": 0.0, "Sn": 0.0,
+                               "verdict": "AbortTomography"}) + "\n",
+                 _transcript_text().replace('"seed": 0', '"seed": 1')
+                 .splitlines(True)[0] + _transcript_text()):
         bad.write_text(text)
         res = runner.invoke(main, ["replay", str(bad)])
         assert res.exit_code == 2, res.output

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -126,14 +127,19 @@ def test_transcript_file_roundtrip(tmp_path, ideal):
     run = run_protocol(dev, src, params)
     path = tmp_path / "run.jsonl"
     write_transcript(run, path, config_hash="abc123")
-    header, records, summary = read_transcript(path)
+    header, source, redo, summary = read_transcript(path)
     assert header["config_hash"] == "abc123"
     assert header["source"] == {"epsilon": 0.0, "strategy": "unbiased", "seed": 42}
-    assert records == run.records
+    assert redo.params == params
+    assert (redo.hist, redo.records) == (run.hist, run.records)
     assert summary["verdict"] == run.verdict
-    redo = replay_transcript(params, records)
     assert (redo.bell_average, redo.target_frequency, redo.verdict) == \
         (summary["Ln"], summary["Sn"], summary["verdict"])
+    # the source is rebuilt at stream position 0
+    assert source.spec() == run.source_spec
+    spec = run.source_spec
+    assert source.next_block(8) == \
+        SVSource(spec["epsilon"], spec["strategy"], spec["seed"]).next_block(8)
 
 
 DEVICE_SPECS = [{"kind": "ideal"}, {"kind": "uniform"},
@@ -215,6 +221,23 @@ def test_read_transcript_raises_only_value_error(tmp_path_factory, text):
         read_transcript(path)
     except ValueError:
         pass
+
+
+def test_read_transcript_accepts_only_the_written_order(tmp_path):
+    """Of every sequence of 1 to 5 lines drawn from the well-formed
+    transcript's lines (1364 files), only the well-formed order loads."""
+    lines = [json.dumps(obj) + "\n" for obj in _WELL_FORMED]
+    path = tmp_path / "order.jsonl"
+    loaded = []
+    for k in range(1, 6):
+        for seq in itertools.product(range(len(lines)), repeat=k):
+            path.write_text("".join(lines[j] for j in seq))
+            try:
+                read_transcript(path)
+            except ValueError:
+                continue
+            loaded.append(seq)
+    assert loaded == [tuple(range(len(lines)))]
 
 
 def test_expected_tomography_rate(ideal, functional):
