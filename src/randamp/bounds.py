@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .sv_source import DEFAULT_MAP, SettingMap, make_strategy, _as_fraction
+from .ks_bell import TARGET_SETTINGS
+from .sv_source import DEFAULT_MAP, make_strategy, _as_fraction
 
 
 def azuma_bound(n: int, s: float) -> float:
@@ -177,11 +178,10 @@ def chernoff_empirical(n: int, gamma: float, zeta: float, trials: int,
 
 
 def settings_tail_empirical(eps, strategy_spec, n: int, gamma: float,
-                            trials: int, seed: int = 0,
-                            mapping: SettingMap = DEFAULT_MAP,
-                            target: tuple[int, int] = (1, 2)) -> dict:
-    """Tail of "target setting missed in >= gamma n rounds" under a
-    source-driven settings stream, against exp(-n D(gamma||zeta)).
+                            trials: int, seed: int = 0) -> dict:
+    """Tail of "tomography target `ks_bell.TARGET_SETTINGS` missed in
+    >= gamma n rounds" under a source-driven settings stream, against
+    exp(-n D(gamma||zeta)).
 
     zeta = 1 - (1/2 - eps)^8.  The stream is simulated vectorized, 8 steps
     down the block tree per round, from the same `Strategy.floats` table the
@@ -190,7 +190,8 @@ def settings_tail_empirical(eps, strategy_spec, n: int, gamma: float,
     epsf = _as_fraction(eps)
     zeta = float(1 - (1 - 2 * epsf) ** 8 / 256)   # 1 - (1/2-eps)^8, exactly
     rows = np.array(make_strategy(strategy_spec, epsf).floats)
-    is_miss = np.array([mapping.map_block(v) != tuple(target) for v in range(256)])
+    is_miss = np.array([DEFAULT_MAP.map_block(v) != TARGET_SETTINGS
+                        for v in range(256)])
     rng = np.random.default_rng(seed)
     misses = np.zeros(trials, dtype=np.int64)
     for i in range(n):

@@ -22,7 +22,6 @@ are drawn.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from collections import deque
@@ -55,35 +54,12 @@ class Behavior:
             raise ValueError("behavior has no exact table")
         return self.exact[u[0] - 1, u[1] - 1, x[0] - 1, x[1] - 1]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"settings": N_SETTINGS, "outcomes": N_OUTCOMES,
-             "table": self.table.reshape(-1).tolist(),
-             "meta": self.meta or {}},
-            sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "Behavior":
-        obj = json.loads(text)
-        if obj["settings"] != N_SETTINGS or obj["outcomes"] != N_OUTCOMES:
-            raise ValueError("unsupported behavior shape")
-        table = np.array(obj["table"], dtype=float).reshape(
-            N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES)
-        return Behavior(table=table, meta=obj.get("meta") or None)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     max_normalization_residual: float
     max_signaling_residual: float
-
-
-def _exact_to_float(exact: np.ndarray) -> np.ndarray:
-    return np.array([[[[float(exact[a, b, c, d]) for d in range(N_OUTCOMES)]
-                       for c in range(N_OUTCOMES)]
-                      for b in range(N_SETTINGS)]
-                     for a in range(N_SETTINGS)], dtype=float)
 
 
 def ideal_quantum_box(model: KSModel) -> Behavior:
@@ -103,7 +79,7 @@ def ideal_quantum_box(model: KSModel) -> Behavior:
                     num = model.inner(a, b) ** 2
                     den = 4 * model.norm_sq(a) * model.norm_sq(b)
                     exact[u1 - 1, u2 - 1, x1 - 1, x2 - 1] = Fraction(num, den)
-    return Behavior(table=_exact_to_float(exact), exact=exact,
+    return Behavior(table=exact.astype(float), exact=exact,
                     meta={"kind": "ideal"})
 
 
@@ -124,17 +100,11 @@ def deterministic_behavior(alice: tuple[int, ...], bob: tuple[int, ...]) -> Beha
 
 
 def depolarize(b: Behavior, eta: float) -> Behavior:
-    """Mix with white noise: (1-eta) * b + eta * uniform(1/16)."""
+    """Mix with white noise: (1-eta) * b + eta * uniform(1/16).  The mix is
+    a float table only: a float eta has no exact table to match."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"noise weight must be in [0,1], got {eta}")
-    table = (1.0 - eta) * b.table + eta / 16.0
-    exact = None
-    if b.exact is not None:
-        ef = Fraction(eta).limit_denominator(10 ** 12)
-        exact = np.empty_like(b.exact)
-        for idx in np.ndindex(exact.shape):
-            exact[idx] = (1 - ef) * b.exact[idx] + ef * Fraction(1, 16)
-    return Behavior(table=table, exact=exact,
+    return Behavior(table=(1.0 - eta) * b.table + eta / 16.0,
                     meta={"kind": "depolarized", "eta": eta,
                           "base": (b.meta or {}).get("kind")})
 
@@ -154,40 +124,22 @@ def validate_behavior(b: Behavior, tol: float = 1e-12) -> ValidationReport:
                             max_signaling_residual=sig_res)
 
 
-def _measure_array(measure) -> np.ndarray | None:
-    """Normalize the measure argument to a (9,9) weight array, or None for
-    the counting measure (raw indicator sum)."""
-    if measure is None or (isinstance(measure, str) and measure == "uniform"):
-        return np.full((N_SETTINGS, N_SETTINGS), 1.0 / 81.0)
-    if isinstance(measure, str):
-        if measure == "counting":
-            return None
-        raise ValueError(f"unknown measure {measure!r}")
-    if isinstance(measure, dict):
-        arr = np.zeros((N_SETTINGS, N_SETTINGS))
-        for (u1, u2), w in measure.items():
-            arr[u1 - 1, u2 - 1] = w
-    else:
-        arr = np.asarray(measure, dtype=float)
-        if arr.shape != (N_SETTINGS, N_SETTINGS):
-            raise ValueError("measure must have shape (9, 9)")
-    if abs(arr.sum() - 1.0) > 1e-9:
-        raise ValueError("measure is not normalized")
-    return arr
-
-
 def bell_value(b: Behavior, f: BellFunctional, measure=None) -> float:
     """sum_u nu(u) sum_x B(x,u) P(x|u).
 
-    measure: None/"uniform" for equal setting weights, "counting" for the
-    raw indicator sum, or an explicit (9,9) array / {(u1,u2): w} dict.
+    measure: the setting weights nu, None for equal weights or a normalized
+    (9,9) array.
     """
-    arr = _measure_array(measure)
+    if measure is None:
+        nu = np.full((N_SETTINGS, N_SETTINGS), 1.0 / 81.0)
+    else:
+        nu = np.asarray(measure, dtype=float)
+        if nu.shape != (N_SETTINGS, N_SETTINGS):
+            raise ValueError("measure must have shape (9, 9)")
+        if abs(nu.sum() - 1.0) > 1e-9:
+            raise ValueError("measure is not normalized")
     ind = f.indicator_array().astype(float)     # (u1,u2,x1,x2)
-    per_setting = (ind * b.table).sum(axis=(2, 3))
-    if arr is None:
-        return float(per_setting.sum())
-    return float((per_setting * arr).sum())
+    return float(((ind * b.table).sum(axis=(2, 3)) * nu).sum())
 
 
 def bell_value_exact(b: Behavior, f: BellFunctional) -> Fraction:

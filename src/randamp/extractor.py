@@ -3,9 +3,9 @@
 The extractor is the classical inner-product construction: output bit j is
 the parity of x AND (t cyclically left-shifted by j).  It is deterministic,
 bilinear in both arguments, and balanced over a uniform t for any fixed
-nonzero x.  One integer core computes it for bit lists and packed words
-alike, with one bit order: position i of a bit list is bit i of its
-integer, so shifting the list left by j is a right rotation of the integer.
+nonzero x.  It packs each bit list into one integer, with one bit order:
+position i of a bit list is bit i of its integer, so shifting the list left
+by j is a right rotation of the integer.
 Its guarantee needs two *independent* sources whose min-entropy
 rates satisfy  rate(x) + rate(t) > 1 + (2 log2(1/xi) + m) / L  for output
 error xi; the validity of that condition is recorded in every extraction
@@ -86,16 +86,6 @@ def extract(x_bits, t_bits, cfg: ExtractorConfig) -> list[int]:
                            cfg.L, cfg.m)
 
 
-def extract_u64_batch(x_words: np.ndarray, t_words: np.ndarray, m: int) -> np.ndarray:
-    """`extract` with L = 64 on packed words, one output row per word pair."""
-    if m > 64:
-        raise ValueError("packed variant supports m <= 64")
-    x = np.asarray(x_words, dtype=np.uint64).tolist()
-    t = np.asarray(t_words, dtype=np.uint64).tolist()
-    return np.array([_inner_products(a, b, 64, m) for a, b in zip(x, t)],
-                    dtype=np.uint8).reshape(-1, m)
-
-
 def output_hex(bits) -> str:
     """Hex form of an output bit list, first bit most significant."""
     return f"{int(''.join(map(str, bits)), 2):0{(len(bits) + 3) // 4}x}"
@@ -128,22 +118,20 @@ def transcript_to_source(run, rule: str = "target_rounds") -> list[int]:
 
 def extraction_report(x_len: int, t_len: int, cfg: ExtractorConfig,
                       honest_rate_x: float, rate_t: float,
-                      certified_rate_x: float | None = None) -> dict:
+                      certified_rate_x: float) -> dict:
     """Record the rate condition rate_x + rate_t > 1 + (2 log2(1/xi) + m)/L
-    under honest accounting and (when given) certified worst-case accounting.
+    under honest accounting and under certified worst-case accounting.
     """
     need = 1.0 + (2.0 * log2(1.0 / cfg.xi) + cfg.m) / cfg.L
-    rep = {
+    return {
         "m": cfg.m, "L": cfg.L, "rule": cfg.rule, "xi": cfg.xi,
         "x_bits_available": x_len, "t_bits_available": t_len,
         "rate_required_sum": need,
         "honest_rate_x": honest_rate_x, "rate_t": rate_t,
         "honest_condition_met": honest_rate_x + rate_t > need,
+        "certified_rate_x": certified_rate_x,
+        "certified_condition_met": certified_rate_x + rate_t > need,
     }
-    if certified_rate_x is not None:
-        rep["certified_rate_x"] = certified_rate_x
-        rep["certified_condition_met"] = certified_rate_x + rate_t > need
-    return rep
 
 
 def uniformity_test(outputs, m: int) -> dict:

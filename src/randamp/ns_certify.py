@@ -118,12 +118,10 @@ class DualCertificate:
 
 @dataclass
 class LPSolution:
-    optimum: float
     exact_optimum: Fraction
     primal: Behavior
     certificate: DualCertificate
     certified_equality: bool
-    sense: str
 
 
 def build_lp(f: BellFunctional, delta_tilde) -> LPProblem:
@@ -264,9 +262,8 @@ def solve_lp(p: LPProblem, sense: str = "max") -> LPSolution:
     primal = Behavior(table=exact.astype(float), exact=exact,
                       meta={"kind": "lp_vertex", "delta_tilde": float(p.delta_tilde),
                             "sense": sense, "certified": True})
-    return LPSolution(optimum=float(value), exact_optimum=value,
-                      primal=primal, certificate=cert,
-                      certified_equality=equal, sense=sense)
+    return LPSolution(exact_optimum=value, primal=primal, certificate=cert,
+                      certified_equality=equal)
 
 
 def max_target_box(f: BellFunctional, delta_tilde=0) -> tuple[Behavior, Fraction]:

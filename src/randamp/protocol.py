@@ -310,19 +310,11 @@ def extract_output(run: ProtocolRun, source: SVSource) -> None:
         honest_rate_x=0.5, rate_t=rate_t, certified_rate_x=certified)
 
 
-def expected_tomography_rate(b: Behavior, measure=None) -> float:
-    """nu(target settings) * P(target outcomes | target settings).
-
-    With measure None the setting distribution induced by uniform bits
-    through the map is used (preimage counting); an explicit (9,9) array is
-    also accepted.
-    """
-    u1t, u2t = TARGET_SETTINGS
-    if measure is None:
-        nu = DEFAULT_MAP.pair_preimage_count((u1t, u2t)) / 2.0 ** BITS_PER_ROUND
-    else:
-        arr = np.asarray(measure, dtype=float)
-        nu = float(arr[u1t - 1, u2t - 1])
+def expected_tomography_rate(b: Behavior) -> float:
+    """nu(target settings) * P(target outcomes | target settings), with nu
+    the setting distribution that uniform bits induce through the map
+    (preimage counting)."""
+    nu = DEFAULT_MAP.pair_preimage_count(TARGET_SETTINGS) / 2.0 ** BITS_PER_ROUND
     return nu * b.prob(TARGET_OUTCOMES, TARGET_SETTINGS)
 
 
@@ -373,9 +365,6 @@ class SecurityReport:
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityReport:
@@ -532,7 +521,7 @@ def monte_carlo(device_factory: Callable[[int], Device],
 # number i = 1, 2, ..., settings 1..9, outcomes 1..4.
 _RECORD_LINE = '{"i": %d, "u": [%d, %d], "x": [%d, %d]}\n'
 _RECORD_PATTERN = re.compile(
-    r'\{"i": ([1-9][0-9]*), "u": \[([1-9]), ([1-9])\], "x": \[([1-4]), ([1-4])\]\}\n')
+    rb'\{"i": ([1-9][0-9]*), "u": \[([1-9]), ([1-9])\], "x": \[([1-4]), ([1-4])\]\}\n')
 
 
 def write_transcript(run: ProtocolRun, path, config_hash: str = "",
@@ -540,7 +529,7 @@ def write_transcript(run: ProtocolRun, path, config_hash: str = "",
     """JSON Lines: a header, one `_RECORD_LINE` per round, a summary."""
     if run.records is None:
         raise ValueError("run has no kept transcript")
-    with open(path, "w") as fh:
+    with open(path, "w", newline="\n") as fh:   # read back as bytes ending b"\n"
         header = {"type": "header", "version": FORMAT_VERSION,
                   "package_version": package_version,
                   "config_hash": config_hash, "params": run.params.to_dict(),
@@ -556,10 +545,11 @@ def write_transcript(run: ProtocolRun, path, config_hash: str = "",
         fh.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
-def _tagged(path, line_no: int, line: str, kind: str, want: str) -> dict:
-    """The JSON object on a transcript line if its "type" is `kind`."""
-    try:
-        obj = json.loads(line)
+def _tagged(path, line_no: int, line: bytes, kind: str, want: str) -> dict:
+    """The JSON object on a transcript line if it is UTF-8 and its "type" is
+    `kind`."""
+    try:    # decoded here: json.loads would guess UTF-16 from b"\xff\xfe"
+        obj = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError) as e:   # RecursionError: nesting too deep
         raise ValueError(f"{path}:{line_no}: malformed JSON: {e}") from e
     if not (isinstance(obj, dict) and obj.get("type") == kind):
@@ -571,19 +561,20 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
     """Header, source at stream position 0, run recomputed from the records
     by `replay_transcript`, and stored summary of a transcript file.
 
-    The file is untrusted.  Read in one pass, it must have the layout
-    `write_transcript` writes: the header, the k-th record as `_RECORD_LINE`
-    with i = k, one summary, the end of the file.  Then its format version,
+    The file is untrusted.  Read in one pass as bytes, with each JSON line
+    decoded as UTF-8, it must have the layout `write_transcript` writes:
+    the header, the k-th record as `_RECORD_LINE` with i = k, one summary,
+    the end of the file.  Then its format version,
     `parse_header` (the rules a config is read by), n against the record
     count and the summary's Ln, Sn and verdict are checked.  Any failure
     raises ValueError("<path>:<line>: ...").
     """
     records = []
-    with open(path) as fh:
-        header = _tagged(path, 1, next(fh, ""), "header", "the header")
+    with open(path, "rb") as fh:
+        header = _tagged(path, 1, next(fh, b""), "header", "the header")
         for line_no, line in enumerate(fh, start=2):
             if not (m := _RECORD_PATTERN.fullmatch(line)) or \
-                    m[1] != str(line_no - 1):
+                    int(m[1]) != line_no - 1:
                 break
             records.append((int(m[2]), int(m[3]), int(m[4]), int(m[5])))
         else:

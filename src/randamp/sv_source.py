@@ -34,15 +34,18 @@ from fractions import Fraction
 from random import Random
 from typing import Callable
 
+from .ks_bell import TARGET_SETTINGS
+
 BITS_PER_PARTY = 4
 BITS_PER_ROUND = 2 * BITS_PER_PARTY
 
 
 def _as_fraction(v) -> Fraction:
-    """Exact conversion; floats convert by their exact binary value."""
+    """Exact conversion; floats convert by their exact binary value.  A bool
+    is not a number here."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, (int, float, str)):
+    if isinstance(v, (int, float, str)) and not isinstance(v, bool):
         return Fraction(v)
     raise TypeError(f"cannot convert {type(v).__name__} to Fraction")
 
@@ -158,7 +161,8 @@ def make_strategy(spec, eps) -> Strategy:
     ("constant_bias", [b1, b2, ...]): bit j has P(0) = 1/2 + b[j mod len(b)],
         for a cycle of any length;
     ("avoid_target",) or ("avoid_target", (u1, u2)): per block, the least
-        mass on the setting pair (default (1, 2));
+        mass on the setting pair (default the tomography target
+        `ks_bell.TARGET_SETTINGS`);
     ("toward_pattern", p): per block, every bit pushed toward the 8-bit p."""
     eps = _as_fraction(eps)
     kind, *args = spec if isinstance(spec, (tuple, list)) else (spec,)
@@ -179,7 +183,7 @@ def make_strategy(spec, eps) -> Strategy:
         return _table(kind, eps, p0_of, cycle // math.gcd(cycle, BITS_PER_ROUND),
                       float_of=lambda p: 0.5 + float(p - HALF))
     if kind == "avoid_target":
-        target = args[0] if args else (1, 2)
+        target = args[0] if args else TARGET_SETTINGS
         if not (isinstance(target, (tuple, list)) and len(target) == 2
                 and all(type(u) is int and 1 <= u <= 9 for u in target)):
             raise ValueError(f"avoid_target needs a setting pair in 1..9,"
@@ -190,8 +194,8 @@ def make_strategy(spec, eps) -> Strategy:
         return _table(kind, eps, lambda r, node: policy[node])
     if kind == "toward_pattern" and args:
         pattern = args[0]
-        if not 0 <= pattern < NODES:
-            raise ValueError("pattern must be an 8-bit value")
+        if not (type(pattern) is int and 0 <= pattern < NODES):
+            raise ValueError(f"pattern must be an int in 0..255, got {pattern!r}")
 
         def p0_of(r, node):     # the pattern's bit at this node's depth
             want = (pattern >> (BITS_PER_ROUND - node.bit_length())) & 1
@@ -303,36 +307,20 @@ class SVSource:
 # --- measure bounds and the concentration premise ------------------------
 
 
-def setting_measure_bounds(eps, mapping: SettingMap, u: tuple[int, int]
-                           ) -> tuple[float, float]:
-    """Universal envelope on the probability of drawing setting pair u.
-
-    lower: (1/2-eps)^8, valid because u has at least one 8-bit preimage and
-    any fixed bit string has at least that probability under any strategy.
-    upper: (#preimages) * (1/2+eps)^8.  Only the lower side is used by the
-    randomness bound; the upper side scales with the preimage count because
-    the bit-to-setting map is not injective.
-    """
-    epsf = _as_fraction(eps)
-    lower = (Fraction(1, 2) - epsf) ** BITS_PER_ROUND
-    upper = mapping.pair_preimage_count(u) * (Fraction(1, 2) + epsf) ** BITS_PER_ROUND
-    return float(lower), float(min(upper, 1))
-
-
-def setting_measure_extrema(eps, mapping: SettingMap, u: tuple[int, int]
+def setting_measure_extrema(eps, u: tuple[int, int]
                             ) -> tuple[Fraction, Fraction]:
     """Exact min and max of P(pair = u) over all strategies, by block DP."""
     epsf = _as_fraction(eps)
-    pre = set(mapping.pair_block_preimages(u))
+    pre = set(DEFAULT_MAP.pair_block_preimages(u))
     leaf = lambda v: Fraction(1 if v in pre else 0)
     lo, _ = _tree_extremum(epsf, leaf, minimize=True)
     hi, _ = _tree_extremum(epsf, leaf, minimize=False)
     return lo, hi
 
 
-def sv_chernoff_oracle(eps, mapping: SettingMap = DEFAULT_MAP, k: int = 1,
-                       target: tuple[int, int] = (1, 2)) -> dict:
-    """Exact worst-case probability of avoiding `target` in k chosen rounds.
+def sv_chernoff_oracle(eps, k: int = 1) -> dict:
+    """Exact worst-case probability of avoiding the tomography target
+    `ks_bell.TARGET_SETTINGS` in k chosen rounds.
 
     exact_max = (1 - p_min)^k with p_min the DP-exact least per-round mass
     on the target; zeta_bound = zeta^k, zeta = 1 - (1/2-eps)^8.  The oracle
@@ -342,7 +330,7 @@ def sv_chernoff_oracle(eps, mapping: SettingMap = DEFAULT_MAP, k: int = 1,
     if not 1 <= k <= 20:
         raise ValueError("exact mode supports 1 <= k <= 20")
     epsf = _as_fraction(eps)
-    p_min, _ = setting_measure_extrema(epsf, mapping, target)
+    p_min, _ = setting_measure_extrema(epsf, TARGET_SETTINGS)
     exact_max = (1 - p_min) ** k
     zeta = 1 - (Fraction(1, 2) - epsf) ** BITS_PER_ROUND
     zeta_bound = zeta ** k

@@ -27,7 +27,7 @@ from randamp.bounds import (azuma_empirical, chernoff_empirical,
                             linear_fraction, settings_tail_empirical)
 from randamp.boxes import (bell_value_exact, ideal_quantum_box,
                            make_iid_device, uniform_box, validate_behavior)
-from randamp.extractor import (ExtractorConfig, extract, extract_u64_batch,
+from randamp.extractor import (ExtractorConfig, extract,
                                max_sequence_probability_chained,
                                max_sequence_probability_product,
                                sequence_probability_bound)
@@ -40,7 +40,7 @@ from randamp.protocol import (ProtocolParams, monte_carlo, run_protocol,
                               security_report, write_transcript,
                               read_transcript, replay_transcript)
 from randamp.seeding import derive_seed
-from randamp.sv_source import DEFAULT_MAP, SVSource, sv_chernoff_oracle
+from randamp.sv_source import SVSource, sv_chernoff_oracle
 
 MODEL = build_ks_model()
 FUNCTIONAL = build_bell_functional(MODEL)
@@ -121,7 +121,7 @@ def test_criterion_06_sv_chernoff_premise():
     for eps in (Fraction(0), Fraction(1, 20), Fraction(1, 10),
                 Fraction(1, 5), Fraction(3, 10), Fraction(9, 20)):
         for k in range(1, 11):
-            got = sv_chernoff_oracle(eps, DEFAULT_MAP, k)
+            got = sv_chernoff_oracle(eps, k)
             assert got["exact_max"] <= got["zeta_bound"]       # exact Fractions
             checked += 1
     elapsed = time.perf_counter() - t0
@@ -190,12 +190,20 @@ def test_criterion_08_protocol_campaigns():
               f"{elapsed:.0f}s < 600s")
 
 
+def _word_bits(words):
+    """64-bit words as bit lists: bit i of a list is bit i of its word."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little").tolist()
+
+
 def test_criterion_09_extractor():
     rng = np.random.default_rng(99)
     n = 100_000
     x = rng.integers(0, 2 ** 64, n, dtype=np.uint64)
     t = rng.integers(0, 2 ** 64, n, dtype=np.uint64)
-    out = extract_u64_batch(x, t, 8)
+    cfg64 = ExtractorConfig(m=8, L=64)
+    out = np.array([extract(a, b, cfg64)
+                    for a, b in zip(_word_bits(x), _word_bits(t))])
     biases = np.abs(out.mean(axis=0) - 0.5)
     assert np.all(biases < 0.01)
 

@@ -32,7 +32,7 @@ def ideal(model):
 
 def test_ideal_box_reference_values(ideal, functional):
     assert bell_value_exact(ideal, functional) == 0
-    assert bell_value(ideal, functional, "counting") == 0.0
+    assert 81 * bell_value(ideal, functional) == 0.0
     assert ideal.prob_exact((1, 3), (1, 2)) == Fraction(1, 16)
     assert ideal.prob((1, 3), (1, 2)) == 1 / 16
     # shared vector v4 at (x1,x2) = (4,1) for settings (1,2)
@@ -78,31 +78,39 @@ def test_validate_catches_normalization():
 def test_depolarize_endpoints(ideal, functional):
     assert np.array_equal(depolarize(ideal, 0.0).table, ideal.table)
     assert np.all(depolarize(ideal, 1.0).table == 1 / 16)
+    assert depolarize(ideal, 0.3).exact is None
     with pytest.raises(ValueError):
         depolarize(ideal, 1.5)
 
 
 def test_depolarize_bell_linearity(ideal, functional):
     for eta in (0.1, 0.5, 0.9):
-        got = bell_value(depolarize(ideal, eta), functional, "counting")
+        got = 81 * bell_value(depolarize(ideal, eta), functional)
         assert got == pytest.approx(31.5 * eta, rel=1e-12)
     assert validate_behavior(depolarize(ideal, 0.3)).ok
 
 
 def test_bell_value_uniform_box(functional):
     assert bell_value(uniform_box(), functional) == pytest.approx(504 / (16 * 81))
-    assert bell_value(uniform_box(), functional, "counting") == pytest.approx(31.5)
+    assert 81 * bell_value(uniform_box(), functional) == pytest.approx(31.5)
+
+
+def _point_measure(weight):
+    """Setting weights with `weight` on (1, 1) and 0 elsewhere."""
+    measure = np.zeros((9, 9))
+    measure[0, 0] = weight
+    return measure
 
 
 def test_bell_value_concentrated_measure(functional):
-    measure = {(1, 1): 1.0}
+    measure = _point_measure(1.0)
     got = bell_value(uniform_box(), functional, measure)
     assert got == pytest.approx(12 / 16)
 
 
 def test_bell_value_requires_normalized_measure(functional):
     with pytest.raises(ValueError):
-        bell_value(uniform_box(), functional, {(1, 1): 0.5})
+        bell_value(uniform_box(), functional, _point_measure(0.5))
 
 
 def test_bell_value_linear_in_behavior(ideal, functional):
@@ -216,12 +224,6 @@ def test_tons_responses_do_not_depend_on_future_settings(ideal):
     base = [((k % 9) + 1, ((k * 3) % 9) + 1) for k in range(60)]
     mutated = base[:30] + [(9, 9)] * 30
     assert run(base)[:30] == run(mutated)[:30]
-
-
-def test_behavior_json_roundtrip(ideal):
-    text = ideal.to_json()
-    back = Behavior.from_json(text)
-    assert np.array_equal(back.table, ideal.table)
 
 
 def test_all_module_behaviors_validate(ideal):

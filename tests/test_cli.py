@@ -93,11 +93,13 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
         {"kind": "depolarized"},
         {"kind": "depolarized", "eta": 1.5})]
     # source strategies that cannot be built: too biased for eps, unknown,
-    # and an avoid_target pair outside 1..9
+    # an avoid_target pair outside 1..9, and bools where numbers belong
     biased = dict(SMALL_SIM["protocol"], eps=0.05)
     bad += [dict(SMALL_SIM, protocol=biased, source={"strategy": strategy})
             for strategy in (["constant_bias", [0.2]], ["bogus"],
-                             ["avoid_target", [0, 12]])]
+                             ["avoid_target", [0, 12]],
+                             ["toward_pattern", True],
+                             ["constant_bias", [0.05, False]])]
     for cfg in bad:
         res = runner.invoke(main, ["simulate", "--config", write_config(tmp_path, cfg),
                                    "--out", str(tmp_path / "out")])
@@ -271,8 +273,10 @@ def test_replay_malformed_file(runner, tmp_path):
                  + json.dumps({"type": "summary", "Ln": 0.0, "Sn": 0.0,
                                "verdict": "AbortTomography"}) + "\n",
                  _transcript_text().replace('"seed": 0', '"seed": 1')
-                 .splitlines(True)[0] + _transcript_text()):
-        bad.write_text(text)
+                 .splitlines(True)[0] + _transcript_text(),
+                 # a line that is not UTF-8
+                 _transcript_text().splitlines(True)[0].encode() + b"\xff\xfe\n"):
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         res = runner.invoke(main, ["replay", str(bad)])
         assert res.exit_code == 2, res.output
         assert "bad.jsonl" in res.output

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from randamp.extractor import (ExtractorConfig, encode_outcome_bits, extract,
-                               extract_u64_batch, extraction_report,
+                               extraction_report,
                                max_sequence_probability_chained,
                                max_sequence_probability_product,
                                sequence_probability_bound,
@@ -122,21 +122,6 @@ def test_extract_cost_does_not_grow_with_L():
         assert huge == extract(x, t, ExtractorConfig(m=32, L=400))
 
 
-def test_batch_matches_bitlist():
-    rng = Random(77)
-    cfg = ExtractorConfig(m=8, L=64)
-    xs, ts = [], []
-    for _ in range(50):
-        xs.append(rng.getrandbits(64))
-        ts.append(rng.getrandbits(64))
-    batch = extract_u64_batch(np.array(xs, dtype=np.uint64),
-                              np.array(ts, dtype=np.uint64), 8)
-    for row, xv, tv in zip(batch, xs, ts):
-        x = [(xv >> i) & 1 for i in range(64)]
-        t = [(tv >> i) & 1 for i in range(64)]
-        assert list(row) == extract(x, t, cfg)
-
-
 def _accepted_run(records):
     """The run of `records` at delta = 1, so its Bell test passes."""
     params = ProtocolParams(n=len(records), delta=1.0, enforce_bounds=False)
@@ -181,12 +166,20 @@ def test_extraction_report_rates():
     assert rep["rate_required_sum"] == pytest.approx(1 + (64 + 32) / 256)
 
 
+def _word_bits(words):
+    """64-bit words as bit lists: bit i of a list is bit i of its word."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little").tolist()
+
+
 def test_uniformity_test_fresh_uniform_sources():
     rng = np.random.default_rng(123)
     n = 20_000
     x = rng.integers(0, 2 ** 64, n, dtype=np.uint64)
     t = rng.integers(0, 2 ** 64, n, dtype=np.uint64)
-    out = extract_u64_batch(x, t, 4)
+    cfg = ExtractorConfig(m=4, L=64)
+    out = np.array([extract(a, b, cfg)
+                    for a, b in zip(_word_bits(x), _word_bits(t))])
     vals = (out * (1 << np.arange(3, -1, -1))).sum(axis=1)
     rep = uniformity_test(vals, m=4)
     assert all(abs(b) < 0.02 for b in rep["bias_per_bit"])

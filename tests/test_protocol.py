@@ -245,9 +245,6 @@ def test_expected_tomography_rate(ideal, functional):
     assert expected_tomography_rate(uniform_box()) == pytest.approx(1 / 1024)
     box, _ = zero_target_box(functional)
     assert expected_tomography_rate(box) == 0.0
-    explicit = np.full((9, 9), 1 / 81)
-    assert expected_tomography_rate(ideal, measure=explicit) == \
-        pytest.approx((1 / 81) * (1 / 16))
 
 
 def test_security_report_values():

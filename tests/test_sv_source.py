@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from randamp.sv_source import (DEFAULT_MAP, SVSource, _tree_extremum,
-                               make_strategy, setting_measure_bounds,
-                               setting_measure_extrema, sv_chernoff_oracle)
+                               make_strategy, setting_measure_extrema,
+                               sv_chernoff_oracle)
 
 HALF = Fraction(1, 2)
 
@@ -153,12 +153,8 @@ def test_map_preimage_structure():
 
 
 def test_measure_bounds_and_extrema():
-    lo, hi = setting_measure_bounds(0, DEFAULT_MAP, (1, 2))
-    assert lo == 0.5 ** 8 and lo <= 1 / 64
-    exact_lo, exact_hi = setting_measure_extrema(Fraction(0), DEFAULT_MAP, (1, 2))
+    exact_lo, exact_hi = setting_measure_extrema(Fraction(0), (1, 2))
     assert exact_lo == exact_hi == Fraction(1, 64)
-    lo01, _ = setting_measure_bounds(Fraction(1, 10), DEFAULT_MAP, (1, 2))
-    assert lo01 == pytest.approx(0.4 ** 8)
 
 
 def test_dp_min_dominates_lower_bound_all_settings():
@@ -166,7 +162,7 @@ def test_dp_min_dominates_lower_bound_all_settings():
     lower = (HALF - eps) ** 8
     for u1 in range(1, 10):
         for u2 in range(1, 10):
-            lo, hi = setting_measure_extrema(eps, DEFAULT_MAP, (u1, u2))
+            lo, hi = setting_measure_extrema(eps, (u1, u2))
             assert lower <= lo <= hi
             assert hi <= DEFAULT_MAP.pair_preimage_count((u1, u2)) * (HALF + eps) ** 8
 
@@ -174,7 +170,7 @@ def test_dp_min_dominates_lower_bound_all_settings():
 def test_avoid_strategy_attains_dp_minimum():
     """Sampling with the avoid strategy hits the target at the DP-min rate."""
     eps = Fraction(1, 10)
-    p_min, _ = setting_measure_extrema(eps, DEFAULT_MAP, (1, 2))
+    p_min, _ = setting_measure_extrema(eps, (1, 2))
     src = SVSource(eps, ("avoid_target",), seed=11)
     n = 200_000
     hits = sum(1 for _ in range(n) if DEFAULT_MAP.map_block(src.next_block(8)) == (1, 2))
@@ -184,20 +180,20 @@ def test_avoid_strategy_attains_dp_minimum():
 
 
 def test_chernoff_oracle_examples():
-    got = sv_chernoff_oracle(0, DEFAULT_MAP, 1)
+    got = sv_chernoff_oracle(0, 1)
     assert got["exact_max"] == Fraction(63, 64)
     assert got["zeta"] == Fraction(255, 256)
-    assert sv_chernoff_oracle(0, DEFAULT_MAP, 2)["exact_max"] == Fraction(63, 64) ** 2
-    got01 = sv_chernoff_oracle(Fraction(1, 10), DEFAULT_MAP, 1)
+    assert sv_chernoff_oracle(0, 2)["exact_max"] == Fraction(63, 64) ** 2
+    got01 = sv_chernoff_oracle(Fraction(1, 10), 1)
     assert got01["exact_max"] <= 1 - Fraction(2, 5) ** 8
     with pytest.raises(ValueError):
-        sv_chernoff_oracle(0, DEFAULT_MAP, 25)
+        sv_chernoff_oracle(0, 25)
 
 
 def test_chernoff_oracle_grid_small():
     for eps in (Fraction(0), Fraction(1, 10), Fraction(3, 10)):
         for k in (1, 3, 7):
-            got = sv_chernoff_oracle(eps, DEFAULT_MAP, k)
+            got = sv_chernoff_oracle(eps, k)
             assert got["exact_max"] <= got["zeta_bound"]
 
 
@@ -206,7 +202,7 @@ def test_two_round_literal_dp_matches_multiplicative_composition():
     equals (1 - p_min)^2."""
     eps = Fraction(1, 10)
     pre = set(DEFAULT_MAP.pair_block_preimages((1, 2)))
-    p_min, _ = setting_measure_extrema(eps, DEFAULT_MAP, (1, 2))
+    p_min, _ = setting_measure_extrema(eps, (1, 2))
 
     depth = 16
     n_leaves = 1 << depth
