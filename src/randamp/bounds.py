@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .ks_bell import TARGET_SETTINGS
-from .sv_source import DEFAULT_MAP, make_strategy, _as_fraction
+from .ks_bell import TARGET_SETTINGS, pair_index
+from .sv_source import BLOCK_PAIR, make_strategy, _as_fraction
 
 
 def azuma_bound(n: int, s: float) -> float:
@@ -190,8 +190,7 @@ def settings_tail_empirical(eps, strategy_spec, n: int, gamma: float,
     epsf = _as_fraction(eps)
     zeta = float(1 - (1 - 2 * epsf) ** 8 / 256)   # 1 - (1/2-eps)^8, exactly
     rows = np.array(make_strategy(strategy_spec, epsf).floats)
-    is_miss = np.array([DEFAULT_MAP.map_block(v) != TARGET_SETTINGS
-                        for v in range(256)])
+    is_miss = BLOCK_PAIR != pair_index(*TARGET_SETTINGS)
     rng = np.random.default_rng(seed)
     misses = np.zeros(trials, dtype=np.int64)
     for i in range(n):

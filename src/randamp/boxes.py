@@ -22,6 +22,7 @@ are drawn.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from collections import deque
@@ -32,6 +33,11 @@ from random import Random
 import numpy as np
 
 from .ks_bell import N_OUTCOMES, N_SETTINGS, BellFunctional, KSModel
+from .seeding import uniforms
+
+# The setting pairs in `ks_bell.pair_index` order, and their indices
+_PAIRS = list(itertools.product(range(1, N_SETTINGS + 1), repeat=2))
+_PAIR_INDEX = {u: i for i, u in enumerate(_PAIRS)}
 
 
 @dataclass(frozen=True)
@@ -152,17 +158,13 @@ def bell_value_exact(b: Behavior, f: BellFunctional) -> Fraction:
     return total
 
 
-def cumulative_tables(b: Behavior) -> list[list[float]]:
-    """Per setting pair, cumulative outcome probabilities in row-major
-    (x1 outer, x2 inner) order; the sampling order is fixed so transcripts
-    are reproducible bit for bit."""
-    cums = []
-    for u1 in range(N_SETTINGS):
-        for u2 in range(N_SETTINGS):
-            flat = b.table[u1, u2].reshape(-1)
-            c = np.cumsum(flat).tolist()
-            c[-1] = max(c[-1], 1.0)      # guard the last bin against rounding
-            cums.append(c)
+def cumulative_tables(b: Behavior) -> np.ndarray:
+    """Row `ks_bell.pair_index(u1, u2)`: the cumulative outcome
+    probabilities of that setting pair in row-major (x1 outer, x2 inner)
+    order; the sampling order is fixed so transcripts are reproducible bit
+    for bit."""
+    cums = np.cumsum(b.table.reshape(N_SETTINGS ** 2, N_OUTCOMES ** 2), axis=1)
+    cums[:, -1] = np.maximum(cums[:, -1], 1.0)  # guard the last bin against rounding
     return cums
 
 
@@ -176,7 +178,9 @@ class Device:
         switch_after     tau = k
         history_trigger  tau = the round after `pattern` first completes as a
                          contiguous block of past settings
-    Build devices with `make_iid_device` or `make_adversarial_device`.
+    `respond_chunk` answers a run of rounds at once with the same draws,
+    outcomes, tau and memory as `respond` round by round.  Build devices
+    with `make_iid_device` or `make_adversarial_device`.
     """
 
     def __init__(self, spec: dict, b1: Behavior, b2: Behavior, seed: int,
@@ -187,18 +191,51 @@ class Device:
         self.tau = tau
         self.pattern = pattern
         self._recent: deque = deque(maxlen=len(pattern))
+        # a pattern entry that is no setting pair can never match: index -1
+        self._pattern_pairs = [_PAIR_INDEX.get(u, -1) for u in pattern]
         self._cums1 = cumulative_tables(b1)
         self._cums2 = self._cums1 if b2 is b1 else cumulative_tables(b2)
 
     def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
         cums = self._cums1 if k < self.tau else self._cums2
         # every cum[-1] >= 1 > random(), so c is an outcome pair code 0..15
-        c = bisect_right(cums[(u[0] - 1) * 9 + (u[1] - 1)], self.rng.random())
+        c = bisect_right(cums[(u[0] - 1) * 9 + (u[1] - 1)].tolist(),
+                         self.rng.random())
         if self.pattern and k < self.tau:
             self._recent.append(tuple(u))
             if tuple(self._recent) == self.pattern:
                 self.tau = k + 1
         return (c // 4 + 1, c % 4 + 1)
+
+    def respond_chunk(self, k: int, pairs: np.ndarray) -> np.ndarray:
+        """Outcome codes 4 (x1-1) + (x2-1) of rounds k, k+1, ... whose
+        setting pairs have the `ks_bell.pair_index` values `pairs`: one
+        uniform r per round, and the code is the count of entries <= r in
+        the round's cumulative row, which is what bisect_right returns."""
+        r = uniforms(self.rng, len(pairs))
+        if self.pattern and self.tau == math.inf:
+            self._watch(k, pairs)
+        split = int(min(max(self.tau - k, 0), len(pairs)))  # rounds before tau
+        return np.concatenate([
+            (self._cums1[pairs[:split]] <= r[:split, None]).sum(axis=1),
+            (self._cums2[pairs[split:]] <= r[split:, None]).sum(axis=1)])
+
+    def _watch(self, k: int, pairs: np.ndarray) -> None:
+        """Set tau if `pattern` first completes in rounds k, k+1, ..., and
+        keep the settings of the last len(pattern) rounds up to then."""
+        size, carried = len(self.pattern), len(self._recent)
+        seq = np.concatenate([np.array(
+            [_PAIR_INDEX[u] for u in self._recent], np.intp), pairs])
+        hit = np.zeros(len(seq), bool)  # hit[e]: the pattern ends at seq[e]
+        hit[max(carried, size - 1):] = True
+        for back in range(min(size, len(seq))):
+            hit[back:] &= seq[:len(seq) - back] == self._pattern_pairs[-1 - back]
+        end = int(hit.argmax()) if hit.any() else len(seq) - 1
+        if hit[end]:
+            self.tau = k + end - carried + 1
+        self._recent.clear()
+        self._recent.extend(map(_PAIRS.__getitem__,
+                                seq[max(0, end + 1 - size):end + 1].tolist()))
 
     def spec(self) -> dict:
         return dict(self._spec, seed=self.seed)

@@ -26,17 +26,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__, bounds
 from .boxes import (depolarize, ideal_quantum_box, make_adversarial_device,
                     make_iid_device, uniform_box)
 from .extractor import output_hex
-from .ks_bell import build_bell_functional, build_ks_model
+from .ks_bell import build_bell_functional, build_ks_model, pair_index
 from .ns_certify import build_lp, solve_lp, verify_certificate, zero_target_box
 from .protocol import (ProtocolRun, extract_output, monte_carlo, parse_int,
                        parse_params, parse_real, parse_source,
-                       read_transcript, security_report, write_transcript)
-from .sv_source import BITS_PER_ROUND, DEFAULT_MAP, SVSource
+                       read_transcript, security_report, setting_pairs,
+                       write_transcript)
+from .sv_source import SVSource
 
 EXIT_OK = 0
 EXIT_SCIENTIFIC = 1
@@ -153,10 +155,18 @@ def main():
 def certify(delta_grid, outdir):
     """Solve the randomness LP on a cap grid and emit verified certificates."""
     outdir = _outdir(outdir)
-    try:
-        grid = [Fraction(tok) for tok in delta_grid.split(",") if tok.strip()]
-    except (ValueError, ZeroDivisionError) as e:
-        _fail_usage(f"bad grid: {e}")
+    grid = []
+    for tok in filter(str.strip, delta_grid.split(",")):
+        try:
+            grid.append(Fraction(tok))
+            float(grid[-1])             # the solver reads the cap as a float
+        except (ValueError, ZeroDivisionError) as e:
+            _fail_usage(f"bad grid: {e}")
+        except OverflowError:
+            _fail_usage(f"bad grid: {tok.strip()} is too large for a float")
+    if not grid:
+        _fail_usage(f"bad grid: no cap in {delta_grid!r}")
+    grid = list(dict.fromkeys(grid))    # each distinct cap once, in order
     if any(g < 0 for g in grid):
         _fail_usage("grid values must be >= 0")
     model = build_ks_model()
@@ -300,10 +310,12 @@ def extract_cmd(run_file, outdir):
     if run.verdict != "Accept":
         click.echo(f"stored verdict Accept, recomputed {run.verdict}", err=True)
         sys.exit(EXIT_SCIENTIFIC)
-    for i, (u1, u2, _, _) in enumerate(run.records, start=1):
-        if DEFAULT_MAP.map_block(source.next_block(BITS_PER_ROUND)) != (u1, u2):
-            click.echo(f"{run_file}: round {i} settings are not the source's",
-                       err=True)
+    for k, pairs in setting_pairs(source, run.n):
+        stored = np.array([pair_index(u1, u2) for u1, u2, _, _
+                           in run.records[k:k + len(pairs)]])
+        if (moved := np.flatnonzero(pairs != stored)).size:
+            click.echo(f"{run_file}: round {k + moved[0] + 1} settings are"
+                       f" not the source's", err=True)
             sys.exit(EXIT_SCIENTIFIC)
     extract_output(run, source)
     hexed = output_hex(run.output_bits)

@@ -59,6 +59,12 @@ N_OUTCOMES = 4
 N_CELLS = N_SETTINGS ** 2 * N_OUTCOMES ** 2
 
 
+def pair_index(u1: int, u2: int) -> int:
+    """Canonical index 0..80 of setting pair (u1, u2): the cells of its 16
+    outcome pairs are var_index(u1, u2, ...) = 16 pair_index(u1, u2) + 0..15."""
+    return (u1 - 1) * 9 + (u2 - 1)
+
+
 def var_index(u1: int, u2: int, x1: int, x2: int) -> int:
     """Canonical cell of table entry (x1,x2|u1,u2); all arguments 1..n."""
     return ((u1 - 1) * 9 + (u2 - 1)) * 16 + (x1 - 1) * 4 + (x2 - 1)

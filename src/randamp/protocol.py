@@ -3,19 +3,24 @@ constants, and Monte Carlo campaigns.
 
 One run: each round draws 8 source bits, maps them to a setting pair,
 queries the device for an outcome pair, and counts the round in a histogram
-over the 1296 cells (`ks_bell.var_index`).  A run is that histogram, its
-params and, when kept, its ordered records (`ProtocolRun`); everything else
-is derived from the histogram.  Two tests are evaluated in order on sums
-over it: the Bell test (the empirical indicator average must not exceed
-delta) and then, only if it passed, the tomographic test (the empirical
-frequency of the target cell must reach mu1).  Both aborts are verdicts,
-not errors.  `replay_transcript` is the one path from stored records back
-to a run; `read_transcript`, the one loader, reads in one pass the one
-layout `write_transcript` writes.  On acceptance of a run whose transcript
-is kept, n further bits are drawn from the same source (the stream
-positions of setting draws and extraction draws are disjoint by
-construction) and fed to the two-source extractor together with the
-selected transcript bits.
+over the 1296 cells (`ks_bell.var_index`).  `run_protocol` does this for
+CHUNK rounds at a time with numpy: one bulk draw from the source's
+generator and one from the device's, each exactly the draws of those
+rounds in round order, so both generators end where a round-by-round loop
+leaves them and the transcript is the same bit for bit.  A run is that
+histogram, its params and, when kept, its ordered records (`ProtocolRun`);
+everything else is derived from the histogram.  Two tests are evaluated in
+order on sums over it: the Bell test (the empirical indicator average must
+not exceed delta) and then, only if it passed, the tomographic test (the
+empirical frequency of the target cell must reach mu1).  Both aborts are
+verdicts, not errors.  `replay_transcript` is the one path from stored
+records back to a run; `read_transcript`, the one loader, reads in one pass
+the one layout `write_transcript` writes.  On acceptance of a run whose
+transcript is kept, the extractor's t side is the next n bits of the same
+source (the stream positions of setting draws and extraction draws are
+disjoint by construction); it reads only the first L of them, so min(n, L)
+are drawn and fed to the two-source extractor together with the selected
+transcript bits.
 
 The parameter constraints mirror the derived security chain: for source
 parameter eps and thresholds (mu1, kappa) with 0 < kappa < mu1/2 the Bell
@@ -32,12 +37,14 @@ Architectural notes.  The device is constructed, with its own
 generator, before any source bits are drawn, and the two objects share no
 state: the device cannot signal to the source and the box is fixed
 independently of the source by construction.  A single run is sequential
-(outcomes may depend on past settings only); a campaign runs its trials one
-after another, each from its own derived seeds.
+(outcomes may depend on past settings only, and a batch of rounds is
+answered in round order); a campaign runs its trials one after another,
+each from its own derived seeds.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -51,11 +58,11 @@ import numpy as np
 from . import extractor as extractor_mod
 from .boxes import Behavior, Device
 from .bounds import markov_split_epsilon
-from .ks_bell import (N_CELLS, TARGET_OUTCOMES, TARGET_SETTINGS,
-                      BellFunctional, build_bell_functional, build_ks_model,
-                      var_index)
+from .ks_bell import (N_CELLS, N_OUTCOMES, N_SETTINGS, TARGET_OUTCOMES,
+                      TARGET_SETTINGS, BellFunctional, build_bell_functional,
+                      build_ks_model, var_index)
 from .seeding import derive_seed
-from .sv_source import BITS_PER_ROUND, DEFAULT_MAP, SVSource
+from .sv_source import BITS_PER_ROUND, BLOCK_PAIR, DEFAULT_MAP, SVSource
 
 FORMAT_VERSION = 1
 
@@ -256,30 +263,48 @@ class ProtocolRun:
         return "Accept"
 
 
+# Rounds per batch, a constant: large enough that numpy's per-call cost is
+# small against a batch's work, small enough that a batch's arrays (a few
+# MB) add little to peak memory, which arrays over a whole run would raise.
+CHUNK = 1 << 14
+
+# The record (u1, u2, x1, x2) of each cell, in `var_index` order
+_CELL_RECORDS = list(itertools.product(
+    range(1, N_SETTINGS + 1), range(1, N_SETTINGS + 1),
+    range(1, N_OUTCOMES + 1), range(1, N_OUTCOMES + 1)))
+
+
+def setting_pairs(source: SVSource, n: int):
+    """(k, `ks_bell.pair_index` of the settings of rounds k, k+1, ...) over
+    the next n rounds drawn from `source`, CHUNK rounds at a time: 8 bits a
+    round, mapped by `DEFAULT_MAP`."""
+    for k in range(0, n, CHUNK):
+        yield k, BLOCK_PAIR[source.next_blocks(min(CHUNK, n - k))]
+
+
 def run_protocol(device: Device, source: SVSource, params: ProtocolParams,
                  keep_transcript: bool = True) -> ProtocolRun:
     """Execute one full run; aborts are verdicts.
 
     The transcript is fully reproducible from (device spec, source spec,
-    seeds): rounds consume exactly 8 source bits plus one device draw, in
-    round order.  An accepted run whose transcript is kept goes on to
-    `extract_output`, which consumes exactly n further source bits.
+    seeds): round k takes the next 8 source bits and the device's next
+    `random()` draw.  Rounds are drawn and tallied CHUNK at a time, each
+    generator's batch being exactly its draws for those rounds, so every
+    stream position is the one a round-by-round run reaches.  An accepted
+    run whose transcript is kept goes on to `extract_output`, which draws
+    min(n, L) further source bits.
     """
     params.validate()
-    map_block = DEFAULT_MAP.map_block
-    hist = [0] * N_CELLS
+    hist = np.zeros(N_CELLS, np.int64)
     records: list[tuple[int, int, int, int]] | None = [] if keep_transcript else None
-
-    for k in range(params.n):
-        block = source.next_block(BITS_PER_ROUND)
-        u = map_block(block)
-        x = device.respond(k, u)
-        # var_index(*u, *x), inlined: a call per round slows campaigns ~6%
-        hist[((u[0] - 1) * 9 + (u[1] - 1)) * 16 + (x[0] - 1) * 4 + (x[1] - 1)] += 1
+    for k, pairs in setting_pairs(source, params.n):
+        cells = pairs * N_OUTCOMES ** 2 + device.respond_chunk(k, pairs)
+        hist += np.bincount(cells, minlength=N_CELLS)
         if records is not None:
-            records.append((u[0], u[1], x[0], x[1]))
+            records += map(_CELL_RECORDS.__getitem__, cells.tolist())
 
-    run = ProtocolRun(params, device.spec(), source.spec(), hist, records)
+    run = ProtocolRun(params, device.spec(), source.spec(), hist.tolist(),
+                      records)
     if run.verdict == "Accept" and records is not None:
         extract_output(run, source)
     return run
@@ -289,13 +314,14 @@ def extract_output(run: ProtocolRun, source: SVSource) -> None:
     """Extract from an accepted run with kept records; set `output_bits`
     and the `extraction` rate report on the run.
 
-    `source` must stand right after the run's setting draws: n bits are
-    drawn from it for the extractor's t side, and the x side is selected
-    from the records by the configured rule.
+    `source` must stand right after the run's setting draws.  The
+    extractor's t side is the next n bits of it, of which `extract` reads
+    only the first L, so min(n, L) are drawn; the x side is selected from
+    the records by the configured rule.
     """
     params = run.params
-    t_bits = source.next_bits(run.n)
     cfg = params.extractor
+    t_bits = source.next_bits(min(run.n, cfg.L))
     x_bits = extractor_mod.transcript_to_source(run, cfg.rule)
     run.output_bits = extractor_mod.extract(x_bits, t_bits, cfg)
     # Honest device-side rate: at most 1/4 on any outcome pair at the
@@ -306,7 +332,7 @@ def extract_output(run: ProtocolRun, source: SVSource) -> None:
     rate_t = -math.log2(0.5 + params.eps) if params.eps < 0.5 else 0.0
     certified = security_report(params).min_entropy_bound / len(x_bits)
     run.extraction = extractor_mod.extraction_report(
-        len(x_bits), len(t_bits), cfg,
+        len(x_bits), run.n, cfg,
         honest_rate_x=0.5, rate_t=rate_t, certified_rate_x=certified)
 
 

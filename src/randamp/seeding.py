@@ -5,9 +5,16 @@ source generators inside one trial are derived with distinct stream tags.
 The mix is the standard splitmix64 finalizer, a 64-bit avalanche permutation,
 so neighbouring trial indices yield statistically unrelated generator seeds
 while remaining reproducible across platforms.
+
+`words` and `uniforms` take a batch of draws from a `random.Random` at once,
+with the values and the generator state that as many single draws give.
 """
 
 from __future__ import annotations
+
+from random import Random
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -23,3 +30,16 @@ def splitmix64(v: int) -> int:
 def derive_seed(master: int, index: int, tag: int = 0) -> int:
     """Seed for sub-stream `index` (trial) and `tag` (role within a trial)."""
     return splitmix64((master & _MASK) + index * _GOLDEN + tag * 0x1D8E4E27C47D124F)
+
+
+def words(rng: Random, m: int) -> np.ndarray:
+    """The next m rng.getrandbits(32) draws, in draw order.  getrandbits(32 m)
+    is those m words, the first least significant."""
+    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+
+
+def uniforms(rng: Random, m: int) -> np.ndarray:
+    """The next m rng.random() draws, in draw order: random() joins two words
+    a, b as ((a >> 5) 2^26 + (b >> 6)) / 2^53, exactly in float64."""
+    w = words(rng, 2 * m)
+    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0

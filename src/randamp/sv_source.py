@@ -34,7 +34,10 @@ from fractions import Fraction
 from random import Random
 from typing import Callable
 
-from .ks_bell import TARGET_SETTINGS
+import numpy as np
+
+from .ks_bell import TARGET_SETTINGS, pair_index
+from .seeding import uniforms, words
 
 BITS_PER_PARTY = 4
 BITS_PER_ROUND = 2 * BITS_PER_PARTY
@@ -75,6 +78,9 @@ class SettingMap:
 
 
 DEFAULT_MAP = SettingMap()
+
+# `ks_bell.pair_index` of each 8-bit block's settings
+BLOCK_PAIR = np.array([pair_index(*DEFAULT_MAP.map_block(b)) for b in range(256)])
 
 
 # --- strategies ---------------------------------------------------------
@@ -248,11 +254,10 @@ class SVSource:
                 self._buf_len += 32
             else:   # join the whole words once: growing the int a word at
                 # a time copies it each time, O(k^2) for a long draw
-                words, get = (k - self._buf_len) // 32, self.rng.getrandbits
-                self._buf = (self._buf << 32 * words) | int.from_bytes(
-                    b"".join(get(32).to_bytes(4, "big") for _ in range(words)),
-                    "big")
-                self._buf_len += 32 * words
+                count = (k - self._buf_len) // 32
+                self._buf = (self._buf << 32 * count) | int.from_bytes(
+                    words(self.rng, count).astype(">u4").tobytes(), "big")
+                self._buf_len += 32 * count
         self._buf_len -= k
         block = self._buf >> self._buf_len
         self._buf &= (1 << self._buf_len) - 1
@@ -292,6 +297,27 @@ class SVSource:
         for bit in self._take_biased(k):
             block = 2 * block + bit
         return block
+
+    def next_blocks(self, m: int) -> np.ndarray:
+        """The next m 8-bit blocks as a uint8 array, the stream of m
+        next_block(8) calls.  A biased source walks all m down its block
+        tree at once, one bit per step, so it must stand at a block
+        boundary (else ValueError)."""
+        if self._unbiased:
+            return np.frombuffer(
+                self._take_unbiased(BITS_PER_ROUND * m).to_bytes(m, "big"),
+                np.uint8)
+        if self._node != 1:
+            raise ValueError("whole blocks are drawn from a block boundary,"
+                             f" not after bit {self.bits_emitted}")
+        floats = np.array(self.strategy.floats)
+        row = (self.bits_emitted // BITS_PER_ROUND + np.arange(m)) % len(floats)
+        u = uniforms(self.rng, BITS_PER_ROUND * m).reshape(m, BITS_PER_ROUND)
+        node = np.ones(m, np.intp)
+        for depth in range(BITS_PER_ROUND):
+            node = 2 * node + (u[:, depth] >= floats[row, node])
+        self.bits_emitted += BITS_PER_ROUND * m
+        return (node - NODES).astype(np.uint8)
 
     def conditional_p0(self, history) -> Fraction:
         """Exact conditional law of the next bit after `history`."""

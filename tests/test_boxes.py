@@ -131,6 +131,20 @@ def test_iid_device_deterministic_box():
         assert dev.respond(k, (4, 7)) == (2, 3)
 
 
+def test_respond_chunk_counts_a_cumulative_entry_equal_to_r():
+    """As bisect_right does, a uniform r equal to a cumulative entry counts
+    it: on the uniform box (entries j/16) r = j/16 gives code j.  The
+    words a = j 2^28, b = 0 make random() = j/16 exactly."""
+    class FixedWords:
+        def getrandbits(self, k):
+            return sum((j << 28) << 64 * j for j in range(16))
+
+    dev = make_iid_device(uniform_box(), seed=0)
+    dev.rng = FixedWords()
+    codes = dev.respond_chunk(0, np.zeros(16, np.intp))
+    assert codes.tolist() == list(range(16))
+
+
 def test_iid_device_chi2_uniform():
     dev = make_iid_device(uniform_box(), seed=123)
     counts = [0] * 16

@@ -57,6 +57,28 @@ def test_certify_rejects_negative_grid(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("", "bad grid: no cap in ''"), (",", "bad grid: no cap in ','"),
+    ("1e400", "bad grid: 1e400 is too large"),
+    ("0, 1e400 ", "bad grid: 1e400 is too large")])
+def test_certify_rejects_an_empty_or_overflowing_grid(runner, tmp_path, grid,
+                                                      message):
+    res = runner.invoke(main, ["certify", "--delta-grid", grid,
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2 and message in res.output, res.output
+    assert not (tmp_path / "certify_summary.json").exists()
+
+
+def test_certify_solves_each_distinct_cap_once(runner, tmp_path):
+    res = runner.invoke(main, ["certify", "--delta-grid", "0.5,1/2,0,0.5",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert res.output.count("cap=1/2:") == 1
+    summary = json.loads((tmp_path / "certify_summary.json").read_text())
+    assert summary["grid"] == ["1/2", "0"]
+    assert [r["cap"] for r in summary["results"]] == ["1/2", "0"]
+
+
 def test_simulate_emits_outputs(runner, tmp_path):
     cfg = write_config(tmp_path, SMALL_SIM)
     out = tmp_path / "out"

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from randamp.boxes import (bell_value, depolarize, ideal_quantum_box,
                            make_iid_device, uniform_box)
 from randamp.cli import build_device_factory
-from randamp.ks_bell import build_bell_functional, build_ks_model
+from randamp.ks_bell import (N_CELLS, build_bell_functional, build_ks_model,
+                             var_index)
 from randamp.ns_certify import max_target_box, zero_target_box
-from randamp.protocol import (ProtocolParams, dc_distance, default_functional,
-                              expected_tomography_rate, monte_carlo,
-                              read_transcript, replay_transcript,
-                              run_protocol, security_report, select_params,
-                              wilson_interval, write_transcript)
+from randamp.protocol import (CHUNK, ProtocolParams, ProtocolRun, dc_distance,
+                              default_functional, expected_tomography_rate,
+                              extract_output, monte_carlo, read_transcript,
+                              replay_transcript, run_protocol, security_report,
+                              select_params, wilson_interval, write_transcript)
 from randamp.seeding import derive_seed
 from randamp.sv_source import DEFAULT_MAP, SVSource
 
@@ -67,6 +68,9 @@ def test_run_protocol_ideal_accepts_with_exact_zero_bell(ideal):
     assert run.bell_count == 0                 # forbidden events have prob 0
     assert run.target_frequency >= params.mu1
     assert run.output_bits is not None and len(run.output_bits) == 32
+    # the extractor reads L of the n t-side bits, and only those are drawn
+    assert run.extraction["t_bits_available"] == params.n
+    assert src.bits_emitted == 8 * params.n + params.extractor.L
     assert run.extraction["honest_condition_met"]
     assert run.extraction["rule"] == "target_rounds"
 
@@ -150,9 +154,10 @@ DEVICE_SPECS = [{"kind": "ideal"}, {"kind": "uniform"},
 
 @pytest.mark.parametrize("spec", DEVICE_SPECS, ids=lambda s: s["kind"])
 def test_histogram_is_the_run(spec):
-    """The round loop's inlined cell index against `var_index` in
-    `replay_transcript`: both histograms, and so every statistic and the
-    verdict, agree for each device kind and source strategy."""
+    """The batch engine's histogram, tallied from its cell codes, against
+    the one `replay_transcript` tallies from the records by `var_index`:
+    both, and so every statistic and the verdict, agree for each device
+    kind and source strategy."""
     device_factory = build_device_factory(spec)
     for eps, strategy in ((0.0, "unbiased"), (0.05, ["avoid_target"])):
         for n in (1, 7, 20_000):
@@ -167,6 +172,80 @@ def test_histogram_is_the_run(spec):
                  redo.bell_average, redo.target_frequency, redo.verdict)
             if spec["kind"] == "uniform" and eps == 0 and n == 20_000:
                 assert min(run.hist) > 0      # every cell is reached
+
+
+def _round_loop(device, source, params, keep_transcript=True):
+    """The reference engine: one round at a time through the stream
+    definitions `next_block(8)`, `map_block` and `respond(k, u)`."""
+    hist = [0] * N_CELLS
+    records = [] if keep_transcript else None
+    for k in range(params.n):
+        u = DEFAULT_MAP.map_block(source.next_block(8))
+        x = device.respond(k, u)
+        hist[var_index(*u, *x)] += 1
+        if records is not None:
+            records.append(u + x)
+    run = ProtocolRun(params, device.spec(), source.spec(), hist, records)
+    if run.verdict == "Accept" and records is not None:
+        extract_output(run, source)
+    return run
+
+
+def _state(device, source):
+    return (device.rng.getstate(), device.tau, list(device._recent),
+            source.rng.getstate(), source._buf, source._buf_len,
+            source.bits_emitted, source._node)
+
+
+STRATEGIES = [(0.0, "unbiased"), (0.05, ["avoid_target"]),
+              (0.05, ["toward_pattern", 1]),
+              (0.05, ["constant_bias", [0.05, -0.02, 0.03]])]
+
+
+def _trigger_across_chunks(end):
+    """A history_trigger spec whose 3-pair pattern is the settings of the
+    unbiased seed-0 source in rounds end-2..end, where it first completes;
+    `end` = CHUNK or CHUNK + 1 puts it across the first chunk boundary."""
+    src = SVSource(0, "unbiased", 0)
+    pairs = [DEFAULT_MAP.map_block(src.next_block(8)) for _ in range(end + 1)]
+    assert pairs[-3:] not in (pairs[k - 2:k + 1] for k in range(2, end))
+    return {"kind": "history_trigger", "pattern": [list(u) for u in pairs[-3:]]}
+
+
+def test_batch_engine_matches_the_round_loop():
+    """`run_protocol` against `_round_loop` on every device kind and source
+    strategy: histogram, records, verdict, output bits, extraction report,
+    and both generators' and the device's state after the run.  n spans
+    the chunk edges; tau falls inside the second chunk, and a trigger
+    pattern completes across the first chunk boundary."""
+    cases = [(spec, eps, strategy, n, keep)
+             for spec in DEVICE_SPECS for eps, strategy in STRATEGIES
+             for n in (1, 7, 2000) for keep in (True, False)]
+    cases += [({"kind": "ideal"}, 0.0, "unbiased", n, True)
+              for n in (CHUNK - 1, CHUNK)]
+    cases += [({"kind": "ideal"}, eps, strategy, CHUNK + 1, True)
+              for eps, strategy in STRATEGIES]
+    cases += [({"kind": "switch_after", "k": CHUNK + 100}, 0.05,
+               ["avoid_target"], CHUNK + 200, True)]
+    cases += [(_trigger_across_chunks(end), 0.0, "unbiased", CHUNK + 50, True)
+              for end in (CHUNK, CHUNK + 1)]
+    factories = {}      # a factory builds its boxes once
+    for spec, eps, strategy, n, keep in cases:
+        params = ProtocolParams(n=n, eps=eps, mu1=1e-9, kappa=4e-10,
+                                enforce_bounds=False)
+        key = json.dumps(spec)
+        device_factory = factories.get(key) or factories.setdefault(
+            key, build_device_factory(spec))
+        seed = 0 if spec["kind"] == "history_trigger" else n
+        dev, src = device_factory(n), SVSource(eps, strategy, seed)
+        ref_dev, ref_src = device_factory(n), SVSource(eps, strategy, seed)
+        run = run_protocol(dev, src, params, keep)
+        ref = _round_loop(ref_dev, ref_src, params, keep)
+        assert (run.hist, run.records, run.verdict, run.output_bits,
+                run.extraction) == (ref.hist, ref.records, ref.verdict,
+                                    ref.output_bits, ref.extraction), \
+            (spec, strategy, n)
+        assert _state(dev, src) == _state(ref_dev, ref_src), (spec, strategy, n)
 
 
 def test_read_transcript_rejects_malformed(tmp_path):

@@ -139,6 +139,33 @@ def test_stream_is_chunking_invariant():
         assert a == b
 
 
+@pytest.mark.parametrize("eps, spec", [
+    (0, "unbiased"),
+    (0.05, ("avoid_target",)),
+    (0.05, ("constant_bias", [0.05, -0.02, 0.03])),
+])
+def test_bulk_blocks_are_the_block_stream(eps, spec):
+    """next_blocks(m) is m next_block(8) calls, generator state included,
+    from stream position 0 and after whole blocks; for the unbiased source
+    also after a draw that ends inside a block."""
+    bulk, single = SVSource(eps, spec, seed=3), SVSource(eps, spec, seed=3)
+    for m in (1, 5, 1000, 1):
+        if spec == "unbiased" and m == 5:
+            assert bulk.next_bits(5) == single.next_bits(5)
+        assert bulk.next_blocks(m).tolist() == \
+            [single.next_block(8) for _ in range(m)]
+    state = lambda s: (s.rng.getstate(), s._buf, s._buf_len, s.bits_emitted,
+                       s._node)
+    assert state(bulk) == state(single)
+
+
+def test_bulk_blocks_of_a_biased_source_start_at_a_block_boundary():
+    src = SVSource(0.05, ("avoid_target",), seed=3)
+    src.next_bits(5)
+    with pytest.raises(ValueError, match="block boundary"):
+        src.next_blocks(2)
+
+
 def test_map_examples():
     assert DEFAULT_MAP.map_block(0b00000001) == (1, 2)
     assert DEFAULT_MAP.map_block(0xFF) == (7, 7)
