@@ -12,8 +12,9 @@ read by the same parsers (`protocol.parse_params`, `parse_source`,
 `parse_header`), so any malformed field of either exits 2 with a message
 naming its JSON path.  `replay`, `report --run-file` and `extract` load a
 transcript only through `protocol.read_transcript`, which returns the run
-rebuilt from its records; a file in any other layout exits 2, and so does
-an output directory that cannot be created.
+rebuilt from the cells its records hold; a file in any other layout or
+with an out-of-range summary exits 2, and so does an output directory that
+cannot be created.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import __version__, bounds
 from .boxes import (depolarize, ideal_quantum_box, make_adversarial_device,
                     make_iid_device, uniform_box)
 from .extractor import output_hex
-from .ks_bell import build_bell_functional, build_ks_model, pair_index
+from .ks_bell import build_bell_functional, build_ks_model
 from .ns_certify import build_lp, solve_lp, verify_certificate, zero_target_box
 from .protocol import (ProtocolRun, extract_output, monte_carlo, parse_int,
                        parse_params, parse_real, parse_source,
@@ -143,6 +144,10 @@ def build_device_factory(spec):
     return lambda seed: make_iid_device(box, seed)
 
 
+def _certificate_name(cap: Fraction) -> str:
+    return f"certificate_cap_{str(cap).replace('/', 'over')}.json"
+
+
 @click.group()
 def main():
     """Randomness-amplification certification and simulation toolkit."""
@@ -164,6 +169,8 @@ def certify(delta_grid, outdir):
             _fail_usage(f"bad grid: {e}")
         except OverflowError:
             _fail_usage(f"bad grid: {tok.strip()} is too large for a float")
+        if len(_certificate_name(grid[-1])) > 255:  # most file systems' limit
+            _fail_usage(f"bad grid: {tok.strip()} needs a file name over 255 bytes")
     if not grid:
         _fail_usage(f"bad grid: no cap in {delta_grid!r}")
     grid = list(dict.fromkeys(grid))    # each distinct cap once, in order
@@ -184,7 +191,7 @@ def certify(delta_grid, outdir):
         reference_bound = Fraction(3, 4) + g / 2
         within = sol.exact_optimum <= min(Fraction(1), reference_bound)
         all_ok = all_ok and verified and within
-        name = outdir / f"certificate_cap_{str(g).replace('/', 'over')}.json"
+        name = outdir / _certificate_name(g)
         cert_obj = json.loads(sol.certificate.to_json())
         cert_obj["version"] = __version__
         name.write_text(json.dumps(cert_obj, sort_keys=True) + "\n")
@@ -311,9 +318,7 @@ def extract_cmd(run_file, outdir):
         click.echo(f"stored verdict Accept, recomputed {run.verdict}", err=True)
         sys.exit(EXIT_SCIENTIFIC)
     for k, pairs in setting_pairs(source, run.n):
-        stored = np.array([pair_index(u1, u2) for u1, u2, _, _
-                           in run.records[k:k + len(pairs)]])
-        if (moved := np.flatnonzero(pairs != stored)).size:
+        if (moved := np.flatnonzero(pairs != run.cells[k:k + len(pairs)] // 16)).size:
             click.echo(f"{run_file}: round {k + moved[0] + 1} settings are"
                        f" not the source's", err=True)
             sys.exit(EXIT_SCIENTIFIC)

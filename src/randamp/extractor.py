@@ -39,7 +39,7 @@ from math import log2
 import numpy as np
 from scipy.stats import chi2 as _chi2
 
-from .ks_bell import TARGET_SETTINGS
+from .ks_bell import TARGET_SETTINGS, pair_index
 
 
 @dataclass(frozen=True)
@@ -91,29 +91,23 @@ def output_hex(bits) -> str:
     return f"{int(''.join(map(str, bits)), 2):0{(len(bits) + 3) // 4}x}"
 
 
-def encode_outcome_bits(x1: int, x2: int) -> list[int]:
-    """4-bit encoding of an outcome pair: (x1-1) then (x2-1), MSB first."""
-    a, b = x1 - 1, x2 - 1
-    return [(a >> 1) & 1, a & 1, (b >> 1) & 1, b & 1]
-
-
 def transcript_to_source(run, rule: str = "target_rounds") -> list[int]:
     """Bit string for the extractor's device side, from an accepted run.
 
-    target_rounds: concatenated 4-bit outcome encodings of rounds whose
-    setting pair equals the tomography target, in round order.  An accepted
-    run always has such rounds (the tomography count is positive), so an
-    empty selection is an error.  all_rounds: every round, 4n bits.
+    target_rounds: the 4 bits, MSB first, of the outcome code cell % 16 =
+    4 (x1-1) + (x2-1) of each round whose setting pair cell // 16 is the
+    tomography target, in round order.  An accepted run always has such
+    rounds (the tomography count is positive), so an empty selection is an
+    error.  all_rounds: every round, 4n bits.
     """
     if run.verdict != "Accept":
         raise ValueError("extraction requires an accepted run")
-    bits: list[int] = []
-    for (u1, u2, x1, x2) in run.records:
-        if rule == "all_rounds" or (u1, u2) == TARGET_SETTINGS:
-            bits.extend(encode_outcome_bits(x1, x2))
-    if not bits:
+    cells = run.cells
+    if rule != "all_rounds":
+        cells = cells[cells // 16 == pair_index(*TARGET_SETTINGS)]
+    if not cells.size:
         raise ValueError("no rounds selected for extraction")
-    return bits
+    return ((cells[:, None] % 16 >> np.arange(3, -1, -1)) & 1).ravel().tolist()
 
 
 def extraction_report(x_len: int, t_len: int, cfg: ExtractorConfig,

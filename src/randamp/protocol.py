@@ -2,20 +2,20 @@
 constants, and Monte Carlo campaigns.
 
 One run: each round draws 8 source bits, maps them to a setting pair,
-queries the device for an outcome pair, and counts the round in a histogram
-over the 1296 cells (`ks_bell.var_index`).  `run_protocol` does this for
-CHUNK rounds at a time with numpy: one bulk draw from the source's
+queries the device for an outcome pair, and is the cell
+(`ks_bell.var_index`) of that input-output pair.  `run_protocol` does this
+for CHUNK rounds at a time with numpy: one bulk draw from the source's
 generator and one from the device's, each exactly the draws of those
 rounds in round order, so both generators end where a round-by-round loop
-leaves them and the transcript is the same bit for bit.  A run is that
-histogram, its params and, when kept, its ordered records (`ProtocolRun`);
-everything else is derived from the histogram.  Two tests are evaluated in
-order on sums over it: the Bell test (the empirical indicator average must
-not exceed delta) and then, only if it passed, the tomographic test (the
-empirical frequency of the target cell must reach mu1).  Both aborts are
-verdicts, not errors.  `replay_transcript` is the one path from stored
-records back to a run; `read_transcript`, the one loader, reads in one pass
-the one layout `write_transcript` writes.  On acceptance of a run whose
+leaves them and the transcript is the same bit for bit.  A run is its
+params, the histogram of its cells and, when kept, its cells in round
+order (`ProtocolRun`).  Two tests are evaluated in order on sums over the
+histogram: the Bell test (the empirical indicator average must not exceed
+delta) and then, only if it passed, the tomographic test (the empirical
+frequency of the target cell must reach mu1).  Both aborts are verdicts,
+not errors.  `replay_transcript` is the one path from cells back to a run;
+`read_transcript` reads in one pass the one layout `write_transcript`
+writes, both by one table of record texts.  On acceptance of a run whose
 transcript is kept, the extractor's t side is the next n bits of the same
 source (the stream positions of setting draws and extraction draws are
 disjoint by construction); it reads only the first L of them, so min(n, L)
@@ -47,7 +47,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -60,7 +59,7 @@ from .boxes import Behavior, Device
 from .bounds import markov_split_epsilon
 from .ks_bell import (N_CELLS, N_OUTCOMES, N_SETTINGS, TARGET_OUTCOMES,
                       TARGET_SETTINGS, BellFunctional, build_bell_functional,
-                      build_ks_model, var_index)
+                      build_ks_model)
 from .seeding import derive_seed
 from .sv_source import BITS_PER_ROUND, BLOCK_PAIR, DEFAULT_MAP, SVSource
 
@@ -221,14 +220,14 @@ def parse_header(header: dict) -> tuple[ProtocolParams, SVSource]:
 @dataclass
 class ProtocolRun:
     """A run is its params, its histogram over the 1296 cells in
-    `ks_bell.var_index` order and, when kept, its ordered records; n, the
-    counts, both statistics and the verdict are derived from the first two."""
+    `ks_bell.var_index` order and, when kept, `cells`, the integer array of
+    its rounds' cells; n, the statistics and the verdict derive from hist."""
 
     params: ProtocolParams
     device_spec: dict
     source_spec: dict
     hist: list[int]
-    records: list[tuple[int, int, int, int]] | None = None
+    cells: np.ndarray | None = None
     output_bits: list[int] | None = None
     extraction: dict | None = None
 
@@ -268,11 +267,6 @@ class ProtocolRun:
 # MB) add little to peak memory, which arrays over a whole run would raise.
 CHUNK = 1 << 14
 
-# The record (u1, u2, x1, x2) of each cell, in `var_index` order
-_CELL_RECORDS = list(itertools.product(
-    range(1, N_SETTINGS + 1), range(1, N_SETTINGS + 1),
-    range(1, N_OUTCOMES + 1), range(1, N_OUTCOMES + 1)))
-
 
 def setting_pairs(source: SVSource, n: int):
     """(k, `ks_bell.pair_index` of the settings of rounds k, k+1, ...) over
@@ -290,34 +284,34 @@ def run_protocol(device: Device, source: SVSource, params: ProtocolParams,
     seeds): round k takes the next 8 source bits and the device's next
     `random()` draw.  Rounds are drawn and tallied CHUNK at a time, each
     generator's batch being exactly its draws for those rounds, so every
-    stream position is the one a round-by-round run reaches.  An accepted
-    run whose transcript is kept goes on to `extract_output`, which draws
-    min(n, L) further source bits.
+    stream position is the one a round-by-round run reaches; the batches'
+    cells, joined, are the kept `cells`.  An accepted run with kept cells
+    goes on to `extract_output`, which draws min(n, L) further source bits.
     """
     params.validate()
     hist = np.zeros(N_CELLS, np.int64)
-    records: list[tuple[int, int, int, int]] | None = [] if keep_transcript else None
+    kept = []
     for k, pairs in setting_pairs(source, params.n):
         cells = pairs * N_OUTCOMES ** 2 + device.respond_chunk(k, pairs)
         hist += np.bincount(cells, minlength=N_CELLS)
-        if records is not None:
-            records += map(_CELL_RECORDS.__getitem__, cells.tolist())
+        if keep_transcript:
+            kept.append(cells)
 
     run = ProtocolRun(params, device.spec(), source.spec(), hist.tolist(),
-                      records)
-    if run.verdict == "Accept" and records is not None:
+                      np.concatenate(kept) if keep_transcript else None)
+    if run.verdict == "Accept" and keep_transcript:
         extract_output(run, source)
     return run
 
 
 def extract_output(run: ProtocolRun, source: SVSource) -> None:
-    """Extract from an accepted run with kept records; set `output_bits`
+    """Extract from an accepted run with kept cells; set `output_bits`
     and the `extraction` rate report on the run.
 
     `source` must stand right after the run's setting draws.  The
     extractor's t side is the next n bits of it, of which `extract` reads
     only the first L, so min(n, L) are drawn; the x side is selected from
-    the records by the configured rule.
+    the cells by the configured rule.
     """
     params = run.params
     cfg = params.extractor
@@ -486,7 +480,7 @@ class CampaignStats:
     rows: list[dict]
     verdict_counts: dict[str, int]
     master_seed: int
-    first_run: ProtocolRun          # trial 0, with its records kept
+    first_run: ProtocolRun          # trial 0, with its cells kept
 
     def to_csv(self) -> str:
         lines = ["trial,Ln,Sn,verdict"]
@@ -543,32 +537,35 @@ def monte_carlo(device_factory: Callable[[int], Device],
 # --- transcript files -----------------------------------------------------
 
 
-# A record line, written by this string and read by this pattern only: round
-# number i = 1, 2, ..., settings 1..9, outcomes 1..4.
-_RECORD_LINE = '{"i": %d, "u": [%d, %d], "x": [%d, %d]}\n'
-_RECORD_PATTERN = re.compile(
-    rb'\{"i": ([1-9][0-9]*), "u": \[([1-9]), ([1-9])\], "x": \[([1-4]), ([1-4])\]\}\n')
+# The record of round i = 1, 2, ... in cell c is b'{"i": %d' % i and the
+# tail _RECORD_TAIL[c] (settings 1..9, outcomes 1..4); `_TAIL_CELL` maps a
+# tail back to its cell.  Writer and reader use this table and nothing else.
+_RECORD_TAIL = [b', "u": [%d, %d], "x": [%d, %d]}\n' % r for r in itertools.product(
+    *[range(1, N_SETTINGS + 1)] * 2, *[range(1, N_OUTCOMES + 1)] * 2)]
+_TAIL_CELL = {tail: cell for cell, tail in enumerate(_RECORD_TAIL)}
+_VERDICTS = ("Accept", "AbortBell", "AbortTomography")
 
 
 def write_transcript(run: ProtocolRun, path, config_hash: str = "",
                      package_version: str = "") -> None:
-    """JSON Lines: a header, one `_RECORD_LINE` per round, a summary."""
-    if run.records is None:
+    """JSON Lines: a header, a record per round (CHUNK at a time), a summary."""
+    if run.cells is None:
         raise ValueError("run has no kept transcript")
-    with open(path, "w", newline="\n") as fh:   # read back as bytes ending b"\n"
+    with open(path, "wb") as fh:
         header = {"type": "header", "version": FORMAT_VERSION,
                   "package_version": package_version,
                   "config_hash": config_hash, "params": run.params.to_dict(),
                   "device": run.device_spec, "source": run.source_spec}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i, (u1, u2, x1, x2) in enumerate(run.records, start=1):
-            fh.write(_RECORD_LINE % (i, u1, u2, x1, x2))
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        for k in range(0, len(run.cells), CHUNK):
+            fh.write(b"".join([b'{"i": %d%b' % (i, _RECORD_TAIL[c]) for i, c
+                               in enumerate(run.cells[k:k + CHUNK].tolist(), k + 1)]))
         summary = {"type": "summary", "Ln": run.bell_average,
                    "Sn": run.target_frequency, "verdict": run.verdict}
         if run.output_bits is not None:
             summary["output_hex"] = extractor_mod.output_hex(run.output_bits)
             summary["extraction"] = run.extraction
-        fh.write(json.dumps(summary, sort_keys=True) + "\n")
+        fh.write(json.dumps(summary, sort_keys=True).encode() + b"\n")
 
 
 def _tagged(path, line_no: int, line: bytes, kind: str, want: str) -> dict:
@@ -584,25 +581,26 @@ def _tagged(path, line_no: int, line: bytes, kind: str, want: str) -> dict:
 
 
 def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
-    """Header, source at stream position 0, run recomputed from the records
+    """Header, source at stream position 0, run recomputed from the cells
     by `replay_transcript`, and stored summary of a transcript file.
 
     The file is untrusted.  Read in one pass as bytes, with each JSON line
     decoded as UTF-8, it must have the layout `write_transcript` writes:
-    the header, the k-th record as `_RECORD_LINE` with i = k, one summary,
-    the end of the file.  Then its format version,
+    the header, the k-th record as b'{"i": k' and a `_RECORD_TAIL` entry
+    (its cell), one summary, the end of the file.  Then its format version,
     `parse_header` (the rules a config is read by), n against the record
-    count and the summary's Ln, Sn and verdict are checked.  Any failure
-    raises ValueError("<path>:<line>: ...").
+    count and the summary's Ln, Sn (numbers in [0, 1]) and verdict are
+    checked.  Any failure raises ValueError("<path>:<line>: ...").
     """
-    records = []
+    cells = []
     with open(path, "rb") as fh:
         header = _tagged(path, 1, next(fh, b""), "header", "the header")
         for line_no, line in enumerate(fh, start=2):
-            if not (m := _RECORD_PATTERN.fullmatch(line)) or \
-                    int(m[1]) != line_no - 1:
+            head = b'{"i": %d' % (line_no - 1)
+            if not line.startswith(head) or \
+                    (cell := _TAIL_CELL.get(line[len(head):])) is None:
                 break
-            records.append((int(m[2]), int(m[3]), int(m[4]), int(m[5])))
+            cells.append(cell)
         else:
             raise ValueError(f"{path}: no summary line")
         summary = _tagged(path, line_no, line, "summary", f"record"
@@ -616,19 +614,21 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
         params, source = parse_header(header)
     except ValueError as e:
         raise ValueError(f"{path}:1: {e}") from e
-    if params.n != len(records):
+    if params.n != len(cells):
         raise ValueError(f"{path}:1: header n is {params.n}"
-                         f" but the file has {len(records)} records")
-    if not all(k in summary for k in ("Ln", "Sn", "verdict")):
-        raise ValueError(f"{path}:{line_no}: summary needs Ln, Sn and verdict")
-    return header, source, replay_transcript(params, records), summary
+                         f" but the file has {len(cells)} records")
+    try:
+        for key in ("Ln", "Sn"):
+            parse_real(summary, key, "summary", lambda v: 0 <= v <= 1, "in [0, 1]")
+        _field(summary, "verdict", "summary", lambda v: v in _VERDICTS, " or ".join(_VERDICTS))
+    except ValueError as e:
+        raise ValueError(f"{path}:{line_no}: {e}") from e
+    return header, source, replay_transcript(params, np.array(cells)), summary
 
 
-def replay_transcript(params: ProtocolParams, records) -> ProtocolRun:
-    """The run that stored records describe under `params`, recomputed from
-    the records rather than taken from a stored summary.  Its device and
-    source specs are left empty; a transcript header keeps them."""
-    hist = [0] * N_CELLS
-    for u1, u2, x1, x2 in records:
-        hist[var_index(u1, u2, x1, x2)] += 1
-    return ProtocolRun(params, {}, {}, hist, records)
+def replay_transcript(params: ProtocolParams, cells) -> ProtocolRun:
+    """The run whose rounds are `cells` (`var_index` cells in round order,
+    an integer array) under `params`, not a stored summary's.  Its device
+    and source specs are left empty; a transcript header keeps them."""
+    return ProtocolRun(params, {}, {},
+                       np.bincount(cells, minlength=N_CELLS).tolist(), cells)

@@ -307,7 +307,7 @@ def test_criterion_12_replay_determinism(tmp_path):
     dev2 = make_iid_device(uniform_box(), 3)
     params2 = ProtocolParams(n=5000)
     run2 = run_protocol(dev2, SVSource(0, "unbiased", 4), params2)
-    redo2 = replay_transcript(params2, run2.records)
+    redo2 = replay_transcript(params2, run2.cells)
     assert (redo2.bell_average, redo2.target_frequency, redo2.verdict) == \
         (run2.bell_average, run2.target_frequency, run2.verdict)
     assert redo2.verdict == "AbortBell"

@@ -60,7 +60,10 @@ def test_certify_rejects_negative_grid(runner, tmp_path):
 @pytest.mark.parametrize("grid, message", [
     ("", "bad grid: no cap in ''"), (",", "bad grid: no cap in ','"),
     ("1e400", "bad grid: 1e400 is too large"),
-    ("0, 1e400 ", "bad grid: 1e400 is too large")])
+    ("0, 1e400 ", "bad grid: 1e400 is too large"),
+    # caps whose certificate file names would pass 255 bytes
+    ("1e-400", "bad grid: 1e-400 needs a file name over 255 bytes"),
+    ("0,1e250", "bad grid: 1e250 needs a file name over 255 bytes")])
 def test_certify_rejects_an_empty_or_overflowing_grid(runner, tmp_path, grid,
                                                       message):
     res = runner.invoke(main, ["certify", "--delta-grid", grid,
@@ -297,7 +300,15 @@ def test_replay_malformed_file(runner, tmp_path):
                  _transcript_text().replace('"seed": 0', '"seed": 1')
                  .splitlines(True)[0] + _transcript_text(),
                  # a line that is not UTF-8
-                 _transcript_text().splitlines(True)[0].encode() + b"\xff\xfe\n"):
+                 _transcript_text().splitlines(True)[0].encode() + b"\xff\xfe\n",
+                 # summary values of the wrong type or out of range
+                 _transcript_text(summary={"type": "summary", "Ln": "0.0",
+                                           "Sn": 0.0, "verdict": "AbortTomography"}),
+                 _transcript_text(summary={"type": "summary", "Ln": 0.0,
+                                           "Sn": 0.0, "verdict": "Maybe"}),
+                 # record 1 numbered by a longer or zero-padded number
+                 _transcript_text().replace('{"i": 1,', '{"i": 10,'),
+                 _transcript_text().replace('{"i": 1,', '{"i": 01,')):
         bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         res = runner.invoke(main, ["replay", str(bad)])
         assert res.exit_code == 2, res.output

@@ -5,12 +5,12 @@ from random import Random
 import numpy as np
 import pytest
 
-from randamp.extractor import (ExtractorConfig, encode_outcome_bits, extract,
-                               extraction_report,
+from randamp.extractor import (ExtractorConfig, extract, extraction_report,
                                max_sequence_probability_chained,
                                max_sequence_probability_product,
                                sequence_probability_bound,
                                transcript_to_source, uniformity_test)
+from randamp.ks_bell import var_index
 from randamp.protocol import ProtocolParams, replay_transcript
 
 
@@ -123,19 +123,21 @@ def test_extract_cost_does_not_grow_with_L():
 
 
 def _accepted_run(records):
-    """The run of `records` at delta = 1, so its Bell test passes."""
+    """The run of the rounds (u1, u2, x1, x2) in `records` at delta = 1, so
+    its Bell test passes."""
     params = ProtocolParams(n=len(records), delta=1.0, enforce_bounds=False)
-    return replay_transcript(params, records)
+    return replay_transcript(params, np.array([var_index(*r) for r in records]))
 
 
 def test_transcript_to_source_rules():
-    records = [(1, 2, 1, 3), (3, 3, 2, 2), (1, 2, 4, 1), (2, 1, 1, 1)]
+    """4 bits a round: x1 - 1 then x2 - 1, each 2 bits, MSB first."""
+    records = [(1, 2, 1, 3), (3, 3, 2, 2), (1, 2, 4, 1), (2, 1, 1, 1),
+               (1, 2, 4, 3), (7, 9, 2, 4)]
     run = _accepted_run(records)
-    tgt = transcript_to_source(run, "target_rounds")
-    assert tgt == encode_outcome_bits(1, 3) + encode_outcome_bits(4, 1)
-    assert transcript_to_source(run, "all_rounds") == sum(
-        (encode_outcome_bits(x1, x2) for (_, _, x1, x2) in records), [])
-    assert len(transcript_to_source(run, "all_rounds")) == 4 * len(records)
+    assert transcript_to_source(run, "target_rounds") == \
+        bits("0010" "1100" "1110")
+    assert transcript_to_source(run, "all_rounds") == \
+        bits("0010" "0101" "1100" "0000" "1110" "0111")
 
 
 def test_transcript_to_source_requires_accept():
@@ -149,12 +151,6 @@ def test_transcript_to_source_empty_selection():
     run = _accepted_run([(3, 3, 1, 1)])
     with pytest.raises(ValueError):
         transcript_to_source(run, "target_rounds")
-
-
-def test_encode_outcome_bits():
-    assert encode_outcome_bits(1, 1) == [0, 0, 0, 0]
-    assert encode_outcome_bits(4, 3) == [1, 1, 1, 0]
-    assert encode_outcome_bits(2, 4) == [0, 1, 1, 1]
 
 
 def test_extraction_report_rates():

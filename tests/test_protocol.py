@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -118,7 +120,7 @@ def test_verdict_recomputable_from_transcript(ideal):
     dev = make_iid_device(ideal, seed=31)
     src = SVSource(0, "unbiased", seed=32)
     run = run_protocol(dev, src, params)
-    redo = replay_transcript(params, run.records)
+    redo = replay_transcript(params, run.cells)
     assert (redo.bell_average, redo.target_frequency, redo.verdict) == \
         (run.bell_average, run.target_frequency, run.verdict)
 
@@ -135,7 +137,7 @@ def test_transcript_file_roundtrip(tmp_path, ideal):
     assert header["config_hash"] == "abc123"
     assert header["source"] == {"epsilon": 0.0, "strategy": "unbiased", "seed": 42}
     assert redo.params == params
-    assert (redo.hist, redo.records) == (run.hist, run.records)
+    assert redo.hist == run.hist and np.array_equal(redo.cells, run.cells)
     assert summary["verdict"] == run.verdict
     assert (redo.bell_average, redo.target_frequency, redo.verdict) == \
         (summary["Ln"], summary["Sn"], summary["verdict"])
@@ -146,6 +148,62 @@ def test_transcript_file_roundtrip(tmp_path, ideal):
         SVSource(spec["epsilon"], spec["strategy"], spec["seed"]).next_block(8)
 
 
+def test_transcript_roundtrip_of_every_cell(tmp_path):
+    """A run whose rounds are the 1296 cells, each once, in a seeded
+    shuffle (so that i crosses 9/10, 99/100 and 999/1000) reads back as the
+    same cells and histogram, and each record line holds its cell's
+    settings and outcomes."""
+    cells = np.random.default_rng(11).permutation(N_CELLS)
+    params = ProtocolParams(n=N_CELLS)
+    run = ProtocolRun(params, {"kind": "uniform"},
+                      SVSource(0, "unbiased", 5).spec(), [1] * N_CELLS, cells)
+    path = tmp_path / "cells.jsonl"
+    write_transcript(run, path)
+    _, _, redo, summary = read_transcript(path)
+    assert np.array_equal(redo.cells, cells) and redo.hist == [1] * N_CELLS
+    assert summary["verdict"] == redo.verdict == "AbortBell"
+    records = [json.loads(line) for line in path.read_text().splitlines()[1:-1]]
+    assert [r["i"] for r in records] == list(range(1, N_CELLS + 1))
+    assert [var_index(*r["u"], *r["x"]) for r in records] == cells.tolist()
+
+
+def test_transcript_codec_streams(tmp_path):
+    """Writing and reading a 10^5-round transcript (about 4 MB of records)
+    each peak below 6 MB of traced allocations: both go CHUNK lines at a
+    time and hold no copy of the whole record block."""
+    params = ProtocolParams(n=100_000)
+    run = run_protocol(make_iid_device(uniform_box(), 1),
+                       SVSource(0, "unbiased", 2), params)
+    path = tmp_path / "big.jsonl"
+    tracemalloc.start()
+    try:
+        write_transcript(run, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        read_transcript(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 6e6 and read_peak < 6e6, (write_peak, read_peak)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("Ln", "0.0", "summary.Ln: needs a finite number in [0, 1]"),
+    ("Ln", True, "summary.Ln: needs a finite number in [0, 1]"),
+    ("Sn", 1.5, "summary.Sn: needs a finite number in [0, 1]"),
+    ("Sn", math.nan, "summary.Sn: needs a finite number in [0, 1]"),
+    ("verdict", "Maybe", "summary.verdict: needs Accept or AbortBell or"),
+    ("verdict", None, "summary.verdict: needs Accept or AbortBell or")])
+def test_read_transcript_checks_the_summary_values(tmp_path, key, value,
+                                                   message):
+    lines = [dict(obj) for obj in _WELL_FORMED]
+    lines[-1][key] = value
+    path = tmp_path / "summary.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    with pytest.raises(ValueError, match=re.escape(f"summary.jsonl:4: {message}")):
+        read_transcript(path)
+
+
 DEVICE_SPECS = [{"kind": "ideal"}, {"kind": "uniform"},
                 {"kind": "depolarized", "eta": 0.5}, {"kind": "lp_attack_zero"},
                 {"kind": "switch_after", "k": 3},
@@ -154,17 +212,17 @@ DEVICE_SPECS = [{"kind": "ideal"}, {"kind": "uniform"},
 
 @pytest.mark.parametrize("spec", DEVICE_SPECS, ids=lambda s: s["kind"])
 def test_histogram_is_the_run(spec):
-    """The batch engine's histogram, tallied from its cell codes, against
-    the one `replay_transcript` tallies from the records by `var_index`:
-    both, and so every statistic and the verdict, agree for each device
-    kind and source strategy."""
+    """The batch engine's histogram, tallied chunk by chunk, against the
+    one `replay_transcript` tallies from the run's kept cells in one
+    `np.bincount`: both, and so every statistic and the verdict, agree for
+    each device kind and source strategy."""
     device_factory = build_device_factory(spec)
     for eps, strategy in ((0.0, "unbiased"), (0.05, ["avoid_target"])):
         for n in (1, 7, 20_000):
             params = ProtocolParams(n=n, eps=eps)
             run = run_protocol(device_factory(n), SVSource(eps, strategy, n),
                                params)
-            redo = replay_transcript(params, run.records)
+            redo = replay_transcript(params, run.cells)
             assert run.hist == redo.hist and sum(run.hist) == n
             assert (run.n, run.bell_count, run.target_count,
                     run.bell_average, run.target_frequency, run.verdict) == \
@@ -178,15 +236,14 @@ def _round_loop(device, source, params, keep_transcript=True):
     """The reference engine: one round at a time through the stream
     definitions `next_block(8)`, `map_block` and `respond(k, u)`."""
     hist = [0] * N_CELLS
-    records = [] if keep_transcript else None
+    cells = []
     for k in range(params.n):
         u = DEFAULT_MAP.map_block(source.next_block(8))
-        x = device.respond(k, u)
-        hist[var_index(*u, *x)] += 1
-        if records is not None:
-            records.append(u + x)
-    run = ProtocolRun(params, device.spec(), source.spec(), hist, records)
-    if run.verdict == "Accept" and records is not None:
+        cells.append(var_index(*u, *device.respond(k, u)))
+        hist[cells[-1]] += 1
+    run = ProtocolRun(params, device.spec(), source.spec(), hist,
+                      np.array(cells) if keep_transcript else None)
+    if run.verdict == "Accept" and keep_transcript:
         extract_output(run, source)
     return run
 
@@ -214,7 +271,7 @@ def _trigger_across_chunks(end):
 
 def test_batch_engine_matches_the_round_loop():
     """`run_protocol` against `_round_loop` on every device kind and source
-    strategy: histogram, records, verdict, output bits, extraction report,
+    strategy: histogram, cells, verdict, output bits, extraction report,
     and both generators' and the device's state after the run.  n spans
     the chunk edges; tau falls inside the second chunk, and a trigger
     pattern completes across the first chunk boundary."""
@@ -241,10 +298,11 @@ def test_batch_engine_matches_the_round_loop():
         ref_dev, ref_src = device_factory(n), SVSource(eps, strategy, seed)
         run = run_protocol(dev, src, params, keep)
         ref = _round_loop(ref_dev, ref_src, params, keep)
-        assert (run.hist, run.records, run.verdict, run.output_bits,
-                run.extraction) == (ref.hist, ref.records, ref.verdict,
-                                    ref.output_bits, ref.extraction), \
+        assert (run.hist, run.verdict, run.output_bits, run.extraction) == \
+            (ref.hist, ref.verdict, ref.output_bits, ref.extraction), \
             (spec, strategy, n)
+        assert (run.cells is ref.cells is None if not keep else
+                np.array_equal(run.cells, ref.cells)), (spec, strategy, n)
         assert _state(dev, src) == _state(ref_dev, ref_src), (spec, strategy, n)
 
 
@@ -451,8 +509,9 @@ def test_monte_carlo_single_trial_reproduces_run(ideal):
     assert first.output_bits is not None
     full = run_protocol(make_iid_device(ideal, derive_seed(55, 0, 1)),
                         SVSource(0, "unbiased", derive_seed(55, 0, 2)), params)
-    assert (first.records, first.output_bits, first.extraction) == \
-        (full.records, full.output_bits, full.extraction)
+    assert np.array_equal(first.cells, full.cells)
+    assert (first.output_bits, first.extraction) == \
+        (full.output_bits, full.extraction)
     assert stats.to_csv().splitlines()[0] == "trial,Ln,Sn,verdict"
 
 
