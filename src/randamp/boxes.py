@@ -22,7 +22,6 @@ are drawn.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from collections import deque
@@ -32,12 +31,9 @@ from random import Random
 
 import numpy as np
 
-from .ks_bell import N_OUTCOMES, N_SETTINGS, BellFunctional, KSModel
+from .ks_bell import (N_OUTCOMES, N_SETTINGS, BellFunctional, KSModel,
+                      pair_index)
 from .seeding import uniforms
-
-# The setting pairs in `ks_bell.pair_index` order, and their indices
-_PAIRS = list(itertools.product(range(1, N_SETTINGS + 1), repeat=2))
-_PAIR_INDEX = {u: i for i, u in enumerate(_PAIRS)}
 
 
 @dataclass(frozen=True)
@@ -178,31 +174,31 @@ class Device:
         switch_after     tau = k
         history_trigger  tau = the round after `pattern` first completes as a
                          contiguous block of past settings
+    `pattern` and the memory `_recent` (the last len(pattern) rounds) hold
+    setting pairs as their `ks_bell.pair_index`.
     `respond_chunk` answers a run of rounds at once with the same draws,
     outcomes, tau and memory as `respond` round by round.  Build devices
     with `make_iid_device` or `make_adversarial_device`.
     """
 
     def __init__(self, spec: dict, b1: Behavior, b2: Behavior, seed: int,
-                 tau: float = math.inf, pattern: tuple = ()):
+                 tau: float = math.inf, pattern: tuple[int, ...] = ()):
         self._spec = spec
         self.seed = seed
         self.rng = Random(seed)
         self.tau = tau
         self.pattern = pattern
         self._recent: deque = deque(maxlen=len(pattern))
-        # a pattern entry that is no setting pair can never match: index -1
-        self._pattern_pairs = [_PAIR_INDEX.get(u, -1) for u in pattern]
         self._cums1 = cumulative_tables(b1)
         self._cums2 = self._cums1 if b2 is b1 else cumulative_tables(b2)
 
     def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
+        pair = pair_index(*u)
         cums = self._cums1 if k < self.tau else self._cums2
         # every cum[-1] >= 1 > random(), so c is an outcome pair code 0..15
-        c = bisect_right(cums[(u[0] - 1) * 9 + (u[1] - 1)].tolist(),
-                         self.rng.random())
+        c = bisect_right(cums[pair].tolist(), self.rng.random())
         if self.pattern and k < self.tau:
-            self._recent.append(tuple(u))
+            self._recent.append(pair)
             if tuple(self._recent) == self.pattern:
                 self.tau = k + 1
         return (c // 4 + 1, c % 4 + 1)
@@ -224,18 +220,16 @@ class Device:
         """Set tau if `pattern` first completes in rounds k, k+1, ..., and
         keep the settings of the last len(pattern) rounds up to then."""
         size, carried = len(self.pattern), len(self._recent)
-        seq = np.concatenate([np.array(
-            [_PAIR_INDEX[u] for u in self._recent], np.intp), pairs])
+        seq = np.concatenate([np.array(self._recent, np.intp), pairs])
         hit = np.zeros(len(seq), bool)  # hit[e]: the pattern ends at seq[e]
         hit[max(carried, size - 1):] = True
         for back in range(min(size, len(seq))):
-            hit[back:] &= seq[:len(seq) - back] == self._pattern_pairs[-1 - back]
+            hit[back:] &= seq[:len(seq) - back] == self.pattern[-1 - back]
         end = int(hit.argmax()) if hit.any() else len(seq) - 1
         if hit[end]:
             self.tau = k + end - carried + 1
         self._recent.clear()
-        self._recent.extend(map(_PAIRS.__getitem__,
-                                seq[max(0, end + 1 - size):end + 1].tolist()))
+        self._recent.extend(seq[max(0, end + 1 - size):end + 1].tolist())
 
     def spec(self) -> dict:
         return dict(self._spec, seed=self.seed)
@@ -247,21 +241,27 @@ def make_iid_device(behavior: Behavior, seed: int = 0) -> Device:
 
 
 def make_adversarial_device(spec: dict, seed: int = 0) -> Device:
-    """Build a stateful device from a serializable spec.
+    """Build a stateful device from a serializable spec, the one check of it.
 
-    Supported kinds: switch_after {k, b1, b2} and history_trigger
-    {pattern, b1, b2}; b1/b2 are Behavior objects supplied by the caller.
+    Supported kinds: switch_after {k, b1, b2}, k an int >= 0 (not a bool),
+    and history_trigger {pattern, b1, b2}, pattern a non-empty list of
+    [u1, u2] setting pairs in 1..9; else ValueError("device.k: ...") or
+    ValueError("device.pattern: ...").  b1/b2 are Behavior objects.
     """
     kind = spec.get("kind")
     if kind == "switch_after":
-        if spec["k"] < 0:
-            raise ValueError("switch round must be >= 0")
-        return Device({"kind": kind, "k": spec["k"]}, spec["b1"], spec["b2"],
-                      seed, tau=spec["k"])
+        if not (type(k := spec.get("k")) is int and k >= 0):
+            raise ValueError(f"device.k: needs an int >= 0, got {k!r}")
+        return Device({"kind": kind, "k": k}, spec["b1"], spec["b2"],
+                      seed, tau=k)
     if kind == "history_trigger":
-        pattern = tuple(tuple(p) for p in spec["pattern"])
-        if not pattern:
-            raise ValueError("pattern must be non-empty")
+        if not (isinstance(pattern := spec.get("pattern"), (list, tuple))
+                and pattern and all(isinstance(p, (list, tuple)) and len(p) == 2
+                and all(type(v) is int and 1 <= v <= 9 for v in p)
+                for p in pattern)):
+            raise ValueError("device.pattern: needs a non-empty list of setting"
+                             f" pairs in 1..9, got {pattern!r}")
         return Device({"kind": kind, "pattern": [list(p) for p in pattern]},
-                      spec["b1"], spec["b2"], seed, pattern=pattern)
+                      spec["b1"], spec["b2"], seed,
+                      pattern=tuple(pair_index(*p) for p in pattern))
     raise ValueError(f"unknown adversarial device kind: {kind!r}")

@@ -114,7 +114,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
 def build_device_factory(spec):
     """Device factory for a config's device section, which is outside input:
     a section that is not an object, an unknown kind, or a missing or
-    out-of-range `eta`, `k` or `pattern` raises ValueError("device...: ...")."""
+    out-of-range `eta`, `k` or `pattern` raises ValueError("device...: ...");
+    `make_adversarial_device` checks `k` and `pattern`, once before any run."""
     if not isinstance(spec, dict):
         raise ValueError(f"device: needs a JSON object, got {spec!r}")
     kind = spec.get("kind", "ideal")
@@ -129,15 +130,8 @@ def build_device_factory(spec):
     elif kind == "lp_attack_zero":
         box, _ = zero_target_box(build_bell_functional(model))
     elif kind in ("switch_after", "history_trigger"):
-        if kind == "switch_after":
-            parse_int(spec, "k", "device", least=0)
-        elif not (isinstance(pattern := spec.get("pattern"), list) and pattern
-                  and all(isinstance(p, list) and len(p) == 2
-                          and all(type(v) is int and 1 <= v <= 9 for v in p)
-                          for p in pattern)):
-            raise ValueError("device.pattern: needs a non-empty list of setting"
-                             f" pairs in 1..9, got {pattern!r}")
         full = dict(spec, b1=ideal_quantum_box(model), b2=uniform_box())
+        make_adversarial_device(full)   # checks k or pattern before any run
         return lambda seed: make_adversarial_device(full, seed)
     else:
         raise ValueError(f"device.kind: unknown device kind {kind!r}")
@@ -342,7 +336,7 @@ def extract_cmd(run_file, outdir):
 
 @main.command("verify-bounds")
 @click.option("--trials", type=click.IntRange(min=1), default=10_000)
-@click.option("--seed", type=int, default=7)
+@click.option("--seed", type=click.IntRange(min=0), default=7)
 @click.option("--out", "outdir", default=None)
 def verify_bounds(trials, seed, outdir):
     """Empirical tail checks across a parameter grid; CSV pass/fail table."""

@@ -131,24 +131,18 @@ def extraction_report(x_len: int, t_len: int, cfg: ExtractorConfig,
 def uniformity_test(outputs, m: int) -> dict:
     """Per-bit bias and a joint chi-square over all 2^m cells (m <= 8).
 
-    outputs: iterable of m-bit outputs, each an int in [0, 2^m) or a bit
-    sequence.  Requires at least 1000 samples.
+    outputs: a 1-D array or sequence of m-bit outputs, each an int in
+    [0, 2^m).  Requires at least 1000 samples.
     """
     if m > 8:
         raise ValueError("joint test limited to m <= 8")
-    vals = []
-    for o in outputs:
-        if isinstance(o, (int, np.integer)):
-            vals.append(int(o))
-        else:
-            v = 0
-            for b in o:
-                v = (v << 1) | int(b)
-            vals.append(v)
-    n = len(vals)
+    arr = np.asarray(outputs)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise ValueError("outputs must be a 1-D sequence of ints")
+    n = len(arr)
     if n < 1000:
         raise ValueError(f"need >= 1000 samples, got {n}")
-    arr = np.asarray(vals, dtype=np.int64)
+    arr = arr.astype(np.int64)
     if arr.min() < 0 or arr.max() >= (1 << m):
         raise ValueError("output out of range for m bits")
     biases = []

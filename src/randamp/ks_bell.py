@@ -66,8 +66,9 @@ def pair_index(u1: int, u2: int) -> int:
 
 
 def var_index(u1: int, u2: int, x1: int, x2: int) -> int:
-    """Canonical cell of table entry (x1,x2|u1,u2); all arguments 1..n."""
-    return ((u1 - 1) * 9 + (u2 - 1)) * 16 + (x1 - 1) * 4 + (x2 - 1)
+    """Canonical cell of table entry (x1,x2|u1,u2), all arguments 1..n: its
+    setting pair is cell // 16 = pair_index(u1, u2), its outcome cell % 16."""
+    return 16 * pair_index(u1, u2) + 4 * (x1 - 1) + (x2 - 1)
 
 
 @dataclass(frozen=True)

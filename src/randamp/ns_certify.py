@@ -160,10 +160,12 @@ def verify_certificate(p: LPProblem, d: DualCertificate,
                        claimed_bound: Fraction | None = None) -> bool:
     """Exact-arithmetic dual feasibility check, independent of any solver.
 
-    True iff beta >= 0, all derived nonnegativity multipliers are >= 0, and
-    the recomputed bound y.f + beta*cap does not exceed the claimed bound.
+    True iff the certificate is for the problem's cap and target entry,
+    beta >= 0, all derived nonnegativity multipliers are >= 0, and the
+    recomputed bound y.f + beta*cap does not exceed the claimed bound.
     """
-    if len(d.y) != p.n_equalities or d.beta < 0:
+    if (len(d.y) != p.n_equalities or d.beta < 0
+            or d.delta_tilde != p.delta_tilde or d.target != p.target):
         return False
     sign = 1 if d.sense == "max" else -1
     ety = [Fraction(0)] * p.num_vars

@@ -333,8 +333,8 @@ def extract_output(run: ProtocolRun, source: SVSource) -> None:
 def expected_tomography_rate(b: Behavior) -> float:
     """nu(target settings) * P(target outcomes | target settings), with nu
     the setting distribution that uniform bits induce through the map
-    (preimage counting)."""
-    nu = DEFAULT_MAP.pair_preimage_count(TARGET_SETTINGS) / 2.0 ** BITS_PER_ROUND
+    (the count of blocks that map to the target settings)."""
+    nu = len(DEFAULT_MAP.blocks_of(TARGET_SETTINGS)) / 2.0 ** BITS_PER_ROUND
     return nu * b.prob(TARGET_OUTCOMES, TARGET_SETTINGS)
 
 
@@ -607,8 +607,9 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
                           f" {line_no - 1} in the written form or the summary")
         if next(fh, None) is not None:
             raise ValueError(f"{path}:{line_no + 1}: text after the summary")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}:1: format version {header.get('version')!r},"
+    if type(version := header.get("version")) is not int \
+            or version != FORMAT_VERSION:   # true and 1.0 are no version
+        raise ValueError(f"{path}:1: format version {version!r},"
                          f" expected {FORMAT_VERSION}")
     try:
         params, source = parse_header(header)

@@ -55,26 +55,23 @@ def _as_fraction(v) -> Fraction:
 
 @dataclass(frozen=True)
 class SettingMap:
-    """Per-party surjection from 4-bit values 0..15 onto settings 1..9."""
+    """Per-party surjection from 4-bit values 0..15 onto settings 1..9; per
+    8-bit block `map_block`, with inverse image `blocks_of` (and table
+    `BLOCK_PAIR` in `ks_bell.pair_index` form)."""
 
     name: str = "mod9"
 
     def setting_of(self, v: int) -> int:
         return (v % 9) + 1
 
-    def preimages(self, setting: int) -> tuple[int, ...]:
-        return tuple(v for v in range(16) if self.setting_of(v) == setting)
-
-    def pair_preimage_count(self, u: tuple[int, int]) -> int:
-        return len(self.preimages(u[0])) * len(self.preimages(u[1]))
-
     def map_block(self, block: int) -> tuple[int, int]:
         """8-bit packed block (party 1 in the high nibble) -> setting pair."""
         return (self.setting_of(block >> 4), self.setting_of(block & 0xF))
 
-    def pair_block_preimages(self, u: tuple[int, int]) -> tuple[int, ...]:
-        return tuple(a * 16 + b for a in self.preimages(u[0])
-                     for b in self.preimages(u[1]))
+    def blocks_of(self, u) -> tuple[int, ...]:
+        """The 8-bit blocks b with map_block(b) == tuple(u); none for a pair
+        outside 1..9 (compared as pairs: a pair_index would alias one)."""
+        return tuple(b for b in range(256) if self.map_block(b) == tuple(u))
 
 
 DEFAULT_MAP = SettingMap()
@@ -194,7 +191,7 @@ def make_strategy(spec, eps) -> Strategy:
                 and all(type(u) is int and 1 <= u <= 9 for u in target)):
             raise ValueError(f"avoid_target needs a setting pair in 1..9,"
                              f" got {target!r}")
-        pre = set(DEFAULT_MAP.pair_block_preimages(tuple(target)))
+        pre = set(DEFAULT_MAP.blocks_of(target))
         _, policy = _tree_extremum(
             eps, lambda leaf: Fraction(1 if leaf in pre else 0), minimize=True)
         return _table(kind, eps, lambda r, node: policy[node])
@@ -337,7 +334,7 @@ def setting_measure_extrema(eps, u: tuple[int, int]
                             ) -> tuple[Fraction, Fraction]:
     """Exact min and max of P(pair = u) over all strategies, by block DP."""
     epsf = _as_fraction(eps)
-    pre = set(DEFAULT_MAP.pair_block_preimages(u))
+    pre = set(DEFAULT_MAP.blocks_of(u))
     leaf = lambda v: Fraction(1 if v in pre else 0)
     lo, _ = _tree_extremum(epsf, leaf, minimize=True)
     hi, _ = _tree_extremum(epsf, leaf, minimize=False)

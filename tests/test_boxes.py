@@ -225,6 +225,25 @@ def test_history_trigger_switches_on_past_inputs(ideal):
     assert dev.respond(2, (3, 3)) == (4, 4)
 
 
+def test_adversarial_device_spec_is_checked(ideal):
+    """make_adversarial_device is the one check of k and pattern: a missing,
+    bool or negative k, and a pattern that is not a non-empty list of
+    setting pairs in 1..9, raise ValueError naming the field."""
+    boxes = {"b1": ideal, "b2": uniform_box()}
+    for k in ({}, {"k": True}, {"k": -1}, {"k": 2.0}):
+        with pytest.raises(ValueError, match=r"^device\.k: "):
+            make_adversarial_device(dict(boxes, kind="switch_after", **k))
+    for pattern in ([], [(5, 12)], [(1, 2, 3)], [(0, 1)], [(True, 1)],
+                    [[1, 2], 5], "12", None):
+        with pytest.raises(ValueError, match=r"^device\.pattern: "):
+            make_adversarial_device(dict(boxes, kind="history_trigger",
+                                         pattern=pattern))
+    dev = make_adversarial_device(dict(boxes, kind="history_trigger",
+                                       pattern=[[9, 9], (1, 2)]))
+    assert dev.pattern == (80, 1)
+    assert dev.spec()["pattern"] == [[9, 9], [1, 2]]
+
+
 def test_tons_responses_do_not_depend_on_future_settings(ideal):
     """Replaying a device with a mutated suffix of settings leaves every
     earlier outcome unchanged."""

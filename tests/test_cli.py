@@ -112,9 +112,11 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
     bad += [dict(SMALL_SIM, device=device) for device in (
         {"kind": "switch_after"},
         {"kind": "switch_after", "k": -1},
+        {"kind": "switch_after", "k": True},
         {"kind": "history_trigger"},
         {"kind": "history_trigger", "pattern": []},
         {"kind": "history_trigger", "pattern": [[5, 12]]},
+        {"kind": "history_trigger", "pattern": [[1, 2, 3]]},
         {"kind": "depolarized"},
         {"kind": "depolarized", "eta": 1.5})]
     # source strategies that cannot be built: too biased for eps, unknown,
@@ -273,9 +275,12 @@ def test_replay_malformed_file(runner, tmp_path):
                  _transcript_text(summary={"type": "summary", "Sn": 0.0,
                                            "verdict": "AbortTomography"}),
                  "".join(_transcript_text().splitlines(True)[::2]),
-                 # another format version, and a header without one
+                 # another format version, a header without one, and
+                 # versions that equal 1 but are no int
                  _transcript_text().replace('"version": 1', '"version": 2'),
                  _transcript_text().replace('"version": 1, ', ''),
+                 _transcript_text().replace('"version": 1', '"version": true'),
+                 _transcript_text().replace('"version": 1', '"version": 1.0'),
                  # record count other than n: a truncated file
                  _transcript_text().replace('"n": 1', '"n": 2'),
                  # record numbers other than 1, 2, ..., n
@@ -530,6 +535,15 @@ def test_verify_bounds_rejects_trials_below_one(runner, tmp_path):
         res = runner.invoke(main, ["verify-bounds", "--trials", trials,
                                    "--out", str(tmp_path)])
         assert res.exit_code == 2, (trials, res.output)
+
+
+def test_verify_bounds_rejects_a_negative_seed(runner, tmp_path):
+    # numpy takes no negative seed; that is a usage error, not exit 1
+    res = runner.invoke(main, ["verify-bounds", "--trials", "10", "--seed", "-1",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "--seed" in res.output
+    assert not (tmp_path / "bounds_table.csv").exists()
 
 
 def test_verify_bounds_table(runner, tmp_path):

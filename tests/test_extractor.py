@@ -187,6 +187,12 @@ def test_uniformity_test_validation():
         uniformity_test([0, 1] * 100, m=1)       # too few samples
     with pytest.raises(ValueError):
         uniformity_test(list(range(1000)), m=9)  # joint test capped at m=8
+    with pytest.raises(ValueError):             # m-bit ints only, not bits
+        uniformity_test([[0, 1]] * 1000, m=2)
+    with pytest.raises(ValueError):
+        uniformity_test([0.0, 1.0] * 1000, m=1)
+    with pytest.raises(ValueError):
+        uniformity_test([0, 2] * 1000, m=1)      # out of range for m bits
 
 
 def test_sequence_probability_bound_values():

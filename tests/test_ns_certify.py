@@ -91,7 +91,7 @@ def test_monotonicity_and_reference_bound(functional):
         prev = sol.exact_optimum
 
 
-def test_certificate_tamper_detection(lp_zero, sol_zero):
+def test_certificate_tamper_detection(functional, lp_zero, sol_zero):
     cert = sol_zero.certificate
     bad_y = list(cert.y)
     bad_y[0] += Fraction(1, 1000)
@@ -104,6 +104,15 @@ def test_certificate_tamper_detection(lp_zero, sol_zero):
     assert not verify_certificate(lp_zero, zero)
     # claiming a smaller bound than the multipliers deliver must fail
     assert not verify_certificate(lp_zero, cert, claimed_bound=Fraction(1, 2))
+    # a valid certificate for another cap or another target entry proves
+    # nothing about this problem, though its multipliers may fit it
+    half = solve_lp(build_lp(functional, Fraction(1, 2)), sense="max").certificate
+    assert half.bound == Fraction(5, 6)
+    assert not verify_certificate(lp_zero, half)
+    (x1, x2), u = cert.target
+    assert not verify_certificate(lp_zero, DualCertificate(
+        y=cert.y, beta=cert.beta, bound=cert.bound,
+        delta_tilde=cert.delta_tilde, target=((x2, x1), u)))
 
 
 def test_certificate_json_roundtrip(lp_zero, sol_zero):

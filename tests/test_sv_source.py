@@ -172,11 +172,18 @@ def test_map_examples():
 
 
 def test_map_preimage_structure():
-    counts = [len(DEFAULT_MAP.preimages(s)) for s in range(1, 10)]
+    counts = [sum(DEFAULT_MAP.setting_of(v) == s for v in range(16))
+              for s in range(1, 10)]
     assert counts == [2, 2, 2, 2, 2, 2, 2, 1, 1]
     assert {DEFAULT_MAP.setting_of(v) for v in range(16)} == set(range(1, 10))
     nu = sum(1 for v in range(256) if DEFAULT_MAP.map_block(v) == (1, 2)) / 256
     assert nu == 1 / 64
+    assert DEFAULT_MAP.blocks_of([1, 2]) == (0x01, 0x0A, 0x91, 0x9A)
+    # no block maps to a pair outside 1..9, though pair_index(0, 12)
+    # equals pair_index(1, 3)
+    assert DEFAULT_MAP.blocks_of((0, 12)) == ()
+    assert sorted(b for u1 in range(1, 10) for u2 in range(1, 10)
+                  for b in DEFAULT_MAP.blocks_of((u1, u2))) == list(range(256))
 
 
 def test_measure_bounds_and_extrema():
@@ -191,7 +198,7 @@ def test_dp_min_dominates_lower_bound_all_settings():
         for u2 in range(1, 10):
             lo, hi = setting_measure_extrema(eps, (u1, u2))
             assert lower <= lo <= hi
-            assert hi <= DEFAULT_MAP.pair_preimage_count((u1, u2)) * (HALF + eps) ** 8
+            assert hi <= len(DEFAULT_MAP.blocks_of((u1, u2))) * (HALF + eps) ** 8
 
 
 def test_avoid_strategy_attains_dp_minimum():
@@ -228,7 +235,7 @@ def test_two_round_literal_dp_matches_multiplicative_composition():
     """Exhaustive 16-bit tree: max P(avoid target in both of 2 rounds)
     equals (1 - p_min)^2."""
     eps = Fraction(1, 10)
-    pre = set(DEFAULT_MAP.pair_block_preimages((1, 2)))
+    pre = set(DEFAULT_MAP.blocks_of((1, 2)))
     p_min, _ = setting_measure_extrema(eps, (1, 2))
 
     depth = 16
