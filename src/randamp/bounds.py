@@ -40,35 +40,49 @@ def markov_split_epsilon(n: int, s: float) -> float:
     return 2.0 * math.exp(-n * s * s / 4.0)
 
 
+# Trials drawn at once by the Monte Carlo validators: 16 MB of uniforms at
+# n = 2000.  Generator.random fills row-major, so consecutive blocks of rows
+# are the rows of one (trials, n) draw, in order.
+_BLOCK_ROWS = 1024
+
+
+def _row_blocks(trials: int):
+    """Row counts of the consecutive blocks that make up `trials` rows."""
+    for start in range(0, trials, _BLOCK_ROWS):
+        yield min(_BLOCK_ROWS, trials - start)
+
+
 def _simulate_traces(spec, n: int, trials: int, rng: np.random.Generator):
-    """Vectorized white-box Bernoulli processes.
+    """Vectorized white-box Bernoulli processes, one block of rows at a time.
 
     Kinds: ("fair_coin",), ("constant", bit),
     ("markov", p_after0, p_after1) with round 0 mean p_after0.
-    Returns (indicators, conditional_means) of shape (trials, n).
+    Yields (indicators, conditional_means) of shape (rows, n) per block;
+    a constant array may be a broadcast view.
     """
     kind = spec[0] if isinstance(spec, (tuple, list)) else spec
-    if kind == "fair_coin":
-        means = np.full((trials, n), 0.5)
-        vals = (rng.random((trials, n)) < 0.5).astype(np.int8)
-        return vals, means
-    if kind == "constant":
-        bit = int(spec[1])
-        return (np.full((trials, n), bit, dtype=np.int8),
-                np.full((trials, n), float(bit)))
-    if kind == "markov":
-        p0, p1 = float(spec[1]), float(spec[2])
-        vals = np.zeros((trials, n), dtype=np.int8)
-        means = np.zeros((trials, n))
-        u = rng.random((trials, n))
-        prev = np.zeros(trials, dtype=np.int8)
-        for i in range(n):
-            p = np.where(prev == 0, p0, p1)
-            means[:, i] = p
-            vals[:, i] = (u[:, i] < p).astype(np.int8)
-            prev = vals[:, i]
-        return vals, means
-    raise ValueError(f"unknown trace spec {spec!r}")
+    if kind not in ("fair_coin", "constant", "markov"):
+        raise ValueError(f"unknown trace spec {spec!r}")
+    for rows in _row_blocks(trials):
+        if kind == "fair_coin":
+            vals = (rng.random((rows, n)) < 0.5).astype(np.int8)
+            yield vals, np.broadcast_to(0.5, (rows, n))
+        elif kind == "constant":
+            bit = int(spec[1])
+            yield (np.broadcast_to(np.int8(bit), (rows, n)),
+                   np.broadcast_to(float(bit), (rows, n)))
+        else:
+            p0, p1 = float(spec[1]), float(spec[2])
+            vals = np.zeros((rows, n), dtype=np.int8)
+            means = np.zeros((rows, n))
+            u = rng.random((rows, n))
+            prev = np.zeros(rows, dtype=np.int8)
+            for i in range(n):
+                p = np.where(prev == 0, p0, p1)
+                means[:, i] = p
+                vals[:, i] = (u[:, i] < p).astype(np.int8)
+                prev = vals[:, i]
+            yield vals, means
 
 
 def _tail_check(freq: float, bound: float, trials: int, **fields) -> dict:
@@ -83,10 +97,9 @@ def _tail_check(freq: float, bound: float, trials: int, **fields) -> dict:
 def azuma_empirical(spec, n: int, s: float, trials: int, seed: int = 0) -> dict:
     """Fraction of trials with |L_n - Lbar_n| >= s, against the bound."""
     rng = np.random.default_rng(seed)
-    vals, means = _simulate_traces(spec, n, trials, rng)
-    dev = np.abs(vals.mean(axis=1) - means.mean(axis=1))
-    return _tail_check(float((dev >= s).mean()), azuma_bound(n, s), trials,
-                       n=n, s=s)
+    hits = sum(int((np.abs(vals.mean(axis=1) - means.mean(axis=1)) >= s).sum())
+               for vals, means in _simulate_traces(spec, n, trials, rng))
+    return _tail_check(hits / trials, azuma_bound(n, s), trials, n=n, s=s)
 
 
 def linear_fraction(values, delta: float) -> list[int]:
@@ -171,9 +184,9 @@ def chernoff_empirical(n: int, gamma: float, zeta: float, trials: int,
     """Validate the tail bound on iid Bernoulli(zeta), which meets the
     product premise with equality."""
     rng = np.random.default_rng(seed)
-    counts = (rng.random((trials, n)) < zeta).sum(axis=1)
-    return _tail_check(float((counts >= gamma * n).mean()),
-                       chernoff_bound(n, gamma, zeta), trials,
+    hits = sum(int(((rng.random((rows, n)) < zeta).sum(axis=1)
+                    >= gamma * n).sum()) for rows in _row_blocks(trials))
+    return _tail_check(hits / trials, chernoff_bound(n, gamma, zeta), trials,
                        n=n, gamma=gamma, zeta=zeta)
 
 

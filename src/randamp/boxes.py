@@ -168,7 +168,8 @@ class Device:
     """Plays behavior b1 until round tau, then b2 from round tau on.
 
     respond(k, u) -> (x1, x2) draws exactly one `rng.random()`; k is the
-    0-based round index and calls must be made in round order.  tau never
+    0-based round index, calls must be made in round order, and u must be
+    two ints in 1..9 (else ValueError).  tau never
     changes the draw, only the table it is read from:
         iid              tau is never reached (b1 throughout)
         switch_after     tau = k
@@ -193,6 +194,9 @@ class Device:
         self._cums2 = self._cums1 if b2 is b1 else cumulative_tables(b2)
 
     def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
+        if not (isinstance(u, (tuple, list)) and len(u) == 2 and all(
+                type(v) is int and 1 <= v <= N_SETTINGS for v in u)):
+            raise ValueError(f"setting pair needs two ints in 1..9, got {u!r}")
         pair = pair_index(*u)
         cums = self._cums1 if k < self.tau else self._cums2
         # every cum[-1] >= 1 > random(), so c is an outcome pair code 0..15

@@ -111,14 +111,26 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+# Each device kind and the one key besides `kind` that it reads.
+_DEVICE_KEYS = {"ideal": (), "uniform": (), "depolarized": ("eta",),
+               "lp_attack_zero": (), "switch_after": ("k",),
+               "history_trigger": ("pattern",)}
+
+
 def build_device_factory(spec):
     """Device factory for a config's device section, which is outside input:
-    a section that is not an object, an unknown kind, or a missing or
-    out-of-range `eta`, `k` or `pattern` raises ValueError("device...: ...");
-    `make_adversarial_device` checks `k` and `pattern`, once before any run."""
+    a section that is not an object, an unknown kind, a key its kind does
+    not read, or a missing or out-of-range `eta`, `k` or `pattern` raises
+    ValueError("device...: ..."); `make_adversarial_device` checks `k` and
+    `pattern`, once before any run."""
     if not isinstance(spec, dict):
         raise ValueError(f"device: needs a JSON object, got {spec!r}")
     kind = spec.get("kind", "ideal")
+    if not (isinstance(kind, str) and kind in _DEVICE_KEYS):
+        raise ValueError(f"device.kind: unknown device kind {kind!r}")
+    for key in spec:
+        if key != "kind" and key not in _DEVICE_KEYS[kind]:
+            raise ValueError(f"device.{key}: not read by kind '{kind}'")
     model = build_ks_model()
     if kind == "ideal":
         box = ideal_quantum_box(model)
@@ -129,12 +141,10 @@ def build_device_factory(spec):
             spec, "eta", "device", lambda v: 0 <= v <= 1, "in [0, 1]"))
     elif kind == "lp_attack_zero":
         box, _ = zero_target_box(build_bell_functional(model))
-    elif kind in ("switch_after", "history_trigger"):
+    else:                               # switch_after, history_trigger
         full = dict(spec, b1=ideal_quantum_box(model), b2=uniform_box())
         make_adversarial_device(full)   # checks k or pattern before any run
         return lambda seed: make_adversarial_device(full, seed)
-    else:
-        raise ValueError(f"device.kind: unknown device kind {kind!r}")
     return lambda seed: make_iid_device(box, seed)
 
 

@@ -27,7 +27,10 @@ Solving strategy: HiGHS (via scipy) produces a floating-point vertex and
 its duals, both are rounded to small rationals, and the exact checker
 settles the claim.  Trust rests on that check alone, not on the float
 engine; a vertex that no rounding denominator turns into a verified pair
-raises `CertificationError`.
+raises `CertificationError`.  HiGHS is imported where it is called:
+`scipy.sparse` in `_scipy_matrices` and `linprog` in `_solve_float_highs`.
+So `import randamp.cli` loads no scipy module, and only the commands that
+solve an LP (`certify`, the `lp_attack_zero` device) pay for it, once.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .boxes import Behavior
 from .ks_bell import N_CELLS, BellFunctional, var_index
@@ -200,6 +201,8 @@ def _verify_primal(p: LPProblem, pf: list[Fraction]) -> bool:
 
 
 def _scipy_matrices(p: LPProblem):
+    from scipy import sparse
+
     data, ri, ci = [], [], []
     for r, row in enumerate(p.eq_rows):
         for c, v in row:
@@ -215,6 +218,8 @@ def _scipy_matrices(p: LPProblem):
 
 
 def _solve_float_highs(p: LPProblem, sense: str):
+    from scipy.optimize import linprog
+
     c = np.zeros(p.num_vars)
     c[p.target_col] = -1.0 if sense == "max" else 1.0
     a_eq, b_eq, a_ub = _scipy_matrices(p)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from randamp.bounds import (azuma_bound, azuma_empirical, chernoff_bound,
+from randamp.bounds import (_BLOCK_ROWS, _simulate_traces, azuma_bound,
+                            azuma_empirical, chernoff_bound,
                             chernoff_empirical, linear_fraction,
                             markov_split_epsilon, qualifying_round_count,
                             relative_entropy, settings_tail_empirical)
@@ -38,6 +40,66 @@ def test_azuma_empirical_deterministic_zero():
 def test_azuma_empirical_markov():
     r = azuma_empirical(("markov", 0.3, 0.7), n=800, s=0.15, trials=5000, seed=3)
     assert r["empirical"] <= r["bound"] + r["slack"]
+
+
+def _whole_traces(spec, n, trials, rng):
+    """The whole-array reference: every trace from one (trials, n) draw."""
+    if spec[0] == "fair_coin":
+        return (rng.random((trials, n)) < 0.5).astype(np.int8), \
+            np.full((trials, n), 0.5)
+    if spec[0] == "constant":
+        return np.full((trials, n), spec[1], dtype=np.int8), \
+            np.full((trials, n), float(spec[1]))
+    vals = np.zeros((trials, n), dtype=np.int8)
+    means = np.zeros((trials, n))
+    u = rng.random((trials, n))
+    prev = np.zeros(trials, dtype=np.int8)
+    for i in range(n):
+        means[:, i] = p = np.where(prev == 0, spec[1], spec[2])
+        vals[:, i] = prev = (u[:, i] < p).astype(np.int8)
+    return vals, means
+
+
+_BLOCK_EDGES = [1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("trials", _BLOCK_EDGES)
+@pytest.mark.parametrize("spec", [("fair_coin",), ("constant", 1),
+                                  ("markov", 0.3, 0.7)])
+def test_blocked_traces_equal_one_whole_draw(spec, trials):
+    """Blocks of rows are the rows of one (trials, n) draw, and the tail
+    frequency reduced block by block is the one-shot frequency, exactly."""
+    n, seed = 40, 11
+    vals, means = _whole_traces(spec, n, trials, np.random.default_rng(seed))
+    blocks = list(_simulate_traces(spec, n, trials, np.random.default_rng(seed)))
+    assert len(blocks) == -(-trials // _BLOCK_ROWS)
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), vals)
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), means)
+    dev = np.abs(vals.mean(axis=1) - means.mean(axis=1))
+    for s in (0.01, 0.1, 0.2, 0.3):
+        got = azuma_empirical(spec, n, s, trials, seed)["empirical"]
+        assert got == float((dev >= s).mean()), (s, got)
+
+
+@pytest.mark.parametrize("trials", _BLOCK_EDGES)
+def test_blocked_chernoff_equals_one_whole_draw(trials):
+    n, zeta, seed = 60, 0.25, 12
+    counts = (np.random.default_rng(seed).random((trials, n)) < zeta).sum(axis=1)
+    for gamma in (0.25, 0.3, 0.35, 0.5):
+        got = chernoff_empirical(n, gamma, zeta, trials, seed)["empirical"]
+        assert got == float((counts >= gamma * n).mean()), (gamma, got)
+
+
+def test_azuma_empirical_memory_is_one_block():
+    """10^4 traces of 2000 rounds held whole took about 340 MB; one block
+    of rows at a time stays under 40 MB."""
+    tracemalloc.start()
+    try:
+        azuma_empirical(("fair_coin",), 2000, 0.1, 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
 
 
 def test_linear_fraction_all_equal():

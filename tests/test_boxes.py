@@ -131,6 +131,19 @@ def test_iid_device_deterministic_box():
         assert dev.respond(k, (4, 7)) == (2, 3)
 
 
+def test_respond_checks_its_setting_pair(ideal):
+    """(0, 12) was answered from the row of (1, 3), and (10, 10) raised
+    IndexError: a setting pair is two ints in 1..9, else ValueError, which
+    is raised before the round's uniform is drawn."""
+    dev = make_iid_device(ideal, seed=0)
+    for u in ((0, 12), (10, 10), (1, 0), (True, 1), (1.0, 2), (np.int64(1), 2),
+              (1,), (1, 2, 3), 5):
+        with pytest.raises(ValueError, match="^setting pair needs two ints"):
+            dev.respond(0, u)
+    assert dev.respond(0, (9, 9)) == \
+        make_iid_device(ideal, seed=0).respond(0, (9, 9))
+
+
 def test_respond_chunk_counts_a_cumulative_entry_equal_to_r():
     """As bisect_right does, a uniform r equal to a cumulative entry counts
     it: on the uniform box (entries j/16) r = j/16 gives code j.  The

@@ -118,7 +118,14 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
         {"kind": "history_trigger", "pattern": [[5, 12]]},
         {"kind": "history_trigger", "pattern": [[1, 2, 3]]},
         {"kind": "depolarized"},
-        {"kind": "depolarized", "eta": 1.5})]
+        {"kind": "depolarized", "eta": 1.5},
+        # a key the kind does not read (ran the device without it)
+        {"kind": "ideal", "eta": 0.5},
+        {"kind": "depolarized", "eta": 0.5, "k": 3},
+        {"kind": "switch_after", "k": 3, "pattern": [[1, 2]]},
+        {"kind": "history_trigger", "pattern": [[1, 2]], "eta": 0.1},
+        {"kind": "lp_attack_zero", "b1": "ideal"},
+        {"kind": ["ideal"]})]
     # source strategies that cannot be built: too biased for eps, unknown,
     # an avoid_target pair outside 1..9, and bools where numbers belong
     biased = dict(SMALL_SIM["protocol"], eps=0.05)
@@ -167,6 +174,12 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
                                    "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, (text, res.output)
         assert f"error: {path}: " in res.output, (text, res.output)
+    # --eta on the default ideal device exited 0 and recorded the eta
+    res = runner.invoke(main, ["simulate", "--n", "100", "--eta", "0.5",
+                               "--out", str(tmp_path / "eta")])
+    assert res.exit_code == 2, res.output
+    assert "error: device.eta: not read by kind 'ideal'" in res.output
+    assert not (tmp_path / "eta" / "simulate_summary.json").exists()
     # a flag aimed into a section that is not an object (raised TypeError)
     raw.write_text('{"protocol": [1]}')
     res = runner.invoke(main, ["simulate", "--config", str(raw), "--n", "5",
@@ -535,6 +548,30 @@ def test_verify_bounds_rejects_trials_below_one(runner, tmp_path):
         res = runner.invoke(main, ["verify-bounds", "--trials", trials,
                                    "--out", str(tmp_path)])
         assert res.exit_code == 2, (trials, res.output)
+
+
+def test_protocol_commands_load_no_scipy(tmp_path):
+    """Only the LP needs scipy: a fresh process that imports randamp and
+    its CLI and runs simulate, replay and extract loads no scipy module.
+    A subprocess, because other tests have imported scipy into this one."""
+    code = ("import json, sys\n"
+            "import randamp, randamp.cli\n"
+            "from click.testing import CliRunner\n"
+            "out, runner = sys.argv[1], CliRunner()\n"
+            "codes = [runner.invoke(randamp.cli.main, args).exit_code for args in (\n"
+            "    ['simulate', '--n', '2000', '--out', out],\n"
+            "    ['replay', out + '/trial0.jsonl'],\n"
+            "    ['extract', out + '/trial0.jsonl', '--out', out])]\n"
+            "print(json.dumps({'codes': codes, 'scipy': sorted(\n"
+            "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n")
+    src = str(Path(randamp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == {"codes": [0, 0, 0], "scipy": []}, got
 
 
 def test_verify_bounds_rejects_a_negative_seed(runner, tmp_path):

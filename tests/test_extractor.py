@@ -4,8 +4,10 @@ from random import Random
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from randamp.extractor import (ExtractorConfig, extract, extraction_report,
+from randamp.extractor import (ExtractorConfig, _chi2_sf, extract,
+                               extraction_report,
                                max_sequence_probability_chained,
                                max_sequence_probability_product,
                                sequence_probability_bound,
@@ -193,6 +195,28 @@ def test_uniformity_test_validation():
         uniformity_test([0.0, 1.0] * 1000, m=1)
     with pytest.raises(ValueError):
         uniformity_test([0, 2] * 1000, m=1)      # out of range for m bits
+    for m in (0, -1):       # gave chi2_pvalue nan, and numpy's shift error
+        with pytest.raises(ValueError, match="1 <= m <= 8"):
+            uniformity_test([0] * 1000, m=m)
+
+
+@pytest.mark.parametrize("df", [2 ** m - 1 for m in range(1, 9)]
+                         + [2, 4, 10, 64, 254])
+def test_chi2_sf_matches_scipy(df):
+    """The stdlib series tail agrees with scipy to 1e-12 relative error,
+    from x = 0 to far in the tail, wherever scipy's value is above 1e-300."""
+    xs = np.concatenate([[0.0, 1e-300, 1e-9, 1e-3],
+                         np.linspace(0.05, 3 * df + 2000, 300),
+                         np.geomspace(1e-2, 3000, 200)])
+    checked = 0
+    for x in map(float, xs):
+        want = float(chi2.sf(x, df))
+        if want > 1e-300:
+            assert _chi2_sf(x, df) == pytest.approx(want, rel=1e-12, abs=0), x
+            checked += 1
+        else:
+            assert _chi2_sf(x, df) <= 1e-290, x
+    assert checked > 300
 
 
 def test_sequence_probability_bound_values():
