@@ -32,7 +32,7 @@ from random import Random
 import numpy as np
 
 from .ks_bell import (N_OUTCOMES, N_SETTINGS, BellFunctional, KSModel,
-                      pair_index)
+                      gram_table, pair_index)
 from .seeding import uniforms
 
 
@@ -67,20 +67,16 @@ class ValidationReport:
 def ideal_quantum_box(model: KSModel) -> Behavior:
     """The maximally violating box, built in exact rational arithmetic.
 
-    table(u1,u2,x1,x2) = <v_a|v_b>^2 / (4 |v_a|^2 |v_b|^2) with
-    v_a = vector(u1,x1) and v_b = vector(u2,x2).  Entries are dyadic
+    table(u1,u2,x1,x2) = <v_a|v_b>^2 / (4 |v_a|^2 |v_b|^2) with v_a, v_b
+    the vectors of the cell (`ks_bell.gram_table`).  Entries are dyadic
     rationals, so the float table carries them exactly.
     """
-    exact = np.empty((N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES), dtype=object)
-    for u1 in range(1, N_SETTINGS + 1):
-        for u2 in range(1, N_SETTINGS + 1):
-            for x1 in range(1, N_OUTCOMES + 1):
-                for x2 in range(1, N_OUTCOMES + 1):
-                    a = model.vector_at(u1, x1)
-                    b = model.vector_at(u2, x2)
-                    num = model.inner(a, b) ** 2
-                    den = 4 * model.norm_sq(a) * model.norm_sq(b)
-                    exact[u1 - 1, u2 - 1, x1 - 1, x2 - 1] = Fraction(num, den)
+    g = gram_table(model)
+    norm_sq = np.einsum("aaxx->ax", g)              # |v|^2 at (setting, slot)
+    den = 4 * norm_sq[:, None, :, None] * norm_sq[None, :, None, :]
+    exact = np.array([Fraction(n, d) for n, d in
+                      zip((g ** 2).ravel().tolist(), den.ravel().tolist())],
+                     dtype=object).reshape(g.shape)
     return Behavior(table=exact.astype(float), exact=exact,
                     meta={"kind": "ideal"})
 
@@ -148,10 +144,7 @@ def bell_value_exact(b: Behavior, f: BellFunctional) -> Fraction:
     """Raw indicator sum in exact arithmetic (requires an exact table)."""
     if b.exact is None:
         raise ValueError("behavior has no exact table")
-    total = Fraction(0)
-    for (x1, x2), (u1, u2) in f.sb:
-        total += b.exact[u1 - 1, u2 - 1, x1 - 1, x2 - 1]
-    return total
+    return sum((b.exact.flat[c] for c in f.bell_cells), Fraction(0))
 
 
 def cumulative_tables(b: Behavior) -> np.ndarray:

@@ -18,15 +18,16 @@ the 432 count is exposed in the docs and tests for reference.
 
 Indexing convention used across the whole package: settings are 1..9 in
 printed basis order, outcomes 1..4 in printed slot order.  A cell is one
-(setting pair, outcome pair); `var_index` numbers the 1296 cells, and every
-cell list (LP columns, run histograms) follows that order.
+(setting pair, outcome pair); `var_index` numbers the 1296 cells, and
+`cell_entry` inverts it.  Every cell set (the functional's Bell and target
+cells, LP columns, a certificate's target, run histograms) holds these
+numbers.  The functional and the ideal box are read off `gram_table`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -71,6 +72,12 @@ def var_index(u1: int, u2: int, x1: int, x2: int) -> int:
     return 16 * pair_index(u1, u2) + 4 * (x1 - 1) + (x2 - 1)
 
 
+def cell_entry(cell: int) -> tuple[int, int, int, int]:
+    """(u1, u2, x1, x2) of a cell, all 1..n: the inverse of `var_index`."""
+    pair, code = divmod(cell, 16)
+    return (pair // 9 + 1, pair % 9 + 1, code // 4 + 1, code % 4 + 1)
+
+
 @dataclass(frozen=True)
 class KSModel:
     """A vector set with its basis structure.
@@ -84,9 +91,6 @@ class KSModel:
     bases: tuple[tuple[int, ...], ...]
     incidence: dict[int, tuple[tuple[int, int], ...]]
 
-    def vector(self, i: int) -> tuple[int, ...]:
-        return self.vectors[i - 1]
-
     def vector_at(self, setting: int, outcome: int) -> int:
         """Vector index sitting at slot `outcome` of basis `setting`."""
         return self.bases[setting - 1][outcome - 1]
@@ -96,9 +100,6 @@ class KSModel:
 
     def orthogonal(self, i: int, j: int) -> bool:
         return self.inner(i, j) == 0
-
-    def norm_sq(self, i: int) -> int:
-        return self.inner(i, i)
 
     def orthogonality_edges(self) -> set[tuple[int, int]]:
         """Unordered orthogonal pairs (i < j)."""
@@ -115,42 +116,28 @@ class KSModel:
 
 @dataclass(frozen=True)
 class BellFunctional:
-    """Sparse indicator functional over outcome/setting pairs.
+    """Indicator functional over the 1296 cells.
 
-    sb: set of ((x1,x2),(u1,u2)) tuples carrying indicator value 1.
-    d_target: the single (outcomes, settings) pair counted by the
-        tomographic test; never a member of sb.
+    bell_cells: the sorted cells carrying indicator value 1.
+    target_cell: the single cell counted by the tomographic test; never a
+        Bell cell.
     """
 
-    sb: frozenset[tuple[tuple[int, int], tuple[int, int]]]
-    d_target: tuple[tuple[int, int], tuple[int, int]]
-
-    def indicator(self, x: tuple[int, int], u: tuple[int, int]) -> int:
-        return 1 if (x, u) in self.sb else 0
+    bell_cells: tuple[int, ...]
+    target_cell: int
 
     def indicator_array(self) -> np.ndarray:
         """Dense indicator, shape (9,9,4,4) indexed [u1-1,u2-1,x1-1,x2-1]."""
-        arr = np.zeros((N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES),
-                       dtype=np.int16)
-        for (x1, x2), (u1, u2) in self.sb:
-            arr[u1 - 1, u2 - 1, x1 - 1, x2 - 1] = 1
-        return arr
-
-    @cached_property
-    def bell_cells(self) -> tuple[int, ...]:
-        """The indicator set as sorted cells (`var_index`)."""
-        return tuple(sorted(var_index(u1, u2, x1, x2)
-                            for (x1, x2), (u1, u2) in self.sb))
-
-    @cached_property
-    def target_cell(self) -> int:
-        (x1, x2), (u1, u2) = self.d_target
-        return var_index(u1, u2, x1, x2)
+        arr = np.zeros(N_CELLS, dtype=np.int16)
+        arr[list(self.bell_cells)] = 1
+        return arr.reshape(N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES)
 
     def to_json(self) -> str:
+        u1, u2, x1, x2 = cell_entry(self.target_cell)
         return json.dumps(
-            {"sb": sorted([x1, x2, u1, u2] for (x1, x2), (u1, u2) in self.sb),
-             "d_target": list(self.d_target[0]) + list(self.d_target[1]),
+            {"sb": sorted([x1, x2, u1, u2] for u1, u2, x1, x2
+                          in map(cell_entry, self.bell_cells)),
+             "d_target": [x1, x2, u1, u2],
              "num_settings": N_SETTINGS ** 2,
              "num_outcomes_per_setting": N_OUTCOMES ** 2},
             sort_keys=True, separators=(",", ":"))
@@ -196,24 +183,27 @@ def check_model(model: KSModel) -> None:
     assert all(d == 7 for d in deg.values()), "orthogonality graph must be 7-regular"
 
 
+def gram_table(model: KSModel) -> np.ndarray:
+    """<v_a|v_b> at every cell, shape (9,9,4,4) indexed [u1-1,u2-1,x1-1,x2-1]
+    (so flat entry c is cell c), where v_a is the vector at slot x1 of basis
+    u1 and v_b the one at slot x2 of basis u2."""
+    v = np.array(model.vectors, dtype=np.int64)[np.array(model.bases) - 1]
+    return np.einsum("axk,byk->abxy", v, v)
+
+
 def build_bell_functional(model: KSModel) -> BellFunctional:
     """Indicator set over all setting pairs: distinct orthogonal vector pairs.
 
-    ((x1,x2),(u1,u2)) is a member exactly when the vector at slot x1 of
-    basis u1 differs from the vector at slot x2 of basis u2 and the two are
-    orthogonal.  For the fixed model this yields 504 members.
+    A cell is a Bell cell exactly when the vector at slot x1 of basis u1
+    differs from the vector at slot x2 of basis u2 and the two are
+    orthogonal.  For the fixed model this yields 504 cells.
     """
-    sb = set()
-    for u1 in range(1, N_SETTINGS + 1):
-        for u2 in range(1, N_SETTINGS + 1):
-            for x1 in range(1, N_OUTCOMES + 1):
-                for x2 in range(1, N_OUTCOMES + 1):
-                    a = model.vector_at(u1, x1)
-                    b = model.vector_at(u2, x2)
-                    if a != b and model.orthogonal(a, b):
-                        sb.add(((x1, x2), (u1, u2)))
-    return BellFunctional(sb=frozenset(sb),
-                          d_target=(TARGET_OUTCOMES, TARGET_SETTINGS))
+    ids = np.array(model.bases)
+    same = ids[:, None, :, None] == ids[None, :, None, :]
+    cells = np.flatnonzero((gram_table(model) == 0) & ~same)
+    return BellFunctional(bell_cells=tuple(cells.tolist()),
+                          target_cell=var_index(*TARGET_SETTINGS,
+                                                *TARGET_OUTCOMES))
 
 
 def evaluate_deterministic(f: BellFunctional,
@@ -223,11 +213,15 @@ def evaluate_deterministic(f: BellFunctional,
 
     alice[u-1] / bob[u-1] give each party's outcome (1-indexed) for setting u.
     """
-    return sum(f.indicator((alice[u1 - 1], bob[u2 - 1]), (u1, u2))
-               for u1 in range(1, N_SETTINGS + 1) for u2 in range(1, N_SETTINGS + 1))
+    u, a, b = np.arange(N_SETTINGS), np.array(alice) - 1, np.array(bob) - 1
+    return int(f.indicator_array()[u[:, None], u, a[:, None], b].sum())
 
 
-def classical_minimum(f: BellFunctional, chunk: int = 1 << 13
+# Alice assignments scored per numpy step of `classical_minimum`.
+_SCAN_BLOCK = 1 << 13
+
+
+def classical_minimum(f: BellFunctional
                       ) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact minimum over local deterministic strategies, with a witness.
 
@@ -247,8 +241,8 @@ def classical_minimum(f: BellFunctional, chunk: int = 1 << 13
     pow_ms = o ** np.arange(s - 1, -1, -1)       # alice[0] most significant
     best_val = None
     best_alice_idx = None
-    for start in range(0, n_assign, chunk):
-        idx = np.arange(start, min(start + chunk, n_assign))
+    for start in range(0, n_assign, _SCAN_BLOCK):
+        idx = np.arange(start, min(start + _SCAN_BLOCK, n_assign))
         A = (idx[:, None] // pow_ms[None, :]) % o          # (m, s) outcomes 0-based
         flat = np.arange(s)[None, :] * o + A               # (m, s)
         per_u2 = CC[flat].sum(axis=1)                      # (m, s, o): cost per (u2, x2)

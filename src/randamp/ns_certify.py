@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boxes import Behavior
-from .ks_bell import N_CELLS, BellFunctional, var_index
+from .ks_bell import N_CELLS, BellFunctional, cell_entry, var_index
 from .sv_source import _as_fraction
 
 _ROUND_DENOMS = (10 ** 6, 10 ** 9, 10 ** 13)
@@ -58,14 +58,14 @@ class LPProblem:
 
     eq_rows: 657 sparse rows (81 normalization, 288 Alice, 288 Bob), all
     coefficients in {-1, 0, +1}.  cap_cols carries the indicator columns of
-    the cap row (coefficients 1).  delta_tilde is the exact cap value.
+    the cap row (coefficients 1).  delta_tilde is the exact cap value, and
+    target_col the target cell.
     """
 
     eq_rows: tuple[tuple[tuple[int, int], ...], ...]
     eq_rhs: tuple[int, ...]
     cap_cols: tuple[int, ...]
     delta_tilde: Fraction
-    target: tuple[tuple[int, int], tuple[int, int]]
     target_col: int
     num_vars: int = N_CELLS
 
@@ -81,6 +81,7 @@ class DualCertificate:
 
     y: free multipliers for the 657 equality rows.
     beta: nonnegative multiplier for the cap row.
+    target: the bounded cell, written [x1, x2, u1, u2] in JSON.
     The nonnegativity multipliers mu are derived during verification as
     E^T y + beta*b - sign*M and must come out componentwise >= 0.
     """
@@ -89,16 +90,17 @@ class DualCertificate:
     beta: Fraction
     bound: Fraction
     delta_tilde: Fraction
-    target: tuple[tuple[int, int], tuple[int, int]]
+    target: int
     sense: str = "max"
 
     def to_json(self) -> str:
+        u1, u2, x1, x2 = cell_entry(self.target)
         return json.dumps({
             "delta_tilde": str(self.delta_tilde),
             "bound": str(self.bound),
             "beta": str(self.beta),
             "sense": self.sense,
-            "target": list(self.target[0]) + list(self.target[1]),
+            "target": [x1, x2, u1, u2],
             "y": {str(i): str(v) for i, v in enumerate(self.y) if v != 0},
             "n_equalities": len(self.y),
         }, sort_keys=True, separators=(",", ":"))
@@ -110,11 +112,11 @@ class DualCertificate:
         y = [Fraction(0)] * n
         for k, v in obj["y"].items():
             y[int(k)] = Fraction(v)
-        t = obj["target"]
+        x1, x2, u1, u2 = obj["target"]
         return DualCertificate(
             y=tuple(y), beta=Fraction(obj["beta"]), bound=Fraction(obj["bound"]),
             delta_tilde=Fraction(obj["delta_tilde"]),
-            target=((t[0], t[1]), (t[2], t[3])), sense=obj.get("sense", "max"))
+            target=var_index(u1, u2, x1, x2), sense=obj.get("sense", "max"))
 
 
 @dataclass
@@ -153,7 +155,7 @@ def build_lp(f: BellFunctional, delta_tilde) -> LPProblem:
                 rows.append(tuple(row))
                 rhs.append(0)
     return LPProblem(eq_rows=tuple(rows), eq_rhs=tuple(rhs),
-                     cap_cols=f.bell_cells, delta_tilde=dt, target=f.d_target,
+                     cap_cols=f.bell_cells, delta_tilde=dt,
                      target_col=f.target_cell)
 
 
@@ -166,7 +168,7 @@ def verify_certificate(p: LPProblem, d: DualCertificate,
     recomputed bound y.f + beta*cap does not exceed the claimed bound.
     """
     if (len(d.y) != p.n_equalities or d.beta < 0
-            or d.delta_tilde != p.delta_tilde or d.target != p.target):
+            or d.delta_tilde != p.delta_tilde or d.target != p.target_col):
         return False
     sign = 1 if d.sense == "max" else -1
     ety = [Fraction(0)] * p.num_vars
@@ -242,7 +244,7 @@ def _certify(p: LPProblem, sense: str, x, y, beta):
         bound = sum(yf[r] for r in range(p.n_equalities) if p.eq_rhs[r] == 1)
         bound += bf * p.delta_tilde
         cert = DualCertificate(y=yf, beta=bf, bound=bound,
-                               delta_tilde=p.delta_tilde, target=p.target,
+                               delta_tilde=p.delta_tilde, target=p.target_col,
                                sense=sense)
         primal_ok = _verify_primal(p, pf)
         dual_ok = verify_certificate(p, cert)

@@ -44,7 +44,6 @@ each from its own derived seeds.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -57,9 +56,9 @@ import numpy as np
 from . import extractor as extractor_mod
 from .boxes import Behavior, Device
 from .bounds import markov_split_epsilon
-from .ks_bell import (N_CELLS, N_OUTCOMES, N_SETTINGS, TARGET_OUTCOMES,
-                      TARGET_SETTINGS, BellFunctional, build_bell_functional,
-                      build_ks_model)
+from .ks_bell import (N_CELLS, N_OUTCOMES, TARGET_OUTCOMES, TARGET_SETTINGS,
+                      BellFunctional, build_bell_functional, build_ks_model,
+                      cell_entry)
 from .seeding import derive_seed
 from .sv_source import BITS_PER_ROUND, BLOCK_PAIR, DEFAULT_MAP, SVSource
 
@@ -540,8 +539,8 @@ def monte_carlo(device_factory: Callable[[int], Device],
 # The record of round i = 1, 2, ... in cell c is b'{"i": %d' % i and the
 # tail _RECORD_TAIL[c] (settings 1..9, outcomes 1..4); `_TAIL_CELL` maps a
 # tail back to its cell.  Writer and reader use this table and nothing else.
-_RECORD_TAIL = [b', "u": [%d, %d], "x": [%d, %d]}\n' % r for r in itertools.product(
-    *[range(1, N_SETTINGS + 1)] * 2, *[range(1, N_OUTCOMES + 1)] * 2)]
+_RECORD_TAIL = [b', "u": [%d, %d], "x": [%d, %d]}\n' % cell_entry(c)
+                for c in range(N_CELLS)]
 _TAIL_CELL = {tail: cell for cell, tail in enumerate(_RECORD_TAIL)}
 _VERDICTS = ("Accept", "AbortBell", "AbortTomography")
 

@@ -154,6 +154,10 @@ def _table(name: str, eps: Fraction, p0_of: Callable[[int, int], Fraction],
                     tuple(tuple(as_float[p] for p in row) for row in rows))
 
 
+# Each strategy kind and the numbers of arguments it takes.
+_ARITY = {"unbiased": (0,), "constant_bias": (1,), "avoid_target": (0, 1),
+          "toward_pattern": (1,)}
+
 # built once: a campaign builds a source, and so a strategy, per trial
 UNBIASED = _table("unbiased", Fraction(0), lambda r, node: HALF)
 
@@ -166,12 +170,16 @@ def make_strategy(spec, eps) -> Strategy:
     ("avoid_target",) or ("avoid_target", (u1, u2)): per block, the least
         mass on the setting pair (default the tomography target
         `ks_bell.TARGET_SETTINGS`);
-    ("toward_pattern", p): per block, every bit pushed toward the 8-bit p."""
+    ("toward_pattern", p): per block, every bit pushed toward the 8-bit p.
+    A spec with another kind or another number of arguments raises
+    ValueError."""
     eps = _as_fraction(eps)
-    kind, *args = spec if isinstance(spec, (tuple, list)) else (spec,)
-    if kind in ("unbiased", None):
+    kind, *args = spec if isinstance(spec, (tuple, list)) and spec else (spec,)
+    if not (isinstance(kind, str) and len(args) in _ARITY.get(kind, ())):
+        raise ValueError(f"not a strategy kind with the arguments it takes: {spec!r}")
+    if kind == "unbiased":
         return UNBIASED
-    if kind == "constant_bias" and args:
+    if kind == "constant_bias":
         biases = [_as_fraction(b) for b in args[0]]
         if not biases:
             raise ValueError("bias sequence must be non-empty")
@@ -195,23 +203,21 @@ def make_strategy(spec, eps) -> Strategy:
         _, policy = _tree_extremum(
             eps, lambda leaf: Fraction(1 if leaf in pre else 0), minimize=True)
         return _table(kind, eps, lambda r, node: policy[node])
-    if kind == "toward_pattern" and args:
-        pattern = args[0]
-        if not (type(pattern) is int and 0 <= pattern < NODES):
-            raise ValueError(f"pattern must be an int in 0..255, got {pattern!r}")
+    pattern = args[0]           # toward_pattern, the last kind
+    if not (type(pattern) is int and 0 <= pattern < NODES):
+        raise ValueError(f"pattern must be an int in 0..255, got {pattern!r}")
 
-        def p0_of(r, node):     # the pattern's bit at this node's depth
-            want = (pattern >> (BITS_PER_ROUND - node.bit_length())) & 1
-            return HALF - eps if want else HALF + eps
-        return _table(kind, eps, p0_of)
-    raise ValueError(f"unknown source strategy {spec!r}")
+    def p0_of(r, node):         # the pattern's bit at this node's depth
+        want = (pattern >> (BITS_PER_ROUND - node.bit_length())) & 1
+        return HALF - eps if want else HALF + eps
+    return _table(kind, eps, p0_of)
 
 
 def _plain_spec(spec):
     """JSON form of a valid strategy spec: lists for tuples, exact strings
     for Fractions, and a bare name for a spec without arguments."""
-    if spec is None or isinstance(spec, str):
-        return spec or "unbiased"
+    if isinstance(spec, str):
+        return spec
     if len(spec) == 1:
         return spec[0]
     return json.loads(json.dumps(spec, default=str))

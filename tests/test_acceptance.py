@@ -54,9 +54,9 @@ def test_criterion_01_bell_functional_count():
     t0 = time.perf_counter()
     f = build_bell_functional(build_ks_model())
     elapsed = time.perf_counter() - t0
-    assert len(f.sb) == 504
+    assert len(f.bell_cells) == 504
     assert elapsed < 1.0
-    report(1, f"|S_B| = {len(f.sb)} (= 504), built in {elapsed:.3f}s < 1s")
+    report(1, f"|S_B| = {len(f.bell_cells)} (= 504), built in {elapsed:.3f}s < 1s")
 
 
 def test_criterion_02_classical_bound():

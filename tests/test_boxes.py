@@ -39,6 +39,14 @@ def test_ideal_box_reference_values(ideal, functional):
     assert ideal.prob_exact((4, 1), (1, 2)) == Fraction(1, 4)
 
 
+def test_ideal_box_exact_table_frozen(ideal, functional):
+    # every one of the 1296 exact entries, in cell order
+    text = "\n".join(str(fr) for fr in ideal.exact.ravel())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "d06a72e4ff638a4db1f1d309492dd47f83c6e962c84b9cf1dbf0a52a43dd200a"
+    assert bell_value_exact(uniform_box(), functional) == Fraction(504, 16)
+
+
 def test_ideal_box_exact_rational_structure(ideal):
     for idx in np.ndindex(9, 9, 4, 4):
         fr = ideal.exact[idx]

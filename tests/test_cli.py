@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import randamp
 from randamp import bounds
 from randamp.cli import main
-from randamp.ks_bell import var_index
+from randamp.ks_bell import cell_entry, var_index
 from randamp.protocol import default_functional
 
 
@@ -134,10 +136,20 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
                              ["avoid_target", [0, 12]],
                              ["toward_pattern", True],
                              ["constant_bias", [0.05, False]])]
+    # a kind with other arguments than it takes, no kind, and null, at an
+    # eps that every argument here is within
+    wide = dict(SMALL_SIM["protocol"], eps=0.3)
+    bad += [dict(SMALL_SIM, protocol=wide, source={"strategy": strategy})
+            for strategy in (["unbiased", 0.3], ["toward_pattern", 5, 6],
+                             ["avoid_target", [1, 2], "junk"],
+                             ["constant_bias", [0.01], 7], ["toward_pattern"],
+                             ["constant_bias"], [], None)]
     for cfg in bad:
         res = runner.invoke(main, ["simulate", "--config", write_config(tmp_path, cfg),
                                    "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, (cfg["device"], cfg["source"], res.output)
+        if cfg["source"] is not SMALL_SIM["source"]:
+            assert "source.strategy: " in res.output, res.output
     # config files that are not one JSON object: nested too deeply to
     # parse, and a list
     raw = tmp_path / "raw.json"
@@ -393,7 +405,7 @@ def test_extract_checks_the_settings_stream(runner, tmp_path):
     path = out / "trial0.jsonl"
     lines = path.read_text().splitlines()
     f = default_functional()
-    target = list(f.d_target[1])
+    target = list(cell_entry(f.target_cell)[:2])
     rec = json.loads(lines[1])
     assert rec["u"] != target
     # another non-target pair whose cell is not a Bell cell: the verdict
@@ -572,6 +584,25 @@ def test_protocol_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     got = json.loads(proc.stdout)
     assert got == {"codes": [0, 0, 0], "scipy": []}, got
+
+
+def test_benchmark_traced_names_resolve():
+    """The benchmark's tracer wraps functions, methods and commands by name
+    and reports a missing one as unmeasured rather than failing; renaming
+    a traced name must fail here instead."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, modname, name in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(modname), name, None)), \
+            (modname, name)
+    for _, modname, method in tracer.METHODS:
+        mod = importlib.import_module(modname)
+        assert any(isinstance(c, type) and c.__module__ == modname
+                   and method in vars(c) for c in vars(mod).values()), \
+            (modname, method)
+    assert set(tracer.COMMANDS) <= set(main.commands)
 
 
 def test_verify_bounds_rejects_a_negative_seed(runner, tmp_path):

@@ -1,8 +1,10 @@
 import pytest
 
-from randamp.ks_bell import (BellFunctional, build_bell_functional,
-                             build_ks_model, check_model, classical_minimum,
-                             evaluate_deterministic, ks_coloring_count)
+from randamp import ks_bell
+from randamp.ks_bell import (N_CELLS, BellFunctional, build_bell_functional,
+                             build_ks_model, cell_entry, check_model,
+                             classical_minimum, evaluate_deterministic,
+                             gram_table, ks_coloring_count, var_index)
 
 
 @pytest.fixture(scope="module")
@@ -40,26 +42,43 @@ def test_orthogonality_graph(model):
 
 
 def test_functional_counts(model, functional):
-    assert len(functional.sb) == 504
-    assert functional.d_target == ((1, 3), (1, 2))
-    assert functional.d_target not in functional.sb
+    assert len(functional.bell_cells) == 504
+    assert functional.bell_cells == tuple(sorted(set(functional.bell_cells)))
+    assert cell_entry(functional.target_cell) == (1, 2, 1, 3)
+    assert functional.target_cell not in functional.bell_cells
     # co-basis-only reading would give 432; kept as a documented reference
-    cobasis = sum(1 for (x1, x2), (u1, u2) in functional.sb
+    cobasis = sum(1 for u1, u2, x1, x2 in map(cell_entry, functional.bell_cells)
                   if any(model.vector_at(u1, x1) in b and model.vector_at(u2, x2) in b
                          for b in model.bases))
     assert cobasis == 432
 
 
 def test_sb_members_are_orthogonal_distinct(model, functional):
-    for (x1, x2), (u1, u2) in functional.sb:
+    members = set(functional.bell_cells)
+    for c in range(N_CELLS):
+        u1, u2, x1, x2 = cell_entry(c)
         a, b = model.vector_at(u1, x1), model.vector_at(u2, x2)
-        assert a != b
-        assert model.orthogonal(a, b)
+        assert (c in members) == (a != b and model.orthogonal(a, b))
 
 
 def test_sb_examples(functional):
-    assert ((1, 2), (1, 1)) in functional.sb        # v1 orth v2, same basis
-    assert ((1, 1), (1, 1)) not in functional.sb    # identical vector
+    assert var_index(1, 1, 1, 2) in functional.bell_cells  # v1 orth v2, same basis
+    assert var_index(1, 1, 1, 1) not in functional.bell_cells  # identical vector
+
+
+def test_cell_entry_inverts_var_index():
+    assert [var_index(*cell_entry(c)) for c in range(N_CELLS)] == \
+        list(range(N_CELLS))
+    assert cell_entry(var_index(9, 1, 2, 4)) == (9, 1, 2, 4)
+
+
+def test_gram_table_is_every_inner_product(model):
+    g = gram_table(model)
+    assert g.shape == (9, 9, 4, 4)
+    for c in range(N_CELLS):
+        u1, u2, x1, x2 = cell_entry(c)
+        assert g.flat[c] == model.inner(model.vector_at(u1, x1),
+                                        model.vector_at(u2, x2))
 
 
 def test_indicator_array_matches_set(functional):
@@ -72,17 +91,18 @@ def test_classical_minimum_is_four(functional):
     value, (alice, bob) = classical_minimum(functional)
     assert value == 4
     assert evaluate_deterministic(functional, alice, bob) == 4
+    cells = set(functional.bell_cells)
+    assert sum(var_index(u1, u2, alice[u1 - 1], bob[u2 - 1]) in cells
+               for u1 in range(1, 10) for u2 in range(1, 10)) == 4
 
 
 def test_classical_minimum_empty_and_full(functional):
-    empty = BellFunctional(sb=frozenset(), d_target=functional.d_target)
+    empty = BellFunctional(bell_cells=(), target_cell=functional.target_cell)
     assert classical_minimum(empty)[0] == 0
-    full = BellFunctional(
-        sb=frozenset(((x1, x2), (u1, u2))
-                     for x1 in range(1, 5) for x2 in range(1, 5)
-                     for u1 in range(1, 10) for u2 in range(1, 10)),
-        d_target=functional.d_target)
+    full = BellFunctional(bell_cells=tuple(range(N_CELLS)),
+                          target_cell=functional.target_cell)
     assert classical_minimum(full)[0] == 81
+    assert evaluate_deterministic(full, (1,) * 9, (4,) * 9) == 81
 
 
 def test_classical_minimum_witness_is_lex_smallest(functional):
@@ -126,7 +146,8 @@ def test_canonical_serialization_frozen(model, functional):
         "7336817faf8df4258ee6c8b919754058a034b8f554d5e41199c9e318fd6459ca"
 
 
-def test_classical_minimum_chunk_independent(functional):
+def test_classical_minimum_chunk_independent(functional, monkeypatch):
     base = classical_minimum(functional)
     for chunk in (1 << 10, 1 << 16, 4 ** 9):
-        assert classical_minimum(functional, chunk=chunk) == base
+        monkeypatch.setattr(ks_bell, "_SCAN_BLOCK", chunk)
+        assert classical_minimum(functional) == base

@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from randamp.boxes import bell_value_exact, validate_behavior
-from randamp.ks_bell import build_bell_functional, build_ks_model
+from randamp.ks_bell import build_bell_functional, build_ks_model, cell_entry
 from randamp.ns_certify import (DualCertificate, build_lp, max_target_box,
                                 solve_lp, var_index, verify_certificate,
                                 zero_target_box)
@@ -51,8 +52,8 @@ def test_primal_at_zero_cap_is_attack_box(sol_zero, functional):
     assert bell_value_exact(box, functional) == 0
     assert box.prob_exact((1, 3), (1, 2)) == Fraction(3, 4)
     # cap = 0 plus nonnegativity force every indicator cell to exact zero
-    for (x1, x2), (u1, u2) in functional.sb:
-        assert box.prob_exact((x1, x2), (u1, u2)) == 0
+    for c in functional.bell_cells:
+        assert box.exact.flat[c] == 0
 
 
 def test_zero_target_attack_box(functional):
@@ -109,16 +110,18 @@ def test_certificate_tamper_detection(functional, lp_zero, sol_zero):
     half = solve_lp(build_lp(functional, Fraction(1, 2)), sense="max").certificate
     assert half.bound == Fraction(5, 6)
     assert not verify_certificate(lp_zero, half)
-    (x1, x2), u = cert.target
+    assert cert.target == lp_zero.target_col
+    u1, u2, x1, x2 = cell_entry(cert.target)
     assert not verify_certificate(lp_zero, DualCertificate(
         y=cert.y, beta=cert.beta, bound=cert.bound,
-        delta_tilde=cert.delta_tilde, target=((x2, x1), u)))
+        delta_tilde=cert.delta_tilde, target=var_index(u1, u2, x2, x1)))
 
 
 def test_certificate_json_roundtrip(lp_zero, sol_zero):
     text = sol_zero.certificate.to_json()
     back = DualCertificate.from_json(text)
     assert back == sol_zero.certificate
+    assert json.loads(text)["target"] == [1, 3, 1, 2]    # [x1, x2, u1, u2]
     assert verify_certificate(lp_zero, back)
 
 
