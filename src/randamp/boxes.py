@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -47,14 +46,6 @@ class Behavior:
     table: np.ndarray
     exact: np.ndarray | None = None
     meta: dict | None = None
-
-    def prob(self, x: tuple[int, int], u: tuple[int, int]) -> float:
-        return float(self.table[u[0] - 1, u[1] - 1, x[0] - 1, x[1] - 1])
-
-    def prob_exact(self, x: tuple[int, int], u: tuple[int, int]) -> Fraction:
-        if self.exact is None:
-            raise ValueError("behavior has no exact table")
-        return self.exact[u[0] - 1, u[1] - 1, x[0] - 1, x[1] - 1]
 
 
 @dataclass(frozen=True)
@@ -91,9 +82,8 @@ def uniform_box() -> Behavior:
 def deterministic_behavior(alice: tuple[int, ...], bob: tuple[int, ...]) -> Behavior:
     """Local deterministic box: outcome (alice[u1-1], bob[u2-1]) w.p. 1."""
     table = np.zeros((N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES))
-    for u1 in range(N_SETTINGS):
-        for u2 in range(N_SETTINGS):
-            table[u1, u2, alice[u1] - 1, bob[u2] - 1] = 1.0
+    u, x1, x2 = np.arange(N_SETTINGS), np.subtract(alice, 1), np.subtract(bob, 1)
+    table[u[:, None], u, x1[:, None], x2] = 1.0
     return Behavior(table=table, meta={"kind": "deterministic"})
 
 
@@ -168,21 +158,21 @@ class Device:
         switch_after     tau = k
         history_trigger  tau = the round after `pattern` first completes as a
                          contiguous block of past settings
-    `pattern` and the memory `_recent` (the last len(pattern) rounds) hold
-    setting pairs as their `ks_bell.pair_index`.
+    `pattern` and the memory `_recent` (the last len(pattern) rounds) are
+    bytes of setting pairs' `ks_bell.pair_index`.
     `respond_chunk` answers a run of rounds at once with the same draws,
     outcomes, tau and memory as `respond` round by round.  Build devices
     with `make_iid_device` or `make_adversarial_device`.
     """
 
     def __init__(self, spec: dict, b1: Behavior, b2: Behavior, seed: int,
-                 tau: float = math.inf, pattern: tuple[int, ...] = ()):
+                 tau: float = math.inf, pattern: bytes = b""):
         self._spec = spec
         self.seed = seed
         self.rng = Random(seed)
         self.tau = tau
         self.pattern = pattern
-        self._recent: deque = deque(maxlen=len(pattern))
+        self._recent = b""
         self._cums1 = cumulative_tables(b1)
         self._cums2 = self._cums1 if b2 is b1 else cumulative_tables(b2)
 
@@ -195,8 +185,8 @@ class Device:
         # every cum[-1] >= 1 > random(), so c is an outcome pair code 0..15
         c = bisect_right(cums[pair].tolist(), self.rng.random())
         if self.pattern and k < self.tau:
-            self._recent.append(pair)
-            if tuple(self._recent) == self.pattern:
+            self._recent = (self._recent + bytes((pair,)))[-len(self.pattern):]
+            if self._recent == self.pattern:
                 self.tau = k + 1
         return (c // 4 + 1, c % 4 + 1)
 
@@ -217,16 +207,12 @@ class Device:
         """Set tau if `pattern` first completes in rounds k, k+1, ..., and
         keep the settings of the last len(pattern) rounds up to then."""
         size, carried = len(self.pattern), len(self._recent)
-        seq = np.concatenate([np.array(self._recent, np.intp), pairs])
-        hit = np.zeros(len(seq), bool)  # hit[e]: the pattern ends at seq[e]
-        hit[max(carried, size - 1):] = True
-        for back in range(min(size, len(seq))):
-            hit[back:] &= seq[:len(seq) - back] == self.pattern[-1 - back]
-        end = int(hit.argmax()) if hit.any() else len(seq) - 1
-        if hit[end]:
-            self.tau = k + end - carried + 1
-        self._recent.clear()
-        self._recent.extend(seq[max(0, end + 1 - size):end + 1].tolist())
+        seq = self._recent + pairs.astype(np.uint8).tobytes()
+        start = seq.find(self.pattern)  # fixed length: first start, first end
+        if start >= 0:
+            self.tau = k + start + size - carried
+            seq = seq[:start + size]
+        self._recent = seq[-size:]
 
     def spec(self) -> dict:
         return dict(self._spec, seed=self.seed)
@@ -260,5 +246,5 @@ def make_adversarial_device(spec: dict, seed: int = 0) -> Device:
                              f" pairs in 1..9, got {pattern!r}")
         return Device({"kind": kind, "pattern": [list(p) for p in pattern]},
                       spec["b1"], spec["b2"], seed,
-                      pattern=tuple(pair_index(*p) for p in pattern))
+                      pattern=bytes(pair_index(*p) for p in pattern))
     raise ValueError(f"unknown adversarial device kind: {kind!r}")

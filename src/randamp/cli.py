@@ -13,8 +13,8 @@ read by the same parsers (`protocol.parse_params`, `parse_source`,
 naming its JSON path.  `replay`, `report --run-file` and `extract` load a
 transcript only through `protocol.read_transcript`, which returns the run
 rebuilt from the cells its records hold; a file in any other layout or
-with an out-of-range summary exits 2, and so does an output directory that
-cannot be created.
+with an out-of-range summary exits 2, and so do an output directory that
+cannot be created and an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -70,6 +70,18 @@ def _outdir(outdir: str | None) -> Path:
     except OSError as e:
         _fail_usage(f"cannot create output directory {path}: {e}")
     return path
+
+
+def _write(path: Path, content) -> None:
+    """Write `content` to `path`: text, or a function that writes the file
+    at the path it is given.  A file that cannot be written exits 2."""
+    try:
+        if callable(content):
+            content(path)
+        else:
+            path.write_text(content)
+    except OSError as e:
+        _fail_usage(f"cannot write {path}: {e}")
 
 
 def _load_run(path: str) -> tuple[dict, SVSource, ProtocolRun, dict]:
@@ -198,7 +210,7 @@ def certify(delta_grid, outdir):
         name = outdir / _certificate_name(g)
         cert_obj = json.loads(sol.certificate.to_json())
         cert_obj["version"] = __version__
-        name.write_text(json.dumps(cert_obj, sort_keys=True) + "\n")
+        _write(name, json.dumps(cert_obj, sort_keys=True) + "\n")
         rows.append({"cap": str(g), "optimum": str(sol.exact_optimum),
                      "optimum_float": float(sol.exact_optimum),
                      "bound_reference": float(reference_bound),
@@ -211,7 +223,7 @@ def certify(delta_grid, outdir):
                "model_sha256": hashlib.sha256(model.to_json().encode()).hexdigest(),
                "functional_sha256": hashlib.sha256(func.to_json().encode()).hexdigest(),
                "results": rows}
-    (outdir / "certify_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write(outdir / "certify_summary.json", json.dumps(summary, indent=2) + "\n")
     sys.exit(EXIT_OK if all_ok else EXIT_SCIENTIFIC)
 
 
@@ -251,15 +263,15 @@ def simulate(config_path, n, epsilon, delta, mu1, kappa, device,
 
     stats = monte_carlo(device_factory, source_factory, params, ntrials, seed)
     stamp = f"# randamp {__version__} config={chash}\n"
-    (outdir / "campaign.csv").write_text(stamp + stats.to_csv())
-    write_transcript(stats.first_run, outdir / "trial0.jsonl", config_hash=chash,
-                     package_version=__version__)
+    _write(outdir / "campaign.csv", stamp + stats.to_csv())
+    _write(outdir / "trial0.jsonl", lambda path: write_transcript(
+        stats.first_run, path, config_hash=chash, package_version=__version__))
     summary = {"version": __version__, "config_hash": chash, "config": cfg,
                "accept_rate": stats.accept_rate,
                "accept_count": stats.accept_count, "trials": stats.trials,
                "ci95": [stats.ci_low, stats.ci_high],
                "verdicts": stats.verdict_counts}
-    (outdir / "simulate_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write(outdir / "simulate_summary.json", json.dumps(summary, indent=2) + "\n")
     click.echo(f"accept {stats.accept_count}/{stats.trials} "
                f"(rate {stats.accept_rate:.4f}), outputs in {outdir}")
     sys.exit(EXIT_OK)
@@ -301,7 +313,8 @@ def report(config_path, q_acc, run_file, outdir):
         if run.verdict != "Accept":
             rep.pop("min_entropy_bound")
             rep["note"] = "run aborted; no entropy claims apply"
-    (outdir / "security_report.json").write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
+    _write(outdir / "security_report.json",
+           json.dumps(rep, indent=2, sort_keys=True) + "\n")
     click.echo(json.dumps(rep, indent=2, sort_keys=True))
     sys.exit(EXIT_OK)
 
@@ -336,7 +349,7 @@ def extract_cmd(run_file, outdir):
                          "required_sum": rates["rate_required_sum"]},
                "validity_condition_met": rates["honest_condition_met"],
                "config_hash": header.get("config_hash", "")}
-    (outdir / "extracted.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    _write(outdir / "extracted.json", json.dumps(sidecar, indent=2) + "\n")
     if "output_hex" in summary and summary["output_hex"] != hexed:
         click.echo("stored and recomputed outputs differ", err=True)
         sys.exit(EXIT_SCIENTIFIC)
@@ -364,7 +377,7 @@ def verify_bounds(trials, seed, outdir):
         r = check(*args)
         ok_all &= r["passed"]
         rows.append(f"{label},{r['empirical']},{r['bound']},{r['passed']}")
-    (outdir / "bounds_table.csv").write_text("\n".join(rows) + "\n")
+    _write(outdir / "bounds_table.csv", "\n".join(rows) + "\n")
     click.echo("\n".join(rows))
     sys.exit(EXIT_OK if ok_all else EXIT_SCIENTIFIC)
 

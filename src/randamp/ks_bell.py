@@ -253,9 +253,8 @@ def classical_minimum(f: BellFunctional
             best_alice_idx = start + loc
     alice = tuple(int(best_alice_idx // (o ** (s - 1 - i))) % o + 1 for i in range(s))
     # Bob best response for the winning assignment, smallest outcome on ties.
-    per_u2 = np.array([[sum(C[u1, u2, alice[u1] - 1, x2] for u1 in range(s))
-                        for x2 in range(o)] for u2 in range(s)])
-    bob = tuple(int(per_u2[u2].argmin()) + 1 for u2 in range(s))
+    per_u2 = CC[np.arange(s) * o + np.subtract(alice, 1)].sum(axis=0)   # (u2, x2)
+    bob = tuple((per_u2.argmin(axis=1) + 1).tolist())
     return best_val, (alice, bob)
 
 

@@ -12,6 +12,14 @@ not exceed a cap:
          sum over indicator cells of P  <=  cap
          P >= 0
 
+The 657 equality rows are one int8 table over the 1296 `var_index` cells,
+`_equalities()`, in that order: the 81 normalization rows in `pair_index`
+order, then Alice's rows (u1 outer, then x1, then u2 = 2..9, each her
+marginal at u2 minus that at u2 = 1), then Bob's rows likewise with the
+parties swapped.  The first 81 rows have rhs 1, all others rhs 0.  The
+table is built by the first LP, not at import, and HiGHS and the exact
+checks all read it.
+
 Every certified answer is backed by an exact rational primal/dual pair that
 an independent checker (`verify_certificate`, pure Fraction arithmetic)
 accepts.  The dual side proves the bound: free multipliers y on the 657
@@ -27,10 +35,10 @@ Solving strategy: HiGHS (via scipy) produces a floating-point vertex and
 its duals, both are rounded to small rationals, and the exact checker
 settles the claim.  Trust rests on that check alone, not on the float
 engine; a vertex that no rounding denominator turns into a verified pair
-raises `CertificationError`.  HiGHS is imported where it is called:
-`scipy.sparse` in `_scipy_matrices` and `linprog` in `_solve_float_highs`.
-So `import randamp.cli` loads no scipy module, and only the commands that
-solve an LP (`certify`, the `lp_attack_zero` device) pay for it, once.
+raises `CertificationError`.  HiGHS is imported where it is called, in
+`_solve_float_highs` (`scipy.sparse` and `linprog`).  So `import
+randamp.cli` loads no scipy module, and only the commands that solve an LP
+(`certify`, the `lp_attack_zero` device) pay for it, once.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +55,7 @@ from .ks_bell import N_CELLS, BellFunctional, cell_entry, var_index
 from .sv_source import _as_fraction
 
 _ROUND_DENOMS = (10 ** 6, 10 ** 9, 10 ** 13)
+_N_NORM = 81                # the leading rows, normalization (rhs 1)
 
 
 class CertificationError(RuntimeError):
@@ -54,24 +64,15 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPProblem:
-    """Equality system + cap row for one target entry.
+    """The cap row and target of one LP; the equality rows are `_equalities`.
 
-    eq_rows: 657 sparse rows (81 normalization, 288 Alice, 288 Bob), all
-    coefficients in {-1, 0, +1}.  cap_cols carries the indicator columns of
-    the cap row (coefficients 1).  delta_tilde is the exact cap value, and
-    target_col the target cell.
+    cap_cols: the indicator cells of the cap row (coefficients 1).
+    delta_tilde: the exact cap value.  target_col: the target cell.
     """
 
-    eq_rows: tuple[tuple[tuple[int, int], ...], ...]
-    eq_rhs: tuple[int, ...]
     cap_cols: tuple[int, ...]
     delta_tilde: Fraction
     target_col: int
-    num_vars: int = N_CELLS
-
-    @property
-    def n_equalities(self) -> int:
-        return len(self.eq_rows)
 
 
 @dataclass(frozen=True)
@@ -127,36 +128,44 @@ class LPSolution:
     certified_equality: bool
 
 
+@lru_cache(maxsize=None)
+def _equalities() -> np.ndarray:
+    """The (657, 1296) equality table in {-1, 0, +1}, rows in the order
+    the module docstring gives; read-only, as every caller shares it."""
+    u1, u2, x1, x2 = (a.ravel() for a in np.indices((9, 9, 4, 4)))
+    own, out, other = (a.reshape(-1, 1) for a in np.indices((9, 4, 8)))
+
+    def signaling(u, x, v):     # (u, x)'s marginal at v = other + 1 minus at v = 0
+        fixed = (u == own) & (x == out)
+        return (fixed & (v == other + 1)).astype(np.int8) - (fixed & (v == 0))
+
+    norm = np.arange(_N_NORM)[:, None] == 9 * u1 + u2
+    table = np.concatenate([norm, signaling(u1, x1, u2), signaling(u2, x2, u1)],
+                           dtype=np.int8)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _row_cells() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(+1 cells, -1 cells) of each row of `_equalities`."""
+    return tuple((tuple(np.flatnonzero(row == 1).tolist()),
+                  tuple(np.flatnonzero(row == -1).tolist()))
+                 for row in _equalities())
+
+
 def build_lp(f: BellFunctional, delta_tilde) -> LPProblem:
-    """Assemble the constraint system for the given functional and cap."""
+    """The LP for the given functional and cap."""
     dt = _as_fraction(delta_tilde)
     if dt < 0:
         raise ValueError("cap must be nonnegative")
-    rows: list[tuple[tuple[int, int], ...]] = []
-    rhs: list[int] = []
-    for u1 in range(1, 10):
-        for u2 in range(1, 10):
-            rows.append(tuple((var_index(u1, u2, x1, x2), 1)
-                              for x1 in range(1, 5) for x2 in range(1, 5)))
-            rhs.append(1)
-    # No-signaling encoded pairwise against the other party's setting 1.
-    for u1 in range(1, 10):
-        for x1 in range(1, 5):
-            for u2 in range(2, 10):
-                row = [(var_index(u1, u2, x1, x2), 1) for x2 in range(1, 5)]
-                row += [(var_index(u1, 1, x1, x2), -1) for x2 in range(1, 5)]
-                rows.append(tuple(row))
-                rhs.append(0)
-    for u2 in range(1, 10):
-        for x2 in range(1, 5):
-            for u1 in range(2, 10):
-                row = [(var_index(u1, u2, x1, x2), 1) for x1 in range(1, 5)]
-                row += [(var_index(1, u2, x1, x2), -1) for x1 in range(1, 5)]
-                rows.append(tuple(row))
-                rhs.append(0)
-    return LPProblem(eq_rows=tuple(rows), eq_rhs=tuple(rhs),
-                     cap_cols=f.bell_cells, delta_tilde=dt,
+    return LPProblem(cap_cols=f.bell_cells, delta_tilde=dt,
                      target_col=f.target_cell)
+
+
+def _bound(p: LPProblem, y, beta) -> Fraction:
+    """y . rhs + beta * cap: only the normalization rows have rhs 1."""
+    return sum(y[:_N_NORM], Fraction(0)) + beta * p.delta_tilde
 
 
 def verify_certificate(p: LPProblem, d: DualCertificate,
@@ -167,66 +176,49 @@ def verify_certificate(p: LPProblem, d: DualCertificate,
     beta >= 0, all derived nonnegativity multipliers are >= 0, and the
     recomputed bound y.f + beta*cap does not exceed the claimed bound.
     """
-    if (len(d.y) != p.n_equalities or d.beta < 0
+    rows = _row_cells()
+    if (len(d.y) != len(rows) or d.beta < 0
             or d.delta_tilde != p.delta_tilde or d.target != p.target_col):
         return False
-    sign = 1 if d.sense == "max" else -1
-    ety = [Fraction(0)] * p.num_vars
-    for r, row in enumerate(p.eq_rows):
-        yr = d.y[r]
-        if yr == 0:
-            continue
-        for c, v in row:
-            ety[c] += yr if v == 1 else -yr
+    ety = [Fraction(0)] * N_CELLS
+    for yr, (plus, minus) in zip(d.y, rows):
+        if yr != 0:
+            for c in plus:
+                ety[c] += yr
+            for c in minus:
+                ety[c] -= yr
     for c in p.cap_cols:
         ety[c] += d.beta
-    ety[p.target_col] -= sign
+    ety[p.target_col] -= 1 if d.sense == "max" else -1
     if any(mu < 0 for mu in ety):
         return False
-    bound = sum(d.y[r] for r in range(p.n_equalities) if p.eq_rhs[r] == 1)
-    bound += d.beta * p.delta_tilde
-    if claimed_bound is None:
-        claimed_bound = d.bound
-    return bound <= claimed_bound
+    return _bound(p, d.y, d.beta) <= (d.bound if claimed_bound is None
+                                      else claimed_bound)
 
 
 def _verify_primal(p: LPProblem, pf: list[Fraction]) -> bool:
     if any(v < 0 for v in pf):
         return False
-    for r, row in enumerate(p.eq_rows):
-        s = Fraction(0)
-        for c, v in row:
-            s += pf[c] if v == 1 else -pf[c]
-        if s != p.eq_rhs[r]:
+    for r, (plus, minus) in enumerate(_row_cells()):
+        rhs = 1 if r < _N_NORM else 0
+        if sum(pf[c] for c in plus) - sum(pf[c] for c in minus) != rhs:
             return False
     return sum(pf[c] for c in p.cap_cols) <= p.delta_tilde
 
 
-def _scipy_matrices(p: LPProblem):
-    from scipy import sparse
-
-    data, ri, ci = [], [], []
-    for r, row in enumerate(p.eq_rows):
-        for c, v in row:
-            ri.append(r)
-            ci.append(c)
-            data.append(float(v))
-    a_eq = sparse.csr_matrix((data, (ri, ci)), shape=(p.n_equalities, p.num_vars))
-    b_eq = np.array(p.eq_rhs, dtype=float)
-    a_ub = sparse.csr_matrix((np.ones(len(p.cap_cols)),
-                              (np.zeros(len(p.cap_cols), dtype=int), p.cap_cols)),
-                             shape=(1, p.num_vars))
-    return a_eq, b_eq, a_ub
-
-
 def _solve_float_highs(p: LPProblem, sense: str):
+    from scipy import sparse
     from scipy.optimize import linprog
 
-    c = np.zeros(p.num_vars)
+    eq = _equalities()
+    c = np.zeros(N_CELLS)
     c[p.target_col] = -1.0 if sense == "max" else 1.0
-    a_eq, b_eq, a_ub = _scipy_matrices(p)
-    res = linprog(c=c, A_ub=a_ub, b_ub=[float(p.delta_tilde)],
-                  A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
+    cap = np.zeros((1, N_CELLS))
+    cap[0, list(p.cap_cols)] = 1.0
+    res = linprog(c=c, A_ub=sparse.csr_matrix(cap), b_ub=[float(p.delta_tilde)],
+                  A_eq=sparse.csr_matrix(eq, dtype=float),
+                  b_eq=(np.arange(len(eq)) < _N_NORM).astype(float),
+                  bounds=(0, None), method="highs-ds")
     if res.status != 0:
         raise CertificationError(f"float solve failed: {res.message}")
     y = -np.asarray(res.eqlin.marginals)
@@ -241,14 +233,11 @@ def _certify(p: LPProblem, sense: str, x, y, beta):
         pf = [Fraction(v).limit_denominator(den) for v in x]
         yf = tuple(Fraction(v).limit_denominator(den) for v in y)
         bf = max(Fraction(beta).limit_denominator(den), Fraction(0))
-        bound = sum(yf[r] for r in range(p.n_equalities) if p.eq_rhs[r] == 1)
-        bound += bf * p.delta_tilde
+        bound = _bound(p, yf, bf)
         cert = DualCertificate(y=yf, beta=bf, bound=bound,
                                delta_tilde=p.delta_tilde, target=p.target_col,
                                sense=sense)
-        primal_ok = _verify_primal(p, pf)
-        dual_ok = verify_certificate(p, cert)
-        if primal_ok and dual_ok:
+        if _verify_primal(p, pf) and verify_certificate(p, cert):
             value = pf[p.target_col]
             return pf, cert, value, (sign * value == bound)
     return None
@@ -273,12 +262,6 @@ def solve_lp(p: LPProblem, sense: str = "max") -> LPSolution:
                             "sense": sense, "certified": True})
     return LPSolution(exact_optimum=value, primal=primal, certificate=cert,
                       certified_equality=equal)
-
-
-def max_target_box(f: BellFunctional, delta_tilde=0) -> tuple[Behavior, Fraction]:
-    """Feasible behavior maximizing P(target) at the given cap, exact."""
-    sol = solve_lp(build_lp(f, delta_tilde), sense="max")
-    return sol.primal, sol.exact_optimum
 
 
 def zero_target_box(f: BellFunctional, delta_tilde=0) -> tuple[Behavior, Fraction]:

@@ -56,9 +56,8 @@ import numpy as np
 from . import extractor as extractor_mod
 from .boxes import Behavior, Device
 from .bounds import markov_split_epsilon
-from .ks_bell import (N_CELLS, N_OUTCOMES, TARGET_OUTCOMES, TARGET_SETTINGS,
-                      BellFunctional, build_bell_functional, build_ks_model,
-                      cell_entry)
+from .ks_bell import (N_CELLS, N_OUTCOMES, TARGET_SETTINGS, BellFunctional,
+                      build_bell_functional, build_ks_model, cell_entry)
 from .seeding import derive_seed
 from .sv_source import BITS_PER_ROUND, BLOCK_PAIR, DEFAULT_MAP, SVSource
 
@@ -334,7 +333,7 @@ def expected_tomography_rate(b: Behavior) -> float:
     the setting distribution that uniform bits induce through the map
     (the count of blocks that map to the target settings)."""
     nu = len(DEFAULT_MAP.blocks_of(TARGET_SETTINGS)) / 2.0 ** BITS_PER_ROUND
-    return nu * b.prob(TARGET_OUTCOMES, TARGET_SETTINGS)
+    return nu * float(b.table.flat[default_functional().target_cell])
 
 
 @dataclass(frozen=True)

@@ -251,16 +251,12 @@ class SVSource:
         self._node = 1          # biased stream: node in the current block
 
     def _take_unbiased(self, k: int) -> int:
-        while self._buf_len < k:
-            if k - self._buf_len <= 32:     # a round's 8 bits: one word
-                self._buf = (self._buf << 32) | self.rng.getrandbits(32)
-                self._buf_len += 32
-            else:   # join the whole words once: growing the int a word at
-                # a time copies it each time, O(k^2) for a long draw
-                count = (k - self._buf_len) // 32
-                self._buf = (self._buf << 32 * count) | int.from_bytes(
-                    words(self.rng, count).astype(">u4").tobytes(), "big")
-                self._buf_len += 32 * count
+        if self._buf_len < k:   # the words joined at once: growing the int
+            # a word at a time copies it each time, O(k^2) for a long draw
+            count = -(-(k - self._buf_len) // 32)
+            self._buf = (self._buf << 32 * count) | int.from_bytes(
+                words(self.rng, count).astype(">u4").tobytes(), "big")
+            self._buf_len += 32 * count
         self._buf_len -= k
         block = self._buf >> self._buf_len
         self._buf &= (1 << self._buf_len) - 1

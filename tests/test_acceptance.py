@@ -84,7 +84,7 @@ def test_criterion_04_quantum_box_exact():
     t0 = time.perf_counter()
     box = ideal_quantum_box(MODEL)
     bell = bell_value_exact(box, FUNCTIONAL)
-    target = box.prob_exact((1, 3), (1, 2))
+    target = box.exact.flat[FUNCTIONAL.target_cell]
     elapsed = time.perf_counter() - t0
     assert bell == 0
     assert target == Fraction(1, 16)

@@ -12,7 +12,7 @@ from randamp.boxes import (Behavior, bell_value, bell_value_exact,
                            ideal_quantum_box, make_adversarial_device,
                            make_iid_device, uniform_box,
                            validate_behavior)
-from randamp.ks_bell import build_bell_functional, build_ks_model
+from randamp.ks_bell import build_bell_functional, build_ks_model, var_index
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +33,10 @@ def ideal(model):
 def test_ideal_box_reference_values(ideal, functional):
     assert bell_value_exact(ideal, functional) == 0
     assert 81 * bell_value(ideal, functional) == 0.0
-    assert ideal.prob_exact((1, 3), (1, 2)) == Fraction(1, 16)
-    assert ideal.prob((1, 3), (1, 2)) == 1 / 16
+    assert ideal.exact.flat[var_index(1, 2, 1, 3)] == Fraction(1, 16)
+    assert ideal.table.flat[var_index(1, 2, 1, 3)] == 1 / 16
     # shared vector v4 at (x1,x2) = (4,1) for settings (1,2)
-    assert ideal.prob_exact((4, 1), (1, 2)) == Fraction(1, 4)
+    assert ideal.exact.flat[var_index(1, 2, 4, 1)] == Fraction(1, 4)
 
 
 def test_ideal_box_exact_table_frozen(ideal, functional):
@@ -261,7 +261,7 @@ def test_adversarial_device_spec_is_checked(ideal):
                                          pattern=pattern))
     dev = make_adversarial_device(dict(boxes, kind="history_trigger",
                                        pattern=[[9, 9], (1, 2)]))
-    assert dev.pattern == (80, 1)
+    assert tuple(dev.pattern) == (80, 1)
     assert dev.spec()["pattern"] == [[9, 9], [1, 2]]
 
 

@@ -562,10 +562,44 @@ def test_verify_bounds_rejects_trials_below_one(runner, tmp_path):
         assert res.exit_code == 2, (trials, res.output)
 
 
+@pytest.fixture(scope="module")
+def accepted_run_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("accepted")
+    res = CliRunner().invoke(main, ["simulate", "--config", write_config(
+        out, dict(SMALL_SIM, trials=1)), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return str(out / "trial0.jsonl")
+
+
+@pytest.mark.parametrize("args, blocked", [
+    (["certify", "--delta-grid", "0"], "certificate_cap_0.json"),
+    (["certify", "--delta-grid", "0"], "certify_summary.json"),
+    (["simulate"], "campaign.csv"),
+    (["simulate"], "trial0.jsonl"),
+    (["simulate"], "simulate_summary.json"),
+    (["report"], "security_report.json"),
+    (["extract"], "extracted.json"),
+    (["verify-bounds", "--trials", "10"], "bounds_table.csv"),
+])
+def test_output_that_cannot_be_written_exits_2(runner, tmp_path,
+                                               accepted_run_file, args, blocked):
+    """A directory in the place of an output file is an I/O error (exit 2),
+    not a traceback and not a falsified claim (exit 1)."""
+    (tmp_path / blocked).mkdir()
+    if args[0] == "simulate":
+        args = args + ["--config", write_config(tmp_path, SMALL_SIM)]
+    if args[0] == "extract":
+        args = args + [accepted_run_file]
+    res = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert f"error: cannot write {tmp_path / blocked}: " in res.output
+
+
 def test_protocol_commands_load_no_scipy(tmp_path):
     """Only the LP needs scipy: a fresh process that imports randamp and
-    its CLI and runs simulate, replay and extract loads no scipy module.
-    A subprocess, because other tests have imported scipy into this one."""
+    its CLI and runs simulate, replay and extract loads no scipy module and
+    never builds the LP's equality table.  A subprocess, because other
+    tests have imported scipy into this one."""
     code = ("import json, sys\n"
             "import randamp, randamp.cli\n"
             "from click.testing import CliRunner\n"
@@ -575,7 +609,8 @@ def test_protocol_commands_load_no_scipy(tmp_path):
             "    ['replay', out + '/trial0.jsonl'],\n"
             "    ['extract', out + '/trial0.jsonl', '--out', out])]\n"
             "print(json.dumps({'codes': codes, 'scipy': sorted(\n"
-            "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n")
+            "    m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "    'lp_tables': randamp.ns_certify._equalities.cache_info().currsize}))\n")
     src = str(Path(randamp.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -583,7 +618,7 @@ def test_protocol_commands_load_no_scipy(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     got = json.loads(proc.stdout)
-    assert got == {"codes": [0, 0, 0], "scipy": []}, got
+    assert got == {"codes": [0, 0, 0], "scipy": [], "lp_tables": 0}, got
 
 
 def test_benchmark_traced_names_resolve():

@@ -1,18 +1,29 @@
+import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from randamp.boxes import bell_value_exact, validate_behavior
+from randamp.boxes import (bell_value_exact, ideal_quantum_box, uniform_box,
+                           validate_behavior)
 from randamp.ks_bell import build_bell_functional, build_ks_model, cell_entry
-from randamp.ns_certify import (DualCertificate, build_lp, max_target_box,
-                                solve_lp, var_index, verify_certificate,
-                                zero_target_box)
+from randamp.ns_certify import (DualCertificate, _bound, _equalities,
+                                build_lp, solve_lp, var_index,
+                                verify_certificate, zero_target_box)
+
+TARGET = var_index(1, 2, 1, 3)
 
 
 @pytest.fixture(scope="module")
-def functional():
-    return build_bell_functional(build_ks_model())
+def model():
+    return build_ks_model()
+
+
+@pytest.fixture(scope="module")
+def functional(model):
+    return build_bell_functional(model)
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +37,47 @@ def sol_zero(lp_zero):
 
 
 def test_problem_shape(lp_zero):
-    assert lp_zero.num_vars == 1296
-    assert lp_zero.n_equalities == 81 + 288 + 288
+    eq = _equalities()
+    assert eq.shape == (81 + 288 + 288, 1296)
+    assert set(np.unique(eq).tolist()) == {-1, 0, 1}
     assert len(lp_zero.cap_cols) == 504
-    for row in lp_zero.eq_rows:
-        assert all(v in (-1, 1) for _, v in row)
-    assert lp_zero.target_col == var_index(1, 2, 1, 3)
+    assert lp_zero.target_col == TARGET
+    assert [f.name for f in dataclasses.fields(lp_zero)] == \
+        ["cap_cols", "delta_tilde", "target_col"]
+
+
+def test_equality_table_pinned(lp_zero):
+    """The table's bytes, and its rhs as the bound reads it: 1 on exactly
+    the 81 normalization rows that lead it."""
+    eq = _equalities()
+    assert eq.dtype == np.int8 and eq.flags.c_contiguous
+    assert not eq.flags.writeable       # one table, shared by every caller
+    assert hashlib.sha256(eq.tobytes()).hexdigest() == \
+        "51a057601db05cb823ddae801b8d8386328d599e6ba9b0daac8fc5bcdf311fff"
+    rhs = [_bound(lp_zero, unit, 0)
+           for unit in np.eye(len(eq), dtype=int).tolist()]
+    assert rhs == [1] * 81 + [0] * 576
+
+
+def _row_residuals(exact: np.ndarray) -> np.ndarray:
+    """E.P - rhs for an exact table whose entries are multiples of 1/64."""
+    scaled = [v * 64 for v in exact.ravel()]
+    assert all(v.denominator == 1 for v in scaled)
+    eq = _equalities().astype(np.int64)
+    return eq @ np.array([int(v) for v in scaled]) - 64 * (np.arange(len(eq)) < 81)
+
+
+def test_equality_rows_hold_exactly_on_no_signaling_boxes(model):
+    for box in (ideal_quantum_box(model), uniform_box()):
+        assert not _row_residuals(box.exact).any()
+    # Alice answers 1 at u2 = 1 and 2 otherwise: normalized, Bob's side
+    # fine, and only Alice's rows see the signal
+    exact = np.full((9, 9, 4, 4), Fraction(0), dtype=object)
+    exact[:, 0, 0, 0] = Fraction(1)
+    exact[:, 1:, 1, 0] = Fraction(1)
+    res = _row_residuals(exact)
+    assert not res[:81].any() and not res[369:].any()
+    assert res[81:369].any()
 
 
 def test_build_lp_rejects_bad_inputs(functional):
@@ -50,7 +96,7 @@ def test_primal_at_zero_cap_is_attack_box(sol_zero, functional):
     box = sol_zero.primal
     assert validate_behavior(box, tol=1e-12).ok
     assert bell_value_exact(box, functional) == 0
-    assert box.prob_exact((1, 3), (1, 2)) == Fraction(3, 4)
+    assert box.exact.flat[TARGET] == Fraction(3, 4)
     # cap = 0 plus nonnegativity force every indicator cell to exact zero
     for c in functional.bell_cells:
         assert box.exact.flat[c] == 0
@@ -61,7 +107,7 @@ def test_zero_target_attack_box(functional):
     assert val == 0
     assert validate_behavior(box, tol=1e-12).ok
     assert bell_value_exact(box, functional) == 0
-    assert box.prob_exact((1, 3), (1, 2)) == 0
+    assert box.exact.flat[TARGET] == 0
 
 
 def test_grid_certified_values(functional):
@@ -99,7 +145,7 @@ def test_certificate_tamper_detection(functional, lp_zero, sol_zero):
     assert not verify_certificate(lp_zero, DualCertificate(
         y=tuple(bad_y), beta=cert.beta, bound=cert.bound,
         delta_tilde=cert.delta_tilde, target=cert.target))
-    zero = DualCertificate(y=tuple([Fraction(0)] * lp_zero.n_equalities),
+    zero = DualCertificate(y=tuple([Fraction(0)] * len(_equalities())),
                            beta=Fraction(0), bound=Fraction(0),
                            delta_tilde=Fraction(0), target=cert.target)
     assert not verify_certificate(lp_zero, zero)
@@ -127,6 +173,6 @@ def test_certificate_json_roundtrip(lp_zero, sol_zero):
 
 def test_weak_duality_on_feasible_points(functional, sol_zero):
     # any verified certificate bounds any feasible primal's target entry
-    box, val = max_target_box(functional, Fraction(1, 10))
+    val = solve_lp(build_lp(functional, Fraction(1, 10))).exact_optimum
     assert val <= Fraction(3, 4) + Fraction(1, 20)
     assert sol_zero.certificate.bound >= Fraction(3, 4)

@@ -15,7 +15,7 @@ from randamp.boxes import (bell_value, depolarize, ideal_quantum_box,
 from randamp.cli import build_device_factory
 from randamp.ks_bell import (N_CELLS, build_bell_functional, build_ks_model,
                              var_index)
-from randamp.ns_certify import max_target_box, zero_target_box
+from randamp.ns_certify import build_lp, solve_lp, zero_target_box
 from randamp.protocol import (CHUNK, ProtocolParams, ProtocolRun, dc_distance,
                               default_functional, expected_tomography_rate,
                               extract_output, monte_carlo, read_transcript,
@@ -100,7 +100,8 @@ def test_run_protocol_zero_attack_aborts_tomography(functional):
 
 def test_max_attack_accepts_and_target_counts_dominate(functional):
     """Accepted transcripts by construction carry >= mu1 n target hits."""
-    box, val = max_target_box(functional)
+    sol = solve_lp(build_lp(functional, 0))
+    box, val = sol.primal, sol.exact_optimum
     assert val == Fraction(3, 4)
     params = ProtocolParams(n=20_000)
     accepted = 0
