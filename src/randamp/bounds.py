@@ -52,37 +52,43 @@ def _row_blocks(trials: int):
         yield min(_BLOCK_ROWS, trials - start)
 
 
+def _uniform_blocks(n: int, trials: int, rng: np.random.Generator):
+    """The consecutive (rows, n) blocks of one (trials, n) uniform draw,
+    each drawn into the same buffer, so a block is valid until the next."""
+    buf = np.empty((min(trials, _BLOCK_ROWS), n))
+    for rows in _row_blocks(trials):
+        yield rng.random(out=buf[:rows])
+
+
 def _simulate_traces(spec, n: int, trials: int, rng: np.random.Generator):
     """Vectorized white-box Bernoulli processes, one block of rows at a time.
 
-    Kinds: ("fair_coin",), ("constant", bit),
-    ("markov", p_after0, p_after1) with round 0 mean p_after0.
+    Kinds: ("constant", bit), ("markov", p_after0, p_after1) with round 0
+    mean p_after0 (a fair coin is read off counts, in `tail_checks`).
     Yields (indicators, conditional_means) of shape (rows, n) per block;
     a constant array may be a broadcast view.
     """
     kind = spec[0] if isinstance(spec, (tuple, list)) else spec
-    if kind not in ("fair_coin", "constant", "markov"):
+    if kind not in ("constant", "markov"):
         raise ValueError(f"unknown trace spec {spec!r}")
-    for rows in _row_blocks(trials):
-        if kind == "fair_coin":
-            vals = (rng.random((rows, n)) < 0.5).astype(np.int8)
-            yield vals, np.broadcast_to(0.5, (rows, n))
-        elif kind == "constant":
-            bit = int(spec[1])
+    if kind == "constant":
+        bit = int(spec[1])
+        for rows in _row_blocks(trials):
             yield (np.broadcast_to(np.int8(bit), (rows, n)),
                    np.broadcast_to(float(bit), (rows, n)))
-        else:
-            p0, p1 = float(spec[1]), float(spec[2])
-            vals = np.zeros((rows, n), dtype=np.int8)
-            means = np.zeros((rows, n))
-            u = rng.random((rows, n))
-            prev = np.zeros(rows, dtype=np.int8)
-            for i in range(n):
-                p = np.where(prev == 0, p0, p1)
-                means[:, i] = p
-                vals[:, i] = (u[:, i] < p).astype(np.int8)
-                prev = vals[:, i]
-            yield vals, means
+        return
+    p0, p1 = float(spec[1]), float(spec[2])
+    for u in _uniform_blocks(n, trials, rng):
+        rows = len(u)
+        vals = np.zeros((rows, n), dtype=np.int8)
+        means = np.zeros((rows, n))
+        prev = np.zeros(rows, dtype=np.int8)
+        for i in range(n):
+            p = np.where(prev == 0, p0, p1)
+            means[:, i] = p
+            vals[:, i] = (u[:, i] < p).astype(np.int8)
+            prev = vals[:, i]
+        yield vals, means
 
 
 def _tail_check(freq: float, bound: float, trials: int, **fields) -> dict:
@@ -94,8 +100,39 @@ def _tail_check(freq: float, bound: float, trials: int, **fields) -> dict:
             "passed": freq <= bound + slack, "trials": trials, **fields}
 
 
+def tail_checks(n: int, deviations, chernoff_params, trials: int,
+                seed: int = 0) -> tuple[list[dict], list[dict]]:
+    """Fair-coin Azuma checks, one per deviation s, and iid Chernoff
+    checks, one per (gamma, zeta), all read off one seeded stream at n.
+
+    A row's fair-coin indicators are its uniforms below 1/2, so its
+    |L_n - Lbar_n| is |k(1/2) / n - 1/2|, and its Chernoff sum at zeta is
+    k(zeta), with k(z) the row's count of uniforms below z.  Each check is
+    the one `azuma_empirical(("fair_coin",), ...)` or `chernoff_empirical`
+    returns for the same arguments.
+    """
+    # hists[z][k]: the rows with k uniforms below z; drawn once, by block
+    hists = {z: np.zeros(n + 1, dtype=np.int64) for z in
+             ([0.5] if deviations else []) + [z for _, z in chernoff_params]}
+    for u in _uniform_blocks(n, trials, np.random.default_rng(seed)):
+        for z, hist in hists.items():
+            hist += np.bincount(np.count_nonzero(u < z, axis=1), minlength=n + 1)
+    k = np.arange(n + 1)
+    azuma = [_tail_check(int(hists[0.5][np.abs(k / n - 0.5) >= s].sum()) / trials,
+                         azuma_bound(n, s), trials, n=n, s=s)
+             for s in deviations]
+    chernoff = [_tail_check(int(hists[zeta][k >= gamma * n].sum()) / trials,
+                            chernoff_bound(n, gamma, zeta), trials,
+                            n=n, gamma=gamma, zeta=zeta)
+                for gamma, zeta in chernoff_params]
+    return azuma, chernoff
+
+
 def azuma_empirical(spec, n: int, s: float, trials: int, seed: int = 0) -> dict:
     """Fraction of trials with |L_n - Lbar_n| >= s, against the bound."""
+    kind = spec[0] if isinstance(spec, (tuple, list)) else spec
+    if kind == "fair_coin":
+        return tail_checks(n, [s], [], trials, seed)[0][0]
     rng = np.random.default_rng(seed)
     hits = sum(int((np.abs(vals.mean(axis=1) - means.mean(axis=1)) >= s).sum())
                for vals, means in _simulate_traces(spec, n, trials, rng))
@@ -116,7 +153,7 @@ def linear_fraction(values, delta: float) -> list[int]:
     if vals.mean() > delta + 1e-12:
         raise ValueError(f"mean {vals.mean()} exceeds delta {delta}")
     root = math.sqrt(delta)
-    idx = [i for i in range(n) if vals[i] <= root]
+    idx = np.flatnonzero(vals <= root).tolist()
     assert len(idx) >= (1.0 - root) * n - 1e-9, "linear-fraction bound violated"
     return idx
 
@@ -183,11 +220,7 @@ def chernoff_empirical(n: int, gamma: float, zeta: float, trials: int,
                        seed: int = 0) -> dict:
     """Validate the tail bound on iid Bernoulli(zeta), which meets the
     product premise with equality."""
-    rng = np.random.default_rng(seed)
-    hits = sum(int(((rng.random((rows, n)) < zeta).sum(axis=1)
-                    >= gamma * n).sum()) for rows in _row_blocks(trials))
-    return _tail_check(hits / trials, chernoff_bound(n, gamma, zeta), trials,
-                       n=n, gamma=gamma, zeta=zeta)
+    return tail_checks(n, [], [(gamma, zeta)], trials, seed)[1][0]
 
 
 def settings_tail_empirical(eps, strategy_spec, n: int, gamma: float,

@@ -92,6 +92,17 @@ def _load_run(path: str) -> tuple[dict, SVSource, ProtocolRun, dict]:
         _fail_usage(str(e))
 
 
+def _strategy_option(value: str | None):
+    """A --source-strategy value: the JSON spec it parses as, else the
+    bare strategy name it is.  `null` stays a name, which no strategy has,
+    since a None override would leave the config's strategy in place."""
+    try:
+        spec = json.loads(value) if value is not None else None
+    except (ValueError, RecursionError):
+        return value
+    return value if spec is None else spec
+
+
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -235,7 +246,9 @@ def certify(delta_grid, outdir):
 @click.option("--mu1", type=float, default=None)
 @click.option("--kappa", type=float, default=None)
 @click.option("--device", default=None, help="Device kind override.")
-@click.option("--source-strategy", default=None)
+@click.option("--source-strategy", default=None,
+              help="Strategy name, or a JSON spec such as "
+                   "'[\"constant_bias\", [0.05, -0.05]]'.")
 @click.option("--eta", type=float, default=None, help="Depolarizing weight.")
 @click.option("--seed", "master_seed", type=int, default=None)
 @click.option("--trials", type=int, default=None)
@@ -247,7 +260,7 @@ def simulate(config_path, n, epsilon, delta, mu1, kappa, device,
         "protocol.n": n, "protocol.eps": epsilon, "protocol.delta": delta,
         "protocol.mu1": mu1, "protocol.kappa": kappa,
         "device.kind": device, "device.eta": eta,
-        "source.strategy": source_strategy,
+        "source.strategy": _strategy_option(source_strategy),
         "master_seed": master_seed, "trials": trials})
     outdir = _outdir(outdir)
     chash = config_hash(cfg)
@@ -364,17 +377,17 @@ def extract_cmd(run_file, outdir):
 def verify_bounds(trials, seed, outdir):
     """Empirical tail checks across a parameter grid; CSV pass/fail table."""
     outdir = _outdir(outdir)
-    checks = [(f"azuma,{n},s={s}", bounds.azuma_empirical,
-               (("fair_coin",), n, s, trials, seed))
-              for n in (100, 1000, 2000) for s in (0.05, 0.1, 0.2)]
-    checks += [(f"chernoff,{n},g={gamma};z={zeta}", bounds.chernoff_empirical,
-                (n, gamma, zeta, trials, seed))
-               for n in (100, 1000, 2000)
-               for gamma, zeta in ((0.35, 0.25), (0.5, 0.25), (0.6, 0.5))]
+    azuma, chernoff = [], []
+    for n in (100, 1000, 2000):         # one uniform stream per n
+        a, c = bounds.tail_checks(n, (0.05, 0.1, 0.2),
+                                  ((0.35, 0.25), (0.5, 0.25), (0.6, 0.5)),
+                                  trials, seed)
+        azuma += [(f"azuma,{n},s={r['s']}", r) for r in a]
+        chernoff += [(f"chernoff,{n},g={r['gamma']};z={r['zeta']}", r)
+                     for r in c]
     rows = [f"# randamp {__version__}", "family,n,param,empirical,bound,pass"]
     ok_all = True
-    for label, check, args in checks:
-        r = check(*args)
+    for label, r in azuma + chernoff:
         ok_all &= r["passed"]
         rows.append(f"{label},{r['empirical']},{r['bound']},{r['passed']}")
     _write(outdir / "bounds_table.csv", "\n".join(rows) + "\n")

@@ -217,8 +217,20 @@ def evaluate_deterministic(f: BellFunctional,
     return int(f.indicator_array()[u[:, None], u, a[:, None], b].sum())
 
 
-# Alice assignments scored per numpy step of `classical_minimum`.
-_SCAN_BLOCK = 1 << 13
+# Alice's settings 1..4 are the high digits of her assignment, 5..9 the low.
+_HI_SETTINGS = 4
+# High assignments scored per numpy step of `classical_minimum`.
+_HI_BLOCK = 16
+
+
+def _partial_costs(CT: np.ndarray, settings: range) -> np.ndarray:
+    """The cost at each (u2, x2) of Alice's outcomes at `settings`, for
+    each of her assignments to them in lexicographic order: shape
+    (s, o, o^len(settings)), indexed [u2-1, x2-1, assignment]."""
+    o = CT.shape[1]
+    digits = np.indices((o,) * len(settings)).reshape(len(settings), -1)
+    return np.ascontiguousarray(CT[:, :, np.array(settings)[:, None] * o
+                                   + digits].sum(axis=2, dtype=np.int16))
 
 
 def classical_minimum(f: BellFunctional
@@ -229,31 +241,33 @@ def classical_minimum(f: BellFunctional
     lexicographic order with setting 1 most significant) and computes the
     second party's best response setting by setting; this is exhaustive
     because the functional splits across the second party's settings once
-    the first party's assignment is fixed.  Ties are broken to the
+    the first party's assignment is fixed.  The scan splits the first
+    party's settings 4 + 5: the cost at each (u2, x2) of each of the 256
+    assignments to settings 1-4 (`hi`) and of each of the 1024 to settings
+    5-9 (`lo`) is tabulated once, and assignment hi * 1024 + lo costs the
+    sum over u2 of the minimum over x2 of the two.  Ties are broken to the
     lexicographically smallest witness.
     """
     s, o = N_SETTINGS, N_OUTCOMES
     C = f.indicator_array()                      # (s, s, o, o) as [u1,u2,x1,x2]
     # Rearranged so that gathering on Alice's outcome is a flat index:
-    # CC[u1*o + x1, u2, x2]
-    CC = np.transpose(C, (0, 2, 1, 3)).reshape(s * o, s, o).astype(np.int32)
-    n_assign = o ** s
-    pow_ms = o ** np.arange(s - 1, -1, -1)       # alice[0] most significant
+    # CT[u2, x2, u1*o + x1]
+    CT = np.transpose(C, (1, 3, 0, 2)).reshape(s, o, s * o)
+    hi = _partial_costs(CT, range(_HI_SETTINGS))          # (s, o, 256)
+    lo = _partial_costs(CT, range(_HI_SETTINGS, s))       # (s, o, 1024)
     best_val = None
     best_alice_idx = None
-    for start in range(0, n_assign, _SCAN_BLOCK):
-        idx = np.arange(start, min(start + _SCAN_BLOCK, n_assign))
-        A = (idx[:, None] // pow_ms[None, :]) % o          # (m, s) outcomes 0-based
-        flat = np.arange(s)[None, :] * o + A               # (m, s)
-        per_u2 = CC[flat].sum(axis=1)                      # (m, s, o): cost per (u2, x2)
-        cost = per_u2.min(axis=2).sum(axis=1)              # (m,)
-        loc = int(cost.argmin())
-        if best_val is None or cost[loc] < best_val:
-            best_val = int(cost[loc])
-            best_alice_idx = start + loc
+    for start in range(0, hi.shape[2], _HI_BLOCK):
+        block = hi[:, :, start:start + _HI_BLOCK, None]
+        cost = sum((block[u2] + lo[u2, :, None]).min(axis=0)    # (rows, 1024)
+                   for u2 in range(s))
+        loc = int(cost.argmin())                 # row-major: lexicographic
+        if best_val is None or cost.flat[loc] < best_val:
+            best_val = int(cost.flat[loc])
+            best_alice_idx = start * lo.shape[2] + loc
     alice = tuple(int(best_alice_idx // (o ** (s - 1 - i))) % o + 1 for i in range(s))
     # Bob best response for the winning assignment, smallest outcome on ties.
-    per_u2 = CC[np.arange(s) * o + np.subtract(alice, 1)].sum(axis=0)   # (u2, x2)
+    per_u2 = CT[:, :, np.arange(s) * o + np.subtract(alice, 1)].sum(axis=2)
     bob = tuple((per_u2.argmin(axis=1) + 1).tolist())
     return best_val, (alice, bob)
 

@@ -21,9 +21,12 @@ table is built by the first LP, not at import, and HiGHS and the exact
 checks all read it.
 
 Every certified answer is backed by an exact rational primal/dual pair that
-an independent checker (`verify_certificate`, pure Fraction arithmetic)
-accepts.  The dual side proves the bound: free multipliers y on the 657
-equality rows plus a nonnegative multiplier beta on the cap row with
+an independent checker (`verify_certificate`) accepts.  The exact checks
+(`verify_certificate` and `_verify_primal`) scale each rational vector by
+the lcm of its denominators and run on Python ints, never floats or
+fixed-width integers, so they are exact for any denominator.  The dual
+side proves the bound: free multipliers y on the 657 equality rows plus a
+nonnegative multiplier beta on the cap row with
 
     E^T y + beta * b - M  >= 0   componentwise      (derived multipliers mu)
     bound = y . f + beta * cap
@@ -44,6 +47,7 @@ randamp.cli` loads no scipy module, and only the commands that solve an LP
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -168,6 +172,13 @@ def _bound(p: LPProblem, y, beta) -> Fraction:
     return sum(y[:_N_NORM], Fraction(0)) + beta * p.delta_tilde
 
 
+def _scaled(values) -> tuple[int, list[int]]:
+    """(L, [v * L for v in values]) with L the lcm of the denominators, so
+    that every entry is an exact Python int."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def verify_certificate(p: LPProblem, d: DualCertificate,
                        claimed_bound: Fraction | None = None) -> bool:
     """Exact-arithmetic dual feasibility check, independent of any solver.
@@ -175,21 +186,25 @@ def verify_certificate(p: LPProblem, d: DualCertificate,
     True iff the certificate is for the problem's cap and target entry,
     beta >= 0, all derived nonnegativity multipliers are >= 0, and the
     recomputed bound y.f + beta*cap does not exceed the claimed bound.
+    The multipliers are checked scaled by the lcm of the denominators of
+    y and beta, on Python ints.
     """
     rows = _row_cells()
     if (len(d.y) != len(rows) or d.beta < 0
             or d.delta_tilde != p.delta_tilde or d.target != p.target_col):
         return False
-    ety = [Fraction(0)] * N_CELLS
-    for yr, (plus, minus) in zip(d.y, rows):
-        if yr != 0:
+    scale, ys = _scaled((*d.y, d.beta))
+    beta = ys.pop()
+    ety = [0] * N_CELLS
+    for yr, (plus, minus) in zip(ys, rows):
+        if yr:
             for c in plus:
                 ety[c] += yr
             for c in minus:
                 ety[c] -= yr
     for c in p.cap_cols:
-        ety[c] += d.beta
-    ety[p.target_col] -= 1 if d.sense == "max" else -1
+        ety[c] += beta
+    ety[p.target_col] -= scale if d.sense == "max" else -scale
     if any(mu < 0 for mu in ety):
         return False
     return _bound(p, d.y, d.beta) <= (d.bound if claimed_bound is None
@@ -197,13 +212,16 @@ def verify_certificate(p: LPProblem, d: DualCertificate,
 
 
 def _verify_primal(p: LPProblem, pf: list[Fraction]) -> bool:
-    if any(v < 0 for v in pf):
+    """pf is nonnegative, meets every equality row and the cap, exactly:
+    checked scaled by the lcm of its denominators, on Python ints."""
+    scale, ints = _scaled(pf)
+    if any(v < 0 for v in ints):
         return False
     for r, (plus, minus) in enumerate(_row_cells()):
-        rhs = 1 if r < _N_NORM else 0
-        if sum(pf[c] for c in plus) - sum(pf[c] for c in minus) != rhs:
+        rhs = scale if r < _N_NORM else 0
+        if sum(ints[c] for c in plus) - sum(ints[c] for c in minus) != rhs:
             return False
-    return sum(pf[c] for c in p.cap_cols) <= p.delta_tilde
+    return sum(ints[c] for c in p.cap_cols) <= p.delta_tilde * scale
 
 
 def _solve_float_highs(p: LPProblem, sense: str):

@@ -9,7 +9,8 @@ from randamp.bounds import (_BLOCK_ROWS, _simulate_traces, azuma_bound,
                             azuma_empirical, chernoff_bound,
                             chernoff_empirical, linear_fraction,
                             markov_split_epsilon, qualifying_round_count,
-                            relative_entropy, settings_tail_empirical)
+                            relative_entropy, settings_tail_empirical,
+                            tail_checks)
 
 
 def test_azuma_bound_values():
@@ -68,13 +69,16 @@ _BLOCK_EDGES = [1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
                                   ("markov", 0.3, 0.7)])
 def test_blocked_traces_equal_one_whole_draw(spec, trials):
     """Blocks of rows are the rows of one (trials, n) draw, and the tail
-    frequency reduced block by block is the one-shot frequency, exactly."""
+    frequency reduced block by block is the one-shot frequency, exactly.
+    A fair coin has no traces: its frequency is read off counts."""
     n, seed = 40, 11
     vals, means = _whole_traces(spec, n, trials, np.random.default_rng(seed))
-    blocks = list(_simulate_traces(spec, n, trials, np.random.default_rng(seed)))
-    assert len(blocks) == -(-trials // _BLOCK_ROWS)
-    assert np.array_equal(np.concatenate([b[0] for b in blocks]), vals)
-    assert np.array_equal(np.concatenate([b[1] for b in blocks]), means)
+    if spec[0] != "fair_coin":
+        blocks = list(_simulate_traces(spec, n, trials,
+                                       np.random.default_rng(seed)))
+        assert len(blocks) == -(-trials // _BLOCK_ROWS)
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), vals)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), means)
     dev = np.abs(vals.mean(axis=1) - means.mean(axis=1))
     for s in (0.01, 0.1, 0.2, 0.3):
         got = azuma_empirical(spec, n, s, trials, seed)["empirical"]
@@ -96,6 +100,43 @@ def test_azuma_empirical_memory_is_one_block():
     tracemalloc.start()
     try:
         azuma_empirical(("fair_coin",), 2000, 0.1, 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+
+
+# The rows `verify-bounds` reads off each n's stream.
+_VB_DEVIATIONS = (0.05, 0.1, 0.2)
+_VB_CHERNOFF = ((0.35, 0.25), (0.5, 0.25), (0.6, 0.5))
+
+
+@pytest.mark.parametrize("trials", _BLOCK_EDGES)
+@pytest.mark.parametrize("seed", [7, 10])
+def test_shared_stream_checks_equal_the_standalone_ones(seed, trials):
+    """Every row read off one stream is the standalone check's dict, and
+    its frequency is the one of a whole (trials, n) draw."""
+    n = 100
+    azuma, chernoff = tail_checks(n, _VB_DEVIATIONS, _VB_CHERNOFF, trials, seed)
+    assert azuma == [azuma_empirical(("fair_coin",), n, s, trials, seed)
+                     for s in _VB_DEVIATIONS]
+    assert chernoff == [chernoff_empirical(n, gamma, zeta, trials, seed)
+                        for gamma, zeta in _VB_CHERNOFF]
+    u = np.random.default_rng(seed).random((trials, n))
+    dev = np.abs((u < 0.5).astype(np.int8).mean(axis=1)
+                 - np.full((trials, n), 0.5).mean(axis=1))
+    assert [r["empirical"] for r in azuma] == \
+        [float((dev >= s).mean()) for s in _VB_DEVIATIONS]
+    assert [r["empirical"] for r in chernoff] == \
+        [float(((u < zeta).sum(axis=1) >= gamma * n).mean())
+         for gamma, zeta in _VB_CHERNOFF]
+
+
+def test_shared_stream_memory_is_one_block():
+    """All six rows of one n from one stream, held one block at a time."""
+    tracemalloc.start()
+    try:
+        tail_checks(2000, _VB_DEVIATIONS, _VB_CHERNOFF, 10_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

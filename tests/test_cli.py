@@ -108,6 +108,38 @@ def test_simulate_idempotent(runner, tmp_path):
     assert (out1 / "trial0.jsonl").read_bytes() == (out2 / "trial0.jsonl").read_bytes()
 
 
+def test_source_strategy_flag_takes_a_name_or_a_json_spec(runner, tmp_path):
+    """A JSON spec on the flag runs as the same spec in a config file, a
+    bare name still works, and a malformed spec exits 2."""
+    spec = ["constant_bias", [0.05, -0.05]]
+    biased = dict(SMALL_SIM, protocol=dict(SMALL_SIM["protocol"], eps=0.05))
+    cfg = write_config(tmp_path, biased)
+    res = runner.invoke(main, ["simulate", "--config", cfg,
+                               "--source-strategy", json.dumps(spec),
+                               "--out", str(tmp_path / "flag")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "flag" / "simulate_summary.json").read_text())
+    assert summary["config"]["source"]["strategy"] == spec
+    cfg = write_config(tmp_path, dict(biased, source={"strategy": spec}))
+    res = runner.invoke(main, ["simulate", "--config", cfg,
+                               "--out", str(tmp_path / "file")])
+    assert res.exit_code == 0, res.output
+    for name in ("campaign.csv", "trial0.jsonl"):
+        assert (tmp_path / "flag" / name).read_bytes() == \
+            (tmp_path / "file" / name).read_bytes()
+    cfg = write_config(tmp_path, SMALL_SIM)
+    for value in ("unbiased", '"unbiased"'):
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--source-strategy",
+                                   value, "--out", str(tmp_path / "name")])
+        assert res.exit_code == 0, (value, res.output)
+    for value in ('["constant_bias", 5]', '["constant_bias"', '["bogus"]',
+                  "null", "[" * 100_000, "unbiassed"):
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--source-strategy",
+                                   value, "--out", str(tmp_path / "bad")])
+        assert res.exit_code == 2, (value[:20], res.output)
+        assert "error: source.strategy: " in res.output, res.output
+
+
 def test_simulate_rejects_invalid_params(runner, tmp_path):
     bad = [dict(SMALL_SIM, protocol=dict(SMALL_SIM["protocol"],
                                          enforce_bounds=True, delta=0.5))]

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from randamp import ks_bell
-from randamp.ks_bell import (N_CELLS, BellFunctional, build_bell_functional,
+from randamp.ks_bell import (N_CELLS, N_OUTCOMES, N_SETTINGS, BellFunctional,
+                             build_bell_functional,
                              build_ks_model, cell_entry, check_model,
                              classical_minimum, evaluate_deterministic,
                              gram_table, ks_coloring_count, var_index)
@@ -146,8 +148,69 @@ def test_canonical_serialization_frozen(model, functional):
         "7336817faf8df4258ee6c8b919754058a034b8f554d5e41199c9e318fd6459ca"
 
 
+# Alice assignments scored per numpy step of the reference scan.
+_SCAN_BLOCK = 1 << 13
+
+
+def _reference_minimum(f):
+    """The full scan: every Alice assignment's cost from all 9 settings at
+    once, 2^13 assignments a step.  Returns (value, witness, the number of
+    assignments that attain the value)."""
+    s, o = N_SETTINGS, N_OUTCOMES
+    C = f.indicator_array()
+    CC = np.transpose(C, (0, 2, 1, 3)).reshape(s * o, s, o).astype(np.int32)
+    n_assign = o ** s
+    pow_ms = o ** np.arange(s - 1, -1, -1)       # alice[0] most significant
+    best_val = best_alice_idx = None
+    ties = 0
+    for start in range(0, n_assign, _SCAN_BLOCK):
+        idx = np.arange(start, min(start + _SCAN_BLOCK, n_assign))
+        A = (idx[:, None] // pow_ms[None, :]) % o
+        flat = np.arange(s)[None, :] * o + A
+        cost = CC[flat].sum(axis=1).min(axis=2).sum(axis=1)
+        loc = int(cost.argmin())
+        if best_val is None or cost[loc] < best_val:
+            best_val, best_alice_idx, ties = int(cost[loc]), start + loc, 0
+        ties += int((cost == best_val).sum())
+    alice = tuple(int(best_alice_idx // (o ** (s - 1 - i))) % o + 1
+                  for i in range(s))
+    per_u2 = CC[np.arange(s) * o + np.subtract(alice, 1)].sum(axis=0)
+    bob = tuple((per_u2.argmin(axis=1) + 1).tolist())
+    return best_val, (alice, bob), ties
+
+
+def _random_functional(seed):
+    rng = np.random.default_rng(seed)
+    density = rng.choice([0.01, 0.05, 0.2, 0.5, 0.9])
+    cells = np.flatnonzero(rng.random(N_CELLS) < density)
+    return BellFunctional(bell_cells=tuple(cells.tolist()), target_cell=0)
+
+
+def test_split_scan_matches_the_full_scan(functional):
+    value, witness, _ = _reference_minimum(functional)
+    assert classical_minimum(functional) == (value, witness)
+    tied = 0
+    for seed in range(20):
+        f = _random_functional(seed)
+        value, witness, ties = _reference_minimum(f)
+        assert classical_minimum(f) == (value, witness), seed
+        tied += ties > 1
+    assert tied >= 15         # the lexicographic tie-break decides most
+
+
+def test_split_scan_takes_the_first_of_tied_blocks():
+    # cells at Alice's settings 5-9 only: every hi row ties with the first
+    cells = [c for c in range(N_CELLS) if cell_entry(c)[0] >= 5
+             and cell_entry(c)[2] != 3]
+    f = BellFunctional(bell_cells=tuple(cells), target_cell=0)
+    value, witness, ties = _reference_minimum(f)
+    assert ties >= 256
+    assert classical_minimum(f) == (value, witness)
+    assert witness[0][:4] == (1, 1, 1, 1)
+
+
 def test_classical_minimum_chunk_independent(functional, monkeypatch):
     base = classical_minimum(functional)
-    for chunk in (1 << 10, 1 << 16, 4 ** 9):
-        monkeypatch.setattr(ks_bell, "_SCAN_BLOCK", chunk)
+    for rows in (1, 16, 256):
+        monkeypatch.setattr(ks_bell, "_HI_BLOCK", rows)
         assert classical_minimum(functional) == base

@@ -10,8 +10,9 @@ from randamp.boxes import (bell_value_exact, ideal_quantum_box, uniform_box,
                            validate_behavior)
 from randamp.ks_bell import build_bell_functional, build_ks_model, cell_entry
 from randamp.ns_certify import (DualCertificate, _bound, _equalities,
-                                build_lp, solve_lp, var_index,
-                                verify_certificate, zero_target_box)
+                                _verify_primal, build_lp, solve_lp,
+                                var_index, verify_certificate,
+                                zero_target_box)
 
 TARGET = var_index(1, 2, 1, 3)
 
@@ -176,3 +177,51 @@ def test_weak_duality_on_feasible_points(functional, sol_zero):
     val = solve_lp(build_lp(functional, Fraction(1, 10))).exact_optimum
     assert val <= Fraction(3, 4) + Fraction(1, 20)
     assert sol_zero.certificate.bound >= Fraction(3, 4)
+
+
+_TINY = Fraction(1, 2 ** 70)        # its scales overflow int64
+
+
+def _through_json(cert):
+    return DualCertificate.from_json(cert.to_json())
+
+
+def test_integer_check_sees_a_tiny_move_of_y(lp_zero, sol_zero):
+    cert = sol_zero.certificate
+    for row in (0, 100, 500):
+        for step in (_TINY, -_TINY):
+            y = list(cert.y)
+            y[row] += step
+            moved = dataclasses.replace(cert, y=tuple(y))
+            assert not verify_certificate(lp_zero, moved), (row, step)
+            assert not verify_certificate(lp_zero, _through_json(moved))
+
+
+def test_integer_check_sees_a_tiny_move_of_beta(functional, lp_zero, sol_zero):
+    half = build_lp(functional, Fraction(1, 2))
+    cert = solve_lp(half).certificate
+    assert cert.beta > 0
+    for step in (_TINY, -_TINY):
+        moved = dataclasses.replace(cert, beta=cert.beta + step)
+        assert not verify_certificate(half, moved), step
+        assert not verify_certificate(half, _through_json(moved))
+    # at cap 0 a larger beta costs nothing: still a valid certificate,
+    # whose lcm is 2^70 times the original's
+    zero = sol_zero.certificate
+    for cert, ok in ((zero, True),
+                     (dataclasses.replace(zero, beta=zero.beta + _TINY), True),
+                     (dataclasses.replace(zero, beta=zero.beta - _TINY), False)):
+        assert verify_certificate(lp_zero, cert) is ok
+        assert verify_certificate(lp_zero, _through_json(cert)) is ok
+
+
+def test_integer_primal_check_sees_a_tiny_move(lp_zero, sol_zero):
+    pf = list(sol_zero.primal.exact.ravel())
+    assert _verify_primal(lp_zero, pf)
+    for cell in (TARGET, 0, 1295):
+        for step in (Fraction(1, 10 ** 15), -Fraction(1, 10 ** 15)):
+            moved = list(pf)
+            moved[cell] += step
+            assert not _verify_primal(lp_zero, moved), (cell, step)
+            back = [Fraction(v) for v in json.loads(json.dumps(list(map(str, moved))))]
+            assert back == moved and not _verify_primal(lp_zero, back)
