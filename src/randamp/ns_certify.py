@@ -244,12 +244,20 @@ def _solve_float_highs(p: LPProblem, sense: str):
     return np.asarray(res.x), y, beta
 
 
+def _rounded(values: list[float], den: int) -> list[Fraction]:
+    """Each value's nearest fraction with denominator at most `den`; a
+    vertex holds few distinct values, so each is rounded once."""
+    table = {v: Fraction(v).limit_denominator(den) for v in set(values)}
+    return [table[v] for v in values]
+
+
 def _certify(p: LPProblem, sense: str, x, y, beta):
     """Round float primal/dual to rationals and verify both exactly."""
     sign = 1 if sense == "max" else -1
+    x, y = x.tolist(), y.tolist()
     for den in _ROUND_DENOMS:
-        pf = [Fraction(v).limit_denominator(den) for v in x]
-        yf = tuple(Fraction(v).limit_denominator(den) for v in y)
+        pf = _rounded(x, den)
+        yf = tuple(_rounded(y, den))
         bf = max(Fraction(beta).limit_denominator(den), Fraction(0))
         bound = _bound(p, yf, bf)
         cert = DualCertificate(y=yf, beta=bf, bound=bound,

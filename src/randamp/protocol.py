@@ -15,12 +15,12 @@ delta) and then, only if it passed, the tomographic test (the empirical
 frequency of the target cell must reach mu1).  Both aborts are verdicts,
 not errors.  `replay_transcript` is the one path from cells back to a run;
 `read_transcript` reads in one pass the one layout `write_transcript`
-writes, both by one table of record texts.  On acceptance of a run whose
-transcript is kept, the extractor's t side is the next n bits of the same
-source (the stream positions of setting draws and extraction draws are
-disjoint by construction); it reads only the first L of them, so min(n, L)
-are drawn and fed to the two-source extractor together with the selected
-transcript bits.
+writes, both by one table of record texts in fixed-width blocks.  On
+acceptance of a run whose transcript is kept, the extractor's t side is the
+next n bits of the same source (the stream positions of setting draws and
+extraction draws are disjoint by construction); it reads only the first L
+of them, so min(n, L) are drawn and fed to the two-source extractor
+together with the selected transcript bits.
 
 The parameter constraints mirror the derived security chain: for source
 parameter eps and thresholds (mu1, kappa) with 0 < kappa < mu1/2 the Bell
@@ -536,17 +536,49 @@ def monte_carlo(device_factory: Callable[[int], Device],
 
 
 # The record of round i = 1, 2, ... in cell c is b'{"i": %d' % i and the
-# tail _RECORD_TAIL[c] (settings 1..9, outcomes 1..4); `_TAIL_CELL` maps a
-# tail back to its cell.  Writer and reader use this table and nothing else.
+# tail _RECORD_TAIL[c] (settings 1..9, outcomes 1..4), 34 + d bytes when i
+# has d digits.  So the records whose i have d digits are one fixed-width
+# block, written and read CHUNK rows at a time as uint8 arrays (`_records`).
+# Writer and reader use this table and nothing else.
 _RECORD_TAIL = [b', "u": [%d, %d], "x": [%d, %d]}\n' % cell_entry(c)
                 for c in range(N_CELLS)]
-_TAIL_CELL = {tail: cell for cell, tail in enumerate(_RECORD_TAIL)}
+_RECORD_HEAD = np.frombuffer(b'{"i": ', np.uint8)
+_TAILS = np.frombuffer(b"".join(_RECORD_TAIL), np.uint8).reshape(N_CELLS, -1)
+# A tail's digits u1, u2, x1, x2 sit at these offsets; their weights give
+# the cell ((u1-1) 9 + u2-1) 16 + (x1-1) 4 + x2-1, as `var_index` does.
+_TAIL_DIGITS = np.array([8, 11, 21, 24])
+_DIGIT_WEIGHTS = np.array([144, 16, 4, 1])
 _VERDICTS = ("Accept", "AbortBell", "AbortTomography")
+
+
+def _record_blocks(n=math.inf):
+    """(first i, count, d) of the record blocks of rounds 1..n, in order:
+    at most CHUNK records each, whose i all have d digits."""
+    first, d = 1, 1
+    while first <= n:
+        end = min(10 ** d, n + 1)
+        for i in range(first, end, CHUNK):
+            yield i, min(CHUNK, end - i), d
+        first, d = end, d + 1
+
+
+def _records(first: int, cells: np.ndarray, d: int) -> np.ndarray:
+    """The records of rounds first, first + 1, ... in `cells`, whose i all
+    have d digits, as the rows of a (len(cells), 34 + d) uint8 array."""
+    head = len(_RECORD_HEAD) + d
+    rows = np.empty((len(cells), head + _TAILS.shape[1]), np.uint8)
+    rows[:, :len(_RECORD_HEAD)] = _RECORD_HEAD
+    i = np.arange(first, first + len(cells), dtype=np.int64)
+    for j in range(d):      # one column at a time: a (count, d) one is slower
+        rows[:, head - 1 - j] = i // 10 ** j % 10 + ord("0")
+    rows[:, head:] = _TAILS[cells]
+    return rows
 
 
 def write_transcript(run: ProtocolRun, path, config_hash: str = "",
                      package_version: str = "") -> None:
-    """JSON Lines: a header, a record per round (CHUNK at a time), a summary."""
+    """JSON Lines: a header, a record per round (one write per block of
+    `_record_blocks`), a summary."""
     if run.cells is None:
         raise ValueError("run has no kept transcript")
     with open(path, "wb") as fh:
@@ -555,9 +587,8 @@ def write_transcript(run: ProtocolRun, path, config_hash: str = "",
                   "config_hash": config_hash, "params": run.params.to_dict(),
                   "device": run.device_spec, "source": run.source_spec}
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for k in range(0, len(run.cells), CHUNK):
-            fh.write(b"".join([b'{"i": %d%b' % (i, _RECORD_TAIL[c]) for i, c
-                               in enumerate(run.cells[k:k + CHUNK].tolist(), k + 1)]))
+        for first, count, d in _record_blocks(len(run.cells)):
+            fh.write(_records(first, run.cells[first - 1:first - 1 + count], d))
         summary = {"type": "summary", "Ln": run.bell_average,
                    "Sn": run.target_frequency, "verdict": run.verdict}
         if run.output_bits is not None:
@@ -585,26 +616,39 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
     The file is untrusted.  Read in one pass as bytes, with each JSON line
     decoded as UTF-8, it must have the layout `write_transcript` writes:
     the header, the k-th record as b'{"i": k' and a `_RECORD_TAIL` entry
-    (its cell), one summary, the end of the file.  Then its format version,
+    (its cell), one summary, the end of the file.  The records are read
+    block by block (`_record_blocks`); a row is a record if it equals
+    `_records` of the cell its tail digits name, and the line that starts
+    at the first row that is not is the summary.  Then its format version,
     `parse_header` (the rules a config is read by), n against the record
     count and the summary's Ln, Sn (numbers in [0, 1]) and verdict are
     checked.  Any failure raises ValueError("<path>:<line>: ...").
     """
-    cells = []
+    kept = []
     with open(path, "rb") as fh:
-        header = _tagged(path, 1, next(fh, b""), "header", "the header")
-        for line_no, line in enumerate(fh, start=2):
-            head = b'{"i": %d' % (line_no - 1)
-            if not line.startswith(head) or \
-                    (cell := _TAIL_CELL.get(line[len(head):])) is None:
+        header = _tagged(path, 1, fh.readline(), "header", "the header")
+        for first, count, d in _record_blocks():
+            width = len(_RECORD_HEAD) + d + _TAILS.shape[1]
+            at, block = fh.tell(), fh.read(count * width)
+            rows = np.frombuffer(block, np.uint8)
+            rows = rows[:len(rows) - len(rows) % width].reshape(-1, width)
+            tail_digits = rows[:, len(_RECORD_HEAD) + d + _TAIL_DIGITS]
+            cells = np.clip(tail_digits.astype(np.int64) @ _DIGIT_WEIGHTS
+                            - ord("1") * _DIGIT_WEIGHTS.sum(), 0, N_CELLS - 1)
+            good = (rows == _records(first, cells, d)).all(axis=1)
+            ok = len(rows) if good.all() else int(good.argmin())
+            kept.append(cells[:ok])
+            if ok < count:
                 break
-            cells.append(cell)
-        else:
+        fh.seek(at + ok * width)
+        line_no, line = first + ok + 1, fh.readline()
+        if not line:
             raise ValueError(f"{path}: no summary line")
         summary = _tagged(path, line_no, line, "summary", f"record"
                           f" {line_no - 1} in the written form or the summary")
-        if next(fh, None) is not None:
+        if fh.read(1):
             raise ValueError(f"{path}:{line_no + 1}: text after the summary")
+    cells = np.concatenate(kept)
     if type(version := header.get("version")) is not int \
             or version != FORMAT_VERSION:   # true and 1.0 are no version
         raise ValueError(f"{path}:1: format version {version!r},"
@@ -622,7 +666,7 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
         _field(summary, "verdict", "summary", lambda v: v in _VERDICTS, " or ".join(_VERDICTS))
     except ValueError as e:
         raise ValueError(f"{path}:{line_no}: {e}") from e
-    return header, source, replay_transcript(params, np.array(cells)), summary
+    return header, source, replay_transcript(params, cells), summary
 
 
 def replay_transcript(params: ProtocolParams, cells) -> ProtocolRun:

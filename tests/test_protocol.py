@@ -15,8 +15,11 @@ from randamp.boxes import (bell_value, depolarize, ideal_quantum_box,
 from randamp.cli import build_device_factory
 from randamp.ks_bell import (N_CELLS, build_bell_functional, build_ks_model,
                              var_index)
+from randamp.extractor import output_hex
 from randamp.ns_certify import build_lp, solve_lp, zero_target_box
-from randamp.protocol import (CHUNK, ProtocolParams, ProtocolRun, dc_distance,
+from randamp.protocol import (_RECORD_TAIL, _VERDICTS, CHUNK, FORMAT_VERSION,
+                              ProtocolParams, ProtocolRun, _field, _tagged,
+                              dc_distance, parse_header, parse_real,
                               default_functional, expected_tomography_rate,
                               extract_output, monte_carlo, read_transcript,
                               replay_transcript, run_protocol, security_report,
@@ -170,8 +173,9 @@ def test_transcript_roundtrip_of_every_cell(tmp_path):
 
 def test_transcript_codec_streams(tmp_path):
     """Writing and reading a 10^5-round transcript (about 4 MB of records)
-    each peak below 6 MB of traced allocations: both go CHUNK lines at a
-    time and hold no copy of the whole record block."""
+    each peak below 6 MB of traced allocations: both go one fixed-width
+    block of at most CHUNK records at a time (one write, or one read of
+    CHUNK record widths) and hold no copy of the whole record part."""
     params = ProtocolParams(n=100_000)
     run = run_protocol(make_iid_device(uniform_box(), 1),
                        SVSource(0, "unbiased", 2), params)
@@ -353,12 +357,165 @@ def _mutated_transcript(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=_mutated_transcript())
 def test_read_transcript_raises_only_value_error(tmp_path_factory, text):
+    """Any mutation loads or raises ValueError, as the line-loop reference
+    does, with the same cells or the same message."""
     path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    assert _outcome(read_transcript, path) == \
+        _outcome(_read_transcript_lines, path)
+
+
+_TAIL_CELL = {tail: cell for cell, tail in enumerate(_RECORD_TAIL)}
+
+
+def _write_transcript_join(run, path):
+    """The reference writer: each record joined as b'{"i": %d%b' from
+    `_RECORD_TAIL`, one line at a time."""
+    header = {"type": "header", "version": FORMAT_VERSION,
+              "package_version": "", "config_hash": "",
+              "params": run.params.to_dict(), "device": run.device_spec,
+              "source": run.source_spec}
+    summary = {"type": "summary", "Ln": run.bell_average,
+               "Sn": run.target_frequency, "verdict": run.verdict}
+    if run.output_bits is not None:
+        summary["output_hex"] = output_hex(run.output_bits)
+        summary["extraction"] = run.extraction
+    path.write_bytes(
+        json.dumps(header, sort_keys=True).encode() + b"\n"
+        + b"".join(b'{"i": %d%b' % (i, _RECORD_TAIL[c])
+                   for i, c in enumerate(run.cells.tolist(), 1))
+        + json.dumps(summary, sort_keys=True).encode() + b"\n")
+
+
+def _read_transcript_lines(path):
+    """The reference reader: one Python step per line, each record looked
+    up in the table of tails."""
+    cells = []
+    with open(path, "rb") as fh:
+        header = _tagged(path, 1, next(fh, b""), "header", "the header")
+        for line_no, line in enumerate(fh, start=2):
+            head = b'{"i": %d' % (line_no - 1)
+            if not line.startswith(head) or \
+                    (cell := _TAIL_CELL.get(line[len(head):])) is None:
+                break
+            cells.append(cell)
+        else:
+            raise ValueError(f"{path}: no summary line")
+        summary = _tagged(path, line_no, line, "summary", f"record"
+                          f" {line_no - 1} in the written form or the summary")
+        if next(fh, None) is not None:
+            raise ValueError(f"{path}:{line_no + 1}: text after the summary")
+    if type(version := header.get("version")) is not int \
+            or version != FORMAT_VERSION:
+        raise ValueError(f"{path}:1: format version {version!r},"
+                         f" expected {FORMAT_VERSION}")
     try:
-        read_transcript(path)
-    except ValueError:
-        pass
+        params, source = parse_header(header)
+    except ValueError as e:
+        raise ValueError(f"{path}:1: {e}") from e
+    if params.n != len(cells):
+        raise ValueError(f"{path}:1: header n is {params.n}"
+                         f" but the file has {len(cells)} records")
+    try:
+        for key in ("Ln", "Sn"):
+            parse_real(summary, key, "summary", lambda v: 0 <= v <= 1, "in [0, 1]")
+        _field(summary, "verdict", "summary", lambda v: v in _VERDICTS, " or ".join(_VERDICTS))
+    except ValueError as e:
+        raise ValueError(f"{path}:{line_no}: {e}") from e
+    return header, source, replay_transcript(params, np.array(cells)), summary
+
+
+def _outcome(reader, path):
+    """What `reader` makes of a file: the parts it returns, in comparable
+    form, or the message of the ValueError it raises."""
+    try:
+        header, source, run, summary = reader(path)
+    except ValueError as e:
+        return str(e)
+    return header, source.spec(), run.cells.tolist(), run.hist, summary
+
+
+def _cells_run(n, seed=0):
+    """A run of n rounds in seeded random cells."""
+    cells = np.random.default_rng(seed).integers(0, N_CELLS, n)
+    return ProtocolRun(ProtocolParams(n=n), {"kind": "uniform"},
+                       SVSource(0, "unbiased", 5).spec(),
+                       np.bincount(cells, minlength=N_CELLS).tolist(), cells)
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 99, 100, CHUNK - 1, CHUNK,
+                               CHUNK + 1, 100_000])
+def test_writer_matches_the_record_join(tmp_path, n):
+    """The block writer's file is the reference join's byte for byte, and
+    reads back as the run's cells; n = 10^5 crosses i = 99999/100000."""
+    run = _cells_run(n)
+    path, ref = tmp_path / "blocks.jsonl", tmp_path / "join.jsonl"
+    write_transcript(run, path)
+    _write_transcript_join(run, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    assert np.array_equal(read_transcript(path)[2].cells, run.cells)
+
+
+def _tampered(data, k, how):
+    """The bytes of a transcript with record k (line k + 1) changed."""
+    lines = data.splitlines(keepends=True)
+    line = lines[k]
+    u1, x2 = line.index(b'"u": [') + 6, len(line) - 4
+    lines[k:k + 1] = {
+        "x digit": [line[:x2] + b"9" + line[x2 + 1:]],   # outcome 9: no cell
+        "u digit": [line[:u1] + b"0" + line[u1 + 1:]],   # setting 0: no cell
+        "other cell": [line[:x2] + b"%d" % (line[x2] % 4 + 1) + line[x2 + 1:]],
+        "i": [line.replace(b'{"i": %d' % k, b'{"i": %d' % (k + 1))],
+        "space": [line.replace(b", ", b",  ", 1)],
+        "deleted": [],
+        "doubled": [line, line],
+        "summary": [lines[-1]],
+        "crlf": [line[:-1] + b"\r\n"],
+    }[how]
+    return b"".join(lines)
+
+
+_TAMPERINGS = ["x digit", "u digit", "other cell", "i", "space", "deleted",
+               "doubled", "summary", "crlf"]
+
+
+@pytest.mark.parametrize("k", [1, 9, 10, 9999, 10_000, 10_000 + CHUNK - 1,
+                               10_000 + CHUNK, 10_000 + CHUNK + 777, 30_000])
+def test_reader_matches_the_line_loop_on_tampered_records(tmp_path, k):
+    """A 30000-round transcript tampered at record k, in each way of
+    `_TAMPERINGS`: the block reader gives the reference's message, or its
+    cells where the tampered record is another cell's.  The k cover the digit-width changes (9/10, 9999/10000), both sides of a CHUNK
+    edge inside the 5-digit block, the middle of a CHUNK block and the last
+    record."""
+    path = tmp_path / "run.jsonl"
+    write_transcript(_cells_run(30_000, k), path)
+    data = path.read_bytes()
+    for how in _TAMPERINGS:
+        path.write_bytes(_tampered(data, k, how))
+        got = _outcome(read_transcript, path)
+        assert got == _outcome(_read_transcript_lines, path), how
+        assert isinstance(got, str) == (how != "other cell"), how
+
+
+def test_reader_matches_the_line_loop_at_the_file_end(tmp_path):
+    """Truncations inside and right after a record, and a summary without
+    its final newline, read as the reference reads them."""
+    path = tmp_path / "run.jsonl"
+    write_transcript(_cells_run(12_000), path)
+    data = path.read_bytes()
+    end = len(data) - len(data.splitlines(keepends=True)[-1])
+    cases = {"inside record 10000": data[:data.index(b'{"i": 10000,') + 20],
+             "inside the last record": data[:end - 5],
+             "after the last record": data[:end],
+             "inside the summary": data[:end + 10],
+             "no final newline": data[:-1],
+             "header only": data[:data.index(b"\n") + 1],
+             "text after the summary": data + b"\n"}
+    for name, text in cases.items():
+        path.write_bytes(text)
+        got = _outcome(read_transcript, path)
+        assert got == _outcome(_read_transcript_lines, path), name
+        assert isinstance(got, str) == (name != "no final newline"), name
 
 
 def test_read_transcript_accepts_only_the_written_order(tmp_path):
