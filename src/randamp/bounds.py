@@ -23,7 +23,8 @@ import math
 import numpy as np
 
 from .ks_bell import TARGET_SETTINGS, pair_index
-from .sv_source import BLOCK_PAIR, make_strategy, _as_fraction
+from .sv_source import (BITS_PER_ROUND, BLOCK_PAIR, make_strategy, walk,
+                        _as_fraction)
 
 
 def azuma_bound(n: int, s: float) -> float:
@@ -229,23 +230,19 @@ def settings_tail_empirical(eps, strategy_spec, n: int, gamma: float,
     >= gamma n rounds" under a source-driven settings stream, against
     exp(-n D(gamma||zeta)).
 
-    zeta = 1 - (1/2 - eps)^8.  The stream is simulated vectorized, 8 steps
-    down the block tree per round, from the same `Strategy.floats` table the
-    sequential source compares against; bias cycles may have any length.
+    zeta = 1 - (1/2 - eps)^8.  Each round walks every trial's block down
+    the strategy's block tree at once, through the `sv_source.walk` that
+    the source's own stream draws from; bias cycles may have any length.
     """
     epsf = _as_fraction(eps)
     zeta = float(1 - (1 - 2 * epsf) ** 8 / 256)   # 1 - (1/2-eps)^8, exactly
-    rows = np.array(make_strategy(strategy_spec, epsf).floats)
+    floats = np.array(make_strategy(strategy_spec, epsf).floats)
     is_miss = BLOCK_PAIR != pair_index(*TARGET_SETTINGS)
     rng = np.random.default_rng(seed)
     misses = np.zeros(trials, dtype=np.int64)
     for i in range(n):
-        row = rows[i % len(rows)]
-        node = np.ones(trials, dtype=np.int64)
-        for _bit in range(8):
-            bit = (rng.random(trials) >= row[node]).astype(np.int64)
-            node = 2 * node + bit
-        misses += is_miss[node - 256]
+        misses += is_miss[walk(floats, np.full(trials, i),
+                               rng.random((BITS_PER_ROUND, trials)).T)]
     return _tail_check(float((misses >= gamma * n).mean()),
                        chernoff_bound(n, gamma, zeta), trials,
                        zeta=zeta, n=n, gamma=gamma)

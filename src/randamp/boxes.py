@@ -31,7 +31,7 @@ from random import Random
 import numpy as np
 
 from .ks_bell import (N_OUTCOMES, N_SETTINGS, BellFunctional, KSModel,
-                      gram_table, pair_index)
+                      gram_table, is_setting_pair, pair_index)
 from .seeding import uniforms
 
 
@@ -177,8 +177,7 @@ class Device:
         self._cums2 = self._cums1 if b2 is b1 else cumulative_tables(b2)
 
     def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
-        if not (isinstance(u, (tuple, list)) and len(u) == 2 and all(
-                type(v) is int and 1 <= v <= N_SETTINGS for v in u)):
+        if not is_setting_pair(u):
             raise ValueError(f"setting pair needs two ints in 1..9, got {u!r}")
         pair = pair_index(*u)
         cums = self._cums1 if k < self.tau else self._cums2
@@ -239,9 +238,7 @@ def make_adversarial_device(spec: dict, seed: int = 0) -> Device:
                       seed, tau=k)
     if kind == "history_trigger":
         if not (isinstance(pattern := spec.get("pattern"), (list, tuple))
-                and pattern and all(isinstance(p, (list, tuple)) and len(p) == 2
-                and all(type(v) is int and 1 <= v <= 9 for v in p)
-                for p in pattern)):
+                and pattern and all(map(is_setting_pair, pattern))):
             raise ValueError("device.pattern: needs a non-empty list of setting"
                              f" pairs in 1..9, got {pattern!r}")
         return Device({"kind": kind, "pattern": [list(p) for p in pattern]},

@@ -66,6 +66,12 @@ def pair_index(u1: int, u2: int) -> int:
     return (u1 - 1) * 9 + (u2 - 1)
 
 
+def is_setting_pair(u) -> bool:
+    """Whether u is a tuple or list of two ints (bools excluded) in 1..9."""
+    return (isinstance(u, (tuple, list)) and len(u) == 2
+            and all(type(v) is int and 1 <= v <= N_SETTINGS for v in u))
+
+
 def var_index(u1: int, u2: int, x1: int, x2: int) -> int:
     """Canonical cell of table entry (x1,x2|u1,u2), all arguments 1..n: its
     setting pair is cell // 16 = pair_index(u1, u2), its outcome cell % 16."""

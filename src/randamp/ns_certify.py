@@ -290,7 +290,7 @@ def solve_lp(p: LPProblem, sense: str = "max") -> LPSolution:
                       certified_equality=equal)
 
 
-def zero_target_box(f: BellFunctional, delta_tilde=0) -> tuple[Behavior, Fraction]:
-    """Feasible behavior minimizing P(target) at the given cap, exact."""
-    sol = solve_lp(build_lp(f, delta_tilde), sense="min")
+def zero_target_box(f: BellFunctional) -> tuple[Behavior, Fraction]:
+    """Feasible behavior minimizing P(target) at cap 0, exact."""
+    sol = solve_lp(build_lp(f, 0), sense="min")
     return sol.primal, sol.exact_optimum

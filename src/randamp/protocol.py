@@ -477,7 +477,6 @@ class CampaignStats:
     ci_high: float
     rows: list[dict]
     verdict_counts: dict[str, int]
-    master_seed: int
     first_run: ProtocolRun          # trial 0, with its cells kept
 
     def to_csv(self) -> str:
@@ -529,7 +528,7 @@ def monte_carlo(device_factory: Callable[[int], Device],
     return CampaignStats(trials=trials, accept_count=accept,
                          accept_rate=accept / trials, ci_low=lo, ci_high=hi,
                          rows=rows, verdict_counts=verdicts,
-                         master_seed=master_seed, first_run=first_run)
+                         first_run=first_run)
 
 
 # --- transcript files -----------------------------------------------------

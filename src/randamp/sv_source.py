@@ -6,8 +6,9 @@ probability of 0, given the entire history, always lies in
 [1/2 - eps, 1/2 + eps].  Every strategy, honest or adversarial, is one
 `Strategy` table over the 8-bit block tree (exact P(0) per block row and
 node, plus the floats the sampler compares against).  The exact law
-(`conditional_p0`, checked against the band by exhaustive enumeration), the
-bit stream and the vectorized tail check in `bounds` all read that table.
+(`conditional_p0`, checked against the band by exhaustive enumeration) reads
+that table, and `walk` is the one sampler of it: the biased bit stream and
+the tail check in `bounds` both draw whole blocks through it.
 
 Settings are chosen with 4 bits per party, MSB first (b1 b2 b3 b4 gives
 v = 8 b1 + 4 b2 + 2 b3 + b4) and the surjection setting = (v mod 9) + 1.
@@ -36,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ks_bell import TARGET_SETTINGS, pair_index
+from .ks_bell import TARGET_SETTINGS, is_setting_pair, pair_index
 from .seeding import uniforms, words
 
 BITS_PER_PARTY = 4
@@ -77,7 +78,8 @@ class SettingMap:
 DEFAULT_MAP = SettingMap()
 
 # `ks_bell.pair_index` of each 8-bit block's settings
-BLOCK_PAIR = np.array([pair_index(*DEFAULT_MAP.map_block(b)) for b in range(256)])
+BLOCK_PAIR = pair_index(DEFAULT_MAP.setting_of(np.arange(256) >> 4),
+                        DEFAULT_MAP.setting_of(np.arange(256) & 0xF))
 
 
 # --- strategies ---------------------------------------------------------
@@ -154,6 +156,22 @@ def _table(name: str, eps: Fraction, p0_of: Callable[[int, int], Fraction],
                     tuple(tuple(as_float[p] for p in row) for row in rows))
 
 
+def walk(floats, rows, u: np.ndarray) -> np.ndarray:
+    """The 8-bit values of blocks walked down the block tree at once.
+
+    Block i reads row rows[i] % len(floats) of the table `floats`, and its
+    bit at each depth is 0 when u[i, depth] is below the entry at its node,
+    else 1; so a uniform u[i, depth] emits 0 with that entry's probability.
+    """
+    floats = np.asarray(floats)
+    start = np.asarray(rows) % len(floats) * NODES  # of each row, in flat
+    flat = floats.ravel()       # one index per step: faster than [row, node]
+    node = np.ones(len(u), np.intp)
+    for depth in range(BITS_PER_ROUND):
+        node = 2 * node + (u[:, depth] >= flat[start + node])
+    return node - NODES
+
+
 # Each strategy kind and the numbers of arguments it takes.
 _ARITY = {"unbiased": (0,), "constant_bias": (1,), "avoid_target": (0, 1),
           "toward_pattern": (1,)}
@@ -195,8 +213,7 @@ def make_strategy(spec, eps) -> Strategy:
                       float_of=lambda p: 0.5 + float(p - HALF))
     if kind == "avoid_target":
         target = args[0] if args else TARGET_SETTINGS
-        if not (isinstance(target, (tuple, list)) and len(target) == 2
-                and all(type(u) is int and 1 <= u <= 9 for u in target)):
+        if not is_setting_pair(target):
             raise ValueError(f"avoid_target needs a setting pair in 1..9,"
                              f" got {target!r}")
         pre = set(DEFAULT_MAP.blocks_of(target))
@@ -226,10 +243,14 @@ def _plain_spec(spec):
 class SVSource:
     """Stateful bit stream with bounded conditional bias.
 
-    The stream is deterministic given (eps, strategy spec, seed).  The
-    unbiased strategy consumes the generator via getrandbits; every other
-    strategy draws one uniform per bit and emits 0 when it falls below the
-    strategy's `floats` entry at the current block row and node.
+    The stream is deterministic given (eps, strategy spec, seed).  Every
+    draw takes bits off the front of one buffer, which is refilled with the
+    fewest whole units that cover the draw: 32-bit getrandbits words for
+    the unbiased strategy, and for every other strategy 8-bit blocks, each
+    bit one uniform walked down the strategy's block tree (`walk`).  So the
+    bits do not depend on how a caller splits its draws, and a draw that
+    ends inside a unit leaves the rest of that unit in the buffer, already
+    drawn from the generator.
     """
 
     def __init__(self, eps=0, strategy="unbiased", seed: int = 0):
@@ -244,79 +265,50 @@ class SVSource:
         # The spec name, not the table, picks the getrandbits path: a
         # constant_bias [0] source has the unbiased law but draws uniforms.
         self._unbiased = self.strategy.name == "unbiased"
-        # Unbiased stream: refilled in fixed 32-bit units so the emitted
-        # bit sequence does not depend on the caller's chunking.
-        self._buf = 0
+        self._buf = 0           # the _buf_len bits drawn and not yet taken
         self._buf_len = 0
-        self._node = 1          # biased stream: node in the current block
 
-    def _take_unbiased(self, k: int) -> int:
-        if self._buf_len < k:   # the words joined at once: growing the int
-            # a word at a time copies it each time, O(k^2) for a long draw
-            count = -(-(k - self._buf_len) // 32)
-            self._buf = (self._buf << 32 * count) | int.from_bytes(
-                words(self.rng, count).astype(">u4").tobytes(), "big")
-            self._buf_len += 32 * count
+    def _refill(self, k: int) -> None:
+        """Draw the fewest whole units that make the buffer hold k bits."""
+        if self._unbiased:
+            fresh = words(self.rng, -(-(k - self._buf_len) // 32)).astype(">u4")
+        else:
+            count = -(-(k - self._buf_len) // BITS_PER_ROUND)
+            first = (self.bits_emitted + self._buf_len) // BITS_PER_ROUND
+            fresh = walk(self.strategy.floats, first + np.arange(count),
+                         uniforms(self.rng, BITS_PER_ROUND * count)
+                         .reshape(count, BITS_PER_ROUND)).astype(np.uint8)
+        # joined at once: growing the int a unit at a time copies it each
+        # time, O(k^2) for a long draw
+        self._buf = (self._buf << 8 * fresh.nbytes) | int.from_bytes(
+            fresh.tobytes(), "big")
+        self._buf_len += 8 * fresh.nbytes
+
+    def _take(self, k: int) -> int:
+        """The next k bits of the stream, packed MSB-first."""
+        if self._buf_len < k:
+            self._refill(k)
         self._buf_len -= k
         block = self._buf >> self._buf_len
         self._buf &= (1 << self._buf_len) - 1
         self.bits_emitted += k
         return block
 
-    def _take_biased(self, k: int) -> list[int]:
-        """k bits down the block tree, one uniform each against `floats`."""
-        floats, rand = self.strategy.floats, self.rng.random
-        block, node = self.bits_emitted // BITS_PER_ROUND, self._node
-        row = floats[block % len(floats)]
-        bits = []
-        for _ in range(k):
-            bit = 0 if rand() < row[node] else 1
-            bits.append(bit)
-            node = 2 * node + bit
-            if node >= NODES:
-                node = 1
-                block += 1
-                row = floats[block % len(floats)]
-        self._node = node
-        self.bits_emitted += k
-        return bits
-
     def next_bits(self, k: int) -> list[int]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self._unbiased:      # one format: k shifts of a k-bit int are O(k^2)
-            return list(map(int, format(self._take_unbiased(k), f"0{k}b")))
-        return self._take_biased(k)
+        # one format: k shifts of a k-bit int are O(k^2)
+        return list(map(int, format(self._take(k), f"0{k}b")))
 
     def next_block(self, k: int) -> int:
         """Next k bits packed MSB-first; same stream as next_bits."""
-        if self._unbiased:
-            return self._take_unbiased(k)
-        block = 0
-        for bit in self._take_biased(k):
-            block = 2 * block + bit
-        return block
+        return self._take(k)
 
     def next_blocks(self, m: int) -> np.ndarray:
         """The next m 8-bit blocks as a uint8 array, the stream of m
-        next_block(8) calls.  A biased source walks all m down its block
-        tree at once, one bit per step, so it must stand at a block
-        boundary (else ValueError)."""
-        if self._unbiased:
-            return np.frombuffer(
-                self._take_unbiased(BITS_PER_ROUND * m).to_bytes(m, "big"),
-                np.uint8)
-        if self._node != 1:
-            raise ValueError("whole blocks are drawn from a block boundary,"
-                             f" not after bit {self.bits_emitted}")
-        floats = np.array(self.strategy.floats)
-        row = (self.bits_emitted // BITS_PER_ROUND + np.arange(m)) % len(floats)
-        u = uniforms(self.rng, BITS_PER_ROUND * m).reshape(m, BITS_PER_ROUND)
-        node = np.ones(m, np.intp)
-        for depth in range(BITS_PER_ROUND):
-            node = 2 * node + (u[:, depth] >= floats[row, node])
-        self.bits_emitted += BITS_PER_ROUND * m
-        return (node - NODES).astype(np.uint8)
+        next_block(8) calls."""
+        return np.frombuffer(self._take(BITS_PER_ROUND * m).to_bytes(m, "big"),
+                             np.uint8)
 
     def conditional_p0(self, history) -> Fraction:
         """Exact conditional law of the next bit after `history`."""

@@ -6,7 +6,8 @@ from randamp.ks_bell import (N_CELLS, N_OUTCOMES, N_SETTINGS, BellFunctional,
                              build_bell_functional,
                              build_ks_model, cell_entry, check_model,
                              classical_minimum, evaluate_deterministic,
-                             gram_table, ks_coloring_count, var_index)
+                             gram_table, is_setting_pair, ks_coloring_count,
+                             var_index)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,16 @@ def test_model_invariants(model):
     check_model(model)
     assert len(model.vectors) == 18
     assert len(model.bases) == 9
+
+
+def test_is_setting_pair():
+    """A tuple or list of two ints in 1..9; a bool, a float or a numpy int
+    is not an int here."""
+    for u in ((1, 1), [9, 9], (1, 2), [5, 3]):
+        assert is_setting_pair(u)
+    for u in ((0, 12), (10, 10), (1, 0), (True, 1), (1.0, 2), (np.int64(1), 2),
+              (1,), (1, 2, 3), [], 5, "12", None):
+        assert not is_setting_pair(u)
 
 
 def test_first_basis_and_incidence(model):

@@ -26,6 +26,7 @@ from randamp.protocol import (_RECORD_TAIL, _VERDICTS, CHUNK, FORMAT_VERSION,
                               select_params, wilson_interval, write_transcript)
 from randamp.seeding import derive_seed
 from randamp.sv_source import DEFAULT_MAP, SVSource
+from sv_reference import ReferenceSource, stream_state
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +240,8 @@ def test_histogram_is_the_run(spec):
 
 def _round_loop(device, source, params, keep_transcript=True):
     """The reference engine: one round at a time through the stream
-    definitions `next_block(8)`, `map_block` and `respond(k, u)`."""
+    definitions `next_block(8)` (of a `ReferenceSource`), `map_block` and
+    `respond(k, u)`."""
     hist = [0] * N_CELLS
     cells = []
     for k in range(params.n):
@@ -255,8 +257,7 @@ def _round_loop(device, source, params, keep_transcript=True):
 
 def _state(device, source):
     return (device.rng.getstate(), device.tau, list(device._recent),
-            source.rng.getstate(), source._buf, source._buf_len,
-            source.bits_emitted, source._node)
+            stream_state(source))
 
 
 STRATEGIES = [(0.0, "unbiased"), (0.05, ["avoid_target"]),
@@ -300,7 +301,7 @@ def test_batch_engine_matches_the_round_loop():
             key, build_device_factory(spec))
         seed = 0 if spec["kind"] == "history_trigger" else n
         dev, src = device_factory(n), SVSource(eps, strategy, seed)
-        ref_dev, ref_src = device_factory(n), SVSource(eps, strategy, seed)
+        ref_dev, ref_src = device_factory(n), ReferenceSource(eps, strategy, seed)
         run = run_protocol(dev, src, params, keep)
         ref = _round_loop(ref_dev, ref_src, params, keep)
         assert (run.hist, run.verdict, run.output_bits, run.extraction) == \

@@ -1,11 +1,14 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from randamp.sv_source import (DEFAULT_MAP, SVSource, _tree_extremum,
-                               make_strategy, setting_measure_extrema,
-                               sv_chernoff_oracle)
+from randamp.ks_bell import pair_index
+from randamp.sv_source import (BLOCK_PAIR, DEFAULT_MAP, SVSource,
+                               _tree_extremum, make_strategy,
+                               setting_measure_extrema, sv_chernoff_oracle)
+from sv_reference import ReferenceSource, stream_state
 
 HALF = Fraction(1, 2)
 
@@ -112,21 +115,39 @@ STREAM_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("eps, spec, digest", STREAM_DIGESTS)
-def test_stream_digest(eps, spec, digest):
-    """Regression anchor for every strategy kind: next_bits and next_block
-    calls of mixed lengths, so draws start and end inside blocks."""
-    src = SVSource(eps, spec, seed=2026)
+# next_bits and next_block calls of mixed lengths, so draws start and end
+# inside blocks and words
+MIXED_DRAWS = (("bits", 3), ("block", 8), ("bits", 13), ("block", 5),
+               ("block", 8), ("bits", 1), ("block", 21), ("bits", 8))
+
+
+def _mixed_stream(src, repeats=60):
     out = []
-    for _ in range(60):
-        for how, k in (("bits", 3), ("block", 8), ("bits", 13), ("block", 5),
-                       ("block", 8), ("bits", 1), ("block", 21), ("bits", 8)):
+    for _ in range(repeats):
+        for how, k in MIXED_DRAWS:
             if how == "bits":
                 out += src.next_bits(k)
             else:
                 blk = src.next_block(k)
                 out += [(blk >> (k - 1 - i)) & 1 for i in range(k)]
+    return out
+
+
+@pytest.mark.parametrize("eps, spec, digest", STREAM_DIGESTS)
+def test_stream_digest(eps, spec, digest):
+    """Regression anchor for every strategy kind."""
+    out = _mixed_stream(SVSource(eps, spec, seed=2026))
     assert hashlib.sha256(bytes(out)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("eps, spec", [row[:2] for row in STREAM_DIGESTS])
+def test_stream_is_the_reference_stream(eps, spec):
+    """The engine's bits and state after mixed draws are the scalar
+    reference's, draw by draw."""
+    src, ref = SVSource(eps, spec, seed=2026), ReferenceSource(eps, spec, 2026)
+    for _ in range(6):
+        assert _mixed_stream(src, 1) == _mixed_stream(ref, 1)
+        assert stream_state(src) == stream_state(ref)
 
 
 def test_stream_is_chunking_invariant():
@@ -146,29 +167,36 @@ def test_stream_is_chunking_invariant():
 ])
 def test_bulk_blocks_are_the_block_stream(eps, spec):
     """next_blocks(m) is m next_block(8) calls, generator state included,
-    from stream position 0 and after whole blocks; for the unbiased source
-    also after a draw that ends inside a block."""
+    from stream position 0, after whole blocks and after a draw that ends
+    inside a block."""
     bulk, single = SVSource(eps, spec, seed=3), SVSource(eps, spec, seed=3)
     for m in (1, 5, 1000, 1):
-        if spec == "unbiased" and m == 5:
+        if m == 5:
             assert bulk.next_bits(5) == single.next_bits(5)
         assert bulk.next_blocks(m).tolist() == \
             [single.next_block(8) for _ in range(m)]
-    state = lambda s: (s.rng.getstate(), s._buf, s._buf_len, s.bits_emitted,
-                       s._node)
-    assert state(bulk) == state(single)
+    assert stream_state(bulk) == stream_state(single)
 
 
-def test_bulk_blocks_of_a_biased_source_start_at_a_block_boundary():
+def test_bulk_blocks_of_a_biased_source_start_inside_a_block():
+    """After next_bits(5), next_blocks reads the block's last 3 bits first,
+    as the scalar reference does."""
     src = SVSource(0.05, ("avoid_target",), seed=3)
-    src.next_bits(5)
-    with pytest.raises(ValueError, match="block boundary"):
-        src.next_blocks(2)
+    ref = ReferenceSource(0.05, ("avoid_target",), seed=3)
+    assert src.next_bits(5) == ref.next_bits(5)
+    assert src.next_blocks(300).tolist() == \
+        [ref.next_block(8) for _ in range(300)]
+    assert stream_state(src) == stream_state(ref)
 
 
 def test_map_examples():
     assert DEFAULT_MAP.map_block(0b00000001) == (1, 2)
     assert DEFAULT_MAP.map_block(0xFF) == (7, 7)
+
+
+def test_block_pair_table_is_the_block_map():
+    assert BLOCK_PAIR.tolist() == \
+        [pair_index(*DEFAULT_MAP.map_block(b)) for b in range(256)]
 
 
 def test_map_preimage_structure():
@@ -207,7 +235,7 @@ def test_avoid_strategy_attains_dp_minimum():
     p_min, _ = setting_measure_extrema(eps, (1, 2))
     src = SVSource(eps, ("avoid_target",), seed=11)
     n = 200_000
-    hits = sum(1 for _ in range(n) if DEFAULT_MAP.map_block(src.next_block(8)) == (1, 2))
+    hits = np.count_nonzero(BLOCK_PAIR[src.next_blocks(n)] == pair_index(1, 2))
     p = float(p_min)
     sigma = (p * (1 - p) / n) ** 0.5
     assert abs(hits / n - p) < 5 * sigma
