@@ -18,6 +18,20 @@ round k's outcome never depends on settings of later rounds (time-ordered
 no-signaling holds by construction).  Devices and bit sources share no
 state: a device is built, with its own generator, before any source bits
 are drawn.
+
+A round's outcome is inversion sampling on one `random()` draw r: its code
+4 (x1-1) + (x2-1) is the count of the pair's cumulative probabilities
+(`Behavior.cums`) that are <= r.  random() is k / 2^53 for the integer
+k = (a >> 5) 2^26 + (b >> 6) of its two 32-bit words a, b, so the test
+cum <= r is exactly t <= k for the integer threshold t = ceil(cum 2^53).
+The top 8 bits of k are a >> 24.  They cut the range of k into 256
+buckets, and on each the code is fixed unless a threshold lies strictly
+inside it.  `Behavior.buckets` holds that code per setting pair and bucket
+(the guide table of Chen and Asau 1974; Devroye 1986, III.2.4), -1 for a
+bucket a threshold splits.  The batch path reads each round's code off
+it from the first word alone, and only rounds in a split bucket build r
+and compare it with the cumulative row, so every code is the one the
+scalar `Device.respond` bisects to.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from random import Random
 
@@ -32,7 +47,7 @@ import numpy as np
 
 from .ks_bell import (N_OUTCOMES, N_SETTINGS, BellFunctional, KSModel,
                       gram_table, is_setting_pair, pair_index)
-from .seeding import uniforms
+from .seeding import uniforms_of, words
 
 
 @dataclass(frozen=True)
@@ -40,12 +55,48 @@ class Behavior:
     """Conditional probability table, indexed [u1-1, u2-1, x1-1, x2-1].
 
     `table` is float64; `exact` optionally carries the same entries as
-    Fractions (object ndarray) for certification-grade arithmetic.
+    Fractions (object ndarray) for certification-grade arithmetic.  `cums`
+    and `buckets` are the sampling tables a `Device` reads, built from
+    `table` on first use and kept on the behavior.
     """
 
     table: np.ndarray
     exact: np.ndarray | None = None
     meta: dict | None = None
+
+    @cached_property
+    def cums(self) -> np.ndarray:
+        """Row `ks_bell.pair_index(u1, u2)`: the cumulative outcome
+        probabilities of that setting pair in row-major (x1 outer, x2
+        inner) order; the sampling order is fixed so transcripts are
+        reproducible bit for bit.  Built once per behavior."""
+        cums = np.cumsum(self.table.reshape(N_SETTINGS ** 2, N_OUTCOMES ** 2),
+                         axis=1)
+        cums[:, -1] = np.maximum(cums[:, -1], 1.0)  # guard the last bin against rounding
+        cums.flags.writeable = False    # shared by every device of the behavior
+        return cums
+
+    @cached_property
+    def buckets(self) -> np.ndarray:
+        """(81, 256) int8: entry [pair, h] is the code of every uniform in
+        [h/256, (h+1)/256) in row `pair` of `cums`, or -1 where a threshold
+        lies strictly inside that bucket.  Built once per behavior.
+
+        A uniform is k / 2^53 with k an integer, and its code is the count
+        of entries cum <= k / 2^53, i.e. of thresholds t = ceil(cum 2^53)
+        <= k (exact: scaling by 2^53 rounds nothing).  On a bucket
+        [h 2^45, (h+1) 2^45) of k that count is fixed unless some t lies
+        strictly inside; a t on the lower edge is counted throughout."""
+        t = np.clip(np.ceil(self.cums * 2.0 ** 53), 0, 2.0 ** 53).astype(np.int64)
+        first = -(-t >> 45)             # the first bucket that counts t, 0..256
+        rows = np.arange(N_SETTINGS ** 2)[:, None]
+        codes = np.bincount((rows * 257 + first).ravel(),
+                            minlength=N_SETTINGS ** 2 * 257).reshape(-1, 257)
+        codes = codes.cumsum(axis=1)[:, :256].astype(np.int8)
+        inside = t & (2 ** 45 - 1) != 0
+        codes[np.nonzero(inside)[0], (t >> 45)[inside]] = -1
+        codes.flags.writeable = False
+        return codes
 
 
 @dataclass(frozen=True)
@@ -137,23 +188,15 @@ def bell_value_exact(b: Behavior, f: BellFunctional) -> Fraction:
     return sum((b.exact.flat[c] for c in f.bell_cells), Fraction(0))
 
 
-def cumulative_tables(b: Behavior) -> np.ndarray:
-    """Row `ks_bell.pair_index(u1, u2)`: the cumulative outcome
-    probabilities of that setting pair in row-major (x1 outer, x2 inner)
-    order; the sampling order is fixed so transcripts are reproducible bit
-    for bit."""
-    cums = np.cumsum(b.table.reshape(N_SETTINGS ** 2, N_OUTCOMES ** 2), axis=1)
-    cums[:, -1] = np.maximum(cums[:, -1], 1.0)  # guard the last bin against rounding
-    return cums
-
-
 class Device:
     """Plays behavior b1 until round tau, then b2 from round tau on.
 
-    respond(k, u) -> (x1, x2) draws exactly one `rng.random()`; k is the
-    0-based round index, calls must be made in round order, and u must be
-    two ints in 1..9 (else ValueError).  tau never
-    changes the draw, only the table it is read from:
+    respond(k, u) -> (x1, x2) draws exactly one `rng.random()` and returns
+    the outcome pair whose code is `bisect_right` of it in the pair's
+    `Behavior.cums` row; it is the scalar reference.  k is the 0-based
+    round index, calls must be made in round order, and u must be two ints
+    in 1..9 (else ValueError).  tau never changes the draw, only the
+    behavior it is read from:
         iid              tau is never reached (b1 throughout)
         switch_after     tau = k
         history_trigger  tau = the round after `pattern` first completes as a
@@ -161,8 +204,10 @@ class Device:
     `pattern` and the memory `_recent` (the last len(pattern) rounds) are
     bytes of setting pairs' `ks_bell.pair_index`.
     `respond_chunk` answers a run of rounds at once with the same draws,
-    outcomes, tau and memory as `respond` round by round.  Build devices
-    with `make_iid_device` or `make_adversarial_device`.
+    outcomes, tau and memory as `respond` round by round, reading most
+    codes off `Behavior.buckets`.  A device holds its behaviors, not
+    tables: every device of one behavior shares that behavior's tables.
+    Build devices with `make_iid_device` or `make_adversarial_device`.
     """
 
     def __init__(self, spec: dict, b1: Behavior, b2: Behavior, seed: int,
@@ -173,16 +218,15 @@ class Device:
         self.tau = tau
         self.pattern = pattern
         self._recent = b""
-        self._cums1 = cumulative_tables(b1)
-        self._cums2 = self._cums1 if b2 is b1 else cumulative_tables(b2)
+        self._b1, self._b2 = b1, b2
 
     def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
         if not is_setting_pair(u):
             raise ValueError(f"setting pair needs two ints in 1..9, got {u!r}")
         pair = pair_index(*u)
-        cums = self._cums1 if k < self.tau else self._cums2
+        b = self._b1 if k < self.tau else self._b2
         # every cum[-1] >= 1 > random(), so c is an outcome pair code 0..15
-        c = bisect_right(cums[pair].tolist(), self.rng.random())
+        c = bisect_right(b.cums[pair].tolist(), self.rng.random())
         if self.pattern and k < self.tau:
             self._recent = (self._recent + bytes((pair,)))[-len(self.pattern):]
             if self._recent == self.pattern:
@@ -191,16 +235,21 @@ class Device:
 
     def respond_chunk(self, k: int, pairs: np.ndarray) -> np.ndarray:
         """Outcome codes 4 (x1-1) + (x2-1) of rounds k, k+1, ... whose
-        setting pairs have the `ks_bell.pair_index` values `pairs`: one
-        uniform r per round, and the code is the count of entries <= r in
-        the round's cumulative row, which is what bisect_right returns."""
-        r = uniforms(self.rng, len(pairs))
+        setting pairs have the `ks_bell.pair_index` values `pairs`.  Each
+        round draws the two words a, b of one `random()`, and its code is
+        read off the `Behavior.buckets` row of its pair, in the behavior
+        the round plays, at bucket a >> 24 (the top 8 bits of the draw's
+        53-bit integer).  Where that entry is -1 a threshold splits the
+        bucket, and the code is the count of the row's `cums` entries <=
+        the round's uniform, as `respond` bisects.  Both are exact (see the
+        module docstring), so codes, draws, tau and memory are those of
+        `respond` round by round."""
+        w = words(self.rng, 2 * len(pairs))
         if self.pattern and self.tau == math.inf:
             self._watch(k, pairs)
         split = int(min(max(self.tau - k, 0), len(pairs)))  # rounds before tau
-        return np.concatenate([
-            (self._cums1[pairs[:split]] <= r[:split, None]).sum(axis=1),
-            (self._cums2[pairs[split:]] <= r[split:, None]).sum(axis=1)])
+        return np.concatenate([_codes(self._b1, pairs[:split], w[:2 * split]),
+                               _codes(self._b2, pairs[split:], w[2 * split:])])
 
     def _watch(self, k: int, pairs: np.ndarray) -> None:
         """Set tau if `pattern` first completes in rounds k, k+1, ..., and
@@ -215,6 +264,18 @@ class Device:
 
     def spec(self) -> dict:
         return dict(self._spec, seed=self.seed)
+
+
+def _codes(b: Behavior, pairs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The codes of rounds of setting pairs `pairs` in behavior b whose
+    `random()` draws have first words w[0::2] and second words w[1::2]:
+    the bucket table's entry, else the compare (`Device.respond_chunk`)."""
+    codes = b.buckets.ravel()[pairs * 256 + (w[0::2] >> 24)]
+    (split,) = np.nonzero(codes < 0)
+    if len(split):
+        r = uniforms_of(w.reshape(-1, 2)[split].ravel())
+        codes[split] = (b.cums[pairs[split]] <= r[:, None]).sum(axis=1)
+    return codes
 
 
 def make_iid_device(behavior: Behavior, seed: int = 0) -> Device:

@@ -7,7 +7,8 @@ so neighbouring trial indices yield statistically unrelated generator seeds
 while remaining reproducible across platforms.
 
 `words` and `uniforms` take a batch of draws from a `random.Random` at once,
-with the values and the generator state that as many single draws give.
+with the values and the generator state that as many single draws give;
+`uniforms_of` turns drawn words into the uniforms they make.
 """
 
 from __future__ import annotations
@@ -39,7 +40,12 @@ def words(rng: Random, m: int) -> np.ndarray:
 
 
 def uniforms(rng: Random, m: int) -> np.ndarray:
-    """The next m rng.random() draws, in draw order: random() joins two words
-    a, b as ((a >> 5) 2^26 + (b >> 6)) / 2^53, exactly in float64."""
-    w = words(rng, 2 * m)
+    """The next m rng.random() draws, in draw order."""
+    return uniforms_of(words(rng, 2 * m))
+
+
+def uniforms_of(w: np.ndarray) -> np.ndarray:
+    """The random() values of the word pairs a, b = w[0::2], w[1::2]:
+    random() joins them as ((a >> 5) 2^26 + (b >> 6)) / 2^53, exactly in
+    float64."""
     return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0

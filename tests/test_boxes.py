@@ -166,6 +166,95 @@ def test_respond_chunk_counts_a_cumulative_entry_equal_to_r():
     assert codes.tolist() == list(range(16))
 
 
+class _ForcedDraws:
+    """A generator stand-in whose draws are the given integers k, one a
+    round: random() is k / 2^53, and getrandbits returns the words a, b
+    that random() joins into k, the first least significant."""
+
+    def __init__(self, ks):
+        self.ks = list(ks)
+        self.w = [v for k in ks for v in ((k >> 26) << 5, (k % 2 ** 26) << 6)]
+
+    def random(self):
+        return self.ks.pop(0) / 2.0 ** 53
+
+    def getrandbits(self, bits):
+        assert bits == 32 * len(self.w)
+        return sum(v << 32 * i for i, v in enumerate(self.w))
+
+
+def _thresholds(b):
+    """Integer thresholds t = ceil(cum 2^53): a draw k counts cum iff t <= k."""
+    return np.ceil(b.cums * 2.0 ** 53).astype(np.int64)
+
+
+def test_bucket_table_is_the_count_at_both_ends_of_every_bucket(ideal):
+    """Entry [pair, h] is the count of cumulative entries <= k / 2^53 at
+    both ends k of bucket h, or -1 where the two counts differ."""
+    from randamp.ns_certify import zero_target_box
+    lp_attack_zero, _ = zero_target_box(build_bell_functional(build_ks_model()))
+    boxes = [ideal, uniform_box(), lp_attack_zero, depolarize(ideal, 0.03),
+             deterministic_behavior((1, 2, 3, 4, 1, 2, 3, 4, 1),
+                                    (4, 4, 3, 3, 2, 2, 1, 1, 4))]
+    h = np.arange(256)
+    for b in boxes:
+        low, high = h * 2.0 ** 45 / 2 ** 53, ((h + 1) * 2 ** 45 - 1) / 2.0 ** 53
+        at_low = (b.cums[:, None, :] <= low[:, None]).sum(axis=2)
+        at_high = (b.cums[:, None, :] <= high[:, None]).sum(axis=2)
+        want = np.where(at_low == at_high, at_low, -1)
+        assert b.buckets.dtype == np.int8 and b.buckets.shape == (81, 256)
+        assert np.array_equal(b.buckets, want), b.meta
+    assert (depolarize(ideal, 0.03).buckets < 0).any()
+
+
+def test_respond_chunk_on_a_split_bucket_and_on_a_bucket_edge(ideal):
+    """Draws k = t - 1 and k = t around a threshold t give codes c and c + 1:
+    through the compare when t lies strictly inside a bucket (depolarized
+    eta 0.03; and a cumulative entry 1/512, where k = t is r = cum exactly),
+    through the table when t is a bucket edge (uniform box, the threshold
+    5/16 of setting pair (3, 4)); both as `respond` gives them."""
+    noisy = depolarize(ideal, 0.03)
+    t = _thresholds(noisy)
+    pair, j = map(int, np.argwhere((t % 2 ** 45 != 0) & (t < 2 ** 53))[0])
+    fine = Behavior(table=uniform_box().table.copy())
+    fine.table[0, 0, 0, :2] = [1 / 512, 1 / 16 - 1 / 512]
+    uni = uniform_box()
+    edge = int(_thresholds(uni)[21, 4])
+    assert edge == 5 * 2 ** 49
+    for b, p, th, split in ((noisy, pair, int(t[pair, j]), True),
+                            (fine, 0, 2 ** 44, True), (uni, 21, edge, False)):
+        ks = [th - 1, th]
+        c = int((_thresholds(b)[p] < th).sum())
+        assert b.buckets[p, [k >> 45 for k in ks]].tolist() == \
+            ([-1, -1] if split else [c, c + 1])
+        dev = make_iid_device(b, seed=0)
+        dev.rng = _ForcedDraws(ks)
+        assert dev.respond_chunk(0, np.full(2, p)).tolist() == [c, c + 1]
+        dev.rng = _ForcedDraws(ks)
+        u = (p // 9 + 1, p % 9 + 1)
+        assert [dev.respond(k, u) for k in range(2)] == \
+            [(c // 4 + 1, c % 4 + 1), ((c + 1) // 4 + 1, (c + 1) % 4 + 1)]
+
+
+@pytest.mark.parametrize("spec", [{"kind": "depolarized", "eta": 0.3},
+                                  {"kind": "switch_after", "k": 5}],
+                         ids=lambda s: s["kind"])
+def test_devices_of_one_factory_share_their_tables(spec):
+    """A device builds no table: the first round drawn builds its
+    behaviors' tables, and every later device of the factory reads the
+    same objects."""
+    from randamp.cli import build_device_factory
+    factory = build_device_factory(spec)
+    first = factory(1)
+    behaviors = (first._b1, first._b2)
+    assert not any({"cums", "buckets"} & vars(b).keys() for b in behaviors)
+    first.respond_chunk(0, np.arange(81))
+    for seed in (2, 3):
+        dev = factory(seed)
+        for mine, theirs in zip((dev._b1, dev._b2), behaviors):
+            assert mine.buckets is theirs.buckets and mine.cums is theirs.cums
+
+
 def test_iid_device_chi2_uniform():
     dev = make_iid_device(uniform_box(), seed=123)
     counts = [0] * 16

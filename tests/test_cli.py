@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -106,6 +107,33 @@ def test_simulate_idempotent(runner, tmp_path):
         assert res.exit_code == 0, res.output
     assert (out1 / "campaign.csv").read_bytes() == (out2 / "campaign.csv").read_bytes()
     assert (out1 / "trial0.jsonl").read_bytes() == (out2 / "trial0.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("cfg, csv_digest, transcript_digest", [
+    ({"device": {"kind": "depolarized", "eta": 0.03}},
+     "00c431f3d7f661d2ea3d7c96a8cd00a04dbebf263c9e0d56e89c18a24d006971",
+     "b12876ca183860493b3c7eedeb2918d49b13a6ffb33d48bba5e754c4f49b4826"),
+    ({"protocol": {"eps": 0.05}, "device": {"kind": "switch_after", "k": 20000},
+      "source": {"strategy": ["constant_bias", [0.05, -0.05]]}},
+     "de954d35059a4a38b0d69d7fa75bc1dbe65459ef7bb8030e7c732fc03d9b23d4",
+     "400470f607e9cc014543d540318b0793ae6527d8bc97c2ffac67386e085c6cea"),
+], ids=["depolarized", "switch_after"])
+def test_simulate_digests(runner, tmp_path, cfg, csv_digest, transcript_digest):
+    """Regression anchor: sha256 of the `campaign.csv` and `trial0.jsonl`
+    bodies (after the first line) of 3 trials at n = 40000, frozen from the
+    device that compared every round's uniform with its cumulative row.
+    At eta 0.03 rounds fall in buckets a threshold splits; k = 20000 puts
+    tau inside the second chunk."""
+    cfg = dict(cfg, trials=3)
+    cfg["protocol"] = dict(cfg.get("protocol", {}), n=40_000)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["simulate", "--config", write_config(tmp_path, cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    for name, digest in (("campaign.csv", csv_digest),
+                         ("trial0.jsonl", transcript_digest)):
+        body = "\n".join((out / name).read_text().splitlines()[1:])
+        assert hashlib.sha256(body.encode()).hexdigest() == digest, name
 
 
 def test_source_strategy_flag_takes_a_name_or_a_json_spec(runner, tmp_path):

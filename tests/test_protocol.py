@@ -210,13 +210,17 @@ def test_read_transcript_checks_the_summary_values(tmp_path, key, value,
         read_transcript(path)
 
 
+# eta 0.5 puts every threshold of the device on a bucket edge of
+# `Behavior.buckets`, eta 0.3 puts 583 of 1296 inside a bucket.
 DEVICE_SPECS = [{"kind": "ideal"}, {"kind": "uniform"},
                 {"kind": "depolarized", "eta": 0.5}, {"kind": "lp_attack_zero"},
                 {"kind": "switch_after", "k": 3},
-                {"kind": "history_trigger", "pattern": [[1, 2], [1, 2]]}]
+                {"kind": "history_trigger", "pattern": [[1, 2], [1, 2]]},
+                {"kind": "depolarized", "eta": 0.3}]
 
 
-@pytest.mark.parametrize("spec", DEVICE_SPECS, ids=lambda s: s["kind"])
+@pytest.mark.parametrize("spec", DEVICE_SPECS, ids=lambda s: s["kind"] if
+                         s.get("eta", 0.5) == 0.5 else f"{s['kind']}-{s['eta']}")
 def test_histogram_is_the_run(spec):
     """The batch engine's histogram, tallied chunk by chunk, against the
     one `replay_transcript` tallies from the run's kept cells in one
