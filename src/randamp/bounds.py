@@ -47,37 +47,28 @@ def markov_split_epsilon(n: int, s: float) -> float:
 _BLOCK_ROWS = 1024
 
 
-def _row_blocks(trials: int):
-    """Row counts of the consecutive blocks that make up `trials` rows."""
-    for start in range(0, trials, _BLOCK_ROWS):
-        yield min(_BLOCK_ROWS, trials - start)
-
-
 def _uniform_blocks(n: int, trials: int, rng: np.random.Generator):
     """The consecutive (rows, n) blocks of one (trials, n) uniform draw,
     each drawn into the same buffer, so a block is valid until the next."""
     buf = np.empty((min(trials, _BLOCK_ROWS), n))
-    for rows in _row_blocks(trials):
-        yield rng.random(out=buf[:rows])
+    for start in range(0, trials, _BLOCK_ROWS):
+        yield rng.random(out=buf[:min(_BLOCK_ROWS, trials - start)])
 
 
 def _simulate_traces(spec, n: int, trials: int, rng: np.random.Generator):
     """Vectorized white-box Bernoulli processes, one block of rows at a time.
 
     Kinds: ("constant", bit), ("markov", p_after0, p_after1) with round 0
-    mean p_after0 (a fair coin is read off counts, in `tail_checks`).
-    Yields (indicators, conditional_means) of shape (rows, n) per block;
-    a constant array may be a broadcast view.
+    mean p_after0 (a fair coin is read off counts, in `tail_checks`).  A
+    constant bit is the chain with p_after0 = p_after1 = bit: every uniform
+    lies in [0, 1), so it is below 1 and never below 0.
+    Yields (indicators, conditional_means) of shape (rows, n) per block.
     """
     kind = spec[0] if isinstance(spec, (tuple, list)) else spec
     if kind not in ("constant", "markov"):
         raise ValueError(f"unknown trace spec {spec!r}")
     if kind == "constant":
-        bit = int(spec[1])
-        for rows in _row_blocks(trials):
-            yield (np.broadcast_to(np.int8(bit), (rows, n)),
-                   np.broadcast_to(float(bit), (rows, n)))
-        return
+        spec = ("markov", spec[1], spec[1])
     p0, p1 = float(spec[1]), float(spec[2])
     for u in _uniform_blocks(n, trials, rng):
         rows = len(u)

@@ -108,12 +108,17 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _no_constant(name: str):
+    """`json.load`'s parse_constant: NaN and +-Infinity are not JSON."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path:
         try:
             with open(path) as fh:
-                user = json.load(fh)
+                user = json.load(fh, parse_constant=_no_constant)
         except (OSError, ValueError, RecursionError) as e:
             _fail_usage(f"cannot read config {path}: {e}")
         if not isinstance(user, dict):

@@ -115,7 +115,7 @@ def extraction_report(x_len: int, t_len: int, cfg: ExtractorConfig,
     """Record the rate condition rate_x + rate_t > 1 + (2 log2(1/xi) + m)/L
     under honest accounting and under certified worst-case accounting.
     """
-    need = 1.0 + (2.0 * log2(1.0 / cfg.xi) + cfg.m) / cfg.L
+    need = 1.0 + (-2.0 * log2(cfg.xi) + cfg.m) / cfg.L
     return {
         "m": cfg.m, "L": cfg.L, "rule": cfg.rule, "xi": cfg.xi,
         "x_bits_available": x_len, "t_bits_available": t_len,

@@ -21,13 +21,16 @@ printed basis order, outcomes 1..4 in printed slot order.  A cell is one
 (setting pair, outcome pair); `var_index` numbers the 1296 cells, and
 `cell_entry` inverts it.  Every cell set (the functional's Bell and target
 cells, LP columns, a certificate's target, run histograms) holds these
-numbers.  The functional and the ideal box are read off `gram_table`.
+numbers.  Orthogonality has one array form, the 18 x 18 integer matrix
+`KSModel.gram` = V V^T: `check_model` and the coloring scan read it, and
+`gram_table` gathers it at every cell for the functional and the ideal box.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -90,12 +93,22 @@ class KSModel:
 
     vectors: integer coordinate tuples, 1-indexed externally.
     bases: ordered tuples of vector indices, settings 1-indexed.
-    incidence: vector index -> tuple of (basis, slot) memberships, 1-indexed.
+
+    `gram` (V V^T) is the one orthogonality relation the array code reads;
+    `inner` and `orthogonal` are the scalar references the tests compare
+    it with.
     """
 
     vectors: tuple[tuple[int, ...], ...]
     bases: tuple[tuple[int, ...], ...]
-    incidence: dict[int, tuple[tuple[int, int], ...]]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """V V^T: entry [i-1, j-1] is <v_i|v_j>, read-only int64 (n, n)."""
+        v = np.array(self.vectors, dtype=np.int64)
+        g = v @ v.T
+        g.flags.writeable = False
+        return g
 
     def vector_at(self, setting: int, outcome: int) -> int:
         """Vector index sitting at slot `outcome` of basis `setting`."""
@@ -106,12 +119,6 @@ class KSModel:
 
     def orthogonal(self, i: int, j: int) -> bool:
         return self.inner(i, j) == 0
-
-    def orthogonality_edges(self) -> set[tuple[int, int]]:
-        """Unordered orthogonal pairs (i < j)."""
-        n = len(self.vectors)
-        return {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                if self.orthogonal(i, j)}
 
     def to_json(self) -> str:
         return json.dumps(
@@ -156,14 +163,8 @@ def build_ks_model(vectors: Iterable[tuple[int, ...]] = KS_VECTORS,
     Deterministic and pure; the default arguments give the fixed 18-vector,
     9-basis set.  Toy models for tests pass smaller sets.
     """
-    vecs = tuple(tuple(v) for v in vectors)
-    bs = tuple(tuple(b) for b in bases)
-    incidence: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, len(vecs) + 1)}
-    for bi, b in enumerate(bs, start=1):
-        for slot, v in enumerate(b, start=1):
-            incidence[v].append((bi, slot))
-    return KSModel(vectors=vecs, bases=bs,
-                   incidence={k: tuple(v) for k, v in incidence.items()})
+    return KSModel(vectors=tuple(tuple(v) for v in vectors),
+                   bases=tuple(tuple(b) for b in bases))
 
 
 def check_model(model: KSModel) -> None:
@@ -174,27 +175,23 @@ def check_model(model: KSModel) -> None:
     """
     assert len(model.vectors) == 18 and len(model.bases) == 9
     assert all(len(b) == 4 for b in model.bases)
-    assert all(len(model.incidence[i]) == 2 for i in model.incidence), \
+    ids = np.array(model.bases) - 1
+    assert (np.bincount(ids.ravel(), minlength=18) == 2).all(), \
         "every vector must appear in exactly 2 bases"
-    for b in model.bases:
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert model.orthogonal(b[i], b[j]), f"basis {b} not orthogonal"
-    edges = model.orthogonality_edges()
-    assert len(edges) == 63
-    deg = {i: 0 for i in range(1, 19)}
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-    assert all(d == 7 for d in deg.values()), "orthogonality graph must be 7-regular"
+    within = model.gram[ids[:, :, None], ids[:, None, :]]      # (9, 4, 4)
+    assert (within[:, ~np.eye(4, dtype=bool)] == 0).all(), "a basis is not orthogonal"
+    orth = (model.gram == 0) & ~np.eye(18, dtype=bool)
+    assert orth.sum() == 2 * 63
+    assert (orth.sum(axis=1) == 7).all(), "orthogonality graph must be 7-regular"
 
 
 def gram_table(model: KSModel) -> np.ndarray:
     """<v_a|v_b> at every cell, shape (9,9,4,4) indexed [u1-1,u2-1,x1-1,x2-1]
     (so flat entry c is cell c), where v_a is the vector at slot x1 of basis
-    u1 and v_b the one at slot x2 of basis u2."""
-    v = np.array(model.vectors, dtype=np.int64)[np.array(model.bases) - 1]
-    return np.einsum("axk,byk->abxy", v, v)
+    u1 and v_b the one at slot x2 of basis u2: `model.gram` gathered at the
+    cells' vector ids."""
+    ids = np.array(model.bases) - 1
+    return model.gram[ids[:, None, :, None], ids[None, :, None, :]]
 
 
 def build_bell_functional(model: KSModel) -> BellFunctional:
@@ -278,41 +275,33 @@ def classical_minimum(f: BellFunctional
     return best_val, (alice, bob)
 
 
+# Subsets of the vector set scanned per numpy step of `ks_coloring_count`.
+_MASK_BLOCK = 1 << 18
+
+
 def ks_coloring_count(model: KSModel) -> int:
     """Count {0,1} assignments with exactly one 1 per basis and no two
     orthogonal vectors both set.
 
-    Exhaustive scan over all 2^n subsets of the vector set (n <= 24 guarded);
-    for the fixed 18-vector model the count is 0.
+    Exhaustive scan over all 2^n subsets of the vector set (n <= 24
+    guarded), as bit masks _MASK_BLOCK at a time: each basis keeps the
+    masks that hold exactly one of its vectors, then each vector drops the
+    masks that hold it together with a vector orthogonal to it (itself
+    excluded).  For the fixed 18-vector model the count is 0.
     """
     n = len(model.vectors)
     if n > 24:
         raise ValueError(f"exhaustive scan limited to 24 vectors, got {n}")
-    basis_masks = [sum(1 << (v - 1) for v in b) for b in model.bases]
-    orth_mask = [0] * (n + 1)
-    for i in range(1, n + 1):
-        m = 0
-        for j in range(1, n + 1):
-            if i != j and model.orthogonal(i, j):
-                m |= 1 << (j - 1)
-        orth_mask[i] = m
+    bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    basis_masks = [bit[np.array(b) - 1].sum(dtype=np.uint32) for b in model.bases]
+    orth = (model.gram == 0) & ~np.eye(n, dtype=bool)
+    orth_masks = (orth * bit).sum(axis=1, dtype=np.uint32)
     count = 0
-    for mask in range(1 << n):
-        ok = True
+    for start in range(0, 1 << n, _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, 1 << n), dtype=np.uint32)
         for bm in basis_masks:
-            if (mask & bm).bit_count() != 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        m2 = mask
-        clash = False
-        while m2:
-            v = (m2 & -m2).bit_length()
-            if orth_mask[v] & mask:
-                clash = True
-                break
-            m2 &= m2 - 1
-        if not clash:
-            count += 1
+            masks = masks[np.bitwise_count(masks & bm) == 1]
+        for b, om in zip(bit, orth_masks):
+            masks = masks[((masks & b) == 0) | ((masks & om) == 0)]
+        count += masks.size
     return count

@@ -179,13 +179,12 @@ def _scaled(values) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def verify_certificate(p: LPProblem, d: DualCertificate,
-                       claimed_bound: Fraction | None = None) -> bool:
+def verify_certificate(p: LPProblem, d: DualCertificate) -> bool:
     """Exact-arithmetic dual feasibility check, independent of any solver.
 
     True iff the certificate is for the problem's cap and target entry,
     beta >= 0, all derived nonnegativity multipliers are >= 0, and the
-    recomputed bound y.f + beta*cap does not exceed the claimed bound.
+    recomputed bound y.f + beta*cap does not exceed the certificate's bound.
     The multipliers are checked scaled by the lcm of the denominators of
     y and beta, on Python ints.
     """
@@ -207,8 +206,7 @@ def verify_certificate(p: LPProblem, d: DualCertificate,
     ety[p.target_col] -= scale if d.sense == "max" else -scale
     if any(mu < 0 for mu in ety):
         return False
-    return _bound(p, d.y, d.beta) <= (d.bound if claimed_bound is None
-                                      else claimed_bound)
+    return _bound(p, d.y, d.beta) <= d.bound
 
 
 def _verify_primal(p: LPProblem, pf: list[Fraction]) -> bool:

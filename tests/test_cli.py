@@ -259,6 +259,20 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
     assert res.exit_code == 2, res.output
 
 
+def test_config_constants_outside_json_exit_2(runner, tmp_path):
+    """NaN and +-Infinity are not JSON: a config holding one, even in a key
+    nothing reads, was run and copied into the summary."""
+    raw = tmp_path / "raw.json"
+    for const in ("NaN", "Infinity", "-Infinity"):
+        raw.write_text('{"source": {"note": %s}}' % const)
+        res = runner.invoke(main, ["simulate", "--config", str(raw), "--n", "100",
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, (const, res.output)
+        assert f"error: cannot read config {raw}: {const} is not valid JSON" \
+            in res.output, res.output
+    assert not (tmp_path / "out").exists()
+
+
 _FUZZ_BASE = dict(SMALL_SIM, protocol=dict(SMALL_SIM["protocol"], n=200),
                   trials=1)
 # ints within +-500, so no example runs more than 10^5 rounds: n or trials

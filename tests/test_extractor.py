@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from random import Random
@@ -162,6 +163,15 @@ def test_extraction_report_rates():
     assert rep["honest_condition_met"]          # 1.5 > 1.375
     assert not rep["certified_condition_met"]   # worst case far below
     assert rep["rate_required_sum"] == pytest.approx(1 + (64 + 32) / 256)
+
+
+def test_extraction_report_subnormal_xi():
+    """1 / xi overflows to inf below about 2^-1024; log2(xi) does not."""
+    cfg = ExtractorConfig(m=32, L=256, xi=1e-320)
+    need = extraction_report(6000, 100_000, cfg, honest_rate_x=0.5, rate_t=1.0,
+                             certified_rate_x=1e-9)["rate_required_sum"]
+    assert math.isfinite(need)
+    assert need == pytest.approx(1 + (-2 * math.log2(1e-320) + 32) / 256)
 
 
 def _word_bits(words):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,13 +41,13 @@ def test_is_setting_pair():
 def test_first_basis_and_incidence(model):
     assert model.bases[0] == (1, 2, 3, 4)
     # vector 4 sits in bases 1 and 2
-    assert tuple(b for b, _ in model.incidence[4]) == (1, 2)
-    total_memberships = sum(len(v) for v in model.incidence.values())
-    assert total_memberships == 36
+    assert tuple(u for u, b in enumerate(model.bases, start=1) if 4 in b) == (1, 2)
+    assert sum(len(b) for b in model.bases) == 36
 
 
 def test_orthogonality_graph(model):
-    edges = model.orthogonality_edges()
+    edges = [(i, j) for i in range(1, 19) for j in range(i + 1, 19)
+             if model.orthogonal(i, j)]
     assert len(edges) == 63
     deg = {i: 0 for i in range(1, 19)}
     for i, j in edges:
@@ -142,6 +144,73 @@ def test_coloring_toy_two_disjoint_bases():
                  (1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)],
         bases=[(1, 2, 3, 4), (5, 6, 7, 8)])
     assert ks_coloring_count(toy) == 16
+
+
+# The two toys above, for the reference comparison.
+_BASIS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+_TWO_BASES = dict(vectors=_BASIS + [(1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1),
+                                    (1, -1, -1, 1)],
+                  bases=[(1, 2, 3, 4), (5, 6, 7, 8)])
+
+
+def _reference_coloring_count(model):
+    """The per-mask scan: every subset of the vector set, tested basis by
+    basis and then vector by vector against its orthogonal neighbours."""
+    n = len(model.vectors)
+    basis_masks = [sum(1 << (v - 1) for v in b) for b in model.bases]
+    orth_mask = [0] * (n + 1)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and model.orthogonal(i, j):
+                orth_mask[i] |= 1 << (j - 1)
+    count = 0
+    for mask in range(1 << n):
+        if any((mask & bm).bit_count() != 1 for bm in basis_masks):
+            continue
+        m2 = mask
+        while m2:
+            if orth_mask[(m2 & -m2).bit_length()] & mask:
+                break
+            m2 &= m2 - 1
+        else:
+            count += 1
+    return count
+
+
+def _random_model(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 12))
+    vectors = [tuple(v) for v in rng.integers(-1, 2, size=(n, 4)).tolist()]
+    bases = [tuple(int(v) for v in rng.choice(np.arange(1, n + 1),
+                                              size=int(rng.integers(1, 5)),
+                                              replace=False))
+             for _ in range(int(rng.integers(1, 4)))]
+    return build_ks_model(vectors=vectors, bases=bases)
+
+
+def test_coloring_scan_matches_the_reference(model):
+    # the two-basis toy plus 12 vectors outside every basis: n = 20, so
+    # four mask blocks, and each extra vector is free to be set or not
+    spare = list(itertools.permutations((1, 2, 4, 8)))[:12]
+    wide = build_ks_model(vectors=_TWO_BASES["vectors"] + spare,
+                          bases=_TWO_BASES["bases"])
+    models = [model, build_ks_model(vectors=_BASIS, bases=[(1, 2, 3, 4)]),
+              build_ks_model(**_TWO_BASES),
+              # a zero vector is orthogonal to itself and to every vector,
+              # but may be the one vector set in its basis
+              build_ks_model(vectors=_BASIS + [(0, 0, 0, 0)], bases=[(1, 2, 3, 4)]),
+              build_ks_model(vectors=_BASIS + [(0, 0, 0, 0)], bases=[(5,)]),
+              wide]
+    expected = [0, 4, 16, 4, 1, 65536]
+    for m, want in zip(models, expected):
+        assert _reference_coloring_count(m) == want
+        assert ks_coloring_count(m) == want
+    counts = []
+    for seed in range(30):
+        m = _random_model(seed)
+        counts.append(ks_coloring_count(m))
+        assert counts[-1] == _reference_coloring_count(m), seed
+    assert len(set(counts)) > 3       # the random models are not all alike
 
 
 def test_build_is_deterministic(model, functional):

@@ -151,7 +151,7 @@ def test_certificate_tamper_detection(functional, lp_zero, sol_zero):
                            delta_tilde=Fraction(0), target=cert.target)
     assert not verify_certificate(lp_zero, zero)
     # claiming a smaller bound than the multipliers deliver must fail
-    assert not verify_certificate(lp_zero, cert, claimed_bound=Fraction(1, 2))
+    assert not verify_certificate(lp_zero, dataclasses.replace(cert, bound=Fraction(1, 2)))
     # a valid certificate for another cap or another target entry proves
     # nothing about this problem, though its multipliers may fit it
     half = solve_lp(build_lp(functional, Fraction(1, 2)), sense="max").certificate
