@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -113,12 +114,20 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not valid JSON")
 
 
+def _finite_float(text: str) -> float:
+    """`json.load`'s parse_float: 1e400 is not read as infinity."""
+    if math.isinf(v := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return v
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path:
         try:
             with open(path) as fh:
-                user = json.load(fh, parse_constant=_no_constant)
+                user = json.load(fh, parse_constant=_no_constant,
+                                 parse_float=_finite_float)
         except (OSError, ValueError, RecursionError) as e:
             _fail_usage(f"cannot read config {path}: {e}")
         if not isinstance(user, dict):

@@ -23,7 +23,8 @@ checks all read it.
 Every certified answer is backed by an exact rational primal/dual pair that
 an independent checker (`verify_certificate`) accepts.  The exact checks
 (`verify_certificate` and `_verify_primal`) scale each rational vector by
-the lcm of its denominators and run on Python ints, never floats or
+the lcm of its denominators and scatter it through the table's nonzeros
+(`_nonzeros`) into object arrays of Python ints, never floats or
 fixed-width integers, so they are exact for any denominator.  The dual
 side proves the bound: free multipliers y on the 657 equality rows plus a
 nonnegative multiplier beta on the cap row with
@@ -151,11 +152,12 @@ def _equalities() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _row_cells() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(+1 cells, -1 cells) of each row of `_equalities`."""
-    return tuple((tuple(np.flatnonzero(row == 1).tolist()),
-                  tuple(np.flatnonzero(row == -1).tolist()))
-                 for row in _equalities())
+def _nonzeros() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cells, coefficients) of the nonzeros of `_equalities`, the
+    coefficients as Python ints in an object array."""
+    eq = _equalities()
+    rows, cells = np.nonzero(eq)
+    return rows, cells, eq[rows, cells].astype(object)
 
 
 def build_lp(f: BellFunctional, delta_tilde) -> LPProblem:
@@ -172,54 +174,46 @@ def _bound(p: LPProblem, y, beta) -> Fraction:
     return sum(y[:_N_NORM], Fraction(0)) + beta * p.delta_tilde
 
 
-def _scaled(values) -> tuple[int, list[int]]:
-    """(L, [v * L for v in values]) with L the lcm of the denominators, so
-    that every entry is an exact Python int."""
+def _scaled(values) -> tuple[int, np.ndarray]:
+    """(L, values * L) with L the lcm of the denominators: an object array
+    whose every entry is an exact Python int."""
     scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    return scale, np.array([v.numerator * (scale // v.denominator)
+                            for v in values], object)
 
 
 def verify_certificate(p: LPProblem, d: DualCertificate) -> bool:
     """Exact-arithmetic dual feasibility check, independent of any solver.
 
-    True iff the certificate is for the problem's cap and target entry,
-    beta >= 0, all derived nonnegativity multipliers are >= 0, and the
-    recomputed bound y.f + beta*cap does not exceed the certificate's bound.
-    The multipliers are checked scaled by the lcm of the denominators of
-    y and beta, on Python ints.
+    True iff the certificate is for the problem's cap and target entry, its
+    sense is "max" or "min", beta >= 0, all derived nonnegativity
+    multipliers are >= 0, and the recomputed bound y.f + beta*cap does not
+    exceed the certificate's bound.  The multipliers are checked scaled by
+    the lcm of the denominators of y and beta, on Python ints.
     """
-    rows = _row_cells()
-    if (len(d.y) != len(rows) or d.beta < 0
-            or d.delta_tilde != p.delta_tilde or d.target != p.target_col):
+    if (d.sense not in ("max", "min") or len(d.y) != len(_equalities())
+            or d.beta < 0 or d.delta_tilde != p.delta_tilde
+            or d.target != p.target_col):
         return False
-    scale, ys = _scaled((*d.y, d.beta))
-    beta = ys.pop()
-    ety = [0] * N_CELLS
-    for yr, (plus, minus) in zip(ys, rows):
-        if yr:
-            for c in plus:
-                ety[c] += yr
-            for c in minus:
-                ety[c] -= yr
-    for c in p.cap_cols:
-        ety[c] += beta
-    ety[p.target_col] -= scale if d.sense == "max" else -scale
-    if any(mu < 0 for mu in ety):
-        return False
-    return _bound(p, d.y, d.beta) <= d.bound
+    scale, ys = _scaled((*d.y, d.beta))     # ys[-1] is beta, scaled
+    rows, cells, coef = _nonzeros()
+    mu = np.zeros(N_CELLS, object)
+    np.add.at(mu, cells, ys[rows] * coef)
+    mu[list(p.cap_cols)] += ys[-1]
+    mu[p.target_col] -= scale if d.sense == "max" else -scale
+    return bool((mu >= 0).all()) and _bound(p, d.y, d.beta) <= d.bound
 
 
 def _verify_primal(p: LPProblem, pf: list[Fraction]) -> bool:
     """pf is nonnegative, meets every equality row and the cap, exactly:
     checked scaled by the lcm of its denominators, on Python ints."""
     scale, ints = _scaled(pf)
-    if any(v < 0 for v in ints):
-        return False
-    for r, (plus, minus) in enumerate(_row_cells()):
-        rhs = scale if r < _N_NORM else 0
-        if sum(ints[c] for c in plus) - sum(ints[c] for c in minus) != rhs:
-            return False
-    return sum(ints[c] for c in p.cap_cols) <= p.delta_tilde * scale
+    rows, cells, coef = _nonzeros()
+    lhs = np.zeros(len(_equalities()), object)
+    np.add.at(lhs, rows, ints[cells] * coef)
+    lhs[:_N_NORM] -= scale
+    return (bool((lhs == 0).all() and (ints >= 0).all())
+            and ints[list(p.cap_cols)].sum() <= p.delta_tilde * scale)
 
 
 def _solve_float_highs(p: LPProblem, sense: str):
@@ -237,9 +231,8 @@ def _solve_float_highs(p: LPProblem, sense: str):
                   bounds=(0, None), method="highs-ds")
     if res.status != 0:
         raise CertificationError(f"float solve failed: {res.message}")
-    y = -np.asarray(res.eqlin.marginals)
-    beta = -float(res.ineqlin.marginals[0])
-    return np.asarray(res.x), y, beta
+    return (res.x.tolist(), (-res.eqlin.marginals).tolist(),
+            -float(res.ineqlin.marginals[0]))
 
 
 def _rounded(values: list[float], den: int) -> list[Fraction]:
@@ -249,43 +242,36 @@ def _rounded(values: list[float], den: int) -> list[Fraction]:
     return [table[v] for v in values]
 
 
-def _certify(p: LPProblem, sense: str, x, y, beta):
-    """Round float primal/dual to rationals and verify both exactly."""
-    sign = 1 if sense == "max" else -1
-    x, y = x.tolist(), y.tolist()
+def solve_lp(p: LPProblem, sense: str = "max") -> LPSolution:
+    """Optimize P(target) over the feasible set, exactly.
+
+    The float vertex and duals are rounded to rationals at each of
+    `_ROUND_DENOMS` in turn, and the first pair that both exact checks
+    accept is returned; if none is, `CertificationError` is raised.
+    """
+    if sense not in ("max", "min"):
+        raise ValueError("sense must be 'max' or 'min'")
+    x, y, beta = _solve_float_highs(p, sense)
     for den in _ROUND_DENOMS:
         pf = _rounded(x, den)
         yf = tuple(_rounded(y, den))
         bf = max(Fraction(beta).limit_denominator(den), Fraction(0))
-        bound = _bound(p, yf, bf)
-        cert = DualCertificate(y=yf, beta=bf, bound=bound,
+        cert = DualCertificate(y=yf, beta=bf, bound=_bound(p, yf, bf),
                                delta_tilde=p.delta_tilde, target=p.target_col,
                                sense=sense)
         if _verify_primal(p, pf) and verify_certificate(p, cert):
-            value = pf[p.target_col]
-            return pf, cert, value, (sign * value == bound)
-    return None
-
-
-def solve_lp(p: LPProblem, sense: str = "max") -> LPSolution:
-    """Optimize P(target) over the feasible set, exactly.
-
-    The float vertex is lifted to rationals and both sides are verified;
-    failure to certify raises `CertificationError`.
-    """
-    if sense not in ("max", "min"):
-        raise ValueError("sense must be 'max' or 'min'")
-    got = _certify(p, sense, *_solve_float_highs(p, sense))
-    if got is None:
+            break
+    else:
         raise CertificationError(
             f"could not produce an exact certificate (cap={p.delta_tilde})")
-    pf, cert, value, equal = got
+    value = pf[p.target_col]
     exact = np.array(pf, dtype=object).reshape(9, 9, 4, 4)
     primal = Behavior(table=exact.astype(float), exact=exact,
                       meta={"kind": "lp_vertex", "delta_tilde": float(p.delta_tilde),
                             "sense": sense, "certified": True})
     return LPSolution(exact_optimum=value, primal=primal, certificate=cert,
-                      certified_equality=equal)
+                      certified_equality=(value if sense == "max" else -value)
+                      == cert.bound)
 
 
 def zero_target_box(f: BellFunctional) -> tuple[Behavior, Fraction]:

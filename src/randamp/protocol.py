@@ -157,15 +157,17 @@ def parse_params(protocol, extractor, path: str = "protocol",
     """ProtocolParams from a protocol object and an extractor object read
     from a config or a transcript header; the paths name them in errors.
 
-    n: an int >= 1; eps: a number in [0, 1/2); delta, mu1: numbers in
-    (0, 1]; kappa: a number in [0, 1); enforce_bounds: a bool, default true.
-    The extractor's m, L (ints), rule (a string) and xi (a number > 0)
-    default to ExtractorConfig's, which checks them further.  The derived
-    chain is left to `ProtocolParams.validate`.
+    n: an int >= 1 that a float holds; eps: a number in [0, 1/2); delta,
+    mu1: numbers in (0, 1]; kappa: a number in [0, 1); enforce_bounds: a
+    bool, default true.  The extractor's m, L (ints), rule (a string) and xi
+    (a number > 0) default to ExtractorConfig's, which checks them further.
+    The derived chain is left to `ProtocolParams.validate`.
     """
     unit, d = (lambda v: 0 < v <= 1), extractor_mod.ExtractorConfig()
+    if (n := parse_int(protocol, "n", path, least=1)) > sys.float_info.max:
+        raise ValueError(f"{path}.n: int too large for a float ({len(str(n))} digits)")
     kw = dict(
-        n=parse_int(protocol, "n", path, least=1),
+        n=n,
         eps=parse_real(protocol, "eps", path, lambda v: 0 <= v < 0.5,
                        "in [0, 1/2)"),
         delta=parse_real(protocol, "delta", path, unit, "in (0, 1]"),

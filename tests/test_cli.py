@@ -227,7 +227,6 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
     # in the message: the first ten exited 1, the last five were coerced
     for text, path in (('{"protocol": {"n": null}}', "protocol.n"),
                        ('{"protocol": [1]}', "protocol"),
-                       ('{"protocol": {"n": 1e400}}', "protocol.n"),
                        ('{"source": "unbiased"}', "source"),
                        ('{"device": "ideal"}', "device"),
                        ('{"extractor": "x"}', "extractor"),
@@ -270,6 +269,17 @@ def test_config_constants_outside_json_exit_2(runner, tmp_path):
         assert res.exit_code == 2, (const, res.output)
         assert f"error: cannot read config {raw}: {const} is not valid JSON" \
             in res.output, res.output
+    # a number literal past the float range parsed to infinity: it ran,
+    # and the summary held Infinity
+    for text, literal in (('{"protocol": {"n": 1e400}}', "1e400"),
+                          ('{"source": {"note": 1e400}}', "1e400"),
+                          ('{"source": {"note": -1e400}}', "-1e400")):
+        raw.write_text(text)
+        res = runner.invoke(main, ["simulate", "--config", str(raw), "--n", "100",
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, (text, res.output)
+        assert f"error: cannot read config {raw}: {literal} is not a finite " \
+            "number" in res.output, res.output
     assert not (tmp_path / "out").exists()
 
 
@@ -570,6 +580,21 @@ def test_report_plain(runner, tmp_path):
     rep = json.loads((tmp_path / "security_report.json").read_text())
     for key in ("mu2", "mu3", "mu4", "gamma", "eps_az1", "eps_az2", "delta1"):
         assert key in rep
+
+
+def test_report_n_past_the_float_range_exits_2(runner, tmp_path):
+    """A 401-digit n overflowed the bounds' float arithmetic: a traceback
+    and exit 1.  n = 10^30 is an int a float holds, and is reported."""
+    for n, code in ((10 ** 400, 2), (10 ** 30, 0)):
+        cfg = write_config(tmp_path, dict(
+            SMALL_SIM, protocol=dict(SMALL_SIM["protocol"], n=n)))
+        out = tmp_path / f"out{code}"
+        res = runner.invoke(main, ["report", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == code, res.output
+        assert (out / "security_report.json").exists() is (code == 0)
+        if code:
+            assert "error: protocol.n: int too large for a float (401 digits)" \
+                in res.output, res.output
 
 
 def test_report_q_acc_is_an_acceptance_probability(runner, tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -225,3 +227,140 @@ def test_integer_primal_check_sees_a_tiny_move(lp_zero, sol_zero):
             assert not _verify_primal(lp_zero, moved), (cell, step)
             back = [Fraction(v) for v in json.loads(json.dumps(list(map(str, moved))))]
             assert back == moved and not _verify_primal(lp_zero, back)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_cells():
+    """(+1 cells, -1 cells) of each row of `_equalities`."""
+    return tuple((np.flatnonzero(row == 1).tolist(),
+                  np.flatnonzero(row == -1).tolist()) for row in _equalities())
+
+
+def _scaled(values):
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _reference_dual_ok(p, d) -> bool:
+    """`verify_certificate` as a loop over the rows of `_equalities`, one
+    row and one cell at a time, on Python ints."""
+    rows = _row_cells()
+    if (d.sense not in ("max", "min") or len(d.y) != len(rows) or d.beta < 0
+            or d.delta_tilde != p.delta_tilde or d.target != p.target_col):
+        return False
+    scale, ys = _scaled((*d.y, d.beta))
+    beta = ys.pop()
+    mu = [0] * 1296
+    for yr, (plus, minus) in zip(ys, rows):
+        for c in plus:
+            mu[c] += yr
+        for c in minus:
+            mu[c] -= yr
+    for c in p.cap_cols:
+        mu[c] += beta
+    mu[p.target_col] -= scale if d.sense == "max" else -scale
+    return (all(m >= 0 for m in mu)
+            and sum(d.y[:81], Fraction(0)) + d.beta * p.delta_tilde <= d.bound)
+
+
+def _reference_primal_ok(p, pf) -> bool:
+    """`_verify_primal` as a loop over the rows of `_equalities`."""
+    scale, ints = _scaled(pf)
+    if any(v < 0 for v in ints):
+        return False
+    for r, (plus, minus) in enumerate(_row_cells()):
+        rhs = scale if r < 81 else 0
+        if sum(ints[c] for c in plus) - sum(ints[c] for c in minus) != rhs:
+            return False
+    return sum(ints[c] for c in p.cap_cols) <= p.delta_tilde * scale
+
+
+_GRID = [Fraction(k, 20) for k in range(11)]     # `certify`'s default grid
+
+
+@pytest.fixture(scope="module")
+def grid_solutions(functional):
+    return [(p, solve_lp(p)) for p in (build_lp(functional, d) for d in _GRID)]
+
+
+def _dual(p, cert) -> bool:
+    """verify_certificate's answer, once the reference gives the same."""
+    got = verify_certificate(p, cert)
+    assert got is _reference_dual_ok(p, cert), cert
+    return got
+
+
+def _primal(p, pf) -> bool:
+    """_verify_primal's answer, once the reference gives the same."""
+    got = _verify_primal(p, pf)
+    assert got is _reference_primal_ok(p, pf)
+    return got
+
+
+def test_exact_checks_match_the_scalar_reference(
+        functional, model, lp_zero, sol_zero, grid_solutions):
+    for p, sol in grid_solutions:
+        assert _dual(p, sol.certificate)
+        assert _primal(p, list(sol.primal.exact.ravel()))
+    low = solve_lp(lp_zero, sense="min")
+    assert _dual(lp_zero, low.certificate)
+    assert _primal(lp_zero, list(low.primal.exact.ravel()))
+    # the tamper cases of the tests above
+    cert, half = sol_zero.certificate, grid_solutions[10]
+    bad_y = list(cert.y)
+    bad_y[0] += Fraction(1, 1000)
+    u1, u2, x1, x2 = cell_entry(cert.target)
+    tampered = [
+        dataclasses.replace(cert, y=tuple(bad_y)),
+        DualCertificate(y=tuple([Fraction(0)] * len(_equalities())),
+                        beta=Fraction(0), bound=Fraction(0),
+                        delta_tilde=Fraction(0), target=cert.target),
+        dataclasses.replace(cert, bound=Fraction(1, 2)),
+        half[1].certificate,
+        dataclasses.replace(cert, target=var_index(u1, u2, x2, x1)),
+        dataclasses.replace(cert, beta=cert.beta - _TINY)]
+    for row in (0, 100, 500):
+        for step in (_TINY, -_TINY):
+            y = list(cert.y)
+            y[row] += step
+            tampered.append(dataclasses.replace(cert, y=tuple(y)))
+    for cert_ in tampered:
+        assert not _dual(lp_zero, cert_)
+    for step in (_TINY, -_TINY):
+        moved = dataclasses.replace(half[1].certificate,
+                                    beta=half[1].certificate.beta + step)
+        assert not _dual(half[0], moved)
+    assert _dual(lp_zero, dataclasses.replace(cert, beta=cert.beta + _TINY))
+    pf = list(sol_zero.primal.exact.ravel())
+    for cell in (TARGET, 0, 1295):
+        for step in (Fraction(1, 10 ** 15), -Fraction(1, 10 ** 15)):
+            moved = list(pf)
+            moved[cell] += step
+            assert not _primal(lp_zero, moved)
+    # scales past 2^63, from a Mersenne prime denominator
+    big = Fraction(1, 2 ** 89 - 1)
+    wide = dataclasses.replace(cert, beta=cert.beta + big,
+                               bound=_bound(lp_zero, cert.y, cert.beta + big))
+    y = list(wide.y)
+    y[100] += big
+    assert _dual(lp_zero, wide)
+    assert not _dual(lp_zero, dataclasses.replace(wide, y=tuple(y)))
+    ideal = ideal_quantum_box(model).exact.ravel()
+    mix = [(1 - big) * a + big * b for a, b in zip(pf, ideal)]
+    assert _primal(lp_zero, mix)
+    mix[1] -= big
+    mix[0] += big
+    assert not _primal(lp_zero, mix)
+
+
+def test_certificate_of_unknown_sense_fails(lp_zero):
+    """Every sense but "max" was checked as "min"."""
+    cert = solve_lp(lp_zero, sense="min").certificate
+    assert verify_certificate(lp_zero, cert) is True
+    for sense in ("MAX", "foo", ""):
+        assert verify_certificate(lp_zero, dataclasses.replace(cert, sense=sense)) is False
+        text = json.loads(cert.to_json())
+        text["sense"] = sense
+        back = DualCertificate.from_json(json.dumps(text))
+        assert back.sense == sense
+        assert verify_certificate(lp_zero, back) is False
