@@ -41,13 +41,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from random import Random
 
 import numpy as np
 
 from .ks_bell import (N_OUTCOMES, N_SETTINGS, BellFunctional, KSModel,
                       gram_table, is_setting_pair, pair_index)
-from .seeding import uniforms_of, words
+from .seeding import Stream, uniforms_of
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,7 @@ class Device:
                  tau: float = math.inf, pattern: bytes = b""):
         self._spec = spec
         self.seed = seed
-        self.rng = Random(seed)
+        self.rng = Stream(seed)
         self.tau = tau
         self.pattern = pattern
         self._recent = b""
@@ -244,7 +243,7 @@ class Device:
         the round's uniform, as `respond` bisects.  Both are exact (see the
         module docstring), so codes, draws, tau and memory are those of
         `respond` round by round."""
-        w = words(self.rng, 2 * len(pairs))
+        w = self.rng.words(2 * len(pairs))
         if self.pattern and self.tau == math.inf:
             self._watch(k, pairs)
         split = int(min(max(self.tau - k, 0), len(pairs)))  # rounds before tau

@@ -1,4 +1,5 @@
-"""Deterministic seed derivation for parallel trials.
+"""Deterministic seed derivation for parallel trials, and the generator
+stream every protocol draw comes from.
 
 Campaign trial t gets seed ``splitmix64(master + t * GOLDEN)``; device and
 source generators inside one trial are derived with distinct stream tags.
@@ -6,13 +7,17 @@ The mix is the standard splitmix64 finalizer, a 64-bit avalanche permutation,
 so neighbouring trial indices yield statistically unrelated generator seeds
 while remaining reproducible across platforms.
 
-`words` and `uniforms` take a batch of draws from a `random.Random` at once,
-with the values and the generator state that as many single draws give;
-`uniforms_of` turns drawn words into the uniforms they make.
+A `Stream(seed)` is the Mersenne Twister stream of ``random.Random(seed)``,
+drawn through numpy's `MT19937`, which is the same generator (Matsumoto and
+Nishimura 1998): keyed with Random's 624 key words and position, it yields
+the same 32-bit words at under half the cost a word, and the same random()
+doubles at a third the cost.  `uniforms_of` turns drawn words into the
+uniforms that random() makes of them.
 """
 
 from __future__ import annotations
 
+from functools import cache, cached_property
 from random import Random
 
 import numpy as np
@@ -33,15 +38,57 @@ def derive_seed(master: int, index: int, tag: int = 0) -> int:
     return splitmix64((master & _MASK) + index * _GOLDEN + tag * 0x1D8E4E27C47D124F)
 
 
-def words(rng: Random, m: int) -> np.ndarray:
-    """The next m rng.getrandbits(32) draws, in draw order.  getrandbits(32 m)
-    is those m words, the first least significant."""
-    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+@cache
+def _zero_key():
+    """A seed sequence of zero words.  An MT19937 built on it skips
+    SeedSequence's hashing (about 0.1 ms); its key is set right after."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ZeroKey(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return [0] * n_words
+    return ZeroKey()
 
 
-def uniforms(rng: Random, m: int) -> np.ndarray:
-    """The next m rng.random() draws, in draw order."""
-    return uniforms_of(words(rng, 2 * m))
+class Stream:
+    """The draws of ``random.Random(seed)``: `words(m)` are its next m
+    getrandbits(32) values, `random()` its next random() and `uniforms(m)`
+    its next m random() values, and the generator state after them is
+    Random's (`getstate`).  numpy's MT19937 makes a double from two words
+    as random() does, ((a >> 5) 2^26 + (b >> 6)) / 2^53.
+
+    The generator is built on first use (a draw or `getstate`), with
+    `numpy.random` imported there, so a stream that never draws costs an
+    object and no import.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    @cached_property
+    def _gen(self):
+        from numpy.random import MT19937, Generator
+        *key, pos = Random(self.seed).getstate()[1]
+        mt = MT19937(_zero_key())
+        mt.state = {"bit_generator": "MT19937",
+                    "state": {"key": key, "pos": pos}}
+        return Generator(mt)
+
+    def words(self, m: int) -> np.ndarray:
+        """The next m 32-bit words, in draw order."""
+        return self._gen.bit_generator.random_raw(m).astype(np.uint32)
+
+    def random(self) -> float:
+        return self._gen.random()
+
+    def uniforms(self, m: int) -> np.ndarray:
+        """The next m random() values, in draw order."""
+        return self._gen.random(m)
+
+    def getstate(self) -> tuple:
+        """The generator state in `random.Random.getstate()` form."""
+        state = self._gen.bit_generator.state["state"]
+        return 3, (*state["key"].tolist(), int(state["pos"])), None
 
 
 def uniforms_of(w: np.ndarray) -> np.ndarray:

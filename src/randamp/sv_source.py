@@ -32,16 +32,19 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Callable
 
 import numpy as np
 
 from .ks_bell import TARGET_SETTINGS, is_setting_pair, pair_index
-from .seeding import uniforms, words
+from .seeding import Stream
 
 BITS_PER_PARTY = 4
 BITS_PER_ROUND = 2 * BITS_PER_PARTY
+# Blocks a biased refill draws and walks at a time, so a long draw holds at
+# most 256 KB of uniforms.  A whole CHUNK's blocks at once ran `adversarial`
+# no faster; smaller pieces cost more numpy calls.
+REFILL_PIECE = 4096
 
 
 def _as_fraction(v) -> Fraction:
@@ -245,12 +248,13 @@ class SVSource:
 
     The stream is deterministic given (eps, strategy spec, seed).  Every
     draw takes bits off the front of one buffer, which is refilled with the
-    fewest whole units that cover the draw: 32-bit getrandbits words for
-    the unbiased strategy, and for every other strategy 8-bit blocks, each
-    bit one uniform walked down the strategy's block tree (`walk`).  So the
-    bits do not depend on how a caller splits its draws, and a draw that
-    ends inside a unit leaves the rest of that unit in the buffer, already
-    drawn from the generator.
+    fewest whole units that cover the draw: 32-bit words of the seed's
+    `seeding.Stream` for the unbiased strategy, and for every other
+    strategy 8-bit blocks, each bit one uniform walked down the strategy's
+    block tree (`walk`), REFILL_PIECE blocks at a time.  So the bits do not
+    depend on how a caller splits its draws, and a draw that ends inside a
+    unit leaves the rest of that unit in the buffer, already drawn from the
+    generator.
     """
 
     def __init__(self, eps=0, strategy="unbiased", seed: int = 0):
@@ -260,9 +264,9 @@ class SVSource:
         self.strategy = make_strategy(strategy, self.eps)
         self._spec = _plain_spec(strategy)
         self.seed = seed
-        self.rng = Random(seed)
+        self.rng = Stream(seed)
         self.bits_emitted = 0
-        # The spec name, not the table, picks the getrandbits path: a
+        # The spec name, not the table, picks the word path: a
         # constant_bias [0] source has the unbiased law but draws uniforms.
         self._unbiased = self.strategy.name == "unbiased"
         self._buf = 0           # the _buf_len bits drawn and not yet taken
@@ -271,13 +275,17 @@ class SVSource:
     def _refill(self, k: int) -> None:
         """Draw the fewest whole units that make the buffer hold k bits."""
         if self._unbiased:
-            fresh = words(self.rng, -(-(k - self._buf_len) // 32)).astype(">u4")
+            fresh = self.rng.words(-(-(k - self._buf_len) // 32)).astype(">u4")
         else:
             count = -(-(k - self._buf_len) // BITS_PER_ROUND)
             first = (self.bits_emitted + self._buf_len) // BITS_PER_ROUND
-            fresh = walk(self.strategy.floats, first + np.arange(count),
-                         uniforms(self.rng, BITS_PER_ROUND * count)
-                         .reshape(count, BITS_PER_ROUND)).astype(np.uint8)
+            floats = np.asarray(self.strategy.floats)
+            fresh = np.empty(count, np.uint8)
+            for i in range(0, count, REFILL_PIECE):
+                m = min(REFILL_PIECE, count - i)
+                u = self.rng.uniforms(BITS_PER_ROUND * m)
+                fresh[i:i + m] = walk(floats, first + np.arange(i, i + m),
+                                      u.reshape(m, BITS_PER_ROUND))
         # joined at once: growing the int a unit at a time copies it each
         # time, O(k^2) for a long draw
         self._buf = (self._buf << 8 * fresh.nbytes) | int.from_bytes(

@@ -152,24 +152,10 @@ def test_respond_checks_its_setting_pair(ideal):
         make_iid_device(ideal, seed=0).respond(0, (9, 9))
 
 
-def test_respond_chunk_counts_a_cumulative_entry_equal_to_r():
-    """As bisect_right does, a uniform r equal to a cumulative entry counts
-    it: on the uniform box (entries j/16) r = j/16 gives code j.  The
-    words a = j 2^28, b = 0 make random() = j/16 exactly."""
-    class FixedWords:
-        def getrandbits(self, k):
-            return sum((j << 28) << 64 * j for j in range(16))
-
-    dev = make_iid_device(uniform_box(), seed=0)
-    dev.rng = FixedWords()
-    codes = dev.respond_chunk(0, np.zeros(16, np.intp))
-    assert codes.tolist() == list(range(16))
-
-
 class _ForcedDraws:
-    """A generator stand-in whose draws are the given integers k, one a
-    round: random() is k / 2^53, and getrandbits returns the words a, b
-    that random() joins into k, the first least significant."""
+    """A `seeding.Stream` stand-in whose draws are the given integers k, one
+    a round: random() is k / 2^53, and words(m) returns the words a, b that
+    random() joins into k, in draw order."""
 
     def __init__(self, ks):
         self.ks = list(ks)
@@ -178,9 +164,20 @@ class _ForcedDraws:
     def random(self):
         return self.ks.pop(0) / 2.0 ** 53
 
-    def getrandbits(self, bits):
-        assert bits == 32 * len(self.w)
-        return sum(v << 32 * i for i, v in enumerate(self.w))
+    def words(self, m):
+        assert m == len(self.w)
+        return np.array(self.w, np.uint32)
+
+
+def test_respond_chunk_counts_a_cumulative_entry_equal_to_r():
+    """As bisect_right does, a uniform r equal to a cumulative entry counts
+    it: on the uniform box (entries j/16) r = j/16 gives code j.  The
+    draws k = j 2^49 (words a = j 2^28, b = 0) make random() = j/16
+    exactly."""
+    dev = make_iid_device(uniform_box(), seed=0)
+    dev.rng = _ForcedDraws([j << 49 for j in range(16)])
+    codes = dev.respond_chunk(0, np.zeros(16, np.intp))
+    assert codes.tolist() == list(range(16))
 
 
 def _thresholds(b):

@@ -720,6 +720,31 @@ def test_protocol_commands_load_no_scipy(tmp_path):
     assert got == {"codes": [0, 0, 0], "scipy": [], "lp_tables": 0}, got
 
 
+def test_numpy_random_loads_on_the_first_draw():
+    """Importing randamp and its CLI, and building a generator stream,
+    load no numpy.random module (about 14 ms): the stream's first draw
+    does.  A subprocess, because other tests have imported numpy.random
+    into this one."""
+    code = ("import json, sys\n"
+            "import randamp, randamp.cli\n"
+            "from randamp.seeding import Stream\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.startswith('numpy.random'))\n"
+            "on_import = loaded()\n"
+            "stream = Stream(5)\n"
+            "built = loaded()\n"
+            "stream.words(1)\n"
+            "print(json.dumps([on_import, built, 'numpy.random' in loaded()]))\n")
+    src = str(Path(randamp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout) == [[], [], True]
+
+
 def test_benchmark_traced_names_resolve():
     """The benchmark's tracer wraps functions, methods and commands by name
     and reports a missing one as unmeasured rather than failing; renaming

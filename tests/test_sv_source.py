@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from randamp.ks_bell import pair_index
-from randamp.sv_source import (BLOCK_PAIR, DEFAULT_MAP, SVSource,
-                               _tree_extremum, make_strategy,
+from randamp.sv_source import (BLOCK_PAIR, DEFAULT_MAP, REFILL_PIECE,
+                               SVSource, _tree_extremum, make_strategy,
                                setting_measure_extrema, sv_chernoff_oracle)
 from sv_reference import ReferenceSource, stream_state
 
@@ -186,6 +186,20 @@ def test_bulk_blocks_of_a_biased_source_start_inside_a_block():
     assert src.next_bits(5) == ref.next_bits(5)
     assert src.next_blocks(300).tolist() == \
         [ref.next_block(8) for _ in range(300)]
+    assert stream_state(src) == stream_state(ref)
+
+
+def test_biased_draw_across_refill_pieces_is_the_reference_stream():
+    """A draw of more than two refill pieces, starting inside a block, is
+    the scalar reference's bit for bit, generator state included.  The
+    strategy's three block rows do not divide REFILL_PIECE, so each piece
+    starts on another row."""
+    spec = ("constant_bias", [0.05, -0.02, 0.03])
+    src, ref = SVSource(0.05, spec, seed=11), ReferenceSource(0.05, spec, 11)
+    assert len(src.strategy.rows) == 3 and REFILL_PIECE % 3
+    m = 2 * REFILL_PIECE + 7
+    assert src.next_bits(5) == ref.next_bits(5)
+    assert src.next_bits(8 * m) == ref.next_bits(8 * m)
     assert stream_state(src) == stream_state(ref)
 
 
