@@ -36,13 +36,15 @@ implies  M.P <= bound  for every feasible P by weak duality.  When the
 rounded primal value equals the dual bound the optimum is certified exactly.
 
 Solving strategy: HiGHS (via scipy) produces a floating-point vertex and
-its duals, both are rounded to small rationals, and the exact checker
-settles the claim.  Trust rests on that check alone, not on the float
-engine; a vertex that no rounding denominator turns into a verified pair
-raises `CertificationError`.  HiGHS is imported where it is called, in
-`_solve_float_highs` (`scipy.sparse` and `linprog`).  So `import
-randamp.cli` loads no scipy module, and only the commands that solve an LP
-(`certify`, the `lp_attack_zero` device) pay for it, once.
+its duals, both are rounded to rationals by each rule of `_rungs` in turn,
+and the exact checker settles the claim.  Trust rests on that check alone,
+not on the float engine; a vertex that no rounding rule turns into a
+verified pair raises `CertificationError`.  HiGHS is imported where it is
+called, in `_solve_float_highs` (`scipy.sparse` and `linprog`), and only
+`certify` calls it.  The `lp_attack_zero` device's box, the cap-0 min
+vertex, is stored (`_ZERO_TARGET_WORDS`) and checked exactly on every
+build (`zero_target_box`).  So `import randamp.cli` and every `simulate`
+load no scipy module.
 """
 
 from __future__ import annotations
@@ -235,27 +237,47 @@ def _solve_float_highs(p: LPProblem, sense: str):
             -float(res.ineqlin.marginals[0]))
 
 
-def _rounded(values: list[float], den: int) -> list[Fraction]:
-    """Each value's nearest fraction with denominator at most `den`; a
-    vertex holds few distinct values, so each is rounded once."""
-    table = {v: Fraction(v).limit_denominator(den) for v in set(values)}
+def _rungs(cap: Fraction):
+    """The rounding rules `solve_lp` tries, in order: the nearest fraction
+    of denominator at most each of `_ROUND_DENOMS`, then the nearest
+    multiple of 1/(144 q), q the cap's denominator.  At an ordinary cap
+    such as 1009/10^6 the optimum's denominator is past the first rungs;
+    vertex and dual entries times q have had denominators dividing 48 or
+    36, so the last rung finds them."""
+    for den in _ROUND_DENOMS:
+        yield lambda v, den=den: Fraction(v).limit_denominator(den)
+    step = 144 * cap.denominator
+    yield lambda v: Fraction(round(Fraction(v) * step), step)
+
+
+def _rounded(values: list[float], rule) -> list[Fraction]:
+    """`rule` applied to each value; a vertex holds few distinct values,
+    so each is rounded once."""
+    table = {v: rule(v) for v in set(values)}
     return [table[v] for v in values]
+
+
+def _behavior(exact: np.ndarray, cap: Fraction, sense: str) -> Behavior:
+    """The certified LP vertex `exact` (Fractions, shape (9, 9, 4, 4))."""
+    return Behavior(table=exact.astype(float), exact=exact,
+                    meta={"kind": "lp_vertex", "delta_tilde": float(cap),
+                          "sense": sense, "certified": True})
 
 
 def solve_lp(p: LPProblem, sense: str = "max") -> LPSolution:
     """Optimize P(target) over the feasible set, exactly.
 
-    The float vertex and duals are rounded to rationals at each of
-    `_ROUND_DENOMS` in turn, and the first pair that both exact checks
-    accept is returned; if none is, `CertificationError` is raised.
+    The float vertex and duals are rounded to rationals by each rule of
+    `_rungs` in turn, and the first pair that both exact checks accept is
+    returned; if none is, `CertificationError` is raised.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     x, y, beta = _solve_float_highs(p, sense)
-    for den in _ROUND_DENOMS:
-        pf = _rounded(x, den)
-        yf = tuple(_rounded(y, den))
-        bf = max(Fraction(beta).limit_denominator(den), Fraction(0))
+    for rule in _rungs(p.delta_tilde):
+        pf = _rounded(x, rule)
+        yf = tuple(_rounded(y, rule))
+        bf = max(rule(beta), Fraction(0))
         cert = DualCertificate(y=yf, beta=bf, bound=_bound(p, yf, bf),
                                delta_tilde=p.delta_tilde, target=p.target_col,
                                sense=sense)
@@ -265,16 +287,47 @@ def solve_lp(p: LPProblem, sense: str = "max") -> LPSolution:
         raise CertificationError(
             f"could not produce an exact certificate (cap={p.delta_tilde})")
     value = pf[p.target_col]
-    exact = np.array(pf, dtype=object).reshape(9, 9, 4, 4)
-    primal = Behavior(table=exact.astype(float), exact=exact,
-                      meta={"kind": "lp_vertex", "delta_tilde": float(p.delta_tilde),
-                            "sense": sense, "certified": True})
+    primal = _behavior(np.array(pf, dtype=object).reshape(9, 9, 4, 4),
+                       p.delta_tilde, sense)
     return LPSolution(exact_optimum=value, primal=primal, certificate=cert,
                       certified_equality=(value if sense == "max" else -value)
                       == cert.bound)
 
 
+# The cap-0 min vertex HiGHS returns (`solve_lp(build_lp(f, 0), "min")`): a
+# permutation box.  Row u1, word u2 (both 1..9) lists x2 for x1 = 1..4; each
+# of those four cells has weight 1/4, every other cell 0.
+_ZERO_TARGET_WORDS = """
+1234 2341 3214 2341 3412 4123 2134 2413 3214
+4213 1234 4231 3214 4123 2134 4213 3241 2314
+1243 4123 1234 2431 1432 4321 3421 3421 4213
+3421 3214 4132 1234 2341 1432 4321 4231 4312
+2143 3142 1243 4231 1234 2341 4321 1423 4231
+4231 1234 4312 1432 4231 1234 1243 2134 2413
+2143 4321 4312 1324 4132 1243 1234 4321 2341
+3214 3214 1432 4132 1342 1243 2143 1234 1432
+3412 3241 3241 1324 4132 3142 4123 1234 1234
+"""
+
+
 def zero_target_box(f: BellFunctional) -> tuple[Behavior, Fraction]:
-    """Feasible behavior minimizing P(target) at cap 0, exact."""
-    sol = solve_lp(build_lp(f, 0), sense="min")
-    return sol.primal, sol.exact_optimum
+    """Feasible behavior minimizing P(target) at cap 0, exact: the box
+    that passes the Bell test optimally yet never gives the target.
+
+    It is built from `_ZERO_TARGET_WORDS`, the vertex HiGHS returns for
+    this LP (a test pins the two together), and solves nothing.  Every
+    build checks it exactly: `_verify_primal` (normalized, no-signaling,
+    nonnegative, zero on every indicator cell) and P(target) = 0, which
+    nonnegativity certifies as the minimum.  A failed check raises
+    `CertificationError`.
+    """
+    p = build_lp(f, 0)
+    x2 = (np.frombuffer("".join(_ZERO_TARGET_WORDS.split()).encode(), np.uint8)
+          - ord("1"))                 # x2 - 1 at (u1, u2, x1), in cell order
+    exact = np.full(N_CELLS, Fraction(0), dtype=object)
+    if x2.shape == (324,) and (x2 < 4).all():   # else all zero, and it fails
+        exact[4 * np.arange(324) + x2] = Fraction(1, 4)
+    if not (_verify_primal(p, list(exact)) and exact[p.target_col] == 0):
+        raise CertificationError("the stored cap-0 min vertex fails its exact check")
+    return (_behavior(exact.reshape(9, 9, 4, 4), p.delta_tilde, "min"),
+            exact[p.target_col])

@@ -85,6 +85,17 @@ def test_certify_solves_each_distinct_cap_once(runner, tmp_path):
     assert [r["cap"] for r in summary["results"]] == ["1/2", "0"]
 
 
+def test_certify_an_ordinary_cap(runner, tmp_path):
+    """A cap whose optimum 4501009/6000000 has a denominator past 10^6."""
+    res = runner.invoke(main, ["certify", "--delta-grid", "1009/1000000",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "certify_summary.json").read_text())
+    [row] = summary["results"]
+    assert row["optimum"] == "4501009/6000000"
+    assert row["certificate_verified"] and row["optimum_attained"]
+
+
 def test_simulate_emits_outputs(runner, tmp_path):
     cfg = write_config(tmp_path, SMALL_SIM)
     out = tmp_path / "out"
@@ -718,6 +729,29 @@ def test_protocol_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     got = json.loads(proc.stdout)
     assert got == {"codes": [0, 0, 0], "scipy": [], "lp_tables": 0}, got
+
+
+def test_lp_attack_zero_loads_no_scipy(tmp_path):
+    """The `lp_attack_zero` device plays a stored, exactly checked vertex:
+    a fresh process that simulates it solves no LP and loads no scipy
+    module.  A subprocess, because other tests have imported scipy into
+    this one."""
+    code = ("import json, sys\n"
+            "import randamp.cli\n"
+            "from click.testing import CliRunner\n"
+            "res = CliRunner().invoke(randamp.cli.main, ['simulate', '--device',\n"
+            "    'lp_attack_zero', '--n', '2000', '--out', sys.argv[1]])\n"
+            "print(json.dumps({'code': res.exit_code, 'scipy': sorted(\n"
+            "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n")
+    src = str(Path(randamp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == {"code": 0, "scipy": []}, got
+    assert (tmp_path / "trial0.jsonl").exists()
 
 
 def test_numpy_random_loads_on_the_first_draw():

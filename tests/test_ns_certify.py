@@ -11,9 +11,10 @@ import pytest
 from randamp.boxes import (bell_value_exact, ideal_quantum_box, uniform_box,
                            validate_behavior)
 from randamp.ks_bell import build_bell_functional, build_ks_model, cell_entry
-from randamp.ns_certify import (DualCertificate, _bound, _equalities,
-                                _verify_primal, build_lp, solve_lp,
-                                var_index, verify_certificate,
+from randamp import ns_certify
+from randamp.ns_certify import (CertificationError, DualCertificate, _bound,
+                                _equalities, _verify_primal, build_lp,
+                                solve_lp, var_index, verify_certificate,
                                 zero_target_box)
 
 TARGET = var_index(1, 2, 1, 3)
@@ -111,6 +112,79 @@ def test_zero_target_attack_box(functional):
     assert validate_behavior(box, tol=1e-12).ok
     assert bell_value_exact(box, functional) == 0
     assert box.exact.flat[TARGET] == 0
+
+
+def _permutation_words(exact) -> str:
+    """The rows of `_ZERO_TARGET_WORDS` for a permutation box: row u1, word
+    u2 lists x2 for x1 = 1..4."""
+    x2 = np.argmax(exact != 0, axis=3) + 1
+    return "\n".join(" ".join("".join(map(str, word)) for word in row) for row in x2)
+
+
+def test_stored_zero_target_box_is_the_highs_vertex(functional):
+    """The stored vertex is the one HiGHS returns for the cap-0 min LP; on
+    a mismatch the message holds the rows to paste into
+    `_ZERO_TARGET_WORDS`."""
+    box, val = zero_target_box(functional)
+    sol = solve_lp(build_lp(functional, 0), sense="min")
+    ref = sol.primal
+    assert set(ref.exact.ravel()) == {0, Fraction(1, 4)}
+    assert ((ref.exact != 0).sum(axis=3) == 1).all()
+    words = _permutation_words(ref.exact)
+    assert box.exact.shape == ref.exact.shape, words
+    assert (box.exact == ref.exact).all(), words
+    assert np.array_equal(box.table, ref.table), words
+    assert box.meta == ref.meta
+    assert val == sol.exact_optimum == 0
+
+
+def test_tampered_zero_target_box_fails_its_exact_check(functional, monkeypatch):
+    """Each build checks the stored table: a word that breaks no-signaling,
+    one that only puts weight on an indicator cell, and one that only puts
+    weight on the target each raise; so do malformed tables."""
+    bell = set(functional.bell_cells)
+
+    def hits(word):         # (indicator cells hit, target hit) at (1, 2)
+        cells = {var_index(1, 2, x1, int(x2)) for x1, x2 in enumerate(word, 1)}
+        return len(cells & bell), TARGET in cells
+
+    # (1, 2) holds "2341"; any permutation word keeps the box normalized
+    # and no-signaling, so only the cap or the target check sees these two
+    assert ns_certify._ZERO_TARGET_WORDS.split()[1] == "2341"
+    assert hits("2341") == (0, False)
+    assert hits("1234") == (2, False) and hits("3241") == (0, True)
+    words = ns_certify._ZERO_TARGET_WORDS.split()
+    tampered = ["1123",         # not a permutation
+                "1234",         # weight on indicator cells
+                "3241",         # weight on the target
+                "5234", "234", ""]
+    for word in tampered:
+        monkeypatch.setattr(ns_certify, "_ZERO_TARGET_WORDS",
+                            " ".join(words[:1] + [word] + words[2:]))
+        with pytest.raises(CertificationError):
+            zero_target_box(functional)
+    monkeypatch.undo()
+    assert zero_target_box(functional)[1] == 0
+
+
+def _piecewise_optimum(d: Fraction) -> Fraction:
+    """The cap curve on the scanned caps: min(3/4 + d/6, 7/9 + d/9, 1)."""
+    return min(Fraction(3, 4) + d / 6, Fraction(7, 9) + d / 9, Fraction(1))
+
+
+@pytest.mark.parametrize("cap", ["1009/1000000", "1499/1000000", "2099/100000",
+                                 "0.123456789", "1/7", "3/7", "1/997", "5/7",
+                                 "13/10"])
+def test_ordinary_caps_certify(functional, cap):
+    """Caps whose optimum's denominator is past `_ROUND_DENOMS` certify
+    through the last rung, the nearest multiple of 1/(144 q)."""
+    d = Fraction(cap)
+    p = build_lp(functional, d)
+    sol = solve_lp(p)
+    assert sol.exact_optimum == sol.certificate.bound == _piecewise_optimum(d)
+    assert sol.certified_equality
+    assert verify_certificate(p, sol.certificate)
+    assert _verify_primal(p, list(sol.primal.exact.ravel()))
 
 
 def test_grid_certified_values(functional):
