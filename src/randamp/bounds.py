@@ -180,9 +180,9 @@ def qualifying_round_count(trace_target_flags, conditionals,
 def relative_entropy(gamma: float, zeta: float) -> float:
     """Binary relative entropy D(gamma || zeta) in nats.
 
-    Edge conventions by continuity: D(g||g) = 0; D(1||z) = ln(1/z);
-    D(0||z) = ln(1/(1-z)); a zero/one reference with a differing argument
-    gives +inf.
+    Edge conventions by continuity: D(g||g) = 0; D(g||0) = +inf for
+    g > 0; D(1||z) = ln(1/z).  The domain zeta <= gamma leaves no other
+    edge: gamma = 0 forces zeta = gamma.
     """
     if not (0 <= zeta <= gamma <= 1):
         raise ValueError("need 0 <= zeta <= gamma <= 1")
@@ -192,8 +192,6 @@ def relative_entropy(gamma: float, zeta: float) -> float:
         return math.inf                       # gamma > 0 against zero reference
     if gamma == 1.0:
         d = math.log(1.0 / zeta)
-    elif gamma == 0.0:
-        d = math.log(1.0 / (1.0 - zeta))
     else:
         d = gamma * math.log(gamma / zeta) \
             + (1.0 - gamma) * math.log((1.0 - gamma) / (1.0 - zeta))

@@ -36,9 +36,12 @@ implies  M.P <= bound  for every feasible P by weak duality.  When the
 rounded primal value equals the dual bound the optimum is certified exactly.
 
 Solving strategy: HiGHS (via scipy) produces a floating-point vertex and
-its duals, both are rounded to rationals by each rule of `_rungs` in turn,
-and the exact checker settles the claim.  Trust rests on that check alone,
-not on the float engine; a vertex that no rounding rule turns into a
+its duals, and one rounding rule (`_rounded`) turns them into rationals
+at the scales q, the cap's denominator, then 1.  A vertex is
+x_B = B^-1 (b0 + d e_cap), so x * q has small denominators dividing
+det B; the duals y = c_B B^-1 do not depend on the cap (parametric LP;
+Bertsimas and Tsitsiklis 1997, ch. 5).  The exact checker settles the
+claim, not the float engine; a vertex that neither scale turns into a
 verified pair raises `CertificationError`.  HiGHS is imported where it is
 called, in `_solve_float_highs` (`scipy.sparse` and `linprog`), and only
 `certify` calls it.  The `lp_attack_zero` device's box, the cap-0 min
@@ -61,7 +64,7 @@ from .boxes import Behavior
 from .ks_bell import N_CELLS, BellFunctional, cell_entry, var_index
 from .sv_source import _as_fraction
 
-_ROUND_DENOMS = (10 ** 6, 10 ** 9, 10 ** 13)
+_MAX_DEN = 1000             # denominator bound of a scaled vertex entry
 _N_NORM = 81                # the leading rows, normalization (rhs 1)
 
 
@@ -237,23 +240,12 @@ def _solve_float_highs(p: LPProblem, sense: str):
             -float(res.ineqlin.marginals[0]))
 
 
-def _rungs(cap: Fraction):
-    """The rounding rules `solve_lp` tries, in order: the nearest fraction
-    of denominator at most each of `_ROUND_DENOMS`, then the nearest
-    multiple of 1/(144 q), q the cap's denominator.  At an ordinary cap
-    such as 1009/10^6 the optimum's denominator is past the first rungs;
-    vertex and dual entries times q have had denominators dividing 48 or
-    36, so the last rung finds them."""
-    for den in _ROUND_DENOMS:
-        yield lambda v, den=den: Fraction(v).limit_denominator(den)
-    step = 144 * cap.denominator
-    yield lambda v: Fraction(round(Fraction(v) * step), step)
-
-
-def _rounded(values: list[float], rule) -> list[Fraction]:
-    """`rule` applied to each value; a vertex holds few distinct values,
-    so each is rounded once."""
-    table = {v: rule(v) for v in set(values)}
+def _rounded(values: list[float], scale: int) -> list[Fraction]:
+    """Each v as the nearest fraction to v * scale of denominator at most
+    `_MAX_DEN`, divided by scale (exact: no cap overflows a float).  A
+    vertex holds few distinct values, so each is rounded once."""
+    table = {v: (Fraction(v) * scale).limit_denominator(_MAX_DEN) / scale
+             for v in set(values)}
     return [table[v] for v in values]
 
 
@@ -267,17 +259,17 @@ def _behavior(exact: np.ndarray, cap: Fraction, sense: str) -> Behavior:
 def solve_lp(p: LPProblem, sense: str = "max") -> LPSolution:
     """Optimize P(target) over the feasible set, exactly.
 
-    The float vertex and duals are rounded to rationals by each rule of
-    `_rungs` in turn, and the first pair that both exact checks accept is
-    returned; if none is, `CertificationError` is raised.
+    The float vertex and duals are rounded (`_rounded`) at the scales q,
+    the cap's denominator, and 1 in turn, and the first pair that both
+    exact checks accept is returned; else `CertificationError` is raised.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     x, y, beta = _solve_float_highs(p, sense)
-    for rule in _rungs(p.delta_tilde):
-        pf = _rounded(x, rule)
-        yf = tuple(_rounded(y, rule))
-        bf = max(rule(beta), Fraction(0))
+    for scale in (p.delta_tilde.denominator, 1):
+        pf = _rounded(x, scale)
+        yf = tuple(_rounded(y, scale))
+        bf = max(_rounded([beta], scale)[0], Fraction(0))
         cert = DualCertificate(y=yf, beta=bf, bound=_bound(p, yf, bf),
                                delta_tilde=p.delta_tilde, target=p.target_col,
                                sense=sense)

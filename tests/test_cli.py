@@ -17,6 +17,7 @@ import randamp
 from randamp import bounds
 from randamp.cli import main
 from randamp.ks_bell import cell_entry, var_index
+from randamp.ns_certify import CertificationError
 from randamp.protocol import default_functional
 
 
@@ -94,6 +95,61 @@ def test_certify_an_ordinary_cap(runner, tmp_path):
     [row] = summary["results"]
     assert row["optimum"] == "4501009/6000000"
     assert row["certificate_verified"] and row["optimum_attained"]
+
+
+_DEFAULT_GRID_DIGESTS = {
+    "certificate_cap_0.json":
+        "523219a8b6a294548321dd059957d638cf49f954041fe4a5c2399b6fce570966",
+    "certificate_cap_1over10.json":
+        "f5db4a85e5a5d5e1c66f75065374381d9191af5cc5e33c5789d48c100639d996",
+    "certificate_cap_1over2.json":
+        "cfd9e042a89175a66c5e08f9a8e4cff2e21c9351bd0010014c1666302dc4e656",
+    "certificate_cap_1over20.json":
+        "d4eb53c9588dc812b11489a01c6f7d2bc79206f61e3def733ea71022ea090d30",
+    "certificate_cap_1over4.json":
+        "b85828fa7002974042f2dee101ec158eb67caa4cfeee0d02aacbaf93c1bcdc42",
+    "certificate_cap_1over5.json":
+        "820d007819e20c856763d885031f06a5400e7cfa8e94037b9c194507c157da84",
+    "certificate_cap_2over5.json":
+        "e1cf97bfdfe764ccc0862b24eeb9e58384949c27e7dac43158ca5ad36db656bb",
+    "certificate_cap_3over10.json":
+        "2367a436f30b4ae219b5d92ebd08098f290615b3ba236fe6676f906a1d4f0aa5",
+    "certificate_cap_3over20.json":
+        "990283d80bcc04914c37681b540f26d0a028dff64b22d56da0c6ba923ce3fd1d",
+    "certificate_cap_7over20.json":
+        "94dfc5d9c58bafc03204ec3c5a9873f3d57d1ea969b7f0889345dc9b55d5c167",
+    "certificate_cap_9over20.json":
+        "efaf9e74b8061ae436f16fb3b29ba7c1e89b42830a5a27c3d8b60055575270be",
+    "certify_summary.json":
+        "58fbc690bd13161f2fa583bea62bc4541d8d6d9a7f7735c97a3f3b50812a1d09",
+}
+
+
+def test_certify_digests(runner, tmp_path):
+    """Regression anchor: sha256 of every file the default 11-cap grid
+    writes, frozen from the ladder of roundings (denominators up to 10^6,
+    10^9, 10^13, then multiples of 1/(144 q)) that one rule at the scales
+    q and 1 replaced."""
+    res = runner.invoke(main, ["certify", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_DEFAULT_GRID_DIGESTS)
+    for name, digest in _DEFAULT_GRID_DIGESTS.items():
+        body = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(body).hexdigest() == digest, name
+
+
+def test_certify_solver_failure_exits_2(runner, tmp_path, monkeypatch):
+    """A failure inside `solve_lp` exits 2, names the cap and writes no
+    summary."""
+    def fail(problem, sense):
+        raise CertificationError("no exact certificate")
+
+    monkeypatch.setattr("randamp.cli.solve_lp", fail)
+    res = runner.invoke(main, ["certify", "--delta-grid", "1/10,0",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "solver failure at cap 1/10: no exact certificate" in res.output
+    assert not (tmp_path / "certify_summary.json").exists()
 
 
 def test_simulate_emits_outputs(runner, tmp_path):
@@ -235,7 +291,7 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
                                    "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, (kind, res.output)
     # fields of the wrong type or out of range, each named by its JSON path
-    # in the message: the first ten exited 1, the last five were coerced
+    # in the message: the first ten exited 1, the next five were coerced
     for text, path in (('{"protocol": {"n": null}}', "protocol.n"),
                        ('{"protocol": [1]}', "protocol"),
                        ('{"source": "unbiased"}', "source"),
@@ -250,7 +306,10 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
                        ('{"protocol": {"eps": "0.1"}}', "protocol.eps"),
                        ('{"master_seed": "12"}', "master_seed"),
                        ('{"protocol": {"enforce_bounds": "no"}}',
-                        "protocol.enforce_bounds")):
+                        "protocol.enforce_bounds"),
+                       # ExtractorConfig's own checks, under the section's path
+                       ('{"extractor": {"m": 300}}', "extractor"),
+                       ('{"extractor": {"rule": "bogus"}}', "extractor")):
         raw.write_text(text)
         res = runner.invoke(main, ["simulate", "--config", str(raw),
                                    "--out", str(tmp_path / "out")])
@@ -539,6 +598,35 @@ def test_extract_rejects_malformed_header(runner, tmp_path):
         res = runner.invoke(main, ["extract", str(bad), "--out", str(out)])
         assert res.exit_code == 2, (key, res.output)
         assert f"bad.jsonl:1: {where}: " in res.output, (key, res.output)
+
+
+def test_extract_refuses_an_aborted_run(runner, tmp_path):
+    cfg = write_config(tmp_path, dict(SMALL_SIM, device={"kind": "uniform"}))
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["simulate", "--config", cfg,
+                                "--out", str(out)]).exit_code == 0
+    res = runner.invoke(main, ["extract", str(out / "trial0.jsonl"),
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "run was not accepted; nothing to extract" in res.output
+    assert not (out / "extracted.json").exists()
+
+
+def test_extract_detects_a_changed_stored_output(runner, tmp_path):
+    cfg = write_config(tmp_path, SMALL_SIM)
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["simulate", "--config", cfg,
+                                "--out", str(out)]).exit_code == 0
+    path = out / "trial0.jsonl"
+    lines = path.read_text().splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["verdict"] == "Accept" and summary["output_hex"]
+    first = summary["output_hex"][0]
+    summary["output_hex"] = ("1" if first == "0" else "0") + summary["output_hex"][1:]
+    path.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+    res = runner.invoke(main, ["extract", str(path), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "stored and recomputed outputs differ" in res.output
 
 
 def test_report_fields_and_aborted_run(runner, tmp_path):

@@ -174,10 +174,15 @@ def _piecewise_optimum(d: Fraction) -> Fraction:
 
 @pytest.mark.parametrize("cap", ["1009/1000000", "1499/1000000", "2099/100000",
                                  "0.123456789", "1/7", "3/7", "1/997", "5/7",
-                                 "13/10"])
+                                 "13/10", "0.233653", "0.239079", "2.190241",
+                                 "56773/250000"])
 def test_ordinary_caps_certify(functional, cap):
-    """Caps whose optimum's denominator is past `_ROUND_DENOMS` certify
-    through the last rung, the nearest multiple of 1/(144 q)."""
+    """Caps whose optimum has a large denominator certify at the scale q,
+    the cap's denominator: vertex entries times q have denominators that
+    divide det B (48 at 1/7; 7, 14, 21 and 42 at 0.233653).  0.233653,
+    0.239079 and 2.190241 failed every rung of the former ladder of
+    roundings (denominators up to 10^6, 10^9, 10^13, then multiples of
+    1/(144 q)); 56773/250000 passed only at 10^9."""
     d = Fraction(cap)
     p = build_lp(functional, d)
     sol = solve_lp(p)
