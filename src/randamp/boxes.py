@@ -19,25 +19,24 @@ no-signaling holds by construction).  Devices and bit sources share no
 state: a device is built, with its own generator, before any source bits
 are drawn.
 
-A round's outcome is inversion sampling on one `random()` draw r: its code
-4 (x1-1) + (x2-1) is the count of the pair's cumulative probabilities
-(`Behavior.cums`) that are <= r.  random() is k / 2^53 for the integer
-k = (a >> 5) 2^26 + (b >> 6) of its two 32-bit words a, b, so the test
-cum <= r is exactly t <= k for the integer threshold t = ceil(cum 2^53).
-The top 8 bits of k are a >> 24.  They cut the range of k into 256
-buckets, and on each the code is fixed unless a threshold lies strictly
-inside it.  `Behavior.buckets` holds that code per setting pair and bucket
-(the guide table of Chen and Asau 1974; Devroye 1986, III.2.4), -1 for a
-bucket a threshold splits.  The batch path reads each round's code off
-it from the first word alone, and only rounds in a split bucket build r
-and compare it with the cumulative row, so every code is the one the
-scalar `Device.respond` bisects to.
+A round's outcome is inversion sampling on one uniform r = k / 2^53, the
+random() double of the round's two 32-bit words a, b with the integer
+k = (a >> 5) 2^26 + (b >> 6): its code 4 (x1-1) + (x2-1) is the count of
+the pair's cumulative probabilities (`Behavior.cums`) that are <= r.  The
+test cum <= r is exactly t <= k for the integer threshold
+t = ceil(cum 2^53).  The top 8 bits of k are a >> 24.  They cut the range
+of k into 256 buckets, and on each the code is fixed unless a threshold
+lies strictly inside it.  `Behavior.buckets` holds that code per setting
+pair and bucket (the guide table of Chen and Asau 1974; Devroye 1986,
+III.2.4), -1 for a bucket a threshold splits.  `Device.respond_chunk`
+reads each round's code off it from the first word alone, and only rounds
+in a split bucket build r and compare it with the cumulative row.  That
+is the one sampler: `Device.respond` is it on a single round.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -190,23 +189,22 @@ def bell_value_exact(b: Behavior, f: BellFunctional) -> Fraction:
 class Device:
     """Plays behavior b1 until round tau, then b2 from round tau on.
 
-    respond(k, u) -> (x1, x2) draws exactly one `rng.random()` and returns
-    the outcome pair whose code is `bisect_right` of it in the pair's
-    `Behavior.cums` row; it is the scalar reference.  k is the 0-based
-    round index, calls must be made in round order, and u must be two ints
-    in 1..9 (else ValueError).  tau never changes the draw, only the
-    behavior it is read from:
+    `respond_chunk(k, pairs)` answers rounds k, k+1, ... at once; it is the
+    one sampler, and each round draws the two words of one random() from
+    `rng`.  respond(k, u) -> (x1, x2) is `respond_chunk` on the one round
+    k, after a check that u is two ints in 1..9 (else ValueError, before
+    any draw).  k is the 0-based round index, and calls must be made in
+    round order.  tau never changes the draw, only the behavior it is
+    read from:
         iid              tau is never reached (b1 throughout)
         switch_after     tau = k
         history_trigger  tau = the round after `pattern` first completes as a
                          contiguous block of past settings
     `pattern` and the memory `_recent` (the last len(pattern) rounds) are
-    bytes of setting pairs' `ks_bell.pair_index`.
-    `respond_chunk` answers a run of rounds at once with the same draws,
-    outcomes, tau and memory as `respond` round by round, reading most
-    codes off `Behavior.buckets`.  A device holds its behaviors, not
-    tables: every device of one behavior shares that behavior's tables.
-    Build devices with `make_iid_device` or `make_adversarial_device`.
+    bytes of setting pairs' `ks_bell.pair_index`.  A device holds its
+    behaviors, not tables: every device of one behavior shares that
+    behavior's tables.  Build devices with `make_iid_device` or
+    `make_adversarial_device`.
     """
 
     def __init__(self, spec: dict, b1: Behavior, b2: Behavior, seed: int,
@@ -222,27 +220,20 @@ class Device:
     def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
         if not is_setting_pair(u):
             raise ValueError(f"setting pair needs two ints in 1..9, got {u!r}")
-        pair = pair_index(*u)
-        b = self._b1 if k < self.tau else self._b2
-        # every cum[-1] >= 1 > random(), so c is an outcome pair code 0..15
-        c = bisect_right(b.cums[pair].tolist(), self.rng.random())
-        if self.pattern and k < self.tau:
-            self._recent = (self._recent + bytes((pair,)))[-len(self.pattern):]
-            if self._recent == self.pattern:
-                self.tau = k + 1
+        c = int(self.respond_chunk(k, np.array([pair_index(*u)]))[0])
         return (c // 4 + 1, c % 4 + 1)
 
     def respond_chunk(self, k: int, pairs: np.ndarray) -> np.ndarray:
         """Outcome codes 4 (x1-1) + (x2-1) of rounds k, k+1, ... whose
         setting pairs have the `ks_bell.pair_index` values `pairs`.  Each
-        round draws the two words a, b of one `random()`, and its code is
+        round draws the two words a, b of one random(), and its code is
         read off the `Behavior.buckets` row of its pair, in the behavior
         the round plays, at bucket a >> 24 (the top 8 bits of the draw's
         53-bit integer).  Where that entry is -1 a threshold splits the
         bucket, and the code is the count of the row's `cums` entries <=
-        the round's uniform, as `respond` bisects.  Both are exact (see the
-        module docstring), so codes, draws, tau and memory are those of
-        `respond` round by round."""
+        the round's uniform.  Both are exact (see the module docstring),
+        so a run answered in chunks of any size draws the same words and
+        gives the same codes, tau and memory."""
         w = self.rng.words(2 * len(pairs))
         if self.pattern and self.tau == math.inf:
             self._watch(k, pairs)

@@ -93,6 +93,15 @@ def _load_run(path: str) -> tuple[dict, SVSource, ProtocolRun, dict]:
         _fail_usage(str(e))
 
 
+def _check_settings(path: str, source: SVSource, run: ProtocolRun) -> None:
+    """Exit 1 unless `source` draws every round's stored settings."""
+    for k, pairs in setting_pairs(source, run.n):
+        if (moved := np.flatnonzero(pairs != run.cells[k:k + len(pairs)] // 16)).size:
+            click.echo(f"{path}: round {k + moved[0] + 1} settings are"
+                       f" not the source's", err=True)
+            sys.exit(EXIT_SCIENTIFIC)
+
+
 def _strategy_option(value: str | None):
     """A --source-strategy value: the JSON spec it parses as, else the
     bare strategy name it is.  `null` stays a name, which no strategy has,
@@ -316,7 +325,8 @@ def report(config_path, q_acc, run_file, outdir):
     """Emit the derived security constants for a parameter set.
 
     A run file must have the config's n, eps, delta, mu1 and kappa (else
-    exit 2) and a stored verdict its records reproduce (else exit 1)."""
+    exit 2), a stored verdict its records reproduce, and every round's
+    settings drawn by its source, as `extract` checks (else exit 1)."""
     cfg = load_config(config_path, {})
     outdir = _outdir(outdir)
     try:
@@ -327,7 +337,7 @@ def report(config_path, q_acc, run_file, outdir):
     rep["version"] = __version__
     rep["config_hash"] = config_hash(cfg)
     if run_file:
-        _, _, run, summary = _load_run(run_file)
+        _, source, run, summary = _load_run(run_file)
         differ = [k for k in ("n", "eps", "delta", "mu1", "kappa")
                   if getattr(run.params, k) != getattr(params, k)]
         if differ:
@@ -336,6 +346,7 @@ def report(config_path, q_acc, run_file, outdir):
             click.echo(f"stored verdict {summary['verdict']}, recomputed "
                        f"{run.verdict}", err=True)
             sys.exit(EXIT_SCIENTIFIC)
+        _check_settings(run_file, source, run)
         rep["run_verdict"] = run.verdict
         if run.verdict != "Accept":
             rep.pop("min_entropy_bound")
@@ -361,11 +372,7 @@ def extract_cmd(run_file, outdir):
     if run.verdict != "Accept":
         click.echo(f"stored verdict Accept, recomputed {run.verdict}", err=True)
         sys.exit(EXIT_SCIENTIFIC)
-    for k, pairs in setting_pairs(source, run.n):
-        if (moved := np.flatnonzero(pairs != run.cells[k:k + len(pairs)] // 16)).size:
-            click.echo(f"{run_file}: round {k + moved[0] + 1} settings are"
-                       f" not the source's", err=True)
-            sys.exit(EXIT_SCIENTIFIC)
+    _check_settings(run_file, source, run)
     extract_output(run, source)
     hexed = output_hex(run.output_bits)
     rates = run.extraction

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import erfc, exp, lgamma, log, log2, sqrt
+from math import erfc, exp, isfinite, lgamma, log, log2, sqrt
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class ExtractorConfig:
 
     m: output bits; L: common block length both inputs are truncated or
     zero-padded to; rule: which transcript bits feed the x side; xi: target
-    output error used in the validity condition.
+    output error used in the validity condition, finite and > 0.
     """
 
     m: int = 32
@@ -60,6 +60,8 @@ class ExtractorConfig:
             raise ValueError("need 1 <= m <= L")
         if self.rule not in ("target_rounds", "all_rounds"):
             raise ValueError(f"unknown restriction rule {self.rule!r}")
+        if not (isfinite(self.xi) and self.xi > 0):
+            raise ValueError(f"xi must be finite and > 0, got {self.xi!r}")
 
 
 def _pack(bits, L: int) -> int:

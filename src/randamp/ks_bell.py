@@ -94,9 +94,9 @@ class KSModel:
     vectors: integer coordinate tuples, 1-indexed externally.
     bases: ordered tuples of vector indices, settings 1-indexed.
 
-    `gram` (V V^T) is the one orthogonality relation the array code reads;
-    `inner` and `orthogonal` are the scalar references the tests compare
-    it with.
+    `gram` (V V^T) is the one orthogonality relation: the model check,
+    the cell Gram table and the coloring scan read it as an array, and the
+    tests compare it with coordinate sums.
     """
 
     vectors: tuple[tuple[int, ...], ...]
@@ -113,12 +113,6 @@ class KSModel:
     def vector_at(self, setting: int, outcome: int) -> int:
         """Vector index sitting at slot `outcome` of basis `setting`."""
         return self.bases[setting - 1][outcome - 1]
-
-    def inner(self, i: int, j: int) -> int:
-        return sum(a * b for a, b in zip(self.vectors[i - 1], self.vectors[j - 1]))
-
-    def orthogonal(self, i: int, j: int) -> bool:
-        return self.inner(i, j) == 0
 
     def to_json(self) -> str:
         return json.dumps(

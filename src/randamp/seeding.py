@@ -11,8 +11,8 @@ A `Stream(seed)` is the Mersenne Twister stream of ``random.Random(seed)``,
 drawn through numpy's `MT19937`, which is the same generator (Matsumoto and
 Nishimura 1998): keyed with Random's 624 key words and position, it yields
 the same 32-bit words at under half the cost a word, and the same random()
-doubles at a third the cost.  `uniforms_of` turns drawn words into the
-uniforms that random() makes of them.
+doubles, a block at a time, at a third the cost.  `uniforms_of` turns drawn
+words into the uniforms that random() makes of them.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ def _zero_key():
 
 class Stream:
     """The draws of ``random.Random(seed)``: `words(m)` are its next m
-    getrandbits(32) values, `random()` its next random() and `uniforms(m)`
-    its next m random() values, and the generator state after them is
-    Random's (`getstate`).  numpy's MT19937 makes a double from two words
-    as random() does, ((a >> 5) 2^26 + (b >> 6)) / 2^53.
+    getrandbits(32) values and `uniforms(m)` its next m random() values,
+    and the generator state after them is Random's (`getstate`).  numpy's
+    MT19937 makes a double from two words as random() does,
+    ((a >> 5) 2^26 + (b >> 6)) / 2^53.
 
     The generator is built on first use (a draw or `getstate`), with
     `numpy.random` imported there, so a stream that never draws costs an
@@ -77,9 +77,6 @@ class Stream:
     def words(self, m: int) -> np.ndarray:
         """The next m 32-bit words, in draw order."""
         return self._gen.bit_generator.random_raw(m).astype(np.uint32)
-
-    def random(self) -> float:
-        return self._gen.random()
 
     def uniforms(self, m: int) -> np.ndarray:
         """The next m random() values, in draw order."""

@@ -187,7 +187,7 @@ def make_strategy(spec, eps) -> Strategy:
     """Strategy from a serializable spec:
     "unbiased";
     ("constant_bias", [b1, b2, ...]): bit j has P(0) = 1/2 + b[j mod len(b)],
-        for a cycle of any length;
+        for a cycle (a non-empty list or tuple) of any length;
     ("avoid_target",) or ("avoid_target", (u1, u2)): per block, the least
         mass on the setting pair (default the tomography target
         `ks_bell.TARGET_SETTINGS`);
@@ -201,9 +201,10 @@ def make_strategy(spec, eps) -> Strategy:
     if kind == "unbiased":
         return UNBIASED
     if kind == "constant_bias":
+        if not (isinstance(args[0], (list, tuple)) and args[0]):
+            raise ValueError("bias cycle must be a non-empty list of numbers,"
+                             f" got {args[0]!r}")
         biases = [_as_fraction(b) for b in args[0]]
-        if not biases:
-            raise ValueError("bias sequence must be non-empty")
         cycle = len(biases)
 
         def p0_of(r, node):     # bit 8r + depth of the stream

@@ -1,4 +1,5 @@
-"""The scalar reference for `SVSource`'s stream, one generator draw at a time.
+"""The scalar references for `SVSource`'s stream and `Device`'s outcomes,
+one generator draw at a time.
 
 An unbiased source draws 32-bit getrandbits words and emits each one's bits
 MSB-first.  Every other source draws one uniform per bit: at node `node` of
@@ -7,8 +8,15 @@ the uniform is below `strategy.floats[r % rows][node]`.  Bits are drawn a
 whole word or block at a time, as the engine refills its buffer, so a
 reference and an engine source built alike emit the same bits and leave
 their generators in the same state.
+
+A device's round draws one random() r and bisects it in the cumulative
+outcome probabilities of its setting pair, summed left to right from
+`Behavior.table` in the behavior the round plays (b1 before tau, b2 from
+tau on), with the last entry raised to 1.
 """
 
+from bisect import bisect_right
+from itertools import accumulate
 from random import Random
 
 from randamp.sv_source import BITS_PER_ROUND, SVSource
@@ -54,6 +62,41 @@ class ReferenceSource:
 
     def spec(self):
         return self._spec
+
+
+class ReferenceDevice:
+    """The outcomes of a `Device`, one round at a time: the same behaviors,
+    seed, tau and trigger pattern, drawn from its own `Random(seed)`."""
+
+    def __init__(self, engine):
+        self.rows1, self.rows2 = (_cumulative_rows(b.table)
+                                  for b in (engine._b1, engine._b2))
+        self.tau, self.pattern = engine.tau, engine.pattern
+        self._spec = engine.spec()
+        self.rng = Random(engine.seed)
+        self._recent = b""      # the last len(pattern) setting pairs
+
+    def respond(self, k, u):
+        pair = (u[0] - 1) * 9 + (u[1] - 1)
+        rows = self.rows1 if k < self.tau else self.rows2
+        code = bisect_right(rows[pair], self.rng.random())
+        if self.pattern and k < self.tau:
+            self._recent = (self._recent + bytes((pair,)))[-len(self.pattern):]
+            if self._recent == self.pattern:
+                self.tau = k + 1
+        return (code // 4 + 1, code % 4 + 1)
+
+    def spec(self):
+        return self._spec
+
+
+def _cumulative_rows(table):
+    """Per setting pair 0..80, the running sums of its 16 outcome
+    probabilities in row-major (x1, x2) order, the last at least 1."""
+    rows = [list(accumulate(row)) for row in table.reshape(81, 16).tolist()]
+    for row in rows:
+        row[-1] = max(row[-1], 1.0)
+    return rows
 
 
 def stream_state(source):

@@ -154,19 +154,16 @@ def test_respond_checks_its_setting_pair(ideal):
 
 class _ForcedDraws:
     """A `seeding.Stream` stand-in whose draws are the given integers k, one
-    a round: random() is k / 2^53, and words(m) returns the words a, b that
-    random() joins into k, in draw order."""
+    a round: words(m) pops the next m of the words a, b that random() joins
+    into k, in draw order."""
 
     def __init__(self, ks):
-        self.ks = list(ks)
         self.w = [v for k in ks for v in ((k >> 26) << 5, (k % 2 ** 26) << 6)]
 
-    def random(self):
-        return self.ks.pop(0) / 2.0 ** 53
-
     def words(self, m):
-        assert m == len(self.w)
-        return np.array(self.w, np.uint32)
+        assert m <= len(self.w)
+        drawn, self.w = self.w[:m], self.w[m:]
+        return np.array(drawn, np.uint32)
 
 
 def test_respond_chunk_counts_a_cumulative_entry_equal_to_r():

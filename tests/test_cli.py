@@ -67,7 +67,10 @@ def test_certify_rejects_negative_grid(runner, tmp_path):
     ("0, 1e400 ", "bad grid: 1e400 is too large"),
     # caps whose certificate file names would pass 255 bytes
     ("1e-400", "bad grid: 1e-400 needs a file name over 255 bytes"),
-    ("0,1e250", "bad grid: 1e250 needs a file name over 255 bytes")])
+    ("0,1e250", "bad grid: 1e250 needs a file name over 255 bytes"),
+    # caps that are not numbers
+    ("abc", "bad grid: Invalid literal for Fraction: 'abc'"),
+    ("1/0", "bad grid: Fraction(1, 0)")])
 def test_certify_rejects_an_empty_or_overflowing_grid(runner, tmp_path, grid,
                                                       message):
     res = runner.invoke(main, ["certify", "--delta-grid", grid,
@@ -203,6 +206,22 @@ def test_simulate_digests(runner, tmp_path, cfg, csv_digest, transcript_digest):
         assert hashlib.sha256(body.encode()).hexdigest() == digest, name
 
 
+def test_seed_and_trials_flags_are_the_config_keys(runner, tmp_path):
+    """--trials and --seed override the top-level `trials` and
+    `master_seed`: the same bytes as a config that sets them."""
+    res = runner.invoke(main, ["simulate", "--config",
+                               write_config(tmp_path, SMALL_SIM), "--trials",
+                               "2", "--seed", "7", "--out", str(tmp_path / "flag")])
+    assert res.exit_code == 0, res.output
+    cfg = write_config(tmp_path, dict(SMALL_SIM, trials=2, master_seed=7))
+    res = runner.invoke(main, ["simulate", "--config", cfg,
+                               "--out", str(tmp_path / "file")])
+    assert res.exit_code == 0, res.output
+    for name in ("campaign.csv", "trial0.jsonl"):
+        assert (tmp_path / "flag" / name).read_bytes() == \
+            (tmp_path / "file" / name).read_bytes()
+
+
 def test_source_strategy_flag_takes_a_name_or_a_json_spec(runner, tmp_path):
     """A JSON spec on the flag runs as the same spec in a config file, a
     bare name still works, and a malformed spec exits 2."""
@@ -263,14 +282,17 @@ def test_simulate_rejects_invalid_params(runner, tmp_path):
                              ["avoid_target", [0, 12]],
                              ["toward_pattern", True],
                              ["constant_bias", [0.05, False]])]
-    # a kind with other arguments than it takes, no kind, and null, at an
-    # eps that every argument here is within
+    # a kind with other arguments than it takes, no kind, null, and a bias
+    # cycle that is not a non-empty list (the string "0" ran as a cycle of
+    # one zero bias), at an eps that every argument here is within
     wide = dict(SMALL_SIM["protocol"], eps=0.3)
     bad += [dict(SMALL_SIM, protocol=wide, source={"strategy": strategy})
             for strategy in (["unbiased", 0.3], ["toward_pattern", 5, 6],
                              ["avoid_target", [1, 2], "junk"],
                              ["constant_bias", [0.01], 7], ["toward_pattern"],
-                             ["constant_bias"], [], None)]
+                             ["constant_bias"], [], None,
+                             ["constant_bias", "0"], ["constant_bias", []],
+                             ["constant_bias", 0.01])]
     for cfg in bad:
         res = runner.invoke(main, ["simulate", "--config", write_config(tmp_path, cfg),
                                    "--out", str(tmp_path / "out")])
@@ -573,6 +595,12 @@ def test_extract_checks_the_settings_stream(runner, tmp_path):
     res = runner.invoke(main, ["extract", str(path), "--out", str(out)])
     assert res.exit_code == 1, res.output
     assert "round 1 settings" in res.output
+    # report grants no entropy claims to those settings either
+    res = runner.invoke(main, ["report", "--config", cfg, "--run-file",
+                               str(path), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "round 1 settings are not the source's" in res.output
+    assert not (out / "security_report.json").exists()
 
 
 def test_extract_rejects_malformed_header(runner, tmp_path):

@@ -40,6 +40,11 @@ def test_config_validation():
         ExtractorConfig(m=5, L=4)
     with pytest.raises(ValueError):
         ExtractorConfig(m=1, L=4, rule="bogus")
+    # a run went to its end and then raised in the extraction report (0,
+    # -1), or wrote NaN into the transcript summary (nan)
+    for xi in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^xi must be finite and > 0"):
+            ExtractorConfig(xi=xi)
 
 
 def test_bilinearity_fuzz():

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randamp.boxes import (bell_value, depolarize, ideal_quantum_box,
-                           make_iid_device, uniform_box)
+                           make_adversarial_device, make_iid_device,
+                           uniform_box)
 from randamp.cli import build_device_factory
 from randamp.ks_bell import (N_CELLS, build_bell_functional, build_ks_model,
                              var_index)
@@ -25,8 +27,8 @@ from randamp.protocol import (_RECORD_TAIL, _VERDICTS, CHUNK, FORMAT_VERSION,
                               replay_transcript, run_protocol, security_report,
                               select_params, wilson_interval, write_transcript)
 from randamp.seeding import derive_seed
-from randamp.sv_source import DEFAULT_MAP, SVSource
-from sv_reference import ReferenceSource, stream_state
+from randamp.sv_source import DEFAULT_MAP, SVSource, make_strategy
+from sv_reference import ReferenceDevice, ReferenceSource, stream_state
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +247,7 @@ def test_histogram_is_the_run(spec):
 def _round_loop(device, source, params, keep_transcript=True):
     """The reference engine: one round at a time through the stream
     definitions `next_block(8)` (of a `ReferenceSource`), `map_block` and
-    `respond(k, u)`."""
+    `respond(k, u)` (of a `ReferenceDevice`)."""
     hist = [0] * N_CELLS
     cells = []
     for k in range(params.n):
@@ -257,6 +259,26 @@ def _round_loop(device, source, params, keep_transcript=True):
     if run.verdict == "Accept" and keep_transcript:
         extract_output(run, source)
     return run
+
+
+@pytest.mark.parametrize("spec", DEVICE_SPECS, ids=lambda s: s["kind"] if
+                         s.get("eta", 0.5) == 0.5 else f"{s['kind']}-{s['eta']}")
+def test_respond_is_the_reference_device_round_by_round(spec):
+    """`Device.respond`, one round a call, against `ReferenceDevice.respond`
+    on random setting pairs: the same outcomes, tau and trigger memory
+    after every round, and the same generator state at the end.  The pairs
+    repeat (1, 2) often enough to complete the trigger pattern."""
+    dev = build_device_factory(spec)(5)
+    ref = ReferenceDevice(dev)
+    rng = Random(17)
+    for k in range(600):
+        u = (1, 2) if rng.random() < 0.2 else \
+            (rng.randrange(9) + 1, rng.randrange(9) + 1)
+        assert dev.respond(k, u) == ref.respond(k, u), (spec, k)
+        assert (dev.tau, dev._recent) == (ref.tau, ref._recent), (spec, k)
+    assert dev.rng.getstate() == ref.rng.getstate()
+    if spec["kind"] in ("switch_after", "history_trigger"):
+        assert dev.tau < 600
 
 
 def _state(device, source):
@@ -305,7 +327,8 @@ def test_batch_engine_matches_the_round_loop():
             key, build_device_factory(spec))
         seed = 0 if spec["kind"] == "history_trigger" else n
         dev, src = device_factory(n), SVSource(eps, strategy, seed)
-        ref_dev, ref_src = device_factory(n), ReferenceSource(eps, strategy, seed)
+        ref_dev = ReferenceDevice(device_factory(n))
+        ref_src = ReferenceSource(eps, strategy, seed)
         run = run_protocol(dev, src, params, keep)
         ref = _round_loop(ref_dev, ref_src, params, keep)
         assert (run.hist, run.verdict, run.output_bits, run.extraction) == \
@@ -746,3 +769,41 @@ def test_mu4_positive_whenever_params_admissible():
                                             mu1=mu1, kappa=kappa)
                     params.validate()
                     assert security_report(params).mu4 > 0
+
+
+def _run_without_cells():
+    params = ProtocolParams(n=10, mu1=1e-9, kappa=4e-10, enforce_bounds=False)
+    return run_protocol(make_iid_device(uniform_box(), 1),
+                        SVSource(0, "unbiased", 1), params, keep_transcript=False)
+
+
+_GUARDS = {
+    "n": (lambda tmp: ProtocolParams(n=0).validate(), "need at least one round"),
+    "delta": (lambda tmp: ProtocolParams(n=10, delta=0).validate(),
+              "thresholds must be positive"),
+    "trials": (lambda tmp: monte_carlo(
+        lambda s: make_iid_device(uniform_box(), s),
+        lambda s: SVSource(0, "unbiased", s), ProtocolParams(n=10), trials=0),
+        "need at least one trial"),
+    "no_cells": (lambda tmp: write_transcript(_run_without_cells(),
+                                              tmp / "run.jsonl"),
+                 "run has no kept transcript"),
+    "eps": (lambda tmp: SVSource(0.5), "source parameter must be in"),
+    "next_bits": (lambda tmp: SVSource(0).next_bits(0), "k must be >= 1"),
+    "bias_cycle": (lambda tmp: make_strategy(("constant_bias", "0"), 0),
+                   "bias cycle must be a non-empty list"),
+    "device_kind": (lambda tmp: make_adversarial_device({"kind": "bogus"}),
+                    "unknown adversarial device kind: 'bogus'"),
+    "sense": (lambda tmp: solve_lp(build_lp(default_functional(), 0), "bogus"),
+              "sense must be 'max' or 'min'"),
+}
+
+
+@pytest.mark.parametrize("name", _GUARDS)
+def test_library_guards_raise_their_messages(name, tmp_path):
+    """Each guard raises ValueError with its message, and a file guard
+    writes no file."""
+    call, message = _GUARDS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call(tmp_path)
+    assert not (tmp_path / "run.jsonl").exists()
