@@ -4,8 +4,8 @@ amplification from weak bit sources with a two-component no-signaling device.
 Subpackage map:
     ks_bell     the 18-vector model, the 504-term Bell functional, the
                 exhaustive classical bound and the coloring count
-    boxes       behaviors (tables), the ideal box, noise, validation,
-                and the device (b1 until round tau, then b2)
+    boxes       behaviors (tables), the ideal box, noise, and the device
+                (b1 until round tau, then b2)
     ns_certify  the randomness LP, exact rational dual certificates
     sv_source   bounded-bias bit sources, the bits-to-settings map, and the
                 exact adversarial concentration oracle
@@ -21,7 +21,6 @@ from .ks_bell import (build_ks_model, build_bell_functional,
                       classical_minimum, ks_coloring_count,
                       KSModel, BellFunctional)
 from .boxes import (Behavior, ideal_quantum_box, uniform_box, depolarize,
-                    validate_behavior, bell_value,
                     make_iid_device, make_adversarial_device)
 from .ns_certify import (build_lp, solve_lp, verify_certificate,
                          DualCertificate, LPProblem)

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ks_bell import (N_OUTCOMES, N_SETTINGS, BellFunctional, KSModel,
+from .ks_bell import (N_OUTCOMES, N_SETTINGS, KSModel,
                       gram_table, is_setting_pair, pair_index)
 from .seeding import Stream, uniforms_of
 
@@ -97,13 +97,6 @@ class Behavior:
         return codes
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    max_normalization_residual: float
-    max_signaling_residual: float
-
-
 def ideal_quantum_box(model: KSModel) -> Behavior:
     """The maximally violating box, built in exact rational arithmetic.
 
@@ -128,14 +121,6 @@ def uniform_box() -> Behavior:
                     meta={"kind": "uniform"})
 
 
-def deterministic_behavior(alice: tuple[int, ...], bob: tuple[int, ...]) -> Behavior:
-    """Local deterministic box: outcome (alice[u1-1], bob[u2-1]) w.p. 1."""
-    table = np.zeros((N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES))
-    u, x1, x2 = np.arange(N_SETTINGS), np.subtract(alice, 1), np.subtract(bob, 1)
-    table[u[:, None], u, x1[:, None], x2] = 1.0
-    return Behavior(table=table, meta={"kind": "deterministic"})
-
-
 def depolarize(b: Behavior, eta: float) -> Behavior:
     """Mix with white noise: (1-eta) * b + eta * uniform(1/16).  The mix is
     a float table only: a float eta has no exact table to match."""
@@ -144,46 +129,6 @@ def depolarize(b: Behavior, eta: float) -> Behavior:
     return Behavior(table=(1.0 - eta) * b.table + eta / 16.0,
                     meta={"kind": "depolarized", "eta": eta,
                           "base": (b.meta or {}).get("kind")})
-
-
-def validate_behavior(b: Behavior, tol: float = 1e-12) -> ValidationReport:
-    """Report normalization and signaling residuals; ok iff both <= tol."""
-    sums = b.table.sum(axis=(2, 3))
-    norm_res = float(np.abs(sums - 1.0).max())
-    # Alice marginal over x2 should not vary with u2; Bob symmetric.
-    alice = b.table.sum(axis=3)            # (u1, u2, x1)
-    bob = b.table.sum(axis=2)              # (u1, u2, x2)
-    sig_a = float((alice.max(axis=1) - alice.min(axis=1)).max())
-    sig_b = float((bob.max(axis=0) - bob.min(axis=0)).max())
-    sig_res = max(sig_a, sig_b)
-    return ValidationReport(ok=(norm_res <= tol and sig_res <= tol),
-                            max_normalization_residual=norm_res,
-                            max_signaling_residual=sig_res)
-
-
-def bell_value(b: Behavior, f: BellFunctional, measure=None) -> float:
-    """sum_u nu(u) sum_x B(x,u) P(x|u).
-
-    measure: the setting weights nu, None for equal weights or a normalized
-    (9,9) array.
-    """
-    if measure is None:
-        nu = np.full((N_SETTINGS, N_SETTINGS), 1.0 / 81.0)
-    else:
-        nu = np.asarray(measure, dtype=float)
-        if nu.shape != (N_SETTINGS, N_SETTINGS):
-            raise ValueError("measure must have shape (9, 9)")
-        if abs(nu.sum() - 1.0) > 1e-9:
-            raise ValueError("measure is not normalized")
-    ind = f.indicator_array().astype(float)     # (u1,u2,x1,x2)
-    return float(((ind * b.table).sum(axis=(2, 3)) * nu).sum())
-
-
-def bell_value_exact(b: Behavior, f: BellFunctional) -> Fraction:
-    """Raw indicator sum in exact arithmetic (requires an exact table)."""
-    if b.exact is None:
-        raise ValueError("behavior has no exact table")
-    return sum((b.exact.flat[c] for c in f.bell_cells), Fraction(0))
 
 
 class Device:

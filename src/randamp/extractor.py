@@ -31,6 +31,7 @@ history-chained devices by exhaustive tree evaluation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -46,8 +47,9 @@ class ExtractorConfig:
     """Inner-product extractor configuration.
 
     m: output bits; L: common block length both inputs are truncated or
-    zero-padded to; rule: which transcript bits feed the x side; xi: target
-    output error used in the validity condition, finite and > 0.
+    zero-padded to, at most sys.maxsize (the longest slice of a bit list);
+    rule: which transcript bits feed the x side; xi: target output error
+    used in the validity condition, finite and > 0.
     """
 
     m: int = 32
@@ -58,6 +60,8 @@ class ExtractorConfig:
     def __post_init__(self):
         if self.m < 1 or self.L < 1 or self.m > self.L:
             raise ValueError("need 1 <= m <= L")
+        if self.L > sys.maxsize:
+            raise ValueError(f"L must be at most {sys.maxsize}, got {self.L}")
         if self.rule not in ("target_rounds", "all_rounds"):
             raise ValueError(f"unknown restriction rule {self.rule!r}")
         if not (isfinite(self.xi) and self.xi > 0):

@@ -22,8 +22,8 @@ printed basis order, outcomes 1..4 in printed slot order.  A cell is one
 `cell_entry` inverts it.  Every cell set (the functional's Bell and target
 cells, LP columns, a certificate's target, run histograms) holds these
 numbers.  Orthogonality has one array form, the 18 x 18 integer matrix
-`KSModel.gram` = V V^T: `check_model` and the coloring scan read it, and
-`gram_table` gathers it at every cell for the functional and the ideal box.
+`KSModel.gram` = V V^T: the coloring scan reads it, and `gram_table`
+gathers it at every cell for the functional and the ideal box.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ class KSModel:
     vectors: integer coordinate tuples, 1-indexed externally.
     bases: ordered tuples of vector indices, settings 1-indexed.
 
-    `gram` (V V^T) is the one orthogonality relation: the model check,
-    the cell Gram table and the coloring scan read it as an array, and the
-    tests compare it with coordinate sums.
+    `gram` (V V^T) is the one orthogonality relation: the cell Gram table
+    and the coloring scan read it as an array, and the tests check the
+    model's invariants on it and compare it with coordinate sums.
     """
 
     vectors: tuple[tuple[int, ...], ...]
@@ -109,10 +109,6 @@ class KSModel:
         g = v @ v.T
         g.flags.writeable = False
         return g
-
-    def vector_at(self, setting: int, outcome: int) -> int:
-        """Vector index sitting at slot `outcome` of basis `setting`."""
-        return self.bases[setting - 1][outcome - 1]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -161,24 +157,6 @@ def build_ks_model(vectors: Iterable[tuple[int, ...]] = KS_VECTORS,
                    bases=tuple(tuple(b) for b in bases))
 
 
-def check_model(model: KSModel) -> None:
-    """Assert the structural invariants of the fixed 18-vector set.
-
-    A failure means the baked-in constants are corrupted; this is a defect,
-    not a recoverable runtime condition.
-    """
-    assert len(model.vectors) == 18 and len(model.bases) == 9
-    assert all(len(b) == 4 for b in model.bases)
-    ids = np.array(model.bases) - 1
-    assert (np.bincount(ids.ravel(), minlength=18) == 2).all(), \
-        "every vector must appear in exactly 2 bases"
-    within = model.gram[ids[:, :, None], ids[:, None, :]]      # (9, 4, 4)
-    assert (within[:, ~np.eye(4, dtype=bool)] == 0).all(), "a basis is not orthogonal"
-    orth = (model.gram == 0) & ~np.eye(18, dtype=bool)
-    assert orth.sum() == 2 * 63
-    assert (orth.sum(axis=1) == 7).all(), "orthogonality graph must be 7-regular"
-
-
 def gram_table(model: KSModel) -> np.ndarray:
     """<v_a|v_b> at every cell, shape (9,9,4,4) indexed [u1-1,u2-1,x1-1,x2-1]
     (so flat entry c is cell c), where v_a is the vector at slot x1 of basis
@@ -201,17 +179,6 @@ def build_bell_functional(model: KSModel) -> BellFunctional:
     return BellFunctional(bell_cells=tuple(cells.tolist()),
                           target_cell=var_index(*TARGET_SETTINGS,
                                                 *TARGET_OUTCOMES))
-
-
-def evaluate_deterministic(f: BellFunctional,
-                           alice: tuple[int, ...],
-                           bob: tuple[int, ...]) -> int:
-    """Value of the functional on a deterministic strategy pair.
-
-    alice[u-1] / bob[u-1] give each party's outcome (1-indexed) for setting u.
-    """
-    u, a, b = np.arange(N_SETTINGS), np.array(alice) - 1, np.array(bob) - 1
-    return int(f.indicator_array()[u[:, None], u, a[:, None], b].sum())
 
 
 # Alice's settings 1..4 are the high digits of her assignment, 5..9 the low.

@@ -93,10 +93,16 @@ class ProtocolParams:
     enforce_bounds: bool = True
 
     def validate(self) -> None:
+        """The ranges `parse_params` enforces, then, with enforce_bounds,
+        delta below `select_params`' bound."""
         if self.n < 1:
             raise ValueError("need at least one round")
-        if self.delta <= 0 or self.mu1 <= 0:
-            raise ValueError("thresholds must be positive")
+        if not (0 < self.delta <= 1 and 0 < self.mu1 <= 1):
+            raise ValueError("thresholds must be positive and at most 1")
+        if not 0 <= self.eps < 0.5:
+            raise ValueError(f"eps must be in [0, 1/2), got {self.eps!r}")
+        if not 0 <= self.kappa < 1:
+            raise ValueError(f"kappa must be in [0, 1), got {self.kappa!r}")
         if self.enforce_bounds:
             dmax = select_params(self.eps, self.mu1, self.kappa)
             if not self.delta < dmax:
@@ -323,7 +329,7 @@ def extract_output(run: ProtocolRun, source: SVSource) -> None:
     # certified worst-case rate spreads the accepted-run min-entropy
     # floor over the selected bits; at desk scale it is vanishing and
     # the report says so rather than hiding it.
-    rate_t = -math.log2(0.5 + params.eps) if params.eps < 0.5 else 0.0
+    rate_t = -math.log2(0.5 + params.eps)
     certified = security_report(params).min_entropy_bound / len(x_bits)
     run.extraction = extractor_mod.extraction_report(
         len(x_bits), run.n, cfg,

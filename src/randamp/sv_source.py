@@ -5,10 +5,10 @@ A source with reliability parameter eps emits bits whose conditional
 probability of 0, given the entire history, always lies in
 [1/2 - eps, 1/2 + eps].  Every strategy, honest or adversarial, is one
 `Strategy` table over the 8-bit block tree (exact P(0) per block row and
-node, plus the floats the sampler compares against).  The exact law
-(`conditional_p0`, checked against the band by exhaustive enumeration) reads
-that table, and `walk` is the one sampler of it: the biased bit stream and
-the tail check in `bounds` both draw whole blocks through it.
+node, plus the floats the sampler compares against).  Its exact rows are
+the source's law, which the tests check against the band, and `walk` is
+the one sampler of it: the biased bit stream and the tail check in
+`bounds` both draw whole blocks through it.
 
 Settings are chosen with 4 bits per party, MSB first (b1 b2 b3 b4 gives
 v = 8 b1 + 4 b2 + 2 b3 + b4) and the surjection setting = (v mod 9) + 1.
@@ -108,14 +108,6 @@ class Strategy:
     name: str
     rows: tuple[tuple[Fraction, ...], ...]
     floats: tuple[tuple[float, ...], ...]
-
-    def p0(self, history) -> Fraction:
-        """Exact conditional probability of 0 after `history`."""
-        depth = len(history) % BITS_PER_ROUND
-        node = 1
-        for b in history[len(history) - depth:]:
-            node = 2 * node + b
-        return self.rows[len(history) // BITS_PER_ROUND % len(self.rows)][node]
 
 
 def _leaf_values(leaf_fn: Callable[[int], Fraction]) -> list:
@@ -318,10 +310,6 @@ class SVSource:
         next_block(8) calls."""
         return np.frombuffer(self._take(BITS_PER_ROUND * m).to_bytes(m, "big"),
                              np.uint8)
-
-    def conditional_p0(self, history) -> Fraction:
-        """Exact conditional law of the next bit after `history`."""
-        return self.strategy.p0(list(history))
 
     def spec(self) -> dict:
         """Serializable (epsilon, strategy, seed); passing these three back

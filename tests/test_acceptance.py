@@ -25,22 +25,22 @@ from scipy.stats import binom
 
 from randamp.bounds import (azuma_empirical, chernoff_empirical,
                             linear_fraction, settings_tail_empirical)
-from randamp.boxes import (bell_value_exact, ideal_quantum_box,
-                           make_iid_device, uniform_box, validate_behavior)
+from randamp.boxes import ideal_quantum_box, make_iid_device, uniform_box
 from randamp.extractor import (ExtractorConfig, extract,
                                max_sequence_probability_chained,
                                max_sequence_probability_product,
                                sequence_probability_bound)
 from randamp.ks_bell import (build_bell_functional, build_ks_model,
-                             classical_minimum, evaluate_deterministic,
-                             ks_coloring_count)
-from randamp.ns_certify import build_lp, solve_lp, verify_certificate, \
-    zero_target_box
+                             classical_minimum, ks_coloring_count)
+from randamp.ns_certify import (_verify_primal, build_lp, solve_lp,
+                                verify_certificate, zero_target_box)
 from randamp.protocol import (ProtocolParams, monte_carlo, run_protocol,
                               security_report, write_transcript,
                               read_transcript, replay_transcript)
 from randamp.seeding import derive_seed
 from randamp.sv_source import SVSource, sv_chernoff_oracle
+from checks import bell_sum, deterministic_behavior
+from test_extractor import _word_bits
 
 MODEL = build_ks_model()
 FUNCTIONAL = build_bell_functional(MODEL)
@@ -64,7 +64,7 @@ def test_criterion_02_classical_bound():
     value, (alice, bob) = classical_minimum(FUNCTIONAL)
     elapsed = time.perf_counter() - t0
     assert value == 4
-    assert evaluate_deterministic(FUNCTIONAL, alice, bob) == 4
+    assert bell_sum(deterministic_behavior(alice, bob).table, FUNCTIONAL) == 4
     assert elapsed < 60.0
     report(2, f"exhaustive deterministic minimum = {value} (= 4), "
               f"witness re-evaluates to 4, {elapsed:.2f}s < 60s")
@@ -83,12 +83,12 @@ def test_criterion_03_coloring_count():
 def test_criterion_04_quantum_box_exact():
     t0 = time.perf_counter()
     box = ideal_quantum_box(MODEL)
-    bell = bell_value_exact(box, FUNCTIONAL)
+    bell = bell_sum(box.exact, FUNCTIONAL)
     target = box.exact.flat[FUNCTIONAL.target_cell]
     elapsed = time.perf_counter() - t0
     assert bell == 0
     assert target == Fraction(1, 16)
-    assert validate_behavior(box, 1e-12).ok
+    assert _verify_primal(build_lp(FUNCTIONAL, 0), list(box.exact.ravel()))
     assert elapsed < 1.0
     report(4, f"indicator mass = {bell} exactly, target entry = {target} "
               f"(= 1/16) exactly, {elapsed:.2f}s < 1s")
@@ -188,12 +188,6 @@ def test_criterion_08_protocol_campaigns():
               f"{noise.accept_count}/200 (= 0); attack tomography-aborts "
               f"{attack.verdict_counts.get('AbortTomography', 0)}/200 >= 199; "
               f"{elapsed:.0f}s < 600s")
-
-
-def _word_bits(words):
-    """64-bit words as bit lists: bit i of a list is bit i of its word."""
-    return np.unpackbits(words.astype("<u8").view(np.uint8).reshape(-1, 8),
-                         axis=1, bitorder="little").tolist()
 
 
 def test_criterion_09_extractor():

@@ -7,32 +7,17 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from randamp.boxes import (Behavior, bell_value, bell_value_exact,
-                           depolarize, deterministic_behavior,
-                           ideal_quantum_box, make_adversarial_device,
-                           make_iid_device, uniform_box,
-                           validate_behavior)
-from randamp.ks_bell import build_bell_functional, build_ks_model, var_index
-
-
-@pytest.fixture(scope="module")
-def model():
-    return build_ks_model()
-
-
-@pytest.fixture(scope="module")
-def functional(model):
-    return build_bell_functional(model)
-
-
-@pytest.fixture(scope="module")
-def ideal(model):
-    return ideal_quantum_box(model)
+from randamp.boxes import (Behavior, depolarize, ideal_quantum_box,
+                           make_adversarial_device, make_iid_device,
+                           uniform_box)
+from randamp.ks_bell import build_ks_model, classical_minimum, var_index
+from randamp.ns_certify import _verify_primal, build_lp
+from checks import bell_sum, deterministic_behavior, residuals
 
 
 def test_ideal_box_reference_values(ideal, functional):
-    assert bell_value_exact(ideal, functional) == 0
-    assert 81 * bell_value(ideal, functional) == 0.0
+    assert bell_sum(ideal.exact, functional) == 0
+    assert bell_sum(ideal.table, functional) == 0.0
     assert ideal.exact.flat[var_index(1, 2, 1, 3)] == Fraction(1, 16)
     assert ideal.table.flat[var_index(1, 2, 1, 3)] == 1 / 16
     # shared vector v4 at (x1,x2) = (4,1) for settings (1,2)
@@ -44,7 +29,7 @@ def test_ideal_box_exact_table_frozen(ideal, functional):
     text = "\n".join(str(fr) for fr in ideal.exact.ravel())
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "d06a72e4ff638a4db1f1d309492dd47f83c6e962c84b9cf1dbf0a52a43dd200a"
-    assert bell_value_exact(uniform_box(), functional) == Fraction(504, 16)
+    assert bell_sum(uniform_box().exact, functional) == Fraction(504, 16)
 
 
 def test_ideal_box_exact_rational_structure(ideal):
@@ -57,11 +42,11 @@ def test_ideal_box_exact_rational_structure(ideal):
             assert sum(ideal.exact[u1, u2].reshape(-1)) == 1
 
 
-def test_ideal_box_validates_exactly(ideal):
-    rep = validate_behavior(ideal, tol=1e-12)
-    assert rep.ok
-    assert rep.max_normalization_residual == 0.0
-    assert rep.max_signaling_residual == 0.0
+def test_ideal_box_validates_exactly(ideal, functional):
+    """Nonnegative, normalized and no-signaling in exact arithmetic, with
+    no mass on a Bell cell; and the float table has residuals 0."""
+    assert _verify_primal(build_lp(functional, 0), list(ideal.exact.ravel()))
+    assert residuals(ideal.table) == (0.0, 0.0)
 
 
 def test_validate_catches_signaling():
@@ -69,18 +54,15 @@ def test_validate_catches_signaling():
     # shift Alice's marginal for u2 = 2 only
     table[0, 1, 0, :] += 0.1 / 4
     table[0, 1, 1, :] -= 0.1 / 4
-    rep = validate_behavior(Behavior(table=table), tol=1e-12)
-    assert not rep.ok
-    assert rep.max_signaling_residual == pytest.approx(0.1, abs=1e-12)
-    assert rep.max_normalization_residual <= 1e-12
+    normalization, signaling = residuals(table)
+    assert signaling == pytest.approx(0.1, abs=1e-12)
+    assert normalization <= 1e-12
 
 
 def test_validate_catches_normalization():
     table = np.full((9, 9, 4, 4), 1 / 16)
     table[3, 3] *= 0.9
-    rep = validate_behavior(Behavior(table=table), tol=1e-12)
-    assert not rep.ok
-    assert rep.max_normalization_residual == pytest.approx(0.1, abs=1e-12)
+    assert residuals(table)[0] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_depolarize_endpoints(ideal, functional):
@@ -93,32 +75,23 @@ def test_depolarize_endpoints(ideal, functional):
 
 def test_depolarize_bell_linearity(ideal, functional):
     for eta in (0.1, 0.5, 0.9):
-        got = 81 * bell_value(depolarize(ideal, eta), functional)
+        got = bell_sum(depolarize(ideal, eta).table, functional)
         assert got == pytest.approx(31.5 * eta, rel=1e-12)
-    assert validate_behavior(depolarize(ideal, 0.3)).ok
+    assert max(residuals(depolarize(ideal, 0.3).table)) <= 1e-12
 
 
 def test_bell_value_uniform_box(functional):
-    assert bell_value(uniform_box(), functional) == pytest.approx(504 / (16 * 81))
-    assert 81 * bell_value(uniform_box(), functional) == pytest.approx(31.5)
-
-
-def _point_measure(weight):
-    """Setting weights with `weight` on (1, 1) and 0 elsewhere."""
-    measure = np.zeros((9, 9))
-    measure[0, 0] = weight
-    return measure
+    uniform = np.full((9, 9), 1 / 81)
+    assert bell_sum(uniform_box().table, functional, uniform) == \
+        pytest.approx(504 / (16 * 81))
+    assert bell_sum(uniform_box().table, functional) == 31.5
 
 
 def test_bell_value_concentrated_measure(functional):
-    measure = _point_measure(1.0)
-    got = bell_value(uniform_box(), functional, measure)
+    measure = np.zeros((9, 9))
+    measure[0, 0] = 1.0
+    got = bell_sum(uniform_box().table, functional, measure)
     assert got == pytest.approx(12 / 16)
-
-
-def test_bell_value_requires_normalized_measure(functional):
-    with pytest.raises(ValueError):
-        bell_value(uniform_box(), functional, _point_measure(0.5))
 
 
 def test_bell_value_linear_in_behavior(ideal, functional):
@@ -126,9 +99,10 @@ def test_bell_value_linear_in_behavior(ideal, functional):
     uni = uniform_box()
     for _ in range(20):
         a = rng.random()
-        mix = Behavior(table=a * ideal.table + (1 - a) * uni.table)
-        want = a * bell_value(ideal, functional) + (1 - a) * bell_value(uni, functional)
-        assert bell_value(mix, functional) == pytest.approx(want, rel=1e-12)
+        mix = a * ideal.table + (1 - a) * uni.table
+        want = a * bell_sum(ideal.table, functional) + \
+            (1 - a) * bell_sum(uni.table, functional)
+        assert bell_sum(mix, functional) == pytest.approx(want, rel=1e-12)
 
 
 def test_iid_device_deterministic_box():
@@ -182,11 +156,12 @@ def _thresholds(b):
     return np.ceil(b.cums * 2.0 ** 53).astype(np.int64)
 
 
-def test_bucket_table_is_the_count_at_both_ends_of_every_bucket(ideal):
+def test_bucket_table_is_the_count_at_both_ends_of_every_bucket(ideal,
+                                                                functional):
     """Entry [pair, h] is the count of cumulative entries <= k / 2^53 at
     both ends k of bucket h, or -1 where the two counts differ."""
     from randamp.ns_certify import zero_target_box
-    lp_attack_zero, _ = zero_target_box(build_bell_functional(build_ks_model()))
+    lp_attack_zero, _ = zero_target_box(functional)
     boxes = [ideal, uniform_box(), lp_attack_zero, depolarize(ideal, 0.03),
              deterministic_behavior((1, 2, 3, 4, 1, 2, 3, 4, 1),
                                     (4, 4, 3, 3, 2, 2, 1, 1, 4))]
@@ -251,12 +226,8 @@ def test_devices_of_one_factory_share_their_tables(spec):
 
 def test_iid_device_chi2_uniform():
     dev = make_iid_device(uniform_box(), seed=123)
-    counts = [0] * 16
-    n = 100_000
-    for k in range(n):
-        x1, x2 = dev.respond(k, (1, 1))
-        counts[(x1 - 1) * 4 + (x2 - 1)] += 1
-    _, p = chisquare(counts)
+    codes = dev.respond_chunk(0, np.zeros(100_000, np.intp))  # pair (1, 1)
+    _, p = chisquare(np.bincount(codes, minlength=16))
     assert p > 1e-3
 
 
@@ -294,10 +265,9 @@ def test_switch_after_zero_is_iid_second_box(ideal):
 
 
 def test_switch_after_halfway_bell_rate(ideal, functional):
-    from randamp.ks_bell import classical_minimum
     _, (alice, bob) = classical_minimum(functional)
     det = deterministic_behavior(alice, bob)
-    rate_det = bell_value(det, functional)      # uniform-setting Bell rate
+    rate_det = bell_sum(det.table, functional) / 81  # uniform-setting Bell rate
     n, trials = 400, 40
     rng = Random(99)
     total = 0
@@ -363,14 +333,12 @@ def test_tons_responses_do_not_depend_on_future_settings(ideal):
     assert run(base)[:30] == run(mutated)[:30]
 
 
-def test_all_module_behaviors_validate(ideal):
-    from randamp.ks_bell import classical_minimum
-    f = build_bell_functional(build_ks_model())
-    _, (alice, bob) = classical_minimum(f)
+def test_all_module_behaviors_validate(ideal, functional):
+    _, (alice, bob) = classical_minimum(functional)
     boxes = [ideal, uniform_box(), depolarize(ideal, 0.3),
              depolarize(uniform_box(), 0.7), deterministic_behavior(alice, bob)]
     for box in boxes:
-        assert validate_behavior(box, tol=1e-12).ok
+        assert max(residuals(box.table)) <= 1e-12
 
 
 def _anchor_settings(n=10_000):

@@ -1,25 +1,13 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from randamp import ks_bell
 from randamp.ks_bell import (N_CELLS, N_OUTCOMES, N_SETTINGS, BellFunctional,
-                             build_bell_functional,
-                             build_ks_model, cell_entry, check_model,
-                             classical_minimum, evaluate_deterministic,
-                             gram_table, is_setting_pair, ks_coloring_count,
-                             var_index)
-
-
-@pytest.fixture(scope="module")
-def model():
-    return build_ks_model()
-
-
-@pytest.fixture(scope="module")
-def functional(model):
-    return build_bell_functional(model)
+                             build_bell_functional, build_ks_model, cell_entry,
+                             classical_minimum, gram_table, is_setting_pair,
+                             ks_coloring_count, var_index)
+from checks import bell_sum, deterministic_behavior
 
 
 def _inner(model, i, j):
@@ -29,9 +17,18 @@ def _inner(model, i, j):
 
 
 def test_model_invariants(model):
-    check_model(model)
-    assert len(model.vectors) == 18
-    assert len(model.bases) == 9
+    """The structural invariants of the fixed 18-vector set, on its Gram
+    matrix: 9 orthogonal bases of 4, every vector in exactly 2 of them,
+    and a 7-regular orthogonality graph with 63 edges."""
+    assert len(model.vectors) == 18 and len(model.bases) == 9
+    assert all(len(b) == 4 for b in model.bases)
+    ids = np.array(model.bases) - 1
+    assert (np.bincount(ids.ravel(), minlength=18) == 2).all()
+    within = model.gram[ids[:, :, None], ids[:, None, :]]      # (9, 4, 4)
+    assert (within[:, ~np.eye(4, dtype=bool)] == 0).all()
+    orth = (model.gram == 0) & ~np.eye(18, dtype=bool)
+    assert orth.sum() == 2 * 63
+    assert (orth.sum(axis=1) == 7).all()
 
 
 def test_is_setting_pair():
@@ -69,7 +66,8 @@ def test_functional_counts(model, functional):
     assert functional.target_cell not in functional.bell_cells
     # co-basis-only reading would give 432; kept as a documented reference
     cobasis = sum(1 for u1, u2, x1, x2 in map(cell_entry, functional.bell_cells)
-                  if any(model.vector_at(u1, x1) in b and model.vector_at(u2, x2) in b
+                  if any(model.bases[u1 - 1][x1 - 1] in b
+                         and model.bases[u2 - 1][x2 - 1] in b
                          for b in model.bases))
     assert cobasis == 432
 
@@ -78,7 +76,7 @@ def test_sb_members_are_orthogonal_distinct(model, functional):
     members = set(functional.bell_cells)
     for c in range(N_CELLS):
         u1, u2, x1, x2 = cell_entry(c)
-        a, b = model.vector_at(u1, x1), model.vector_at(u2, x2)
+        a, b = model.bases[u1 - 1][x1 - 1], model.bases[u2 - 1][x2 - 1]
         assert (c in members) == (a != b and _inner(model, a, b) == 0)
 
 
@@ -98,8 +96,8 @@ def test_gram_table_is_every_inner_product(model):
     assert g.shape == (9, 9, 4, 4)
     for c in range(N_CELLS):
         u1, u2, x1, x2 = cell_entry(c)
-        assert g.flat[c] == _inner(model, model.vector_at(u1, x1),
-                                   model.vector_at(u2, x2))
+        assert g.flat[c] == _inner(model, model.bases[u1 - 1][x1 - 1],
+                                   model.bases[u2 - 1][x2 - 1])
 
 
 def test_indicator_array_matches_set(functional):
@@ -111,7 +109,7 @@ def test_indicator_array_matches_set(functional):
 def test_classical_minimum_is_four(functional):
     value, (alice, bob) = classical_minimum(functional)
     assert value == 4
-    assert evaluate_deterministic(functional, alice, bob) == 4
+    assert bell_sum(deterministic_behavior(alice, bob).table, functional) == 4
     cells = set(functional.bell_cells)
     assert sum(var_index(u1, u2, alice[u1 - 1], bob[u2 - 1]) in cells
                for u1 in range(1, 10) for u2 in range(1, 10)) == 4
@@ -123,7 +121,8 @@ def test_classical_minimum_empty_and_full(functional):
     full = BellFunctional(bell_cells=tuple(range(N_CELLS)),
                           target_cell=functional.target_cell)
     assert classical_minimum(full)[0] == 81
-    assert evaluate_deterministic(full, (1,) * 9, (4,) * 9) == 81
+    assert bell_sum(deterministic_behavior((1,) * 9, (4,) * 9).table,
+                    full) == 81
 
 
 def test_classical_minimum_witness_is_lex_smallest(functional):

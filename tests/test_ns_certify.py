@@ -8,9 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randamp.boxes import (bell_value_exact, ideal_quantum_box, uniform_box,
-                           validate_behavior)
-from randamp.ks_bell import build_bell_functional, build_ks_model, cell_entry
+from randamp.boxes import ideal_quantum_box, uniform_box
+from randamp.ks_bell import cell_entry
 from randamp import ns_certify
 from randamp.ns_certify import (CertificationError, DualCertificate, _bound,
                                 _equalities, _verify_primal, build_lp,
@@ -18,16 +17,6 @@ from randamp.ns_certify import (CertificationError, DualCertificate, _bound,
                                 zero_target_box)
 
 TARGET = var_index(1, 2, 1, 3)
-
-
-@pytest.fixture(scope="module")
-def model():
-    return build_ks_model()
-
-
-@pytest.fixture(scope="module")
-def functional(model):
-    return build_bell_functional(model)
 
 
 @pytest.fixture(scope="module")
@@ -96,21 +85,19 @@ def test_optimum_at_zero_cap_is_three_quarters(sol_zero, lp_zero):
     assert sol_zero.certificate.bound == Fraction(3, 4)
 
 
-def test_primal_at_zero_cap_is_attack_box(sol_zero, functional):
+def test_primal_at_zero_cap_is_attack_box(sol_zero, lp_zero, functional):
     box = sol_zero.primal
-    assert validate_behavior(box, tol=1e-12).ok
-    assert bell_value_exact(box, functional) == 0
+    assert _verify_primal(lp_zero, list(box.exact.ravel()))
     assert box.exact.flat[TARGET] == Fraction(3, 4)
     # cap = 0 plus nonnegativity force every indicator cell to exact zero
     for c in functional.bell_cells:
         assert box.exact.flat[c] == 0
 
 
-def test_zero_target_attack_box(functional):
+def test_zero_target_attack_box(functional, lp_zero):
     box, val = zero_target_box(functional)
     assert val == 0
-    assert validate_behavior(box, tol=1e-12).ok
-    assert bell_value_exact(box, functional) == 0
+    assert _verify_primal(lp_zero, list(box.exact.ravel()))
     assert box.exact.flat[TARGET] == 0
 
 

@@ -11,12 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randamp.boxes import (bell_value, depolarize, ideal_quantum_box,
-                           make_adversarial_device, make_iid_device,
-                           uniform_box)
+from randamp.boxes import (depolarize, make_adversarial_device,
+                           make_iid_device, uniform_box)
 from randamp.cli import build_device_factory
-from randamp.ks_bell import (N_CELLS, build_bell_functional, build_ks_model,
-                             var_index)
+from randamp.ks_bell import N_CELLS, var_index
 from randamp.extractor import output_hex
 from randamp.ns_certify import build_lp, solve_lp, zero_target_box
 from randamp.protocol import (_RECORD_TAIL, _VERDICTS, CHUNK, FORMAT_VERSION,
@@ -28,22 +26,8 @@ from randamp.protocol import (_RECORD_TAIL, _VERDICTS, CHUNK, FORMAT_VERSION,
                               select_params, wilson_interval, write_transcript)
 from randamp.seeding import derive_seed
 from randamp.sv_source import DEFAULT_MAP, SVSource, make_strategy
+from checks import bell_sum
 from sv_reference import ReferenceDevice, ReferenceSource, stream_state
-
-
-@pytest.fixture(scope="module")
-def model():
-    return build_ks_model()
-
-
-@pytest.fixture(scope="module")
-def functional(model):
-    return build_bell_functional(model)
-
-
-@pytest.fixture(scope="module")
-def ideal(model):
-    return ideal_quantum_box(model)
 
 
 def test_select_params_examples():
@@ -730,7 +714,7 @@ def test_noise_tolerance_study(ideal, functional):
         for v2 in range(16):
             u = DEFAULT_MAP.map_block(v1 * 16 + v2)
             measure[u[0] - 1, u[1] - 1] += 1 / 256
-    rate = bell_value(uniform_box(), functional, measure)
+    rate = bell_sum(uniform_box().table, functional, measure)
     assert rate == pytest.approx(0.389, abs=0.02)
     delta = 1e-3
     eta_max = delta / rate
@@ -781,6 +765,17 @@ _GUARDS = {
     "n": (lambda tmp: ProtocolParams(n=0).validate(), "need at least one round"),
     "delta": (lambda tmp: ProtocolParams(n=10, delta=0).validate(),
               "thresholds must be positive"),
+    # with enforce_bounds=False these ran: eps 0.7 wrote rate_t 0.0, and
+    # kappa 1 raised ZeroDivisionError in security_report
+    "params_mu1": (lambda tmp: ProtocolParams(
+        n=10, mu1=2.0, enforce_bounds=False).validate(),
+        "thresholds must be positive and at most 1"),
+    "params_eps": (lambda tmp: ProtocolParams(
+        n=10, eps=0.7, enforce_bounds=False).validate(),
+        "eps must be in [0, 1/2)"),
+    "params_kappa": (lambda tmp: ProtocolParams(
+        n=10, kappa=1.0, enforce_bounds=False).validate(),
+        "kappa must be in [0, 1)"),
     "trials": (lambda tmp: monte_carlo(
         lambda s: make_iid_device(uniform_box(), s),
         lambda s: SVSource(0, "unbiased", s), ProtocolParams(n=10), trials=0),

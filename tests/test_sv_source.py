@@ -8,6 +8,7 @@ from randamp.ks_bell import pair_index
 from randamp.sv_source import (BLOCK_PAIR, DEFAULT_MAP, REFILL_PIECE,
                                SVSource, _tree_extremum, make_strategy,
                                setting_measure_extrema, sv_chernoff_oracle)
+from checks import exact_p0
 from sv_reference import ReferenceSource, stream_state
 
 HALF = Fraction(1, 2)
@@ -35,12 +36,12 @@ def all_histories(max_depth):
 def test_band_exhaustive_depth_12(eps, strategy):
     src = SVSource(eps, strategy, seed=0)
     for h in all_histories(12):
-        assert abs(src.conditional_p0(h) - HALF) <= eps
+        assert abs(exact_p0(src, h) - HALF) <= eps
 
 
 def test_adaptive_depth3_table():
     src = SVSource(Fraction(1, 10), ("avoid_target",), seed=0)
-    table = {tuple(h): src.conditional_p0(h) for h in all_histories(3)
+    table = {tuple(h): exact_p0(src, h) for h in all_histories(3)
              if len(h) == 3}
     assert len(table) == 8
     assert all(abs(p - HALF) <= Fraction(1, 10) for p in table.values())
@@ -74,7 +75,7 @@ def test_constant_bias_cycle_of_any_length():
                    [0.1, -0.2, 0.3, Fraction(-1, 7), 0.0]):
         src = SVSource(Fraction(2, 5), ("constant_bias", biases), seed=0)
         for j in range(48):
-            assert src.conditional_p0([j % 2] * j) == \
+            assert exact_p0(src, [j % 2] * j) == \
                 HALF + Fraction(biases[j % len(biases)])
 
 
