@@ -35,7 +35,8 @@ from .boxes import (depolarize, ideal_quantum_box, make_adversarial_device,
                     make_iid_device, uniform_box)
 from .extractor import output_hex
 from .ks_bell import build_bell_functional, build_ks_model
-from .ns_certify import build_lp, solve_lp, verify_certificate, zero_target_box
+from .ns_certify import (build_lp, load_highs, solve_lp, verify_certificate,
+                         zero_target_box)
 from .protocol import (ProtocolRun, extract_output, monte_carlo, parse_int,
                        parse_params, parse_real, parse_source,
                        read_transcript, security_report, setting_pairs,
@@ -194,6 +195,14 @@ def build_device_factory(spec):
     return lambda seed: make_iid_device(box, seed)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # not on every platform
+        return os.cpu_count() or 1
+
+
 def _certificate_name(cap: Fraction) -> str:
     return f"certificate_cap_{str(cap).replace('/', 'over')}.json"
 
@@ -226,33 +235,43 @@ def certify(delta_grid, outdir):
     grid = list(dict.fromkeys(grid))    # each distinct cap once, in order
     if any(g < 0 for g in grid):
         _fail_usage("grid values must be >= 0")
+    from concurrent.futures import ThreadPoolExecutor
+
     model = build_ks_model()
     func = build_bell_functional(model)
+    problems = [build_lp(func, g) for g in grid]
     all_ok = True
     rows = []
-    for g in grid:
-        problem = build_lp(func, g)
-        try:
-            sol = solve_lp(problem, sense="max")
-        except Exception as e:
-            click.echo(f"solver failure at cap {g}: {e}", err=True)
-            sys.exit(EXIT_USAGE)
-        verified = verify_certificate(problem, sol.certificate)
-        reference_bound = Fraction(3, 4) + g / 2
-        within = sol.exact_optimum <= min(Fraction(1), reference_bound)
-        all_ok = all_ok and verified and within
-        name = outdir / _certificate_name(g)
-        cert_obj = json.loads(sol.certificate.to_json())
-        cert_obj["version"] = __version__
-        _write(name, json.dumps(cert_obj, sort_keys=True) + "\n")
-        rows.append({"cap": str(g), "optimum": str(sol.exact_optimum),
-                     "optimum_float": float(sol.exact_optimum),
-                     "bound_reference": float(reference_bound),
-                     "certificate_verified": verified,
-                     "optimum_attained": sol.certified_equality,
-                     "file": name.name})
-        click.echo(f"cap={g}: optimum={sol.exact_optimum} "
-                   f"verified={verified} within_reference={within}")
+    load_highs()                        # scipy is imported by this thread only
+    # The caps are independent LPs and HiGHS solves outside the GIL: one
+    # solve per CPU, while this thread checks and writes in grid order.
+    pool = ThreadPoolExecutor(min(len(grid), _cpus()))
+    try:
+        solves = [pool.submit(solve_lp, problem, "max") for problem in problems]
+        for g, problem, solve in zip(grid, problems, solves):
+            try:
+                sol = solve.result()
+            except Exception as e:
+                click.echo(f"solver failure at cap {g}: {e}", err=True)
+                sys.exit(EXIT_USAGE)
+            verified = verify_certificate(problem, sol.certificate)
+            reference_bound = Fraction(3, 4) + g / 2
+            within = sol.exact_optimum <= min(Fraction(1), reference_bound)
+            all_ok = all_ok and verified and within
+            name = outdir / _certificate_name(g)
+            cert_obj = json.loads(sol.certificate.to_json())
+            cert_obj["version"] = __version__
+            _write(name, json.dumps(cert_obj, sort_keys=True) + "\n")
+            rows.append({"cap": str(g), "optimum": str(sol.exact_optimum),
+                         "optimum_float": float(sol.exact_optimum),
+                         "bound_reference": float(reference_bound),
+                         "certificate_verified": verified,
+                         "optimum_attained": sol.certified_equality,
+                         "file": name.name})
+            click.echo(f"cap={g}: optimum={sol.exact_optimum} "
+                       f"verified={verified} within_reference={within}")
+    finally:
+        pool.shutdown(cancel_futures=True)     # on every exit: no solver outlives it
     summary = {"version": __version__, "grid": [str(g) for g in grid],
                "model_sha256": hashlib.sha256(model.to_json().encode()).hexdigest(),
                "functional_sha256": hashlib.sha256(func.to_json().encode()).hexdigest(),

@@ -42,12 +42,16 @@ x_B = B^-1 (b0 + d e_cap), so x * q has small denominators dividing
 det B; the duals y = c_B B^-1 do not depend on the cap (parametric LP;
 Bertsimas and Tsitsiklis 1997, ch. 5).  The exact checker settles the
 claim, not the float engine; a vertex that neither scale turns into a
-verified pair raises `CertificationError`.  HiGHS is imported where it is
-called, in `_solve_float_highs` (`scipy.sparse` and `linprog`), and only
-`certify` calls it.  The `lp_attack_zero` device's box, the cap-0 min
-vertex, is stored (`_ZERO_TARGET_WORDS`) and checked exactly on every
-build (`zero_target_box`).  So `import randamp.cli` and every `simulate`
-load no scipy module.
+verified pair raises `CertificationError`.  HiGHS is imported once, by
+the first call of `load_highs` (`scipy.sparse` and `linprog`), which also
+builds the equality table's float CSR matrix once for every later solve.
+Only `certify` solves, and it calls `load_highs` on its own thread before
+its solver threads start.  Each solve runs its own HiGHS instance, so
+concurrent solves return the same bits as serial ones.  The
+`lp_attack_zero` device's box, the cap-0 min vertex, is stored
+(`_ZERO_TARGET_WORDS`) and checked exactly on every build
+(`zero_target_box`).  So `import randamp.cli` and every `simulate` load
+no scipy module.
 """
 
 from __future__ import annotations
@@ -221,18 +225,34 @@ def _verify_primal(p: LPProblem, pf: list[Fraction]) -> bool:
             and ints[list(p.cap_cols)].sum() <= p.delta_tilde * scale)
 
 
-def _solve_float_highs(p: LPProblem, sense: str):
+@lru_cache(maxsize=None)
+def load_highs():
+    """(scipy.sparse, linprog, the equality table as a float CSR matrix).
+
+    The first call imports scipy and builds the matrix from `_nonzeros`;
+    every later solve reuses both.  Call it before solving on several
+    threads, so that no two threads import scipy at once.  The matrix's
+    arrays are read-only, as every solve shares them.
+    """
     from scipy import sparse
     from scipy.optimize import linprog
 
-    eq = _equalities()
+    rows, cells, coef = _nonzeros()
+    eq = sparse.csr_matrix((coef.astype(float), (rows, cells)),
+                           shape=_equalities().shape)
+    for a in (eq.data, eq.indices, eq.indptr):
+        a.flags.writeable = False
+    return sparse, linprog, eq
+
+
+def _solve_float_highs(p: LPProblem, sense: str):
+    sparse, linprog, eq = load_highs()
     c = np.zeros(N_CELLS)
     c[p.target_col] = -1.0 if sense == "max" else 1.0
     cap = np.zeros((1, N_CELLS))
     cap[0, list(p.cap_cols)] = 1.0
     res = linprog(c=c, A_ub=sparse.csr_matrix(cap), b_ub=[float(p.delta_tilde)],
-                  A_eq=sparse.csr_matrix(eq, dtype=float),
-                  b_eq=(np.arange(len(eq)) < _N_NORM).astype(float),
+                  A_eq=eq, b_eq=(np.arange(eq.shape[0]) < _N_NORM).astype(float),
                   bounds=(0, None), method="highs-ds")
     if res.status != 0:
         raise CertificationError(f"float solve failed: {res.message}")

@@ -7,6 +7,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,7 @@ import randamp
 from randamp import bounds
 from randamp.cli import main
 from randamp.ks_bell import cell_entry, var_index
-from randamp.ns_certify import CertificationError
+from randamp.ns_certify import CertificationError, build_lp, solve_lp
 from randamp.protocol import default_functional
 
 
@@ -154,6 +157,64 @@ def test_certify_solver_failure_exits_2(runner, tmp_path, monkeypatch):
     assert res.exit_code == 2, res.output
     assert "solver failure at cap 1/10: no exact certificate" in res.output
     assert not (tmp_path / "certify_summary.json").exists()
+
+
+def _report_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def test_certify_on_several_threads_matches_serial_solves(
+        runner, tmp_path, monkeypatch, functional):
+    """With 4 CPUs reported, the caps are solved on several threads, and
+    each certificate is the serial solve's, bit for bit; stdout and the
+    summary list the caps in grid order."""
+    _report_cpus(monkeypatch, 4)
+    threads = set()
+
+    def recorded(problem, sense):
+        threads.add(threading.get_ident())
+        return solve_lp(problem, sense)
+
+    monkeypatch.setattr("randamp.cli.solve_lp", recorded)
+    grid = [Fraction(g) for g in ("0", "1/2", "1/7", "1009/1000000", "2")]
+    res = runner.invoke(main, ["certify", "--delta-grid", ",".join(map(str, grid)),
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert len(threads) > 1
+    assert [line.split(":")[0] for line in res.output.splitlines()] == \
+        [f"cap={g}" for g in grid]
+    rows = json.loads((tmp_path / "certify_summary.json").read_text())["results"]
+    assert [r["cap"] for r in rows] == [str(g) for g in grid]
+    for g, row in zip(grid, rows):
+        cert = json.loads(solve_lp(build_lp(functional, g)).certificate.to_json())
+        cert["version"] = randamp.__version__
+        assert (tmp_path / row["file"]).read_text() == \
+            json.dumps(cert, sort_keys=True) + "\n", g
+
+
+def test_certify_reports_the_first_failure_in_grid_order(runner, tmp_path,
+                                                          monkeypatch):
+    """On several threads a failing cap still exits 2 in grid order: the
+    certificates of the caps before it are written, none after it even
+    when they were solved first, no summary, and no solver thread is left."""
+    _report_cpus(monkeypatch, 4)
+
+    def slow_or_fail(problem, sense):
+        if problem.delta_tilde == Fraction(1, 10):
+            raise CertificationError("no exact certificate")
+        if problem.delta_tilde == 0:
+            time.sleep(0.3)             # the later caps finish first
+        return solve_lp(problem, sense)
+
+    monkeypatch.setattr("randamp.cli.solve_lp", slow_or_fail)
+    before = threading.active_count()
+    res = runner.invoke(main, ["certify", "--delta-grid", "0,1/10,1/5",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "solver failure at cap 1/10: no exact certificate" in res.output
+    assert [p.name for p in tmp_path.iterdir()] == ["certificate_cap_0.json"]
+    assert threading.active_count() == before
 
 
 def test_simulate_emits_outputs(runner, tmp_path):
@@ -875,6 +936,24 @@ def test_lp_attack_zero_loads_no_scipy(tmp_path):
     got = json.loads(proc.stdout)
     assert got == {"code": 0, "scipy": []}, got
     assert (tmp_path / "trial0.jsonl").exists()
+
+
+def test_cli_import_loads_no_scipy_or_thread_pool():
+    """A fresh `import randamp.cli` loads no scipy module and no
+    concurrent.futures: only `certify` needs them, and it loads them when
+    it runs.  A subprocess, because other tests have imported both into
+    this one."""
+    code = ("import json, sys\n"
+            "import randamp.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "    if m.split('.')[0] in ('scipy', 'concurrent'))))\n")
+    src = str(Path(randamp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_numpy_random_loads_on_the_first_draw():

@@ -13,8 +13,8 @@ from randamp.ks_bell import cell_entry
 from randamp import ns_certify
 from randamp.ns_certify import (CertificationError, DualCertificate, _bound,
                                 _equalities, _verify_primal, build_lp,
-                                solve_lp, var_index, verify_certificate,
-                                zero_target_box)
+                                load_highs, solve_lp, var_index,
+                                verify_certificate, zero_target_box)
 
 TARGET = var_index(1, 2, 1, 3)
 
@@ -50,6 +50,18 @@ def test_equality_table_pinned(lp_zero):
     rhs = [_bound(lp_zero, unit, 0)
            for unit in np.eye(len(eq), dtype=int).tolist()]
     assert rhs == [1] * 81 + [0] * 576
+
+
+def test_highs_matrix_is_the_equality_table(lp_zero):
+    """HiGHS reads the table as one float CSR matrix, built once and left
+    as built by a solve."""
+    eq = load_highs()[2]
+    assert eq.dtype == np.float64 and eq.has_canonical_format
+    assert not any(a.flags.writeable for a in (eq.data, eq.indices, eq.indptr))
+    assert np.array_equal(eq.toarray(), _equalities())
+    solve_lp(lp_zero, sense="min")
+    assert load_highs()[2] is eq
+    assert np.array_equal(eq.toarray(), _equalities())
 
 
 def _row_residuals(exact: np.ndarray) -> np.ndarray:
