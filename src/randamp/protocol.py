@@ -199,14 +199,15 @@ def parse_source(source, eps: float, path: str = "source"
                  ) -> Callable[[int], SVSource]:
     """Source factory (seed -> SVSource) at eps for a source object whose
     `strategy` (default unbiased) is a `make_strategy` spec.  The strategy
-    is built once here, so one that cannot be a source fails before a run."""
+    is built once here, so one that cannot be a source fails before a run,
+    and every source of the factory shares that table."""
     strategy = _field(source, "strategy", path, lambda v: True, "", "unbiased")
     try:
-        SVSource(eps, strategy)
+        table = SVSource(eps, strategy).strategy
     # TypeError, ArithmeticError: a spec of the wrong shape, an infinite bias
     except (TypeError, ValueError, ArithmeticError) as e:
         raise ValueError(f"{path}.strategy: {e}") from e
-    return lambda seed: SVSource(eps, strategy, seed)
+    return lambda seed: SVSource(eps, strategy, seed, table)
 
 
 def parse_header(header: dict) -> tuple[ProtocolParams, SVSource]:
@@ -545,12 +546,21 @@ def monte_carlo(device_factory: Callable[[int], Device],
 # The record of round i = 1, 2, ... in cell c is b'{"i": %d' % i and the
 # tail _RECORD_TAIL[c] (settings 1..9, outcomes 1..4), 34 + d bytes when i
 # has d digits.  So the records whose i have d digits are one fixed-width
-# block, written and read CHUNK rows at a time as uint8 arrays (`_records`).
-# Writer and reader use this table and nothing else.
+# block, written and read CHUNK rows at a time as uint8 arrays (`_records`),
+# and a row is three whole byte fields: the head, the d digits of i and the
+# tail.  Each field is filled at once from a constant table: the head from
+# _RECORD_HEAD, the digits three at a time from _DIGITS, the tail as one
+# fixed-width item of _TAILS.  Writer and reader use these tables and
+# nothing else.
 _RECORD_TAIL = [b', "u": [%d, %d], "x": [%d, %d]}\n' % cell_entry(c)
                 for c in range(N_CELLS)]
-_RECORD_HEAD = np.frombuffer(b'{"i": ', np.uint8)
-_TAILS = np.frombuffer(b"".join(_RECORD_TAIL), np.uint8).reshape(N_CELLS, -1)
+_RECORD_HEAD = b'{"i": '
+_TAILS = np.array(_RECORD_TAIL)     # dtype S28: one item per cell
+# _DIGITS[w] is "0...0" to "9...9" (w digits) repeated, so any CHUNK
+# consecutive i read their last w digits as one slice of it.
+_DIGITS = {w: np.tile(np.frombuffer(b"".join(b"%0*d" % (w, k) for k in
+                                              range(10 ** w)), f"S{w}"),
+                      CHUNK // 10 ** w + 2) for w in (1, 2, 3)}
 # A tail's digits u1, u2, x1, x2 sit at these offsets; their weights give
 # the cell ((u1-1) 9 + u2-1) 16 + (x1-1) 4 + x2-1, as `var_index` does.
 _TAIL_DIGITS = np.array([8, 11, 21, 24])
@@ -569,16 +579,28 @@ def _record_blocks(n=math.inf):
         first, d = end, d + 1
 
 
+def _byte_field(rows: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Bytes start..start + width of every row, as one S<width> item each."""
+    return rows[:, start:start + width].view(f"S{width}")[:, 0]
+
+
 def _records(first: int, cells: np.ndarray, d: int) -> np.ndarray:
     """The records of rounds first, first + 1, ... in `cells`, whose i all
     have d digits, as the rows of a (len(cells), 34 + d) uint8 array."""
-    head = len(_RECORD_HEAD) + d
-    rows = np.empty((len(cells), head + _TAILS.shape[1]), np.uint8)
-    rows[:, :len(_RECORD_HEAD)] = _RECORD_HEAD
-    i = np.arange(first, first + len(cells), dtype=np.int64)
-    for j in range(d):      # one column at a time: a (count, d) one is slower
-        rows[:, head - 1 - j] = i // 10 ** j % 10 + ord("0")
-    rows[:, head:] = _TAILS[cells]
+    count, head = len(cells), len(_RECORD_HEAD)
+    rows = np.empty((count, head + d + _TAILS.itemsize), np.uint8)
+    _byte_field(rows, 0, head)[:] = _RECORD_HEAD
+    _byte_field(rows, head + d, _TAILS.itemsize)[:] = _TAILS[cells]
+    end, p = head + d, 1        # the w digits of i // p end at byte `end`
+    while end > head:
+        w = min(3, end - head)
+        lo, hi = first // p, (first + count - 1) // p
+        digits = _DIGITS[w][lo % 10 ** w:][:hi - lo + 1]
+        if p > 1:   # i // p is k on rows k p - first up to (k + 1) p - first
+            edges = np.clip([k * p - first for k in range(lo, hi + 2)], 0, count)
+            digits = np.repeat(digits, np.diff(edges))
+        _byte_field(rows, end - w, w)[:] = digits
+        end, p = end - w, 1000 * p
     return rows
 
 
@@ -624,9 +646,11 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
     decoded as UTF-8, it must have the layout `write_transcript` writes:
     the header, the k-th record as b'{"i": k' and a `_RECORD_TAIL` entry
     (its cell), one summary, the end of the file.  The records are read
-    block by block (`_record_blocks`); a row is a record if it equals
-    `_records` of the cell its tail digits name, and the line that starts
-    at the first row that is not is the summary.  Then its format version,
+    block by block (`_record_blocks`): each row's cell is read off its tail
+    digits, and the block is compared once, as a whole, with `_records` of
+    those cells.  Only a block that differs (a tampered file, or the block
+    that holds the summary) is searched for its first differing row, and
+    the line that starts there is the summary.  Then its format version,
     `parse_header` (the rules a config is read by), n against the record
     count and the summary's Ln, Sn (numbers in [0, 1]) and verdict are
     checked.  Any failure raises ValueError("<path>:<line>: ...").
@@ -635,15 +659,16 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
     with open(path, "rb") as fh:
         header = _tagged(path, 1, fh.readline(), "header", "the header")
         for first, count, d in _record_blocks():
-            width = len(_RECORD_HEAD) + d + _TAILS.shape[1]
+            width = len(_RECORD_HEAD) + d + _TAILS.itemsize
             at, block = fh.tell(), fh.read(count * width)
             rows = np.frombuffer(block, np.uint8)
             rows = rows[:len(rows) - len(rows) % width].reshape(-1, width)
             tail_digits = rows[:, len(_RECORD_HEAD) + d + _TAIL_DIGITS]
             cells = np.clip(tail_digits.astype(np.int64) @ _DIGIT_WEIGHTS
                             - ord("1") * _DIGIT_WEIGHTS.sum(), 0, N_CELLS - 1)
-            good = (rows == _records(first, cells, d)).all(axis=1)
-            ok = len(rows) if good.all() else int(good.argmin())
+            want, ok = _records(first, cells, d), len(rows)
+            if not np.array_equal(rows, want):  # the first differing byte's row
+                ok = int(np.argmax(rows != want)) // width
             kept.append(cells[:ok])
             if ok < count:
                 break

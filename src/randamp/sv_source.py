@@ -250,11 +250,15 @@ class SVSource:
     generator.
     """
 
-    def __init__(self, eps=0, strategy="unbiased", seed: int = 0):
+    def __init__(self, eps=0, strategy="unbiased", seed: int = 0,
+                 table: Strategy | None = None):
+        """`table`, if given, is `make_strategy(strategy, eps)` already
+        built: a campaign builds it once and hands it to every trial."""
         self.eps = _as_fraction(eps)
         if not 0 <= self.eps < HALF:
             raise ValueError("source parameter must be in [0, 1/2)")
-        self.strategy = make_strategy(strategy, self.eps)
+        self.strategy = make_strategy(strategy, self.eps) if table is None \
+            else table
         self._spec = _plain_spec(strategy)
         self.seed = seed
         self.rng = Stream(seed)

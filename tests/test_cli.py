@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randamp
-from randamp import bounds
+from randamp import bounds, sv_source
 from randamp.cli import main
 from randamp.ks_bell import cell_entry, var_index
 from randamp.ns_certify import CertificationError, build_lp, solve_lp
 from randamp.protocol import default_functional
+from randamp.sv_source import SVSource
 
 
 @pytest.fixture()
@@ -266,6 +267,31 @@ def test_simulate_digests(runner, tmp_path, cfg, csv_digest, transcript_digest):
                          ("trial0.jsonl", transcript_digest)):
         body = "\n".join((out / name).read_text().splitlines()[1:])
         assert hashlib.sha256(body.encode()).hexdigest() == digest, name
+
+
+def test_simulate_builds_the_source_strategy_once(runner, tmp_path,
+                                                  monkeypatch):
+    """A 3-trial campaign builds its strategy table once, and every trial's
+    source shares it: the same bytes as sources that each build their own."""
+    calls, build = [], sv_source.make_strategy
+    monkeypatch.setattr(sv_source, "make_strategy",
+                        lambda spec, eps: calls.append(spec) or build(spec, eps))
+    cfg = write_config(tmp_path, dict(
+        SMALL_SIM, protocol=dict(SMALL_SIM["protocol"], eps=0.05),
+        source={"strategy": ["avoid_target"]}))
+    res = runner.invoke(main, ["simulate", "--config", cfg,
+                               "--out", str(tmp_path / "shared")])
+    assert res.exit_code == 0, res.output
+    assert calls == [["avoid_target"]]
+    monkeypatch.setattr("randamp.cli.parse_source", lambda source, eps:
+                        lambda seed: SVSource(eps, source["strategy"], seed))
+    res = runner.invoke(main, ["simulate", "--config", cfg,
+                               "--out", str(tmp_path / "own")])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1 + 3
+    for name in ("campaign.csv", "trial0.jsonl"):
+        assert (tmp_path / "shared" / name).read_bytes() == \
+            (tmp_path / "own" / name).read_bytes()
 
 
 def test_seed_and_trials_flags_are_the_config_keys(runner, tmp_path):

@@ -18,8 +18,8 @@ from randamp.ks_bell import N_CELLS, var_index
 from randamp.extractor import output_hex
 from randamp.ns_certify import build_lp, solve_lp, zero_target_box
 from randamp.protocol import (_RECORD_TAIL, _VERDICTS, CHUNK, FORMAT_VERSION,
-                              ProtocolParams, ProtocolRun, _field, _tagged,
-                              dc_distance, parse_header, parse_real,
+                              ProtocolParams, ProtocolRun, _field, _records,
+                              _tagged, dc_distance, parse_header, parse_real,
                               default_functional, expected_tomography_rate,
                               extract_output, monte_carlo, read_transcript,
                               replay_transcript, run_protocol, security_report,
@@ -466,6 +466,40 @@ def test_writer_matches_the_record_join(tmp_path, n):
     _write_transcript_join(run, ref)
     assert path.read_bytes() == ref.read_bytes()
     assert np.array_equal(read_transcript(path)[2].cells, run.cells)
+
+
+@pytest.mark.parametrize("d", range(1, 20))
+def test_records_match_the_record_join_at_every_width(d):
+    """`_records` of 0, 1 and CHUNK rounds (or every d-digit i, if fewer) at
+    both ends of the digits-d range, from 10^(d-1) and up to 10^d - 1, is
+    the per-line join: no file of 10^d rounds needed."""
+    cells = np.random.default_rng(d).integers(0, N_CELLS, CHUNK)
+    for count in (0, 1, min(CHUNK, 9 * 10 ** (d - 1))):
+        for first in (10 ** (d - 1), 10 ** d - count):
+            rows = _records(first, cells[:count], d)
+            assert rows.shape == (count, 34 + d) and rows.dtype == np.uint8
+            assert rows.tobytes() == b"".join(
+                b'{"i": %d' % i + _RECORD_TAIL[c]
+                for i, c in enumerate(cells[:count].tolist(), first)), (count, first)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       at=st.integers(0, sum(34 + len(str(i)) for i in range(1, 2001)) - 1),
+       flip=st.integers(1, 255))
+def test_reader_matches_the_line_loop_on_any_changed_byte(tmp_path_factory,
+                                                          seed, at, flip):
+    """A 2000-round transcript of random cells with byte `at` of its record
+    part (XOR `flip`) changed reads as the line-loop reference reads it: the
+    same message, or the same cells.  Pins the whole-block compare and the
+    search for the first differing row together."""
+    path = tmp_path_factory.getbasetemp() / "byte.jsonl"
+    write_transcript(_cells_run(2000, seed), path)
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n") + 1 + at] ^= flip
+    path.write_bytes(data)
+    assert _outcome(read_transcript, path) == \
+        _outcome(_read_transcript_lines, path)
 
 
 def _tampered(data, k, how):
