@@ -14,11 +14,18 @@ statement is split through a Markov step into "a set of histories of measure
 1 - eps, on each of which the bad outcomes have mass at most eps" (take
 eps^2 = the direct tail, up to the constant).  Both are exposed;
 `azuma_bound` is the direct one, `markov_split_epsilon` the split one.
+
+The fair-coin and iid checks (`tail_checks`) count each row's uniforms
+below z off the raw 64-bit words of the seed's PCG64 stream, never as
+doubles.  The rows are split into contiguous ranges, one per worker, each
+drawn from its own copy of the stream advanced to the range's first word,
+so the counts are those of one (trials, n) draw on any number of threads.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -29,22 +36,26 @@ from .sv_source import (BITS_PER_ROUND, BLOCK_PAIR, make_strategy, walk,
 
 def azuma_bound(n: int, s: float) -> float:
     """Tail bound 2 exp(-n s^2 / 2) on |L_n - Lbar_n| >= s."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("deviation must be positive")
     return 2.0 * math.exp(-n * s * s / 2.0)
 
 
 def markov_split_epsilon(n: int, s: float) -> float:
     """The split-form constant 2 exp(-n s^2 / 4); see module docstring."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("deviation must be positive")
     return 2.0 * math.exp(-n * s * s / 4.0)
 
 
-# Trials drawn at once by the Monte Carlo validators: 16 MB of uniforms at
+# Trials drawn at once by the trace simulator: 16 MB of uniforms at
 # n = 2000.  Generator.random fills row-major, so consecutive blocks of rows
 # are the rows of one (trials, n) draw, in order.
 _BLOCK_ROWS = 1024
+# Raw words one row range of `tail_checks` draws at once (whole rows, at
+# least one): 1 MB and its 128 kB compare a worker, so up to 13 workers
+# together hold less than `_BLOCK_ROWS` rows of doubles at n = 2000.
+_BLOCK_WORDS = 1 << 17
 
 
 def _uniform_blocks(n: int, trials: int, rng: np.random.Generator):
@@ -92,8 +103,48 @@ def _tail_check(freq: float, bound: float, trials: int, **fields) -> dict:
             "passed": freq <= bound + slack, "trials": trials, **fields}
 
 
+def _word_limit(z) -> int:
+    """The raw words w whose uniform (w >> 11) * 2^-53 is below z are the
+    w below this limit; at z >= 1 it is 2^64 or more, so every word."""
+    return math.ceil(z * 2 ** 53) << 11
+
+
+def _counts_below(n: int, limits, seed: int, start: int, stop: int):
+    """hists[j][k]: the rows start..stop-1 of the seed's (trials, n) word
+    stream that hold k words below limits[j], read one block at a time."""
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(start * n)
+    rows = max(1, _BLOCK_WORDS // n)
+    per_row = np.uint16 if n < 1 << 16 else np.int64   # the fastest that holds n
+    hists = np.zeros((len(limits), n + 1), dtype=np.int64)
+    for first in range(start, stop, rows):
+        words = bitgen.random_raw(min(rows, stop - first) * n).reshape(-1, n)
+        for hist, limit in zip(hists, limits):
+            if limit >> 64:
+                hist[n] += len(words)
+            else:
+                hist += np.bincount((words < limit).sum(axis=1, dtype=per_row),
+                                    minlength=n + 1)
+    return hists
+
+
+def _histograms(n: int, zs, trials: int, seed: int, executor=None,
+                workers: int = 1) -> dict:
+    """{z: hist} with hist[k] the rows of the seed's (trials, n) uniform
+    draw that hold k uniforms below z, counted in `workers` contiguous row
+    ranges, on `executor` when given and else one after another."""
+    limits = [_word_limit(z) for z in zs]
+    workers = min(workers, trials)
+    edges = [trials * i // workers for i in range(workers + 1)]
+    parts = (executor.map if executor else map)(
+        _counts_below, repeat(n), repeat(limits), repeat(seed),
+        edges[:-1], edges[1:])
+    return dict(zip(zs, sum(parts)))
+
+
 def tail_checks(n: int, deviations, chernoff_params, trials: int,
-                seed: int = 0) -> tuple[list[dict], list[dict]]:
+                seed: int = 0, executor=None,
+                workers: int = 1) -> tuple[list[dict], list[dict]]:
     """Fair-coin Azuma checks, one per deviation s, and iid Chernoff
     checks, one per (gamma, zeta), all read off one seeded stream at n.
 
@@ -101,23 +152,23 @@ def tail_checks(n: int, deviations, chernoff_params, trials: int,
     |L_n - Lbar_n| is |k(1/2) / n - 1/2|, and its Chernoff sum at zeta is
     k(zeta), with k(z) the row's count of uniforms below z.  Each check is
     the one `azuma_empirical(("fair_coin",), ...)` or `chernoff_empirical`
-    returns for the same arguments.
+    returns for the same arguments, whatever `executor` and `workers`
+    (see `_histograms`).  Every argument is checked before the draw.
     """
-    # hists[z][k]: the rows with k uniforms below z; drawn once, by block
-    hists = {z: np.zeros(n + 1, dtype=np.int64) for z in
-             ([0.5] if deviations else []) + [z for _, z in chernoff_params]}
-    for u in _uniform_blocks(n, trials, np.random.default_rng(seed)):
-        for z, hist in hists.items():
-            hist += np.bincount(np.count_nonzero(u < z, axis=1), minlength=n + 1)
-    k = np.arange(n + 1)
-    azuma = [_tail_check(int(hists[0.5][np.abs(k / n - 0.5) >= s].sum()) / trials,
-                         azuma_bound(n, s), trials, n=n, s=s)
-             for s in deviations]
-    chernoff = [_tail_check(int(hists[zeta][k >= gamma * n].sum()) / trials,
-                            chernoff_bound(n, gamma, zeta), trials,
-                            n=n, gamma=gamma, zeta=zeta)
+    if n < 1 or trials < 1:
+        raise ValueError("need n >= 1 and trials >= 1")
+    azuma = [(s, azuma_bound(n, s)) for s in deviations]
+    chernoff = [(gamma, zeta, chernoff_bound(n, gamma, zeta))
                 for gamma, zeta in chernoff_params]
-    return azuma, chernoff
+    hists = _histograms(n, list(dict.fromkeys(
+        ([0.5] if azuma else []) + [zeta for _, zeta, _ in chernoff])),
+        trials, seed, executor, workers)
+    k = np.arange(n + 1)
+    return ([_tail_check(int(hists[0.5][np.abs(k / n - 0.5) >= s].sum()) / trials,
+                         bound, trials, n=n, s=s) for s, bound in azuma],
+            [_tail_check(int(hists[zeta][k >= gamma * n].sum()) / trials,
+                         bound, trials, n=n, gamma=gamma, zeta=zeta)
+             for gamma, zeta, bound in chernoff])
 
 
 def azuma_empirical(spec, n: int, s: float, trials: int, seed: int = 0) -> dict:

@@ -1,12 +1,18 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from randamp.bounds import (_BLOCK_ROWS, _simulate_traces, azuma_bound,
-                            azuma_empirical, chernoff_bound,
+from randamp import bounds
+from randamp.bounds import (_BLOCK_ROWS, _histograms, _simulate_traces,
+                            _tail_check, _uniform_blocks, _word_limit,
+                            azuma_bound, azuma_empirical, chernoff_bound,
                             chernoff_empirical, linear_fraction,
                             markov_split_epsilon, qualifying_round_count,
                             relative_entropy, settings_tail_empirical,
@@ -141,6 +147,115 @@ def test_shared_stream_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 40e6, peak
+
+
+def test_shared_stream_memory_on_four_workers_is_one_block():
+    """Four row ranges on four threads hold one block of words each, and
+    count what one serial range counts."""
+    tracemalloc.start()
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = tail_checks(2000, _VB_DEVIATIONS, _VB_CHERNOFF, 10_000, 0,
+                              pool, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+    assert got == tail_checks(2000, _VB_DEVIATIONS, _VB_CHERNOFF, 10_000)
+
+
+def _float_histograms(n, zs, trials, seed):
+    """The float reference for `_histograms`: each row's count of the
+    doubles of `Generator.random` below z."""
+    hists = {z: np.zeros(n + 1, dtype=np.int64) for z in zs}
+    for u in _uniform_blocks(n, trials, np.random.default_rng(seed)):
+        for z, hist in hists.items():
+            hist += np.bincount(np.count_nonzero(u < z, axis=1), minlength=n + 1)
+    return hists
+
+
+def _float_tail_checks(n, deviations, chernoff_params, trials, seed):
+    """The float reference for `tail_checks`, read off `_float_histograms`."""
+    hists = _float_histograms(n, list(dict.fromkeys(
+        ([0.5] if deviations else []) + [z for _, z in chernoff_params])),
+        trials, seed)
+    k = np.arange(n + 1)
+    azuma = [_tail_check(int(hists[0.5][np.abs(k / n - 0.5) >= s].sum()) / trials,
+                         azuma_bound(n, s), trials, n=n, s=s)
+             for s in deviations]
+    chernoff = [_tail_check(int(hists[zeta][k >= gamma * n].sum()) / trials,
+                            chernoff_bound(n, gamma, zeta), trials,
+                            n=n, gamma=gamma, zeta=zeta)
+                for gamma, zeta in chernoff_params]
+    return azuma, chernoff
+
+
+_EDGE_ZS = (0.0, 2.0 ** -53, 0.25, 0.5, 1 - 2.0 ** -53, 1.0)
+
+
+@pytest.mark.parametrize("z", _EDGE_ZS + (0.1, 1 / 3, 0.75))
+def test_word_limit_is_the_first_word_whose_uniform_reaches_z(z):
+    limit = _word_limit(z)
+
+    def uniform(w):
+        return (w >> 11) * 2.0 ** -53
+
+    assert uniform(limit - 1) < z <= uniform(limit)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 50), trials=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 128 - 1), workers=st.integers(1, 4),
+       threaded=st.booleans(), block_words=st.integers(1, 120),
+       zs=st.lists(st.sampled_from(_EDGE_ZS), min_size=1, unique=True))
+@example(n=7, trials=10, seed=0, workers=3, threaded=False, block_words=14,
+         zs=[0.25])
+@example(n=50, trials=300, seed=3, workers=4, threaded=True, block_words=120,
+         zs=list(_EDGE_ZS))
+def test_word_counts_equal_the_float_path(n, trials, seed, workers, threaded,
+                                          block_words, zs):
+    """Counted off raw words, in row ranges that start anywhere in a block
+    of words, on threads or one after another, every row's count below z
+    is the float path's, and so is every check."""
+    params = [(gamma, z) for z in zs for gamma in sorted({z, 0.5, 1.0})
+              if gamma >= z]
+    with pytest.MonkeyPatch.context() as mp, \
+            (ThreadPoolExecutor(workers) if threaded else nullcontext()) as pool:
+        mp.setattr(bounds, "_BLOCK_WORDS", block_words)
+        got = _histograms(n, zs, trials, seed, pool, workers)
+        checks = tail_checks(n, (0.01, 0.2), params, trials, seed, pool, workers)
+    want = _float_histograms(n, zs, trials, seed)
+    assert list(got) == list(want)
+    for z in zs:
+        assert got[z].tolist() == want[z].tolist(), z
+    assert checks == _float_tail_checks(n, (0.01, 0.2), params, trials, seed)
+
+
+def test_tail_checks_reads_each_argument_once():
+    assert tail_checks(50, iter([0.1]), iter([(0.5, 0.25)]), 100, 3) == \
+        tail_checks(50, [0.1], [(0.5, 0.25)], 100, 3)
+
+
+def test_a_zeta_of_one_counts_every_row():
+    assert chernoff_empirical(100, 1.0, 1.0, 1000)["empirical"] == 1.0
+
+
+@pytest.mark.parametrize("args", [
+    (100, [0.0], [], 10), (100, [-0.1], [], 10), (100, [float("nan")], [], 10),
+    (100, [], [(0.3, 0.5)], 10), (100, [], [(1.5, 0.5)], 10),
+    (100, [], [(0.5, -0.1)], 10), (100, [0.1], [(0.5, float("nan"))], 10),
+    (0, [0.1], [], 10), (-1, [], [(0.5, 0.25)], 10),
+    (100, [0.1], [], 0), (100, [], [(0.5, 0.25)], -5)])
+def test_tail_checks_rejects_bad_arguments_before_any_draw(monkeypatch, args):
+    def no_draw(*_):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(np.random, "PCG64", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(AssertionError):        # the patch does stop a draw
+        tail_checks(100, [0.1], [(0.5, 0.25)], 10)
+    with pytest.raises(ValueError):
+        tail_checks(*args)
 
 
 def test_linear_fraction_all_equal():

@@ -875,6 +875,62 @@ def test_verify_bounds_reports_a_failed_check(runner, tmp_path, monkeypatch):
     assert proc.returncode == 1, proc.stdout + proc.stderr
 
 
+def test_verify_bounds_counts_on_one_thread_per_cpu(runner, tmp_path,
+                                                   monkeypatch):
+    """With 1 and with 4 CPUs reported, the table and stdout are the same
+    bytes; with 4 the row ranges are counted on several threads, and no
+    thread outlives the command."""
+    counts_below = bounds._counts_below
+    seen = {}
+    for cpus in (1, 4):
+        _report_cpus(monkeypatch, cpus)
+        threads = set()
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return counts_below(*args)
+
+        monkeypatch.setattr(bounds, "_counts_below", recorded)
+        before = threading.active_count()
+        res = runner.invoke(main, ["verify-bounds", "--trials", "3000",
+                                   "--out", str(tmp_path / str(cpus))])
+        assert res.exit_code == 0, res.output
+        assert threading.active_count() == before
+        seen[cpus] = (res.output,
+                      (tmp_path / str(cpus) / "bounds_table.csv").read_bytes(),
+                      len(threads))
+    assert seen[1][:2] == seen[4][:2]
+    assert seen[1][2] == 1 and seen[4][2] > 1
+
+
+def test_verify_bounds_leaves_no_thread_on_failure(runner, tmp_path,
+                                                   monkeypatch):
+    """A failed check (exit 1) and a failing row range both shut the pool
+    of 4 down."""
+    _report_cpus(monkeypatch, 4)
+    before = threading.active_count()
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "chernoff_bound", lambda n, gamma, zeta: 0.0)
+        res = runner.invoke(main, ["verify-bounds", "--trials", "500",
+                                   "--out", str(tmp_path / "check")])
+    assert res.exit_code == 1, res.output
+    assert threading.active_count() == before
+
+    counts_below = bounds._counts_below
+
+    def fail_late(n, limits, seed, start, stop):
+        if start:
+            raise MemoryError("no room for the block")
+        return counts_below(n, limits, seed, start, stop)
+
+    monkeypatch.setattr(bounds, "_counts_below", fail_late)
+    res = runner.invoke(main, ["verify-bounds", "--trials", "500",
+                               "--out", str(tmp_path / "range")])
+    assert isinstance(res.exception, MemoryError), res.output
+    assert not (tmp_path / "range" / "bounds_table.csv").exists()
+    assert threading.active_count() == before
+
+
 def test_verify_bounds_rejects_trials_below_one(runner, tmp_path):
     for trials in ("0", "-3"):
         res = runner.invoke(main, ["verify-bounds", "--trials", trials,
