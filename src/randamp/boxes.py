@@ -107,11 +107,12 @@ def ideal_quantum_box(model: KSModel) -> Behavior:
     g = gram_table(model)
     norm_sq = np.einsum("aaxx->ax", g)              # |v|^2 at (setting, slot)
     den = 4 * norm_sq[:, None, :, None] * norm_sq[None, :, None, :]
-    exact = np.array([Fraction(n, d) for n, d in
-                      zip((g ** 2).ravel().tolist(), den.ravel().tolist())],
-                     dtype=object).reshape(g.shape)
-    return Behavior(table=exact.astype(float), exact=exact,
-                    meta={"kind": "ideal"})
+    num = g ** 2
+    ratios = list(zip(num.ravel().tolist(), den.ravel().tolist()))
+    frac = {r: Fraction(*r) for r in set(ratios)}
+    exact = np.array([frac[r] for r in ratios], dtype=object).reshape(g.shape)
+    # each float quotient is exact: the entries are dyadic, denominators <= 64
+    return Behavior(table=num / den, exact=exact, meta={"kind": "ideal"})
 
 
 def uniform_box() -> Behavior:
@@ -183,6 +184,8 @@ class Device:
         if self.pattern and self.tau == math.inf:
             self._watch(k, pairs)
         split = int(min(max(self.tau - k, 0), len(pairs)))  # rounds before tau
+        if not 0 < split < len(pairs):      # one behavior: one pass
+            return _codes(self._b1 if split else self._b2, pairs, w)
         return np.concatenate([_codes(self._b1, pairs[:split], w[:2 * split]),
                                _codes(self._b2, pairs[split:], w[2 * split:])])
 
@@ -205,7 +208,7 @@ def _codes(b: Behavior, pairs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The codes of rounds of setting pairs `pairs` in behavior b whose
     `random()` draws have first words w[0::2] and second words w[1::2]:
     the bucket table's entry, else the compare (`Device.respond_chunk`)."""
-    codes = b.buckets.ravel()[pairs * 256 + (w[0::2] >> 24)]
+    codes = b.buckets.ravel().take(pairs * 256 + (w[0::2] >> 24))
     (split,) = np.nonzero(codes < 0)
     if len(split):
         r = uniforms_of(w.reshape(-1, 2)[split].ravel())

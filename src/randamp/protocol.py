@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -67,6 +68,12 @@ FORMAT_VERSION = 1
 @lru_cache(maxsize=1)
 def default_functional() -> BellFunctional:
     return build_bell_functional(build_ks_model())
+
+
+@lru_cache(maxsize=1)
+def _bell_gather() -> Callable:
+    """The Bell cells' counts of a histogram, as one tuple."""
+    return operator.itemgetter(*default_functional().bell_cells)
 
 
 def select_params(eps: float, mu1: float, kappa: float) -> float:
@@ -244,7 +251,7 @@ class ProtocolRun:
 
     @property
     def bell_count(self) -> int:
-        return sum(self.hist[c] for c in default_functional().bell_cells)
+        return sum(_bell_gather()(self.hist))
 
     @property
     def target_count(self) -> int:
@@ -280,7 +287,7 @@ def setting_pairs(source: SVSource, n: int):
     the next n rounds drawn from `source`, CHUNK rounds at a time: 8 bits a
     round, mapped by `DEFAULT_MAP`."""
     for k in range(0, n, CHUNK):
-        yield k, BLOCK_PAIR[source.next_blocks(min(CHUNK, n - k))]
+        yield k, BLOCK_PAIR.take(source.next_blocks(min(CHUNK, n - k)))
 
 
 def run_protocol(device: Device, source: SVSource, params: ProtocolParams,

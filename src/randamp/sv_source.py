@@ -240,14 +240,14 @@ class SVSource:
     """Stateful bit stream with bounded conditional bias.
 
     The stream is deterministic given (eps, strategy spec, seed).  Every
-    draw takes bits off the front of one buffer, which is refilled with the
-    fewest whole units that cover the draw: 32-bit words of the seed's
-    `seeding.Stream` for the unbiased strategy, and for every other
-    strategy 8-bit blocks, each bit one uniform walked down the strategy's
-    block tree (`walk`), REFILL_PIECE blocks at a time.  So the bits do not
-    depend on how a caller splits its draws, and a draw that ends inside a
-    unit leaves the rest of that unit in the buffer, already drawn from the
-    generator.
+    draw takes bits off the front of one byte buffer, which is refilled with
+    the fewest whole units that cover the draw: 32-bit words of the seed's
+    `seeding.Stream`, as big-endian bytes, for the unbiased strategy, and
+    for every other strategy 8-bit blocks, each bit one uniform walked down
+    the strategy's block tree (`walk`), REFILL_PIECE blocks at a time.  So
+    the bits do not depend on how a caller splits its draws, and a draw
+    that ends inside a unit leaves the rest of that unit in the buffer,
+    already drawn from the generator.
     """
 
     def __init__(self, eps=0, strategy="unbiased", seed: int = 0,
@@ -266,16 +266,18 @@ class SVSource:
         # The spec name, not the table, picks the word path: a
         # constant_bias [0] source has the unbiased law but draws uniforms.
         self._unbiased = self.strategy.name == "unbiased"
-        self._buf = 0           # the _buf_len bits drawn and not yet taken
-        self._buf_len = 0
+        # drawn bytes, of which the first _taken bits are already emitted
+        self._buf = np.empty(0, np.uint8)
+        self._taken = 0
 
     def _refill(self, k: int) -> None:
         """Draw the fewest whole units that make the buffer hold k bits."""
+        held = 8 * len(self._buf) - self._taken
         if self._unbiased:
-            fresh = self.rng.words(-(-(k - self._buf_len) // 32)).astype(">u4")
+            fresh = self.rng.words(-(-(k - held) // 32)).astype(">u4")
         else:
-            count = -(-(k - self._buf_len) // BITS_PER_ROUND)
-            first = (self.bits_emitted + self._buf_len) // BITS_PER_ROUND
+            count = -(-(k - held) // BITS_PER_ROUND)
+            first = (self.bits_emitted + held) // BITS_PER_ROUND
             floats = np.asarray(self.strategy.floats)
             fresh = np.empty(count, np.uint8)
             for i in range(0, count, REFILL_PIECE):
@@ -283,37 +285,41 @@ class SVSource:
                 u = self.rng.uniforms(BITS_PER_ROUND * m)
                 fresh[i:i + m] = walk(floats, first + np.arange(i, i + m),
                                       u.reshape(m, BITS_PER_ROUND))
-        # joined at once: growing the int a unit at a time copies it each
-        # time, O(k^2) for a long draw
-        self._buf = (self._buf << 8 * fresh.nbytes) | int.from_bytes(
-            fresh.tobytes(), "big")
-        self._buf_len += 8 * fresh.nbytes
+        self._buf = np.concatenate([self._buf[self._taken >> 3:],
+                                    fresh.view(np.uint8)])
+        self._taken &= 7
 
-    def _take(self, k: int) -> int:
-        """The next k bits of the stream, packed MSB-first."""
-        if self._buf_len < k:
+    def _take(self, k: int) -> tuple[np.ndarray, int]:
+        """The bytes that hold the next k bits of the stream, and the count
+        of bits of their first byte that precede them."""
+        if k < 0:
+            raise ValueError(f"cannot draw a negative number of bits, got {k}")
+        if 8 * len(self._buf) - self._taken < k:
             self._refill(k)
-        self._buf_len -= k
-        block = self._buf >> self._buf_len
-        self._buf &= (1 << self._buf_len) - 1
+        start, skip = self._taken >> 3, self._taken & 7
+        self._taken += k
         self.bits_emitted += k
-        return block
+        return self._buf[start:(self._taken + 7) >> 3], skip
 
     def next_bits(self, k: int) -> list[int]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        # one format: k shifts of a k-bit int are O(k^2)
-        return list(map(int, format(self._take(k), f"0{k}b")))
+        seg, skip = self._take(k)
+        return np.unpackbits(seg)[skip:skip + k].tolist()
 
     def next_block(self, k: int) -> int:
         """Next k bits packed MSB-first; same stream as next_bits."""
-        return self._take(k)
+        seg, skip = self._take(k)
+        tail = 8 * len(seg) - skip - k     # bits of the last byte after them
+        return (int.from_bytes(seg.tobytes(), "big") >> tail) & ((1 << k) - 1)
 
     def next_blocks(self, m: int) -> np.ndarray:
         """The next m 8-bit blocks as a uint8 array, the stream of m
         next_block(8) calls."""
-        return np.frombuffer(self._take(BITS_PER_ROUND * m).to_bytes(m, "big"),
-                             np.uint8)
+        seg, skip = self._take(BITS_PER_ROUND * m)
+        if not skip:
+            return seg
+        return seg[:-1] << skip | seg[1:] >> (8 - skip)
 
     def spec(self) -> dict:
         """Serializable (epsilon, strategy, seed); passing these three back

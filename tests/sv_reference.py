@@ -19,6 +19,8 @@ from bisect import bisect_right
 from itertools import accumulate
 from random import Random
 
+import numpy as np
+
 from randamp.sv_source import BITS_PER_ROUND, SVSource
 
 
@@ -105,6 +107,5 @@ def stream_state(source):
     if isinstance(source, ReferenceSource):
         pending = source.pending
     else:
-        pending = [(source._buf >> (source._buf_len - 1 - i)) & 1
-                   for i in range(source._buf_len)]
+        pending = np.unpackbits(source._buf)[source._taken:].tolist()
     return source.rng.getstate(), pending, source.bits_emitted

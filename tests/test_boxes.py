@@ -42,6 +42,22 @@ def test_ideal_box_exact_rational_structure(ideal):
             assert sum(ideal.exact[u1, u2].reshape(-1)) == 1
 
 
+def test_ideal_box_float_table_is_its_exact_table(model, ideal):
+    """The float table, divided on integer arrays, is the exact table
+    converted entry by entry, bit for bit; each exact entry is the cell's
+    Gram ratio <v_a|v_b>^2 / (4 |v_a|^2 |v_b|^2) from vector coordinates."""
+    assert ideal.table.dtype == np.float64
+    assert ideal.table.tobytes() == ideal.exact.astype(float).tobytes()
+
+    def inner(i, j):
+        return sum(a * b for a, b in
+                   zip(model.vectors[i - 1], model.vectors[j - 1]))
+    for u1, u2, x1, x2 in np.ndindex(9, 9, 4, 4):
+        a, b = model.bases[u1][x1], model.bases[u2][x2]
+        assert ideal.exact[u1, u2, x1, x2] == \
+            Fraction(inner(a, b) ** 2, 4 * inner(a, a) * inner(b, b))
+
+
 def test_ideal_box_validates_exactly(ideal, functional):
     """Nonnegative, normalized and no-signaling in exact arithmetic, with
     no mass on a Bell cell; and the float table has residuals 0."""

@@ -1022,9 +1022,10 @@ def test_lp_attack_zero_loads_no_scipy(tmp_path):
 
 def test_cli_import_loads_no_scipy_or_thread_pool():
     """A fresh `import randamp.cli` loads no scipy module and no
-    concurrent.futures: only `certify` needs them, and it loads them when
-    it runs.  A subprocess, because other tests have imported both into
-    this one."""
+    concurrent.futures: only `certify` needs scipy, `certify` and
+    `verify-bounds` need concurrent.futures, and each loads them when it
+    runs.  A subprocess, because other tests have imported both into this
+    one."""
     code = ("import json, sys\n"
             "import randamp.cli\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"

@@ -228,6 +228,17 @@ def test_histogram_is_the_run(spec):
                 assert min(run.hist) > 0      # every cell is reached
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), top=st.integers(1, 2 ** 62))
+def test_bell_count_is_the_sum_over_the_bell_cells(seed, top):
+    """bell_count, one gather of the histogram, is the sum of its Bell
+    cells' counts on random histograms."""
+    hist = np.random.default_rng(seed).integers(0, top, N_CELLS).tolist()
+    run = ProtocolRun(ProtocolParams(n=1), {}, {}, hist)
+    assert run.bell_count == \
+        sum(hist[c] for c in default_functional().bell_cells)
+
+
 def _round_loop(device, source, params, keep_transcript=True):
     """The reference engine: one round at a time through the stream
     definitions `next_block(8)` (of a `ReferenceSource`), `map_block` and

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randamp.ks_bell import pair_index
 from randamp.sv_source import (BLOCK_PAIR, DEFAULT_MAP, REFILL_PIECE,
@@ -202,6 +204,76 @@ def test_biased_draw_across_refill_pieces_is_the_reference_stream():
     assert src.next_bits(5) == ref.next_bits(5)
     assert src.next_bits(8 * m) == ref.next_bits(8 * m)
     assert stream_state(src) == stream_state(ref)
+
+
+def _draw(source, how, k):
+    """One draw: next_bits(k) as bits, next_block(k) as an int, or
+    next_blocks(k) as a list of blocks; a ReferenceSource's blocks are its
+    next 8k bits packed, the stream of k next_block(8) calls."""
+    if how == "bits":
+        return source.next_bits(k)
+    if how == "block":
+        return source.next_block(k)
+    if isinstance(source, ReferenceSource):
+        return np.packbits(source.next_bits(8 * k)).tolist() if k else []
+    return source.next_blocks(k).tolist()
+
+
+_DRAWS = st.lists(st.one_of(
+    st.tuples(st.just("bits"), st.integers(1, 40)),
+    st.tuples(st.sampled_from(("block", "blocks")), st.integers(0, 40)),
+    # longer than a biased refill piece, so a refill walks two pieces
+    st.just(("bits", 8 * REFILL_PIECE + 3)),
+    st.just(("blocks", REFILL_PIECE + 3)),
+    st.tuples(st.sampled_from(("bits", "block", "blocks")), st.just(-3))),
+    max_size=8)
+
+
+@pytest.mark.parametrize("eps, spec", [row[:2] for row in STREAM_DIGESTS])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(offset=st.integers(0, 7), draws=_DRAWS)
+def test_interleaved_draws_are_the_reference_stream(eps, spec, offset, draws):
+    """Any interleaving of next_bits, next_block and next_blocks, from any
+    bit offset in a block, is the scalar reference's, draw by draw, with the
+    same generator state and pending bits after each; a negative size
+    raises ValueError and changes nothing."""
+    src, ref = SVSource(eps, spec, seed=41), ReferenceSource(eps, spec, 41)
+    for how, k in [("bits", offset)] * (offset > 0) + draws:
+        if k < 0:
+            before = stream_state(src)
+            with pytest.raises(ValueError):
+                _draw(src, how, k)
+            assert stream_state(src) == before
+            continue
+        assert _draw(src, how, k) == _draw(ref, how, k)
+        assert stream_state(src) == stream_state(ref)
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_blocks_from_every_bit_offset(offset):
+    """next_blocks after `offset` bits, from the unbiased word path and the
+    biased block path, is the scalar reference's."""
+    for eps, spec in [(0, "unbiased"), (0.05, ("avoid_target",))]:
+        src, ref = SVSource(eps, spec, seed=8), ReferenceSource(eps, spec, 8)
+        if offset:
+            assert src.next_bits(offset) == ref.next_bits(offset)
+        for m in (0, 1, 6, 33):
+            assert _draw(src, "blocks", m) == _draw(ref, "blocks", m)
+            assert stream_state(src) == stream_state(ref)
+
+
+def test_negative_draw_sizes_raise_before_any_change():
+    src = SVSource(0, "unbiased", seed=3)
+    src.next_bits(5)
+    before = stream_state(src)
+    for draw, k in ((src.next_block, -3), (src.next_blocks, -1),
+                    (src.next_bits, -2)):
+        with pytest.raises(ValueError):
+            draw(k)
+        assert stream_state(src) == before and src.bits_emitted == 5
+    assert src.next_block(0) == 0
+    assert src.next_blocks(0).tolist() == []
+    assert stream_state(src) == before
 
 
 def test_map_examples():
