@@ -270,19 +270,20 @@ def settings_tail_empirical(eps, strategy_spec, n: int, gamma: float,
     >= gamma n rounds" under a source-driven settings stream, against
     exp(-n D(gamma||zeta)).
 
-    zeta = 1 - (1/2 - eps)^8.  Each round walks every trial's block down
-    the strategy's block tree at once, through the `sv_source.walk` that
-    the source's own stream draws from; bias cycles may have any length.
+    zeta = 1 - (1/2 - eps)^8.  Each round draws every trial's block at
+    once, all at the round's block row (`sv_source.walk` with step 0, the
+    sampler the source's own stream draws from); bias cycles may have any
+    length.
     """
     epsf = _as_fraction(eps)
     zeta = float(1 - (1 - 2 * epsf) ** 8 / 256)   # 1 - (1/2-eps)^8, exactly
-    floats = np.array(make_strategy(strategy_spec, epsf).floats)
+    strategy = make_strategy(strategy_spec, epsf)
     is_miss = BLOCK_PAIR != pair_index(*TARGET_SETTINGS)
     rng = np.random.default_rng(seed)
     misses = np.zeros(trials, dtype=np.int64)
     for i in range(n):
-        misses += is_miss[walk(floats, np.full(trials, i),
-                               rng.random((BITS_PER_ROUND, trials)).T)]
+        misses += is_miss[walk(strategy, i,
+                               rng.random((BITS_PER_ROUND, trials)).T, step=0)]
     return _tail_check(float((misses >= gamma * n).mean()),
                        chernoff_bound(n, gamma, zeta), trials,
                        zeta=zeta, n=n, gamma=gamma)

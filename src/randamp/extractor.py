@@ -96,23 +96,46 @@ def output_hex(bits) -> str:
     return f"{int(''.join(map(str, bits)), 2):0{(len(bits) + 3) // 4}x}"
 
 
-def transcript_to_source(run, rule: str = "target_rounds") -> list[int]:
-    """Bit string for the extractor's device side, from an accepted run.
+def selected_rounds(run, rule: str = "target_rounds") -> int:
+    """The count of rounds `transcript_to_source` selects under `rule`,
+    read off the run's histogram: the rounds whose setting pair is the
+    tomography target, or all n."""
+    if rule == "all_rounds":
+        return run.n
+    first = 16 * pair_index(*TARGET_SETTINGS)
+    return sum(run.hist[first:first + 16])
+
+
+def transcript_to_source(run, rule: str = "target_rounds",
+                         rounds: int | None = None) -> list[int]:
+    """Bit string for the extractor's device side, from an accepted run:
+    4 bits for each of the first `rounds` selected rounds (all of them
+    when None), in round order.
 
     target_rounds: the 4 bits, MSB first, of the outcome code cell % 16 =
     4 (x1-1) + (x2-1) of each round whose setting pair cell // 16 is the
-    tomography target, in round order.  An accepted run always has such
-    rounds (the tomography count is positive), so an empty selection is an
-    error.  all_rounds: every round, 4n bits.
+    tomography target.  An accepted run always has such rounds (the
+    tomography count is positive), so an empty selection is an error.
+    all_rounds: every round, 4n bits.  Only a prefix of the cells long
+    enough to hold the rounds asked for is scanned.
     """
     if run.verdict != "Accept":
         raise ValueError("extraction requires an accepted run")
-    cells = run.cells
-    if rule != "all_rounds":
-        cells = cells[cells // 16 == pair_index(*TARGET_SETTINGS)]
-    if not cells.size:
+    if not selected_rounds(run, rule):
         raise ValueError("no rounds selected for extraction")
-    return ((cells[:, None] % 16 >> np.arange(3, -1, -1)) & 1).ravel().tolist()
+    picked = run.cells[:rounds]
+    if rule != "all_rounds":
+        pair = pair_index(*TARGET_SETTINGS)
+        # under uniform settings one round in 64 has the target pair
+        span = len(run.cells) if rounds is None else 128 * rounds
+        while True:
+            head = run.cells[:span]
+            picked = head[head >> 4 == pair][:rounds]
+            if len(picked) == rounds or span >= len(run.cells):
+                break
+            span *= 4
+    return ((picked[:, None] % 16 >> np.arange(3, -1, -1)) & 1
+            ).ravel().tolist()
 
 
 def extraction_report(x_len: int, t_len: int, cfg: ExtractorConfig,

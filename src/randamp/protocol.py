@@ -324,13 +324,15 @@ def extract_output(run: ProtocolRun, source: SVSource) -> None:
 
     `source` must stand right after the run's setting draws.  The
     extractor's t side is the next n bits of it, of which `extract` reads
-    only the first L, so min(n, L) are drawn; the x side is selected from
-    the cells by the configured rule.
+    only the first L, so min(n, L) are drawn; the x side is the first L
+    bits selected from the cells by the configured rule, and the report
+    counts every selected bit, from the histogram.
     """
     params = run.params
     cfg = params.extractor
     t_bits = source.next_bits(min(run.n, cfg.L))
-    x_bits = extractor_mod.transcript_to_source(run, cfg.rule)
+    x_bits = extractor_mod.transcript_to_source(run, cfg.rule, -(-cfg.L // 4))
+    x_len = 4 * extractor_mod.selected_rounds(run, cfg.rule)
     run.output_bits = extractor_mod.extract(x_bits, t_bits, cfg)
     # Honest device-side rate: at most 1/4 on any outcome pair at the
     # target setting for the ideal box, so 2 bits per 4 encoded.  The
@@ -338,9 +340,9 @@ def extract_output(run: ProtocolRun, source: SVSource) -> None:
     # floor over the selected bits; at desk scale it is vanishing and
     # the report says so rather than hiding it.
     rate_t = -math.log2(0.5 + params.eps)
-    certified = security_report(params).min_entropy_bound / len(x_bits)
+    certified = security_report(params).min_entropy_bound / x_len
     run.extraction = extractor_mod.extraction_report(
-        len(x_bits), run.n, cfg,
+        x_len, run.n, cfg,
         honest_rate_x=0.5, rate_t=rate_t, certified_rate_x=certified)
 
 

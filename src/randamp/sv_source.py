@@ -8,7 +8,12 @@ probability of 0, given the entire history, always lies in
 node, plus the floats the sampler compares against).  Its exact rows are
 the source's law, which the tests check against the band, and `walk` is
 the one sampler of it: the biased bit stream and the tail check in
-`bounds` both draw whole blocks through it.
+`bounds` both draw whole blocks through it.  The floats of a depth take
+at most two distinct values, so `walk` needs no walk down the tree: it
+compares a block's 8 uniforms with each depth's sorted thresholds, packs
+each compare into one byte, and reads the block off a table built with
+the strategy.  The bit at a node of depth j is bit 7 - j of the byte of
+its float's rank, so every bit is the tree walk's.
 
 Settings are chosen with 4 bits per party, MSB first (b1 b2 b3 b4 gives
 v = 8 b1 + 4 b2 + 2 b3 + b4) and the surjection setting = (v mod 9) + 1.
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -42,8 +47,11 @@ from .seeding import Stream
 BITS_PER_PARTY = 4
 BITS_PER_ROUND = 2 * BITS_PER_PARTY
 # Blocks a biased refill draws and walks at a time, so a long draw holds at
-# most 256 KB of uniforms.  A whole CHUNK's blocks at once ran `adversarial`
-# no faster; smaller pieces cost more numpy calls.
+# most 256 KB of uniforms.  A whole CHUNK's blocks at once (16384) ran
+# `adversarial` 2% faster in the median of 8 alternating pairs but won only
+# 5 of them, and added 0.6 MB of peak RSS; an n = 10^5 avoid_target run
+# takes 0-2 minor faults either way once warm.  Smaller pieces cost more
+# numpy calls.
 REFILL_PIECE = 4096
 
 
@@ -95,27 +103,39 @@ HALF = Fraction(1, 2)
 NODES = 1 << BITS_PER_ROUND     # heap nodes 1..255 of a block; 0 is unused
 
 
+# Most distinct thresholds any depth of a table row may hold, so a block is
+# one lookup in a table of 256**MAX_THRESHOLDS entries (64 KB).  Every
+# make_strategy kind needs at most two: avoid_target's 1/2 +- eps.
+MAX_THRESHOLDS = 2
+# Blocks per row of the sampler's compare: a row of 8 thresholds, one block,
+# is too short an inner loop for numpy.
+_TILE_BLOCKS = 64
+
+
 @dataclass(frozen=True)
 class Strategy:
-    """A source strategy as one block-tree table.
+    """A source strategy as one block-tree table and its sampling tables.
 
     Node 1 is the root of every 8-bit block, and consuming bit b moves from
     a node to 2*node + b.  rows[r][node] is the exact P(0) at `node` of
     every block whose index is r modulo len(rows); floats[r][node] is the
     value a uniform draw is compared against.  Index 0 of a row is unused.
+
+    The sampling tables, built once with the strategy, are what `walk`
+    reads.  thresholds[k, r, j] is the k-th smallest distinct float of row
+    r at depth j (the nodes 2^j .. 2^(j+1) - 1), +inf past the last, for
+    k < K <= MAX_THRESHOLDS.  blocks[r * 256**K + c] is the 8-bit value of
+    a block of row r whose compare bytes are c = B_0 | B_1 << 8 | ..., with
+    B_k the byte whose bit 7 - j says the depth-j uniform is >= thresholds[k,
+    r, j]: the bit at a node of depth j is bit 7 - j of B_k, k the rank of
+    the node's float among its depth's thresholds.
     """
 
     name: str
     rows: tuple[tuple[Fraction, ...], ...]
     floats: tuple[tuple[float, ...], ...]
-
-
-def _leaf_values(leaf_fn: Callable[[int], Fraction]) -> list:
-    """Values of the depth-8 block tree, heap-indexed (leaves at 256..511)."""
-    vals = [None] * 512
-    for leaf in range(256):
-        vals[256 + leaf] = _as_fraction(leaf_fn(leaf))
-    return vals
+    thresholds: np.ndarray = field(compare=False, repr=False)
+    blocks: np.ndarray = field(compare=False, repr=False)
 
 
 def _tree_extremum(eps: Fraction, leaf_fn: Callable[[int], Fraction],
@@ -124,47 +144,111 @@ def _tree_extremum(eps: Fraction, leaf_fn: Callable[[int], Fraction],
 
     The objective E[leaf value] is linear in each conditional probability,
     so the optimum sits at a band endpoint: the favored child gets weight
-    1/2 + eps.  Ties resolve toward bit 0 for determinism.
+    1/2 + eps.  Ties resolve toward bit 0 for determinism.  Computed in
+    integers: with eps = a/q and leaves over a common denominator d, a node
+    h levels above the leaves holds its value times d (2q)^h, which is
+    (q + 2a) times its favored child's plus (q - 2a) times the other's.
     """
-    vals = _leaf_values(leaf_fn)
+    leaves = [_as_fraction(leaf_fn(leaf)) for leaf in range(NODES)]
+    den = math.lcm(*(v.denominator for v in leaves))
+    vals = [0] * NODES + [v.numerator * (den // v.denominator) for v in leaves]
+    heavy, light = eps.denominator + 2 * eps.numerator, \
+        eps.denominator - 2 * eps.numerator
+    toward0, toward1 = HALF + eps, HALF - eps
     policy: dict[int, Fraction] = {}
-    for node in range(255, 0, -1):
+    for node in range(NODES - 1, 0, -1):
         v0, v1 = vals[2 * node], vals[2 * node + 1]
         prefer0 = (v0 <= v1) if minimize else (v0 >= v1)
-        p0 = HALF + eps if prefer0 else HALF - eps
-        policy[node] = p0
-        vals[node] = p0 * v0 + (1 - p0) * v1
-    return vals[1], policy
+        policy[node] = toward0 if prefer0 else toward1
+        vals[node] = heavy * v0 + light * v1 if prefer0 \
+            else light * v0 + heavy * v1
+    return (Fraction(vals[1], den * (2 * eps.denominator) ** BITS_PER_ROUND),
+            policy)
+
+
+def _sampling_tables(floats) -> tuple[np.ndarray, np.ndarray]:
+    """`Strategy.thresholds` and `Strategy.blocks` of the float rows."""
+    depths = [[sorted(set(row[1 << j:2 << j])) for j in range(BITS_PER_ROUND)]
+              for row in floats]
+    k_max = max(len(level) for row in depths for level in row)
+    if k_max > MAX_THRESHOLDS:
+        raise ValueError(f"a depth of the table has {k_max} distinct"
+                         f" thresholds, more than {MAX_THRESHOLDS}")
+    thresholds = np.full((k_max, len(floats), BITS_PER_ROUND), np.inf)
+    # The walk is built over q_0 q_1 .. q_7, each q_j the k_max compare
+    # bits of depth j (bit k: the uniform reached threshold k), q_0 most
+    # significant; `order` is the q index of each compare-byte index c,
+    # whose byte B_k holds bit k of every q_j.
+    bit_of = (np.arange(1 << k_max, dtype=np.uint16)
+              >> np.arange(k_max, dtype=np.uint16)[:, None]) & 1
+    byte = np.arange(256)
+    spread = sum((byte >> i & 1) << k_max * i for i in range(BITS_PER_ROUND))
+    order = np.zeros(1, np.intp)
+    for k in range(k_max - 1, -1, -1):
+        order = (order[:, None] | spread << k).ravel()
+    blocks = []
+    for r, (row, levels) in enumerate(zip(floats, depths)):
+        node = np.ones(1, np.uint16)    # reached by each q_0 .. q_j so far
+        for j, level in enumerate(levels):
+            thresholds[:len(level), r, j] = level
+            rank = np.array([level.index(f) for f in row[1 << j:2 << j]])
+            node = (2 * node[:, None] + bit_of[rank[node - (1 << j)]]).ravel()
+        blocks.append((node - NODES).astype(np.uint8).take(order))
+    blocks = np.concatenate(blocks)
+    thresholds.setflags(write=False)
+    blocks.setflags(write=False)
+    return thresholds, blocks
 
 
 def _table(name: str, eps: Fraction, p0_of: Callable[[int, int], Fraction],
            n_rows: int = 1, float_of: Callable[[Fraction], float] = float
            ) -> Strategy:
     """The strategy with P(0) = p0_of(r, node) at `node` of block row r,
-    checked against the band |P(0) - 1/2| <= eps."""
+    checked against the band |P(0) - 1/2| <= eps, with its sampling
+    tables; a depth of more than MAX_THRESHOLDS distinct floats raises
+    ValueError."""
     rows = tuple(tuple([HALF] + [p0_of(r, node) for node in range(1, NODES)])
                  for r in range(n_rows))
     as_float = {p: float_of(p) for p in set().union(*rows)}
     if any(abs(p - HALF) > eps for p in as_float):
         raise ValueError("bias magnitude exceeds the source parameter")
-    return Strategy(name, rows,
-                    tuple(tuple(as_float[p] for p in row) for row in rows))
+    floats = tuple(tuple(as_float[p] for p in row) for row in rows)
+    return Strategy(name, rows, floats, *_sampling_tables(floats))
 
 
-def walk(floats, rows, u: np.ndarray) -> np.ndarray:
-    """The 8-bit values of blocks walked down the block tree at once.
+def walk(strategy: Strategy, first: int, u: np.ndarray,
+         step: int = 1) -> np.ndarray:
+    """The 8-bit values of blocks drawn from their uniforms at once.
 
-    Block i reads row rows[i] % len(floats) of the table `floats`, and its
-    bit at each depth is 0 when u[i, depth] is below the entry at its node,
-    else 1; so a uniform u[i, depth] emits 0 with that entry's probability.
+    u holds one row of 8 uniforms per block, depth 0 first.  Block i is
+    block first + step * i of the stream (step 1: consecutive blocks, as a
+    source draws them; step 0: one block index for all) and reads that
+    index's row of the table modulo its row count.  Its bit at each depth
+    is 0 when the uniform is below the float at the node the block has
+    reached, else 1, so a uniform emits 0 with that float's probability.
+    This is read off the sampling tables: K compares against the depths'
+    sorted thresholds, each packed to one byte a block, and one lookup.
     """
-    floats = np.asarray(floats)
-    start = np.asarray(rows) % len(floats) * NODES  # of each row, in flat
-    flat = floats.ravel()       # one index per step: faster than [row, node]
-    node = np.ones(len(u), np.intp)
-    for depth in range(BITS_PER_ROUND):
-        node = 2 * node + (u[:, depth] >= flat[start + node])
-    return node - NODES
+    thresholds, n_rows = strategy.thresholds, len(strategy.rows)
+    period = n_rows if step else 1      # blocks after which the rows repeat
+    period_rows = (first + step * np.arange(period)) % n_rows
+    # a row of the compare covers whole periods of blocks
+    width = BITS_PER_ROUND * period * -(-_TILE_BLOCKS // period)
+    tiles = np.tile(thresholds[:, period_rows].reshape(len(thresholds), -1),
+                    width // (BITS_PER_ROUND * period))
+    flat = u.reshape(-1)
+    cut = len(flat) - len(flat) % width
+    hit = np.empty(len(flat), bool)
+    index = np.zeros(len(u), np.intp if n_rows > 1 else np.uint16)
+    for k, tile in enumerate(tiles):
+        np.greater_equal(flat[:cut].reshape(-1, width), tile,
+                         out=hit[:cut].reshape(-1, width))
+        np.greater_equal(flat[cut:], tile[:len(flat) - cut], out=hit[cut:])
+        index |= np.packbits(hit).astype(index.dtype) << 8 * k
+    if n_rows > 1:
+        index += (first + step * np.arange(len(u))) % n_rows \
+            << 8 * len(thresholds)
+    return strategy.blocks.take(index)
 
 
 # Each strategy kind and the numbers of arguments it takes.
@@ -243,8 +327,9 @@ class SVSource:
     draw takes bits off the front of one byte buffer, which is refilled with
     the fewest whole units that cover the draw: 32-bit words of the seed's
     `seeding.Stream`, as big-endian bytes, for the unbiased strategy, and
-    for every other strategy 8-bit blocks, each bit one uniform walked down
-    the strategy's block tree (`walk`), REFILL_PIECE blocks at a time.  So
+    for every other strategy 8-bit blocks, each bit one uniform compared
+    at the block's node in the strategy's table (`walk`), REFILL_PIECE
+    blocks at a time.  So
     the bits do not depend on how a caller splits its draws, and a draw
     that ends inside a unit leaves the rest of that unit in the buffer,
     already drawn from the generator.
@@ -278,12 +363,11 @@ class SVSource:
         else:
             count = -(-(k - held) // BITS_PER_ROUND)
             first = (self.bits_emitted + held) // BITS_PER_ROUND
-            floats = np.asarray(self.strategy.floats)
             fresh = np.empty(count, np.uint8)
             for i in range(0, count, REFILL_PIECE):
                 m = min(REFILL_PIECE, count - i)
                 u = self.rng.uniforms(BITS_PER_ROUND * m)
-                fresh[i:i + m] = walk(floats, first + np.arange(i, i + m),
+                fresh[i:i + m] = walk(self.strategy, first + i,
                                       u.reshape(m, BITS_PER_ROUND))
         self._buf = np.concatenate([self._buf[self._taken >> 3:],
                                     fresh.view(np.uint8)])
@@ -348,8 +432,9 @@ def sv_chernoff_oracle(eps, k: int = 1) -> dict:
 
     exact_max = (1 - p_min)^k with p_min the DP-exact least per-round mass
     on the target; zeta_bound = zeta^k, zeta = 1 - (1/2-eps)^8.  The oracle
-    asserts exact_max <= zeta_bound (the premise of the exponential
-    concentration bound for source-chosen settings).
+    raises ArithmeticError unless exact_max <= zeta_bound (the premise of
+    the exponential concentration bound for source-chosen settings), also
+    under `python -O`.
     """
     if not 1 <= k <= 20:
         raise ValueError("exact mode supports 1 <= k <= 20")
@@ -358,7 +443,8 @@ def sv_chernoff_oracle(eps, k: int = 1) -> dict:
     exact_max = (1 - p_min) ** k
     zeta = 1 - (Fraction(1, 2) - epsf) ** BITS_PER_ROUND
     zeta_bound = zeta ** k
-    assert exact_max <= zeta_bound, \
-        f"concentration premise violated: {exact_max} > {zeta_bound}"
+    if not exact_max <= zeta_bound:
+        raise ArithmeticError(
+            f"concentration premise violated: {exact_max} > {zeta_bound}")
     return {"exact_max": exact_max, "zeta": zeta, "zeta_bound": zeta_bound,
             "p_min": p_min, "k": k}

@@ -9,6 +9,10 @@ whole word or block at a time, as the engine refills its buffer, so a
 reference and an engine source built alike emit the same bits and leave
 their generators in the same state.
 
+`walk` and `tree_extremum` are the block samplers' and the block DP's
+step-by-step forms: a walk down the tree one depth at a time, and the
+extremum in normalized Fractions.
+
 A device's round draws one random() r and bisects it in the cumulative
 outcome probabilities of its setting pair, summed left to right from
 `Behavior.table` in the behavior the round plays (b1 before tau, b2 from
@@ -16,12 +20,13 @@ tau on), with the last entry raised to 1.
 """
 
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate
 from random import Random
 
 import numpy as np
 
-from randamp.sv_source import BITS_PER_ROUND, SVSource
+from randamp.sv_source import BITS_PER_ROUND, HALF, NODES, SVSource
 
 
 class ReferenceSource:
@@ -109,3 +114,32 @@ def stream_state(source):
     else:
         pending = np.unpackbits(source._buf)[source._taken:].tolist()
     return source.rng.getstate(), pending, source.bits_emitted
+
+
+def walk(floats, rows, u):
+    """The 8-bit values of blocks walked down the block tree one depth at a
+    time: block i reads row rows[i] % len(floats) of the table `floats`,
+    and its bit at each depth is 0 when u[i, depth] is below the entry at
+    its node, else 1."""
+    floats = np.asarray(floats)
+    start = np.asarray(rows) % len(floats) * NODES  # of each row, in flat
+    flat = floats.ravel()
+    node = np.ones(len(u), np.intp)
+    for depth in range(BITS_PER_ROUND):
+        node = 2 * node + (u[:, depth] >= flat[start + node])
+    return node - NODES
+
+
+def tree_extremum(eps, leaf_fn, minimize):
+    """`sv_source._tree_extremum` in Fractions: each node is p0 v0 +
+    (1 - p0) v1 of its children, p0 = 1/2 + eps toward the favored child
+    (bit 0 on a tie)."""
+    vals = [None] * NODES + [Fraction(leaf_fn(leaf)) for leaf in range(NODES)]
+    policy = {}
+    for node in range(NODES - 1, 0, -1):
+        v0, v1 = vals[2 * node], vals[2 * node + 1]
+        prefer0 = (v0 <= v1) if minimize else (v0 >= v1)
+        p0 = HALF + eps if prefer0 else HALF - eps
+        policy[node] = p0
+        vals[node] = p0 * v0 + (1 - p0) * v1
+    return vals[1], policy

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from randamp.boxes import (depolarize, make_adversarial_device,
                            make_iid_device, uniform_box)
 from randamp.cli import build_device_factory
-from randamp.ks_bell import N_CELLS, var_index
-from randamp.extractor import output_hex
+from randamp.ks_bell import N_CELLS, TARGET_SETTINGS, pair_index, var_index
+from randamp.extractor import ExtractorConfig, extract, output_hex
 from randamp.ns_certify import build_lp, solve_lp, zero_target_box
 from randamp.protocol import (_RECORD_TAIL, _VERDICTS, CHUNK, FORMAT_VERSION,
                               ProtocolParams, ProtocolRun, _field, _records,
@@ -65,6 +65,34 @@ def test_run_protocol_ideal_accepts_with_exact_zero_bell(ideal):
     assert src.bits_emitted == 8 * params.n + params.extractor.L
     assert run.extraction["honest_condition_met"]
     assert run.extraction["rule"] == "target_rounds"
+
+
+@pytest.mark.parametrize("rule", ["target_rounds", "all_rounds"])
+@pytest.mark.parametrize("L", [1, 7, 256, 4001, 10 ** 6])
+def test_extraction_reads_a_prefix_and_counts_from_the_histogram(ideal, rule,
+                                                                  L):
+    """Built from the first ceil(L/4) selected rounds, with the selected
+    bits counted off the histogram, the extraction is the one built from
+    every selected round's bits: the same output_hex, x_bits_available and
+    certified_rate_x, under both rules and for L below, at and past the
+    bits there are."""
+    params = ProtocolParams(n=20_000, mu1=1e-9, kappa=4e-10,
+                            enforce_bounds=False,
+                            extractor=ExtractorConfig(m=1, L=L, rule=rule))
+    run = run_protocol(make_iid_device(ideal, seed=5),
+                       SVSource(0, "unbiased", seed=6), params)
+    assert run.verdict == "Accept"
+    source = SVSource(0, "unbiased", seed=6)
+    source.next_blocks(params.n)
+    t_bits = source.next_bits(min(params.n, L))
+    cells = run.cells if rule == "all_rounds" else \
+        run.cells[run.cells // 16 == pair_index(*TARGET_SETTINGS)]
+    x_bits = [int(b) for c in cells for b in f"{c % 16:04b}"]
+    assert output_hex(run.output_bits) == \
+        output_hex(extract(x_bits, t_bits, params.extractor))
+    assert run.extraction["x_bits_available"] == len(x_bits)
+    assert run.extraction["certified_rate_x"] == \
+        security_report(params).min_entropy_bound / len(x_bits)
 
 
 def test_run_protocol_uniform_box_aborts_bell(ideal):

@@ -1,16 +1,23 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randamp
 from randamp.ks_bell import pair_index
-from randamp.sv_source import (BLOCK_PAIR, DEFAULT_MAP, REFILL_PIECE,
-                               SVSource, _tree_extremum, make_strategy,
-                               setting_measure_extrema, sv_chernoff_oracle)
+from randamp.sv_source import (BLOCK_PAIR, DEFAULT_MAP, MAX_THRESHOLDS,
+                               REFILL_PIECE, SVSource, _table, _tree_extremum,
+                               make_strategy, setting_measure_extrema,
+                               sv_chernoff_oracle, walk)
 from checks import exact_p0
+import sv_reference
 from sv_reference import ReferenceSource, stream_state
 
 HALF = Fraction(1, 2)
@@ -276,6 +283,79 @@ def test_negative_draw_sizes_raise_before_any_change():
     assert stream_state(src) == before
 
 
+# eps: 0, 1/20 and the float 0.05 (whose exact value is not 1/20), 1/5,
+# and random rationals below 1/2
+_EPS = st.sampled_from([Fraction(0), Fraction(1, 20), 0.05, Fraction(1, 5)]) \
+    | st.fractions(0, Fraction(49, 100), max_denominator=1000)
+
+
+@st.composite
+def _strategies(draw):
+    """A make_strategy table of any kind at any eps: constant_bias cycles
+    of 1-5 entries (several block rows unless the length divides 8),
+    avoid_target at any setting pair, toward_pattern at any pattern."""
+    eps = draw(_EPS)
+    kind = draw(st.sampled_from(["unbiased", "constant_bias", "avoid_target",
+                                 "toward_pattern"]))
+    if kind == "constant_bias":
+        bias = st.sampled_from([eps, -eps, 0.0]) | st.fractions(
+            -1, 1, max_denominator=12).map(lambda t: t * Fraction(eps))
+        spec = (kind, draw(st.lists(bias, min_size=1, max_size=5)))
+    elif kind == "avoid_target":
+        spec = (kind, draw(st.tuples(st.integers(1, 9), st.integers(1, 9))))
+    elif kind == "toward_pattern":
+        spec = (kind, draw(st.integers(0, 255)))
+    else:
+        spec = kind
+    return make_strategy(spec, eps)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(strategy=_strategies(), first=st.integers(0, 10 ** 6),
+       step=st.sampled_from([0, 1]), m=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1), exact=st.floats(0, 1))
+def test_table_walk_is_the_reference_walk(strategy, first, step, m, seed,
+                                          exact):
+    """`walk` over the sampling tables is the depth-by-depth walk of
+    `strategy.floats`, block for block, from any first block row, for
+    consecutive blocks and for one block index, on uniforms of which a
+    share `exact` equal a threshold of the table or 0.0.  Every table has
+    at most MAX_THRESHOLDS = 2 thresholds a depth."""
+    assert len(strategy.thresholds) <= MAX_THRESHOLDS == 2
+    rng = np.random.default_rng(seed)
+    u = rng.random((m, 8))
+    values = sorted(set().union(*strategy.floats)) + [0.0]
+    on = rng.random((m, 8)) < exact
+    u[on] = rng.choice(values, on.sum())
+    rows = first + step * np.arange(m)
+    assert walk(strategy, first, u, step).tolist() == \
+        sv_reference.walk(strategy.floats, rows, u).tolist()
+
+
+def test_a_table_with_three_thresholds_at_a_depth_raises():
+    """Depth 2 (nodes 4..7) holds 1/2 - 1/10, 1/2 and 1/2 + 1/10."""
+    tenth = Fraction(1, 10)
+    with pytest.raises(ValueError, match="3 distinct thresholds"):
+        _table("three", tenth,
+               lambda r, node: HALF + tenth * (node % 3 - 1) if 4 <= node < 8
+               else HALF)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(eps=st.fractions(0, HALF, max_denominator=10 ** 6).filter(
+           lambda e: e < HALF) | st.just(Fraction(0.05)),
+       seed=st.integers(0, 2 ** 32 - 1), minimize=st.booleans())
+def test_integer_extremum_is_the_fraction_dp(eps, seed, minimize):
+    """`_tree_extremum` in scaled integers has the value and the policy of
+    the DP in Fractions, for random rational leaves with many ties."""
+    rng = np.random.default_rng(seed)
+    leaves = [Fraction(int(a), int(b)) for a, b in
+              zip(rng.integers(-4, 5, 256), rng.integers(1, 8, 256))]
+    leaf = leaves.__getitem__
+    assert _tree_extremum(eps, leaf, minimize) == \
+        sv_reference.tree_extremum(eps, leaf, minimize)
+
+
 def test_map_examples():
     assert DEFAULT_MAP.map_block(0b00000001) == (1, 2)
     assert DEFAULT_MAP.map_block(0xFF) == (7, 7)
@@ -337,6 +417,26 @@ def test_chernoff_oracle_examples():
     assert got01["exact_max"] <= 1 - Fraction(2, 5) ** 8
     with pytest.raises(ValueError):
         sv_chernoff_oracle(0, 25)
+
+
+def test_chernoff_oracle_premise_check_survives_python_O():
+    """A violated premise raises under `python -O` too: with a per-round
+    least mass of 0 on the target, exact_max = 1 > zeta."""
+    code = ("from fractions import Fraction\n"
+            "import randamp.sv_source as sv\n"
+            "sv.setting_measure_extrema = lambda eps, u: (Fraction(0),) * 2\n"
+            "assert not __debug__\n"
+            "try:\n"
+            "    sv.sv_chernoff_oracle(Fraction(1, 10), 3)\n"
+            "except ArithmeticError as err:\n"
+            "    print(err)\n")
+    src = str(Path(randamp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("concentration premise violated: 1 > ")
 
 
 def test_chernoff_oracle_grid_small():
