@@ -187,7 +187,7 @@ def linear_fraction(values, delta: float) -> list[int]:
 
     By Markov's inequality fewer than sqrt(delta) * n entries can exceed
     sqrt(delta), so the returned set has size >= (1 - sqrt(delta)) * n;
-    this postcondition is asserted on every call.
+    this postcondition is checked on every call (ArithmeticError if not).
     """
     vals = np.asarray(values, dtype=float)
     n = len(vals)
@@ -197,7 +197,9 @@ def linear_fraction(values, delta: float) -> list[int]:
         raise ValueError(f"mean {vals.mean()} exceeds delta {delta}")
     root = math.sqrt(delta)
     idx = np.flatnonzero(vals <= root).tolist()
-    assert len(idx) >= (1.0 - root) * n - 1e-9, "linear-fraction bound violated"
+    if not len(idx) >= (1.0 - root) * n - 1e-9:
+        raise ArithmeticError(f"linear-fraction bound violated: {len(idx)}"
+                              f" of {n} values at most sqrt(delta)")
     return idx
 
 
@@ -210,7 +212,7 @@ def qualifying_round_count(trace_target_flags, conditionals,
     is at least mu1/2.  The count is then at least
     n (mu1 - 2 kappa) / (2 (1 - kappa)): rounds below kappa contribute less
     than kappa to the average, so the qualifying rounds must carry the rest.
-    The lower bound is asserted.
+    The lower bound is checked (ArithmeticError if not).
     """
     flags = np.asarray(trace_target_flags, dtype=bool)
     cond = np.asarray(conditionals, dtype=float)
@@ -224,7 +226,8 @@ def qualifying_round_count(trace_target_flags, conditionals,
         raise ValueError(f"conditional average {s_bar} below mu1/2 = {mu1 / 2}")
     count = int(np.sum(flags & (cond >= kappa)))
     floor = n * (mu1 - 2 * kappa) / (2 * (1 - kappa))
-    assert count >= floor - 1e-9, f"count {count} below floor {floor}"
+    if not count >= floor - 1e-9:
+        raise ArithmeticError(f"count {count} below floor {floor}")
     return count
 
 
@@ -233,7 +236,8 @@ def relative_entropy(gamma: float, zeta: float) -> float:
 
     Edge conventions by continuity: D(g||g) = 0; D(g||0) = +inf for
     g > 0; D(1||z) = ln(1/z).  The domain zeta <= gamma leaves no other
-    edge: gamma = 0 forces zeta = gamma.
+    edge: gamma = 0 forces zeta = gamma.  The Pinsker-type floor
+    D >= 2 (gamma - zeta)^2 is checked (ArithmeticError if not).
     """
     if not (0 <= zeta <= gamma <= 1):
         raise ValueError("need 0 <= zeta <= gamma <= 1")
@@ -246,7 +250,9 @@ def relative_entropy(gamma: float, zeta: float) -> float:
     else:
         d = gamma * math.log(gamma / zeta) \
             + (1.0 - gamma) * math.log((1.0 - gamma) / (1.0 - zeta))
-    assert d >= 2.0 * (gamma - zeta) ** 2 - 1e-12, "Pinsker-type floor violated"
+    if not d >= 2.0 * (gamma - zeta) ** 2 - 1e-12:
+        raise ArithmeticError(f"Pinsker-type floor violated: D = {d}"
+                              f" < 2 (gamma - zeta)^2")
     return d
 
 

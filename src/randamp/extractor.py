@@ -228,7 +228,8 @@ def max_sequence_probability_product(n: int, positions, gamma,
                                      alphabet: int = 4) -> Fraction:
     """Exact max over outcome sequences for a product (memoryless) device
     with per-round max gamma at `positions` and a deterministic round
-    elsewhere.  Equals gamma^|positions| exactly."""
+    elsewhere.  Equals gamma^|positions| exactly, which is checked
+    (ArithmeticError if not)."""
     g = Fraction(gamma)
     pos = set(positions)
     result = Fraction(1)
@@ -237,7 +238,9 @@ def max_sequence_probability_product(n: int, positions, gamma,
             else [Fraction(1 if a == 0 else 0) for a in range(alphabet)]
         result *= max(dist)
     expected = sequence_probability_bound(len(pos), g)
-    assert result == expected
+    if result != expected:
+        raise ArithmeticError(f"product maximum {result} is not gamma^k"
+                              f" = {expected}")
     return result
 
 

@@ -9,13 +9,18 @@ generator and one from the device's, each exactly the draws of those
 rounds in round order, so both generators end where a round-by-round loop
 leaves them and the transcript is the same bit for bit.  A run is its
 params, the histogram of its cells and, when kept, its cells in round
-order (`ProtocolRun`).  Two tests are evaluated in order on sums over the
-histogram: the Bell test (the empirical indicator average must not exceed
-delta) and then, only if it passed, the tomographic test (the empirical
-frequency of the target cell must reach mu1).  Both aborts are verdicts,
-not errors.  `replay_transcript` is the one path from cells back to a run;
+order, 2 bytes each in one array (`ProtocolRun`).  Two tests are evaluated
+in order on sums over the histogram: the Bell test (the empirical
+indicator average must not exceed delta) and then, only if it passed, the
+tomographic test (the empirical frequency of the target cell must reach
+mu1).  Both aborts are verdicts, not errors.  `replay_transcript` is the one path from cells back to a run;
 `read_transcript` reads in one pass the one layout `write_transcript`
-writes, both by one table of record texts in fixed-width blocks.  On
+writes, both by one table of record texts in fixed-width blocks of at most
+BLOCK_ROWS = 2^12 rows.  Each call goes through one small set of buffers,
+made once for the call and reused for every block: the writer builds each
+block in one; the reader reads each block's bytes into one, decodes each
+row's cell with an exact float32 dot product of its four tail digits,
+builds the expected block into another and compares into a third.  On
 acceptance of a run whose transcript is kept, the extractor's t side is the
 next n bits of the same source (the stream positions of setting draws and
 extraction draws are disjoint by construction); it reads only the first L
@@ -47,6 +52,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -231,11 +237,16 @@ def parse_header(header: dict) -> tuple[ProtocolParams, SVSource]:
         parse_int(source, "seed", "source"))
 
 
+# The dtype of a run's kept cells, 0..1295: 2 bytes a round.
+CELL_DTYPE = np.int16
+
+
 @dataclass
 class ProtocolRun:
     """A run is its params, its histogram over the 1296 cells in
-    `ks_bell.var_index` order and, when kept, `cells`, the integer array of
-    its rounds' cells; n, the statistics and the verdict derive from hist."""
+    `ks_bell.var_index` order and, when kept, `cells`, the CELL_DTYPE array
+    of its rounds' cells; n, the statistics and the verdict derive from
+    hist."""
 
     params: ProtocolParams
     device_spec: dict
@@ -299,20 +310,20 @@ def run_protocol(device: Device, source: SVSource, params: ProtocolParams,
     `random()` draw.  Rounds are drawn and tallied CHUNK at a time, each
     generator's batch being exactly its draws for those rounds, so every
     stream position is the one a round-by-round run reaches; the batches'
-    cells, joined, are the kept `cells`.  An accepted run with kept cells
+    cells fill the kept `cells` in place.  An accepted run with kept cells
     goes on to `extract_output`, which draws min(n, L) further source bits.
     """
     params.validate()
     hist = np.zeros(N_CELLS, np.int64)
-    kept = []
+    kept = np.empty(params.n, CELL_DTYPE) if keep_transcript else None
     for k, pairs in setting_pairs(source, params.n):
         cells = pairs * N_OUTCOMES ** 2 + device.respond_chunk(k, pairs)
         hist += np.bincount(cells, minlength=N_CELLS)
         if keep_transcript:
-            kept.append(cells)
+            kept[k:k + len(cells)] = cells
 
     run = ProtocolRun(params, device.spec(), source.spec(), hist.tolist(),
-                      np.concatenate(kept) if keep_transcript else None)
+                      kept)
     if run.verdict == "Accept" and keep_transcript:
         extract_output(run, source)
     return run
@@ -555,37 +566,51 @@ def monte_carlo(device_factory: Callable[[int], Device],
 # The record of round i = 1, 2, ... in cell c is b'{"i": %d' % i and the
 # tail _RECORD_TAIL[c] (settings 1..9, outcomes 1..4), 34 + d bytes when i
 # has d digits.  So the records whose i have d digits are one fixed-width
-# block, written and read CHUNK rows at a time as uint8 arrays (`_records`),
-# and a row is three whole byte fields: the head, the d digits of i and the
-# tail.  Each field is filled at once from a constant table: the head from
-# _RECORD_HEAD, the digits three at a time from _DIGITS, the tail as one
-# fixed-width item of _TAILS.  Writer and reader use these tables and
-# nothing else.
+# block, written and read BLOCK_ROWS rows at a time as uint8 arrays
+# (`_records`).  Past the first head, the block is the d digits of each i
+# followed by its joint: its tail and the next record's head, _JOINTS[c].
+# Each field is filled for the whole block at once from a constant table:
+# the digits three at a time from _DIGITS, the joint as one fixed-width item
+# of _JOINTS.  Writer and reader use these tables and nothing else.
 _RECORD_TAIL = [b', "u": [%d, %d], "x": [%d, %d]}\n' % cell_entry(c)
                 for c in range(N_CELLS)]
 _RECORD_HEAD = b'{"i": '
-_TAILS = np.array(_RECORD_TAIL)     # dtype S28: one item per cell
+_HEAD = np.frombuffer(_RECORD_HEAD, np.uint8)
+_JOINTS = np.array([tail + _RECORD_HEAD for tail in _RECORD_TAIL])  # S34
+# Rows per record block, a constant chosen by measurement: the buffers of
+# 2^12 rows (160 KB each at n = 10^5) are a small working set, made once per
+# call, and a block's dozen numpy calls cost little against its bytes.
+BLOCK_ROWS = 1 << 12
 # _DIGITS[w] is "0...0" to "9...9" (w digits) repeated, so any CHUNK
 # consecutive i read their last w digits as one slice of it.
 _DIGITS = {w: np.tile(np.frombuffer(b"".join(b"%0*d" % (w, k) for k in
                                               range(10 ** w)), f"S{w}"),
                       CHUNK // 10 ** w + 2) for w in (1, 2, 3)}
 # A tail's digits u1, u2, x1, x2 sit at these offsets; their weights give
-# the cell ((u1-1) 9 + u2-1) 16 + (x1-1) 4 + x2-1, as `var_index` does.
+# the cell ((u1-1) 9 + u2-1) 16 + (x1-1) 4 + x2-1, as `var_index` does.  The
+# weighted sum of any four bytes is at most 255 x 165 < 2^24, so a float32
+# dot product gives it exactly.
 _TAIL_DIGITS = np.array([8, 11, 21, 24])
-_DIGIT_WEIGHTS = np.array([144, 16, 4, 1])
+_DIGIT_WEIGHTS = np.array([144, 16, 4, 1], np.float32)
+_CELL_OFFSET = ord("1") * 165       # the sum at digits 1, 1, 1, 1: cell 0
 _VERDICTS = ("Accept", "AbortBell", "AbortTomography")
 
 
-def _record_blocks(n=math.inf):
+def _record_blocks(n: int):
     """(first i, count, d) of the record blocks of rounds 1..n, in order:
-    at most CHUNK records each, whose i all have d digits."""
+    at most BLOCK_ROWS records each, whose i all have d digits."""
     first, d = 1, 1
     while first <= n:
         end = min(10 ** d, n + 1)
-        for i in range(first, end, CHUNK):
-            yield i, min(CHUNK, end - i), d
+        for i in range(first, end, BLOCK_ROWS):
+            yield i, min(BLOCK_ROWS, end - i), d
         first, d = end, d + 1
+
+
+def _block_bytes(n: int) -> int:
+    """Bytes of the largest record block of rounds 1..n, taken as
+    min(n, BLOCK_ROWS) records as wide as that of round n."""
+    return min(n, BLOCK_ROWS) * (len(str(n)) + _JOINTS.itemsize)
 
 
 def _byte_field(rows: np.ndarray, start: int, width: int) -> np.ndarray:
@@ -593,30 +618,37 @@ def _byte_field(rows: np.ndarray, start: int, width: int) -> np.ndarray:
     return rows[:, start:start + width].view(f"S{width}")[:, 0]
 
 
-def _records(first: int, cells: np.ndarray, d: int) -> np.ndarray:
+def _records(first: int, cells: np.ndarray, d: int,
+             out: np.ndarray | None = None) -> np.ndarray:
     """The records of rounds first, first + 1, ... in `cells`, whose i all
-    have d digits, as the rows of a (len(cells), 34 + d) uint8 array."""
-    count, head = len(cells), len(_RECORD_HEAD)
-    rows = np.empty((count, head + d + _TAILS.itemsize), np.uint8)
-    _byte_field(rows, 0, head)[:] = _RECORD_HEAD
-    _byte_field(rows, head + d, _TAILS.itemsize)[:] = _TAILS[cells]
-    end, p = head + d, 1        # the w digits of i // p end at byte `end`
-    while end > head:
-        w = min(3, end - head)
+    have d digits, as the rows of a (len(cells), 34 + d) uint8 array.  With
+    `out`, a flat uint8 array of at least len(cells) (34 + d) + 6 items,
+    the rows are its leading bytes (the last joint ends 6 bytes past)."""
+    count, head, width = len(cells), len(_HEAD), d + _JOINTS.itemsize
+    if out is None:
+        out = np.empty(count * width + head, np.uint8)
+    out[:head] = _HEAD
+    # row k of `shifted` starts after record k's head: its digits, its joint
+    shifted = out[head:head + count * width].reshape(count, width)
+    _byte_field(shifted, d, _JOINTS.itemsize)[:] = _JOINTS.take(cells)
+    end, p = d, 1               # the w digits of i // p end at byte `end`
+    while end > 0:
+        w = min(3, end)
         lo, hi = first // p, (first + count - 1) // p
         digits = _DIGITS[w][lo % 10 ** w:][:hi - lo + 1]
         if p > 1:   # i // p is k on rows k p - first up to (k + 1) p - first
             edges = np.clip([k * p - first for k in range(lo, hi + 2)], 0, count)
             digits = np.repeat(digits, np.diff(edges))
-        _byte_field(rows, end - w, w)[:] = digits
+        _byte_field(shifted, end - w, w)[:] = digits
         end, p = end - w, 1000 * p
-    return rows
+    return out[:count * width].reshape(count, width)
 
 
 def write_transcript(run: ProtocolRun, path, config_hash: str = "",
                      package_version: str = "") -> None:
-    """JSON Lines: a header, a record per round (one write per block of
-    `_record_blocks`), a summary."""
+    """JSON Lines: a header, a record per round, a summary.  The records go
+    block by block (`_record_blocks`): each is built by `_records` in one
+    buffer, made once for the call, and written in one call."""
     if run.cells is None:
         raise ValueError("run has no kept transcript")
     with open(path, "wb") as fh:
@@ -625,8 +657,10 @@ def write_transcript(run: ProtocolRun, path, config_hash: str = "",
                   "config_hash": config_hash, "params": run.params.to_dict(),
                   "device": run.device_spec, "source": run.source_spec}
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        rows = np.empty(_block_bytes(len(run.cells)) + len(_HEAD), np.uint8)
         for first, count, d in _record_blocks(len(run.cells)):
-            fh.write(_records(first, run.cells[first - 1:first - 1 + count], d))
+            fh.write(_records(first, run.cells[first - 1:first - 1 + count],
+                              d, rows))
         summary = {"type": "summary", "Ln": run.bell_average,
                    "Sn": run.target_frequency, "verdict": run.verdict}
         if run.output_bits is not None:
@@ -655,41 +689,54 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
     decoded as UTF-8, it must have the layout `write_transcript` writes:
     the header, the k-th record as b'{"i": k' and a `_RECORD_TAIL` entry
     (its cell), one summary, the end of the file.  The records are read
-    block by block (`_record_blocks`): each row's cell is read off its tail
-    digits, and the block is compared once, as a whole, with `_records` of
-    those cells.  Only a block that differs (a tampered file, or the block
+    block by block (`_record_blocks`, BLOCK_ROWS rows at most) through one
+    working set made for the call: each block's bytes are read into one
+    buffer, each row's cell is read off its four tail digits by one exact
+    float32 dot product into one CELL_DTYPE array (as many items as the
+    file's length allows records), `_records` of those cells is built into
+    a second buffer, and the two are compared byte by byte, once, into one
+    bool buffer.  Only a block that differs (a tampered file, or the block
     that holds the summary) is searched for its first differing row, and
     the line that starts there is the summary.  Then its format version,
     `parse_header` (the rules a config is read by), n against the record
     count and the summary's Ln, Sn (numbers in [0, 1]) and verdict are
     checked.  Any failure raises ValueError("<path>:<line>: ...").
     """
-    kept = []
     with open(path, "rb") as fh:
         header = _tagged(path, 1, fh.readline(), "header", "the header")
-        for first, count, d in _record_blocks():
-            width = len(_RECORD_HEAD) + d + _TAILS.itemsize
-            at, block = fh.tell(), fh.read(count * width)
-            rows = np.frombuffer(block, np.uint8)
-            rows = rows[:len(rows) - len(rows) % width].reshape(-1, width)
-            tail_digits = rows[:, len(_RECORD_HEAD) + d + _TAIL_DIGITS]
-            cells = np.clip(tail_digits.astype(np.int64) @ _DIGIT_WEIGHTS
-                            - ord("1") * _DIGIT_WEIGHTS.sum(), 0, N_CELLS - 1)
-            want, ok = _records(first, cells, d), len(rows)
-            if not np.array_equal(rows, want):  # the first differing byte's row
-                ok = int(np.argmax(rows != want)) // width
-            kept.append(cells[:ok])
+        # a record takes at least 35 bytes (one digit), so the rest of the
+        # file bounds the record count
+        most = (os.fstat(fh.fileno()).st_size - fh.tell()) \
+            // (1 + _JOINTS.itemsize)
+        cells = np.empty(most, CELL_DTYPE)
+        got = np.empty(_block_bytes(most), np.uint8)
+        want = np.empty(len(got) + len(_HEAD), np.uint8)
+        differ = np.empty(len(got), bool)
+        done = 0
+        for first, count, d in _record_blocks(most):
+            width = d + _JOINTS.itemsize
+            at, size = fh.tell(), fh.readinto(got[:count * width])
+            rows = got[:size - size % width].reshape(-1, width)
+            code = rows.take(len(_HEAD) + d + _TAIL_DIGITS, axis=1
+                             ).astype(np.float32) @ _DIGIT_WEIGHTS
+            np.clip(code, _CELL_OFFSET, _CELL_OFFSET + N_CELLS - 1, out=code)
+            block = cells[first - 1:first - 1 + len(rows)]
+            np.subtract(code, _CELL_OFFSET, out=block, casting="unsafe")
+            wrong = np.not_equal(rows, _records(first, block, d, want),
+                                 out=differ[:rows.size].reshape(rows.shape))
+            ok = int(np.argmax(wrong)) // width if wrong.any() else len(rows)
+            done += ok
             if ok < count:
+                fh.seek(at + ok * width)
                 break
-        fh.seek(at + ok * width)
-        line_no, line = first + ok + 1, fh.readline()
+        line_no, line = done + 2, fh.readline()
         if not line:
             raise ValueError(f"{path}: no summary line")
         summary = _tagged(path, line_no, line, "summary", f"record"
                           f" {line_no - 1} in the written form or the summary")
         if fh.read(1):
             raise ValueError(f"{path}:{line_no + 1}: text after the summary")
-    cells = np.concatenate(kept)
+    cells = cells[:done]
     if type(version := header.get("version")) is not int \
             or version != FORMAT_VERSION:   # true and 1.0 are no version
         raise ValueError(f"{path}:1: format version {version!r},"
@@ -713,6 +760,10 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
 def replay_transcript(params: ProtocolParams, cells) -> ProtocolRun:
     """The run whose rounds are `cells` (`var_index` cells in round order,
     an integer array) under `params`, not a stored summary's.  Its device
-    and source specs are left empty; a transcript header keeps them."""
-    return ProtocolRun(params, {}, {},
-                       np.bincount(cells, minlength=N_CELLS).tolist(), cells)
+    and source specs are left empty; a transcript header keeps them.  The
+    histogram is counted BLOCK_ROWS cells at a time, as `np.bincount` makes
+    an int64 copy of what it counts."""
+    hist = np.zeros(N_CELLS, np.int64)
+    for k in range(0, len(cells), BLOCK_ROWS):
+        hist += np.bincount(cells[k:k + BLOCK_ROWS], minlength=N_CELLS)
+    return ProtocolRun(params, {}, {}, hist.tolist(), cells)

@@ -150,7 +150,7 @@ def test_criterion_07_concentration_suite():
         delta = float(rng.uniform(0.01, 0.5))
         vals = rng.uniform(0, 1, n)
         vals *= rng.uniform(0, delta) / max(vals.mean(), 1e-12)
-        linear_fraction(np.minimum(vals, 1.0), delta)   # asserts internally
+        linear_fraction(np.minimum(vals, 1.0), delta)   # checks internally
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     report(7, f"tail validations at n in (100, 1000, 2000) x 10^4 trials and "

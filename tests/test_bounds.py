@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,7 +289,7 @@ def test_linear_fraction_fuzz():
         vals = rng.uniform(0, 1, n)
         scale = rng.uniform(0, delta) / max(vals.mean(), 1e-12)
         vals = np.minimum(vals * scale, 1.0)
-        idx = linear_fraction(vals, delta)      # internal assert is the check
+        idx = linear_fraction(vals, delta)      # its own check raises too
         assert len(idx) >= (1 - math.sqrt(delta)) * n - 1e-9
 
 
@@ -310,6 +314,59 @@ def test_qualifying_round_count_floor_kappa_limit():
 def test_qualifying_round_count_precondition():
     with pytest.raises(ValueError):
         qualifying_round_count(np.ones(10, bool), np.full(10, 0.01), 0.5, 0.1)
+
+
+_BROKEN_BOUNDS = """
+import math, types
+from fractions import Fraction
+import numpy as np
+import randamp.bounds as b
+import randamp.extractor as ex
+assert not __debug__
+
+
+def patched(module, **attrs):
+    return types.SimpleNamespace(**{**vars(module), **attrs})
+
+
+cases = [(b, "math", patched(math, sqrt=lambda x: 0.0),
+          lambda: b.linear_fraction([0.5, 0.5], 1.0)),
+         (b, "np", patched(np, sum=lambda a: 0),
+          lambda: b.qualifying_round_count([True] * 4, [0.5] * 4, 0.5, 0.1)),
+         (b, "math", patched(math, log=lambda x: 0.0),
+          lambda: b.chernoff_bound(10, 0.9, 0.5)),
+         (ex, "sequence_probability_bound", lambda k, g: Fraction(0),
+          lambda: ex.max_sequence_probability_product(3, [0, 2], 0.5))]
+for module, name, value, call in cases:
+    kept = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        call()
+        print("returned")
+    except ArithmeticError as e:
+        print(e)
+    finally:
+        setattr(module, name, kept)
+"""
+
+
+def test_claimed_bounds_are_checked_under_python_O():
+    """`linear_fraction`, `qualifying_round_count`, `relative_entropy`
+    (through `chernoff_bound`) and `extractor.max_sequence_probability_product`
+    raise ArithmeticError when their claimed bound fails, under `python -O`
+    too (it strips asserts): each runs with what it computes the bound from
+    patched to break it."""
+    src = str(Path(bounds.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_BOUNDS],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "linear-fraction bound violated: 0 of 2 values at most sqrt(delta)",
+        "count 0 below floor 0.6666666666666666",
+        "Pinsker-type floor violated: D = 0.0 < 2 (gamma - zeta)^2",
+        "product maximum 1/4 is not gamma^k = 0"]
 
 
 def test_relative_entropy_values():

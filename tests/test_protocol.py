@@ -17,8 +17,10 @@ from randamp.cli import build_device_factory
 from randamp.ks_bell import N_CELLS, TARGET_SETTINGS, pair_index, var_index
 from randamp.extractor import ExtractorConfig, extract, output_hex
 from randamp.ns_certify import build_lp, solve_lp, zero_target_box
-from randamp.protocol import (_RECORD_TAIL, _VERDICTS, CHUNK, FORMAT_VERSION,
-                              ProtocolParams, ProtocolRun, _field, _records,
+from randamp import protocol
+from randamp.protocol import (_RECORD_TAIL, _VERDICTS, BLOCK_ROWS, CELL_DTYPE,
+                              CHUNK, FORMAT_VERSION, ProtocolParams,
+                              ProtocolRun, _field, _records,
                               _tagged, dc_distance, parse_header, parse_real,
                               default_functional, expected_tomography_rate,
                               extract_output, monte_carlo, read_transcript,
@@ -188,9 +190,11 @@ def test_transcript_roundtrip_of_every_cell(tmp_path):
 
 def test_transcript_codec_streams(tmp_path):
     """Writing and reading a 10^5-round transcript (about 4 MB of records)
-    each peak below 6 MB of traced allocations: both go one fixed-width
-    block of at most CHUNK records at a time (one write, or one read of
-    CHUNK record widths) and hold no copy of the whole record part."""
+    each peak below 2 MB of traced allocations: both go one fixed-width
+    block of at most BLOCK_ROWS records at a time through buffers made once
+    per call, hold no copy of the whole record part, and the reader keeps
+    the cells at 2 bytes each (one with int64 cells and fresh arrays per
+    2^14-row block peaks at 3.2 MB)."""
     params = ProtocolParams(n=100_000)
     run = run_protocol(make_iid_device(uniform_box(), 1),
                        SVSource(0, "unbiased", 2), params)
@@ -204,7 +208,7 @@ def test_transcript_codec_streams(tmp_path):
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert write_peak < 6e6 and read_peak < 6e6, (write_peak, read_peak)
+    assert write_peak < 2e6 and read_peak < 2e6, (write_peak, read_peak)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -507,6 +511,35 @@ def test_writer_matches_the_record_join(tmp_path, n):
     assert np.array_equal(read_transcript(path)[2].cells, run.cells)
 
 
+@pytest.mark.parametrize("rows", [1, 7, BLOCK_ROWS])
+def test_codec_matches_the_record_join_at_any_block_size(tmp_path,
+                                                         monkeypatch, rows):
+    """With BLOCK_ROWS patched to 1, 7 and its shipped value, a 1200-round
+    transcript, which crosses the digit-width changes at 9/10, 99/100 and
+    999/1000, is written as the reference join's bytes and reads back as
+    the run's cells."""
+    monkeypatch.setattr(protocol, "BLOCK_ROWS", rows)
+    run = _cells_run(1200, rows)
+    path, ref = tmp_path / "blocks.jsonl", tmp_path / "join.jsonl"
+    write_transcript(run, path)
+    _write_transcript_join(run, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    assert np.array_equal(read_transcript(path)[2].cells, run.cells)
+
+
+def test_cells_are_two_byte_ints_wherever_a_run_is_made(tmp_path):
+    """`run_protocol` and `read_transcript` keep a run's cells in one array
+    of CELL_DTYPE, 2 bytes a round, and agree on them."""
+    run = run_protocol(make_iid_device(uniform_box(), 1),
+                       SVSource(0, "unbiased", 2), ProtocolParams(n=CHUNK + 5))
+    write_transcript(run, tmp_path / "run.jsonl")
+    back = read_transcript(tmp_path / "run.jsonl")[2]
+    assert np.dtype(CELL_DTYPE).itemsize == 2
+    for cells in (run.cells, back.cells):
+        assert cells.dtype == CELL_DTYPE and len(cells) == CHUNK + 5
+    assert np.array_equal(run.cells, back.cells) and back.hist == run.hist
+
+
 @pytest.mark.parametrize("d", range(1, 20))
 def test_records_match_the_record_join_at_every_width(d):
     """`_records` of 0, 1 and CHUNK rounds (or every d-digit i, if fewer) at
@@ -565,13 +598,16 @@ _TAMPERINGS = ["x digit", "u digit", "other cell", "i", "space", "deleted",
 
 
 @pytest.mark.parametrize("k", [1, 9, 10, 9999, 10_000, 10_000 + CHUNK - 1,
-                               10_000 + CHUNK, 10_000 + CHUNK + 777, 30_000])
+                               10_000 + CHUNK, 10_000 + CHUNK + 777, 30_000,
+                               1000 + BLOCK_ROWS - 1, 1000 + BLOCK_ROWS,
+                               10_000 + BLOCK_ROWS - 1, 10_000 + BLOCK_ROWS])
 def test_reader_matches_the_line_loop_on_tampered_records(tmp_path, k):
     """A 30000-round transcript tampered at record k, in each way of
     `_TAMPERINGS`: the block reader gives the reference's message, or its
     cells where the tampered record is another cell's.  The k cover the digit-width changes (9/10, 9999/10000), both sides of a CHUNK
-    edge inside the 5-digit block, the middle of a CHUNK block and the last
-    record."""
+    edge inside the 5-digit block, the middle of a CHUNK block, the last
+    record, and both sides of the first BLOCK_ROWS edge inside the 4-digit
+    and the 5-digit blocks."""
     path = tmp_path / "run.jsonl"
     write_transcript(_cells_run(30_000, k), path)
     data = path.read_bytes()
