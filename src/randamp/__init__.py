@@ -9,9 +9,11 @@ Subpackage map:
     ns_certify  the randomness LP, exact rational dual certificates
     sv_source   bounded-bias bit sources, the bits-to-settings map, and the
                 exact adversarial concentration oracle
-    bounds      tail bounds with Monte Carlo validators
-    protocol    protocol runs, derived security constants, campaigns
-    extractor   inner-product two-source extraction and accounting
+    bounds      tail bounds with Monte Carlo validators (no package imports)
+    protocol    protocol runs, derived security constants, campaigns,
+                transcripts
+    extractor   inner-product two-source extraction and exact
+                sequence-probability accounting
     cli         batch front door (`randamp` command)
 """
 
@@ -26,11 +28,11 @@ from .ns_certify import (build_lp, solve_lp, verify_certificate,
                          DualCertificate, LPProblem)
 from .sv_source import (SVSource, SettingMap, DEFAULT_MAP,
                         setting_measure_extrema, sv_chernoff_oracle)
-from .bounds import (azuma_bound, azuma_empirical, linear_fraction,
-                     relative_entropy, chernoff_bound, chernoff_empirical)
+from .bounds import (azuma_bound, azuma_empirical, relative_entropy,
+                     chernoff_bound, chernoff_empirical)
 from .protocol import (ProtocolParams, run_protocol, select_params,
                        security_report, expected_tomography_rate,
-                       dc_distance, monte_carlo)
-from .extractor import ExtractorConfig, extract, uniformity_test
+                       monte_carlo)
+from .extractor import ExtractorConfig, extract
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,5 +1,8 @@
 """Concentration bounds used by the protocol analysis, with Monte Carlo
 validators that compare empirical tail frequencies against the closed forms.
+The module reads no other part of the package: the checks that draw
+settings through a source, and the Markov and qualifying-round steps of
+the security chain, are test oracles (`tests/checks.py`).
 
 The empirical checks are white-box: they simulate processes whose
 conditional means are known by construction, because the arithmetic average
@@ -28,10 +31,6 @@ import math
 from itertools import repeat
 
 import numpy as np
-
-from .ks_bell import TARGET_SETTINGS, pair_index
-from .sv_source import (BITS_PER_ROUND, BLOCK_PAIR, make_strategy, walk,
-                        _as_fraction)
 
 
 def azuma_bound(n: int, s: float) -> float:
@@ -182,55 +181,6 @@ def azuma_empirical(spec, n: int, s: float, trials: int, seed: int = 0) -> dict:
     return _tail_check(hits / trials, azuma_bound(n, s), trials, n=n, s=s)
 
 
-def linear_fraction(values, delta: float) -> list[int]:
-    """Indices i with values[i] <= sqrt(delta), given mean(values) <= delta.
-
-    By Markov's inequality fewer than sqrt(delta) * n entries can exceed
-    sqrt(delta), so the returned set has size >= (1 - sqrt(delta)) * n;
-    this postcondition is checked on every call (ArithmeticError if not).
-    """
-    vals = np.asarray(values, dtype=float)
-    n = len(vals)
-    if n == 0 or delta <= 0:
-        raise ValueError("need nonempty values and delta > 0")
-    if vals.mean() > delta + 1e-12:
-        raise ValueError(f"mean {vals.mean()} exceeds delta {delta}")
-    root = math.sqrt(delta)
-    idx = np.flatnonzero(vals <= root).tolist()
-    if not len(idx) >= (1.0 - root) * n - 1e-9:
-        raise ArithmeticError(f"linear-fraction bound violated: {len(idx)}"
-                              f" of {n} values at most sqrt(delta)")
-    return idx
-
-
-def qualifying_round_count(trace_target_flags, conditionals,
-                           mu1: float, kappa: float) -> int:
-    """Rounds at the target setting whose conditional target-outcome
-    probability is at least kappa.
-
-    Precondition: the conditional average of the per-round target indicator
-    is at least mu1/2.  The count is then at least
-    n (mu1 - 2 kappa) / (2 (1 - kappa)): rounds below kappa contribute less
-    than kappa to the average, so the qualifying rounds must carry the rest.
-    The lower bound is checked (ArithmeticError if not).
-    """
-    flags = np.asarray(trace_target_flags, dtype=bool)
-    cond = np.asarray(conditionals, dtype=float)
-    if flags.shape != cond.shape:
-        raise ValueError("flag / conditional length mismatch")
-    if not 0 < kappa < 1:
-        raise ValueError("kappa must be in (0, 1)")
-    n = len(flags)
-    s_bar = float((flags * cond).mean())
-    if s_bar < mu1 / 2 - 1e-12:
-        raise ValueError(f"conditional average {s_bar} below mu1/2 = {mu1 / 2}")
-    count = int(np.sum(flags & (cond >= kappa)))
-    floor = n * (mu1 - 2 * kappa) / (2 * (1 - kappa))
-    if not count >= floor - 1e-9:
-        raise ArithmeticError(f"count {count} below floor {floor}")
-    return count
-
-
 def relative_entropy(gamma: float, zeta: float) -> float:
     """Binary relative entropy D(gamma || zeta) in nats.
 
@@ -268,28 +218,3 @@ def chernoff_empirical(n: int, gamma: float, zeta: float, trials: int,
     """Validate the tail bound on iid Bernoulli(zeta), which meets the
     product premise with equality."""
     return tail_checks(n, [], [(gamma, zeta)], trials, seed)[1][0]
-
-
-def settings_tail_empirical(eps, strategy_spec, n: int, gamma: float,
-                            trials: int, seed: int = 0) -> dict:
-    """Tail of "tomography target `ks_bell.TARGET_SETTINGS` missed in
-    >= gamma n rounds" under a source-driven settings stream, against
-    exp(-n D(gamma||zeta)).
-
-    zeta = 1 - (1/2 - eps)^8.  Each round draws every trial's block at
-    once, all at the round's block row (`sv_source.walk` with step 0, the
-    sampler the source's own stream draws from); bias cycles may have any
-    length.
-    """
-    epsf = _as_fraction(eps)
-    zeta = float(1 - (1 - 2 * epsf) ** 8 / 256)   # 1 - (1/2-eps)^8, exactly
-    strategy = make_strategy(strategy_spec, epsf)
-    is_miss = BLOCK_PAIR != pair_index(*TARGET_SETTINGS)
-    rng = np.random.default_rng(seed)
-    misses = np.zeros(trials, dtype=np.int64)
-    for i in range(n):
-        misses += is_miss[walk(strategy, i,
-                               rng.random((BITS_PER_ROUND, trials)).T, step=0)]
-    return _tail_check(float((misses >= gamma * n).mean()),
-                       chernoff_bound(n, gamma, zeta), trials,
-                       zeta=zeta, n=n, gamma=gamma)

@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import erfc, exp, isfinite, lgamma, log, log2, sqrt
+from math import isfinite, log2
 
 import numpy as np
 
@@ -154,53 +154,6 @@ def extraction_report(x_len: int, t_len: int, cfg: ExtractorConfig,
         "certified_rate_x": certified_rate_x,
         "certified_condition_met": certified_rate_x + rate_t > need,
     }
-
-
-def _chi2_sf(x: float, df: int) -> float:
-    """P(chi^2_df >= x) for an integer df >= 1, by the finite series of
-    Abramowitz and Stegun 26.4.4 (even df) and 26.4.5 (odd df).  With
-    y = x/2, both are sum_a e^-y y^a / Gamma(a + 1) over a = df/2 - 1,
-    df/2 - 2, ... down to 0 (even) or 1/2 (odd), plus erfc(sqrt(y)) for
-    odd df.  Each term is taken in log form, so none overflows and a far
-    tail keeps its digits until the terms pass below the float range."""
-    if x <= 0:
-        return 1.0
-    y = x / 2.0
-    a = (df % 2) / 2.0
-    total = erfc(sqrt(y)) if df % 2 else 0.0
-    while a < df / 2.0:
-        total += exp(a * log(y) - y - lgamma(a + 1.0))
-        a += 1.0
-    return min(total, 1.0)
-
-
-def uniformity_test(outputs, m: int) -> dict:
-    """Per-bit bias and a joint chi-square over all 2^m cells (1 <= m <= 8).
-
-    outputs: a 1-D array or sequence of m-bit outputs, each an int in
-    [0, 2^m).  Requires at least 1000 samples.
-    """
-    if not 1 <= m <= 8:
-        raise ValueError(f"joint test needs 1 <= m <= 8, got {m}")
-    arr = np.asarray(outputs)
-    if arr.ndim != 1 or arr.dtype.kind not in "iu":
-        raise ValueError("outputs must be a 1-D sequence of ints")
-    n = len(arr)
-    if n < 1000:
-        raise ValueError(f"need >= 1000 samples, got {n}")
-    arr = arr.astype(np.int64)
-    if arr.min() < 0 or arr.max() >= (1 << m):
-        raise ValueError("output out of range for m bits")
-    biases = []
-    for j in range(m):
-        bit = (arr >> (m - 1 - j)) & 1      # bit 0 of the report = first output bit
-        biases.append(float(bit.mean() - 0.5))
-    counts = np.bincount(arr, minlength=1 << m)
-    expected = n / float(1 << m)
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    pval = _chi2_sf(stat, (1 << m) - 1)
-    return {"n": n, "m": m, "bias_per_bit": biases,
-            "chi2_stat": stat, "chi2_pvalue": pval}
 
 
 # --- exact sequence-probability accounting --------------------------------

@@ -460,43 +460,6 @@ def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityRepor
         map_name=DEFAULT_MAP.name)
 
 
-def dc_distance(p_szew: np.ndarray, acc_weights: np.ndarray | None = None,
-                tol: float = 1e-9) -> dict:
-    """Composable distance of a toy output box from the ideal box that is
-    uniform on s and independent of (z, e), conditioned on acceptance.
-
-    p_szew[s, z, e, w] = p(s, z, e | w), normalized over (s, z, e) per w;
-    acc_weights, if given, carries per-cell acceptance probabilities and the
-    table is conditioned on acceptance first.
-
-    Returns dc = sum_{s,e} max_w sum_z |p(s,z,e|w,ACC) - p(z,e|w,ACC)/|S||,
-    the per-adversary-input summary d (per-e maximized), and verifies
-    dc <= |S| d.
-    """
-    p = np.asarray(p_szew, dtype=float)
-    if p.ndim != 4:
-        raise ValueError("expected a 4-axis table p[s, z, e, w]")
-    if acc_weights is not None:
-        a = np.asarray(acc_weights, dtype=float)
-        if a.shape != p.shape or np.any((a < 0) | (a > 1)):
-            raise ValueError("acceptance weights must match the table in [0,1]")
-        p = p * a
-    sums = p.sum(axis=(0, 1, 2))
-    if np.any(sums <= 0):
-        raise ValueError("a conditioning input has zero acceptance mass")
-    if acc_weights is None and np.any(np.abs(sums - 1.0) > tol):
-        raise ValueError("table not normalized per adversary input")
-    p = p / sums                                  # condition on acceptance
-    n_s = p.shape[0]
-    marg_ze = p.sum(axis=0)                       # (z, e, w)
-    diff = np.abs(p - marg_ze[None, :, :, :] / n_s)
-    dc = float(diff.sum(axis=1).max(axis=2).sum())    # sum_s,e max_w sum_z
-    inner = diff.sum(axis=0).sum(axis=0)          # (e, w): sum_{s,z}
-    d = float(inner.max(axis=1).sum())            # per-e max over w
-    return {"dc": dc, "d": d, "s_cardinality": n_s,
-            "relation_ok": dc <= n_s * d + 1e-9}
-
-
 @dataclass
 class CampaignStats:
     trials: int

@@ -7,13 +7,13 @@ probability of 0, given the entire history, always lies in
 `Strategy` table over the 8-bit block tree (exact P(0) per block row and
 node, plus the floats the sampler compares against).  Its exact rows are
 the source's law, which the tests check against the band, and `walk` is
-the one sampler of it: the biased bit stream and the tail check in
-`bounds` both draw whole blocks through it.  The floats of a depth take
-at most two distinct values, so `walk` needs no walk down the tree: it
-compares a block's 8 uniforms with each depth's sorted thresholds, packs
-each compare into one byte, and reads the block off a table built with
-the strategy.  The bit at a node of depth j is bit 7 - j of the byte of
-its float's rank, so every bit is the tree walk's.
+the one sampler of it: the biased bit stream draws its consecutive blocks
+through it.  The floats of a depth take at most two distinct values, so
+`walk` needs no walk down the tree: it compares a block's 8 uniforms with
+each depth's sorted thresholds, packs each compare into one byte, and
+reads the block off a table built with the strategy.  The bit at a node
+of depth j is bit 7 - j of the byte of its float's rank, so every bit is
+the tree walk's.
 
 Settings are chosen with 4 bits per party, MSB first (b1 b2 b3 b4 gives
 v = 8 b1 + 4 b2 + 2 b3 + b4) and the surjection setting = (v mod 9) + 1.
@@ -216,26 +216,24 @@ def _table(name: str, eps: Fraction, p0_of: Callable[[int, int], Fraction],
     return Strategy(name, rows, floats, *_sampling_tables(floats))
 
 
-def walk(strategy: Strategy, first: int, u: np.ndarray,
-         step: int = 1) -> np.ndarray:
-    """The 8-bit values of blocks drawn from their uniforms at once.
+def walk(strategy: Strategy, first: int, u: np.ndarray) -> np.ndarray:
+    """The 8-bit values of consecutive blocks drawn from their uniforms at
+    once.
 
     u holds one row of 8 uniforms per block, depth 0 first.  Block i is
-    block first + step * i of the stream (step 1: consecutive blocks, as a
-    source draws them; step 0: one block index for all) and reads that
-    index's row of the table modulo its row count.  Its bit at each depth
-    is 0 when the uniform is below the float at the node the block has
-    reached, else 1, so a uniform emits 0 with that float's probability.
-    This is read off the sampling tables: K compares against the depths'
-    sorted thresholds, each packed to one byte a block, and one lookup.
+    block first + i of the stream and reads that index's row of the table
+    modulo its row count.  Its bit at each depth is 0 when the uniform is
+    below the float at the node the block has reached, else 1, so a uniform
+    emits 0 with that float's probability.  This is read off the sampling
+    tables: K compares against the depths' sorted thresholds, each packed
+    to one byte a block, and one lookup.
     """
     thresholds, n_rows = strategy.thresholds, len(strategy.rows)
-    period = n_rows if step else 1      # blocks after which the rows repeat
-    period_rows = (first + step * np.arange(period)) % n_rows
-    # a row of the compare covers whole periods of blocks
-    width = BITS_PER_ROUND * period * -(-_TILE_BLOCKS // period)
-    tiles = np.tile(thresholds[:, period_rows].reshape(len(thresholds), -1),
-                    width // (BITS_PER_ROUND * period))
+    # a row of the compare covers whole periods of n_rows blocks
+    periods = -(-_TILE_BLOCKS // n_rows)
+    width = BITS_PER_ROUND * n_rows * periods
+    tiles = np.tile(thresholds[:, (first + np.arange(n_rows)) % n_rows]
+                    .reshape(len(thresholds), -1), periods)
     flat = u.reshape(-1)
     cut = len(flat) - len(flat) % width
     hit = np.empty(len(flat), bool)
@@ -246,8 +244,7 @@ def walk(strategy: Strategy, first: int, u: np.ndarray,
         np.greater_equal(flat[cut:], tile[:len(flat) - cut], out=hit[cut:])
         index |= np.packbits(hit).astype(index.dtype) << 8 * k
     if n_rows > 1:
-        index += (first + step * np.arange(len(u))) % n_rows \
-            << 8 * len(thresholds)
+        index += (first + np.arange(len(u))) % n_rows << 8 * len(thresholds)
     return strategy.blocks.take(index)
 
 

@@ -23,8 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import binom
 
-from randamp.bounds import (azuma_empirical, chernoff_empirical,
-                            linear_fraction, settings_tail_empirical)
+from randamp.bounds import azuma_empirical, chernoff_empirical
 from randamp.boxes import ideal_quantum_box, make_iid_device, uniform_box
 from randamp.extractor import (ExtractorConfig, extract,
                                max_sequence_probability_chained,
@@ -39,7 +38,8 @@ from randamp.protocol import (ProtocolParams, monte_carlo, run_protocol,
                               read_transcript, replay_transcript)
 from randamp.seeding import derive_seed
 from randamp.sv_source import SVSource, sv_chernoff_oracle
-from checks import bell_sum, deterministic_behavior
+from checks import (bell_sum, deterministic_behavior, linear_fraction,
+                    settings_tail_empirical)
 from test_extractor import _word_bits
 
 MODEL = build_ks_model()

@@ -17,10 +17,11 @@ from randamp import bounds
 from randamp.bounds import (_BLOCK_ROWS, _histograms, _simulate_traces,
                             _tail_check, _uniform_blocks, _word_limit,
                             azuma_bound, azuma_empirical, chernoff_bound,
-                            chernoff_empirical, linear_fraction,
-                            markov_split_epsilon, qualifying_round_count,
-                            relative_entropy, settings_tail_empirical,
-                            tail_checks)
+                            chernoff_empirical, markov_split_epsilon,
+                            relative_entropy, tail_checks)
+import checks
+from checks import (linear_fraction, qualifying_round_count,
+                    settings_tail_empirical)
 
 
 def test_azuma_bound_values():
@@ -279,6 +280,11 @@ def test_linear_fraction_spikes():
 def test_linear_fraction_precondition():
     with pytest.raises(ValueError):
         linear_fraction([0.5, 0.5], 0.1)
+    # within an absolute 1e-12 of delta, but 10^17 times it
+    with pytest.raises(ValueError):
+        linear_fraction([1e-13], 1e-30)
+    # a float mean of 0.10000000000000002, an exact mean of delta
+    assert linear_fraction([0.1] * 3, 0.1) == [0, 1, 2]
 
 
 def test_linear_fraction_fuzz():
@@ -314,12 +320,18 @@ def test_qualifying_round_count_floor_kappa_limit():
 def test_qualifying_round_count_precondition():
     with pytest.raises(ValueError):
         qualifying_round_count(np.ones(10, bool), np.full(10, 0.01), 0.5, 0.1)
+    # an average 6e-13 below mu1/2, within the absolute 1e-12 once allowed
+    with pytest.raises(ValueError):
+        qualifying_round_count(np.ones(10 ** 4, bool),
+                               np.full(10 ** 4, 0.25 - 1e-13),
+                               0.5 + 1e-12, 0.25)
 
 
 _BROKEN_BOUNDS = """
 import math, types
 from fractions import Fraction
 import numpy as np
+import checks
 import randamp.bounds as b
 import randamp.extractor as ex
 assert not __debug__
@@ -329,10 +341,11 @@ def patched(module, **attrs):
     return types.SimpleNamespace(**{**vars(module), **attrs})
 
 
-cases = [(b, "math", patched(math, sqrt=lambda x: 0.0),
-          lambda: b.linear_fraction([0.5, 0.5], 1.0)),
-         (b, "np", patched(np, sum=lambda a: 0),
-          lambda: b.qualifying_round_count([True] * 4, [0.5] * 4, 0.5, 0.1)),
+cases = [(checks, "math", patched(math, sqrt=lambda x: 0.0),
+          lambda: checks.linear_fraction([0.5, 0.5], 1.0)),
+         (checks, "np", patched(np, sum=lambda a: 0),
+          lambda: checks.qualifying_round_count([True] * 4, [0.5] * 4,
+                                                0.5, 0.1)),
          (b, "math", patched(math, log=lambda x: 0.0),
           lambda: b.chernoff_bound(10, 0.9, 0.5)),
          (ex, "sequence_probability_bound", lambda k, g: Fraction(0),
@@ -351,14 +364,15 @@ for module, name, value, call in cases:
 
 
 def test_claimed_bounds_are_checked_under_python_O():
-    """`linear_fraction`, `qualifying_round_count`, `relative_entropy`
-    (through `chernoff_bound`) and `extractor.max_sequence_probability_product`
-    raise ArithmeticError when their claimed bound fails, under `python -O`
-    too (it strips asserts): each runs with what it computes the bound from
-    patched to break it."""
+    """`checks.linear_fraction`, `checks.qualifying_round_count`,
+    `relative_entropy` (through `chernoff_bound`) and
+    `extractor.max_sequence_probability_product` raise ArithmeticError when
+    their claimed bound fails, under `python -O` too (it strips asserts):
+    each runs with what it computes the bound from patched to break it."""
     src = str(Path(bounds.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, str(Path(checks.__file__).parent),
+                      os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_BOUNDS],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr

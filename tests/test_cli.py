@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -1083,28 +1084,45 @@ def test_benchmark_traced_names_resolve():
     assert set(tracer.COMMANDS) <= set(main.commands)
 
 
-_ORACLE = "claim oracle, waiting for ROADMAP item 3 or 5 to give it a caller"
-# Public names that nothing in src/randamp but their own definition and
-# __init__.py reaches, each with the reason it stays in src/.
+_ITEM3_GAMMA = ("claim oracle for the gamma^(mu4 n) row that ROADMAP item 3's"
+                " `check` writes")
+_TRACED = "the benchmark's tracer wraps it"
+# Public names and methods that nothing in src/randamp but their own
+# definition and __init__.py reaches, each with the reason it stays in src/.
 _UNREACHED = {
-    **dict.fromkeys(("sv_chernoff_oracle", "max_sequence_probability_product",
-                     "max_sequence_probability_chained", "linear_fraction",
-                     "settings_tail_empirical", "qualifying_round_count",
-                     "uniformity_test", "dc_distance",
-                     "expected_tomography_rate"), _ORACLE),
-    "azuma_empirical": "the benchmark's tracer wraps it",
-    "chernoff_empirical": "the benchmark's tracer wraps it",
+    "sv_chernoff_oracle": "claim oracle for the README's zeta^k row, which"
+                          " ROADMAP item 3's `check` writes",
+    "max_sequence_probability_product": _ITEM3_GAMMA,
+    "max_sequence_probability_chained": _ITEM3_GAMMA,
+    "expected_tomography_rate": "one row of ROADMAP item 10's `round_law`,"
+                                " which replaces it",
+    "azuma_empirical": _TRACED,
+    "chernoff_empirical": _TRACED,
     "classical_minimum": "the benchmark's certify workload calls it",
     "ks_coloring_count": "the benchmark's certify workload calls it",
+    "SVSource.next_block": _TRACED,
+    "Device.respond": _TRACED,
+    "DualCertificate.from_json": "ROADMAP item 3's `check` reads every"
+                                 " certificate through it",
 }
+
+
+def _reads(node):
+    """The names and attribute names read anywhere in node."""
+    return [getattr(sub, "id", None) or getattr(sub, "attr", None)
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))]
 
 
 def test_src_holds_no_test_only_code():
     """Every public top-level function and class of src/randamp is read,
     as a name or an attribute, outside its own definition by another part
-    of the package (cli's click commands and __init__.py aside), or is on
-    _UNREACHED with its reason; the list holds nothing that is reached."""
+    of the package (cli's click commands and __init__.py aside), and so is
+    every public method of a top-level class, by its attribute name outside
+    its own body; or it is on _UNREACHED with its reason (a method as
+    Class.method).  The list holds nothing that is reached."""
     defined, reads = set(), set()
+    everywhere, own = Counter(), {}     # a method's reads of its own name
     for path in Path(randamp.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -1114,11 +1132,18 @@ def test_src_holds_no_test_only_code():
                     and not name.startswith("_")
                     and not (path.name == "cli.py" and node.decorator_list)):
                 defined.add(name)
-            reads |= {(getattr(sub, "id", None) or getattr(sub, "attr", None),
-                       name) for sub in ast.walk(node)
-                      if isinstance(sub, (ast.Name, ast.Attribute))}
+            words = _reads(node)
+            reads |= {(word, name) for word in words}
+            everywhere.update(words)
+            if isinstance(node, ast.ClassDef):
+                own |= {f"{name}.{item.name}": _reads(item).count(item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")}
     reached = {word for word, owner in reads if word != owner}
-    assert defined - reached == set(_UNREACHED)
+    reached |= {method for method, count in own.items()
+                if everywhere[method.split(".")[1]] > count}
+    assert (defined | set(own)) - reached == set(_UNREACHED)
 
 
 def test_verify_bounds_rejects_a_negative_seed(runner, tmp_path):

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from randamp.extractor import (ExtractorConfig, _chi2_sf, extract,
-                               extraction_report,
+from randamp.extractor import (ExtractorConfig, extract, extraction_report,
                                max_sequence_probability_chained,
                                max_sequence_probability_product,
                                sequence_probability_bound,
-                               transcript_to_source, uniformity_test)
+                               transcript_to_source)
 from randamp.ks_bell import var_index
 from randamp.protocol import ProtocolParams, replay_transcript
+from checks import _chi2_sf, uniformity_test
 
 
 def bits(s):

@@ -21,14 +21,14 @@ from randamp import protocol
 from randamp.protocol import (_RECORD_TAIL, _VERDICTS, BLOCK_ROWS, CELL_DTYPE,
                               CHUNK, FORMAT_VERSION, ProtocolParams,
                               ProtocolRun, _field, _records,
-                              _tagged, dc_distance, parse_header, parse_real,
+                              _tagged, parse_header, parse_real,
                               default_functional, expected_tomography_rate,
                               extract_output, monte_carlo, read_transcript,
                               replay_transcript, run_protocol, security_report,
                               select_params, wilson_interval, write_transcript)
 from randamp.seeding import derive_seed
 from randamp.sv_source import DEFAULT_MAP, SVSource, make_strategy
-from checks import bell_sum
+from checks import bell_sum, dc_distance
 from sv_reference import ReferenceDevice, ReferenceSource, stream_state
 
 

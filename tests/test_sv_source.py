@@ -312,23 +312,21 @@ def _strategies(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(strategy=_strategies(), first=st.integers(0, 10 ** 6),
-       step=st.sampled_from([0, 1]), m=st.integers(1, 300),
-       seed=st.integers(0, 2 ** 32 - 1), exact=st.floats(0, 1))
-def test_table_walk_is_the_reference_walk(strategy, first, step, m, seed,
-                                          exact):
+       m=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       exact=st.floats(0, 1))
+def test_table_walk_is_the_reference_walk(strategy, first, m, seed, exact):
     """`walk` over the sampling tables is the depth-by-depth walk of
-    `strategy.floats`, block for block, from any first block row, for
-    consecutive blocks and for one block index, on uniforms of which a
-    share `exact` equal a threshold of the table or 0.0.  Every table has
-    at most MAX_THRESHOLDS = 2 thresholds a depth."""
+    `strategy.floats`, block for block, from any first block row, on
+    uniforms of which a share `exact` equal a threshold of the table or
+    0.0.  Every table has at most MAX_THRESHOLDS = 2 thresholds a depth."""
     assert len(strategy.thresholds) <= MAX_THRESHOLDS == 2
     rng = np.random.default_rng(seed)
     u = rng.random((m, 8))
     values = sorted(set().union(*strategy.floats)) + [0.0]
     on = rng.random((m, 8)) < exact
     u[on] = rng.choice(values, on.sum())
-    rows = first + step * np.arange(m)
-    assert walk(strategy, first, u, step).tolist() == \
+    rows = first + np.arange(m)
+    assert walk(strategy, first, u).tolist() == \
         sv_reference.walk(strategy.floats, rows, u).tolist()
 
 
