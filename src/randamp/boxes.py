@@ -28,24 +28,31 @@ t = ceil(cum 2^53).  The top 8 bits of k are a >> 24.  They cut the range
 of k into 256 buckets, and on each the code is fixed unless a threshold
 lies strictly inside it.  `Behavior.buckets` holds that code per setting
 pair and bucket (the guide table of Chen and Asau 1974; Devroye 1986,
-III.2.4), -1 for a bucket a threshold splits.  `Device.respond_chunk`
-reads each round's code off it from the first word alone, and only rounds
-in a split bucket build r and compare it with the cumulative row.  That
-is the one sampler: `Device.respond` is it on a single round.
+III.2.4), -1 for a bucket a threshold splits.  `Behavior.block_cells`
+spreads it over the 8-bit source blocks that choose the settings: its
+entry at block * 256 + bucket is the round's cell
+(`ks_bell.var_index`), 16 pair + code, with the pair the block's
+(`sv_source.BLOCK_PAIR`), so every block of one pair reads the same row.
+`Device.respond_chunk` reads each round's cell off it from the round's
+block and first word alone, and only rounds in a split bucket build r and
+compare it with the cumulative row.  That is the one sampler:
+`Device.respond` is it on a single round.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .ks_bell import (N_OUTCOMES, N_SETTINGS, KSModel,
+from .ks_bell import (N_CELLS, N_OUTCOMES, N_SETTINGS, KSModel,
                       gram_table, is_setting_pair, pair_index)
 from .seeding import Stream, uniforms_of
+from .sv_source import BLOCK_PAIR
 
 
 @dataclass(frozen=True)
@@ -53,9 +60,9 @@ class Behavior:
     """Conditional probability table, indexed [u1-1, u2-1, x1-1, x2-1].
 
     `table` is float64; `exact` optionally carries the same entries as
-    Fractions (object ndarray) for certification-grade arithmetic.  `cums`
-    and `buckets` are the sampling tables a `Device` reads, built from
-    `table` on first use and kept on the behavior.
+    Fractions (object ndarray) for certification-grade arithmetic.  `cums`,
+    `buckets` and `block_cells` are the sampling tables a `Device` reads,
+    built from `table` on first use and kept on the behavior.
     """
 
     table: np.ndarray
@@ -96,6 +103,19 @@ class Behavior:
         codes.flags.writeable = False
         return codes
 
+    @cached_property
+    def block_cells(self) -> np.ndarray:
+        """(65536,) int16: entry block * 256 + h is 16 p + buckets[p, h],
+        the cell of a round of 8-bit source block `block`, whose setting
+        pair is p = BLOCK_PAIR[block], with a draw in bucket h; or -1 where
+        buckets[p, h] is -1.  128 KB, built once per behavior."""
+        rows = self.buckets + np.arange(0, N_CELLS, N_OUTCOMES ** 2,
+                                        dtype=np.int16)[:, None]
+        rows[self.buckets < 0] = -1
+        cells = rows.take(BLOCK_PAIR, axis=0).ravel()
+        cells.flags.writeable = False
+        return cells
+
 
 def ideal_quantum_box(model: KSModel) -> Behavior:
     """The maximally violating box, built in exact rational arithmetic.
@@ -135,13 +155,14 @@ def depolarize(b: Behavior, eta: float) -> Behavior:
 class Device:
     """Plays behavior b1 until round tau, then b2 from round tau on.
 
-    `respond_chunk(k, pairs)` answers rounds k, k+1, ... at once; it is the
-    one sampler, and each round draws the two words of one random() from
+    `respond_chunk(k, blocks)` answers rounds k, k+1, ... at once, each
+    from the 8-bit source block that chose its settings; it is the one
+    sampler, and each round draws the two words of one random() from
     `rng`.  respond(k, u) -> (x1, x2) is `respond_chunk` on the one round
-    k, after a check that u is two ints in 1..9 (else ValueError, before
-    any draw).  k is the 0-based round index, and calls must be made in
-    round order.  tau never changes the draw, only the behavior it is
-    read from:
+    k, on the first block of `DEFAULT_MAP.blocks_of(u)`, after a check that
+    u is two ints in 1..9 (else ValueError, before any draw).  k is the
+    0-based round index, and calls must be made in round order.  tau never
+    changes the draw, only the behavior it is read from:
         iid              tau is never reached (b1 throughout)
         switch_after     tau = k
         history_trigger  tau = the round after `pattern` first completes as a
@@ -166,34 +187,35 @@ class Device:
     def respond(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
         if not is_setting_pair(u):
             raise ValueError(f"setting pair needs two ints in 1..9, got {u!r}")
-        c = int(self.respond_chunk(k, np.array([pair_index(*u)]))[0])
+        block = np.argmax(BLOCK_PAIR == pair_index(*u))   # the first of u's
+        c = int(self.respond_chunk(k, np.array([block], np.uint8))[0]) % 16
         return (c // 4 + 1, c % 4 + 1)
 
-    def respond_chunk(self, k: int, pairs: np.ndarray) -> np.ndarray:
-        """Outcome codes 4 (x1-1) + (x2-1) of rounds k, k+1, ... whose
-        setting pairs have the `ks_bell.pair_index` values `pairs`.  Each
-        round draws the two words a, b of one random(), and its code is
-        read off the `Behavior.buckets` row of its pair, in the behavior
-        the round plays, at bucket a >> 24 (the top 8 bits of the draw's
-        53-bit integer).  Where that entry is -1 a threshold splits the
-        bucket, and the code is the count of the row's `cums` entries <=
-        the round's uniform.  Both are exact (see the module docstring),
-        so a run answered in chunks of any size draws the same words and
-        gives the same codes, tau and memory."""
-        w = self.rng.words(2 * len(pairs))
+    def respond_chunk(self, k: int, blocks: np.ndarray) -> np.ndarray:
+        """The int16 cells (`ks_bell.var_index`) of rounds k, k+1, ...
+        whose settings were chosen by the 8-bit source blocks `blocks`, a
+        uint8 array.  Each round draws the two words a, b of one random(),
+        and its cell is the `Behavior.block_cells` entry of its block, in
+        the behavior the round plays, at bucket a >> 24 (the top 8 bits of
+        the draw's 53-bit integer).  Where that entry is -1 a threshold
+        splits the bucket, and the cell is 16 pair + the count of the
+        pair's `cums` entries <= the round's uniform.  Both are exact (see
+        the module docstring), so a run answered in chunks of any size
+        draws the same words and gives the same cells, tau and memory."""
+        w = self.rng.words(2 * len(blocks))
         if self.pattern and self.tau == math.inf:
-            self._watch(k, pairs)
-        split = int(min(max(self.tau - k, 0), len(pairs)))  # rounds before tau
-        if not 0 < split < len(pairs):      # one behavior: one pass
-            return _codes(self._b1 if split else self._b2, pairs, w)
-        return np.concatenate([_codes(self._b1, pairs[:split], w[:2 * split]),
-                               _codes(self._b2, pairs[split:], w[2 * split:])])
+            self._watch(k, blocks)
+        split = int(min(max(self.tau - k, 0), len(blocks)))  # rounds before tau
+        if not 0 < split < len(blocks):     # one behavior: one pass
+            return _cells(self._b1 if split else self._b2, blocks, w)
+        return np.concatenate([_cells(self._b1, blocks[:split], w[:2 * split]),
+                               _cells(self._b2, blocks[split:], w[2 * split:])])
 
-    def _watch(self, k: int, pairs: np.ndarray) -> None:
+    def _watch(self, k: int, blocks: np.ndarray) -> None:
         """Set tau if `pattern` first completes in rounds k, k+1, ..., and
         keep the settings of the last len(pattern) rounds up to then."""
         size, carried = len(self.pattern), len(self._recent)
-        seq = self._recent + pairs.astype(np.uint8).tobytes()
+        seq = self._recent + BLOCK_PAIR.take(blocks).astype(np.uint8).tobytes()
         start = seq.find(self.pattern)  # fixed length: first start, first end
         if start >= 0:
             self.tau = k + start + size - carried
@@ -204,16 +226,27 @@ class Device:
         return dict(self._spec, seed=self.seed)
 
 
-def _codes(b: Behavior, pairs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The codes of rounds of setting pairs `pairs` in behavior b whose
-    `random()` draws have first words w[0::2] and second words w[1::2]:
-    the bucket table's entry, else the compare (`Device.respond_chunk`)."""
-    codes = b.buckets.ravel().take(pairs * 256 + (w[0::2] >> 24))
-    (split,) = np.nonzero(codes < 0)
+# The byte of a uint64 word that holds its bits 24..31: a >> 24 of a 32-bit
+# draw a.
+_TOP_BYTE = 3 if sys.byteorder == "little" else 4
+
+
+def _cells(b: Behavior, blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The cells of rounds of source blocks `blocks` in behavior b whose
+    `random()` draws have first words w[0::2] and second words w[1::2],
+    `Stream.words`' uint64 array: one `block_cells` read at the uint16
+    index block * 256 + (a >> 24), else the compare
+    (`Device.respond_chunk`)."""
+    index = np.left_shift(blocks, 8, dtype=np.uint16)
+    index |= w.view(np.uint8)[_TOP_BYTE::16]
+    cells = b.block_cells.take(index)
+    (split,) = np.nonzero(cells < 0)
     if len(split):
+        pairs = BLOCK_PAIR.take(blocks[split])
         r = uniforms_of(w.reshape(-1, 2)[split].ravel())
-        codes[split] = (b.cums[pairs[split]] <= r[:, None]).sum(axis=1)
-    return codes
+        cells[split] = N_OUTCOMES ** 2 * pairs + \
+            (b.cums[pairs] <= r[:, None]).sum(axis=1)
+    return cells
 
 
 def make_iid_device(behavior: Behavior, seed: int = 0) -> Device:

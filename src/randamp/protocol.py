@@ -7,7 +7,9 @@ queries the device for an outcome pair, and is the cell
 for CHUNK rounds at a time with numpy: one bulk draw from the source's
 generator and one from the device's, each exactly the draws of those
 rounds in round order, so both generators end where a round-by-round loop
-leaves them and the transcript is the same bit for bit.  A run is its
+leaves them and the transcript is the same bit for bit.  The device
+answers each round with its cell, read off the round's 8-bit source block
+and the device's own draw (`boxes.Device.respond_chunk`).  A run is its
 params, the histogram of its cells and, when kept, its cells in round
 order, 2 bytes each in one array (`ProtocolRun`).  Two tests are evaluated
 in order on sums over the histogram: the Bell test (the empirical
@@ -55,7 +57,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -63,7 +65,7 @@ import numpy as np
 from . import extractor as extractor_mod
 from .boxes import Behavior, Device
 from .bounds import markov_split_epsilon
-from .ks_bell import (N_CELLS, N_OUTCOMES, TARGET_SETTINGS, BellFunctional,
+from .ks_bell import (N_CELLS, TARGET_SETTINGS, BellFunctional,
                       build_bell_functional, build_ks_model, cell_entry)
 from .seeding import derive_seed
 from .sv_source import BITS_PER_ROUND, BLOCK_PAIR, DEFAULT_MAP, SVSource
@@ -246,7 +248,9 @@ class ProtocolRun:
     """A run is its params, its histogram over the 1296 cells in
     `ks_bell.var_index` order and, when kept, `cells`, the CELL_DTYPE array
     of its rounds' cells; n, the statistics and the verdict derive from
-    hist."""
+    hist, which is not changed once the run is made: n and bell_count,
+    which the verdict and a campaign's row read again and again, are
+    summed once."""
 
     params: ProtocolParams
     device_spec: dict
@@ -256,11 +260,11 @@ class ProtocolRun:
     output_bits: list[int] | None = None
     extraction: dict | None = None
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.hist)
 
-    @property
+    @cached_property
     def bell_count(self) -> int:
         return sum(_bell_gather()(self.hist))
 
@@ -306,18 +310,20 @@ def run_protocol(device: Device, source: SVSource, params: ProtocolParams,
     """Execute one full run; aborts are verdicts.
 
     The transcript is fully reproducible from (device spec, source spec,
-    seeds): round k takes the next 8 source bits and the device's next
-    `random()` draw.  Rounds are drawn and tallied CHUNK at a time, each
-    generator's batch being exactly its draws for those rounds, so every
-    stream position is the one a round-by-round run reaches; the batches'
-    cells fill the kept `cells` in place.  An accepted run with kept cells
+    seeds): round k takes the next 8 source bits, one block, and the
+    device's next `random()` draw, and the device answers with the round's
+    cell.  Rounds are drawn and tallied CHUNK at a time, each generator's
+    batch being exactly its draws for those rounds, so every stream
+    position is the one a round-by-round run reaches; the batches' cells
+    fill the kept `cells` in place.  An accepted run with kept cells
     goes on to `extract_output`, which draws min(n, L) further source bits.
     """
     params.validate()
     hist = np.zeros(N_CELLS, np.int64)
     kept = np.empty(params.n, CELL_DTYPE) if keep_transcript else None
-    for k, pairs in setting_pairs(source, params.n):
-        cells = pairs * N_OUTCOMES ** 2 + device.respond_chunk(k, pairs)
+    for k in range(0, params.n, CHUNK):
+        cells = device.respond_chunk(
+            k, source.next_blocks(min(CHUNK, params.n - k)))
         hist += np.bincount(cells, minlength=N_CELLS)
         if keep_transcript:
             kept[k:k + len(cells)] = cells
@@ -557,6 +563,7 @@ _TAIL_DIGITS = np.array([8, 11, 21, 24])
 _DIGIT_WEIGHTS = np.array([144, 16, 4, 1], np.float32)
 _CELL_OFFSET = ord("1") * 165       # the sum at digits 1, 1, 1, 1: cell 0
 _VERDICTS = ("Accept", "AbortBell", "AbortTomography")
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def _record_blocks(n: int):
@@ -662,8 +669,10 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
     that holds the summary) is searched for its first differing row, and
     the line that starts there is the summary.  Then its format version,
     `parse_header` (the rules a config is read by), n against the record
-    count and the summary's Ln, Sn (numbers in [0, 1]) and verdict are
-    checked.  Any failure raises ValueError("<path>:<line>: ...").
+    count and the summary's Ln, Sn (numbers in [0, 1]), verdict and, when
+    present, output_hex (a string of lowercase hex digits, as the writer
+    writes it) are checked.  Any failure raises
+    ValueError("<path>:<line>: ...").
     """
     with open(path, "rb") as fh:
         header = _tagged(path, 1, fh.readline(), "header", "the header")
@@ -715,6 +724,10 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
         for key in ("Ln", "Sn"):
             parse_real(summary, key, "summary", lambda v: 0 <= v <= 1, "in [0, 1]")
         _field(summary, "verdict", "summary", lambda v: v in _VERDICTS, " or ".join(_VERDICTS))
+        if "output_hex" in summary:
+            _field(summary, "output_hex", "summary", lambda v: type(v) is str
+                   and v and set(v) <= _HEX_DIGITS,
+                   "a string of lowercase hex digits")
     except ValueError as e:
         raise ValueError(f"{path}:{line_no}: {e}") from e
     return header, source, replay_transcript(params, cells), summary

@@ -75,8 +75,10 @@ class Stream:
         return Generator(mt)
 
     def words(self, m: int) -> np.ndarray:
-        """The next m 32-bit words, in draw order."""
-        return self._gen.bit_generator.random_raw(m).astype(np.uint32)
+        """The next m 32-bit words, in draw order, as the uint64 array
+        that MT19937 draws them into (each value < 2^32): a caller reads
+        what it needs of them, so the words are not copied to uint32."""
+        return self._gen.bit_generator.random_raw(m)
 
     def uniforms(self, m: int) -> np.ndarray:
         """The next m random() values, in draw order."""

@@ -10,7 +10,9 @@ from scipy.stats import chisquare
 from randamp.boxes import (Behavior, depolarize, ideal_quantum_box,
                            make_adversarial_device, make_iid_device,
                            uniform_box)
-from randamp.ks_bell import build_ks_model, classical_minimum, var_index
+from randamp.ks_bell import (build_ks_model, classical_minimum, pair_index,
+                             var_index)
+from randamp.sv_source import BLOCK_PAIR, DEFAULT_MAP
 from randamp.ns_certify import _verify_primal, build_lp
 from checks import bell_sum, deterministic_behavior, residuals
 
@@ -145,7 +147,7 @@ def test_respond_checks_its_setting_pair(ideal):
 class _ForcedDraws:
     """A `seeding.Stream` stand-in whose draws are the given integers k, one
     a round: words(m) pops the next m of the words a, b that random() joins
-    into k, in draw order."""
+    into k, in draw order, as `Stream.words` gives them (uint64)."""
 
     def __init__(self, ks):
         self.w = [v for k in ks for v in ((k >> 26) << 5, (k % 2 ** 26) << 6)]
@@ -153,18 +155,23 @@ class _ForcedDraws:
     def words(self, m):
         assert m <= len(self.w)
         drawn, self.w = self.w[:m], self.w[m:]
-        return np.array(drawn, np.uint32)
+        return np.array(drawn, np.uint64)
+
+
+# Source blocks of setting pairs (1, 1), the block 0, and (2, 4)
+BLOCKS = (0x00, 0xA3)
 
 
 def test_respond_chunk_counts_a_cumulative_entry_equal_to_r():
     """As bisect_right does, a uniform r equal to a cumulative entry counts
-    it: on the uniform box (entries j/16) r = j/16 gives code j.  The
-    draws k = j 2^49 (words a = j 2^28, b = 0) make random() = j/16
-    exactly."""
-    dev = make_iid_device(uniform_box(), seed=0)
-    dev.rng = _ForcedDraws([j << 49 for j in range(16)])
-    codes = dev.respond_chunk(0, np.zeros(16, np.intp))
-    assert codes.tolist() == list(range(16))
+    it: on the uniform box (entries j/16) r = j/16 gives code j, so the
+    cell 16 pair + j.  The draws k = j 2^49 (words a = j 2^28, b = 0) make
+    random() = j/16 exactly."""
+    for block in BLOCKS:
+        dev = make_iid_device(uniform_box(), seed=0)
+        dev.rng = _ForcedDraws([j << 49 for j in range(16)])
+        cells = dev.respond_chunk(0, np.full(16, block, np.uint8))
+        assert cells.tolist() == [16 * BLOCK_PAIR[block] + j for j in range(16)]
 
 
 def _thresholds(b):
@@ -172,17 +179,22 @@ def _thresholds(b):
     return np.ceil(b.cums * 2.0 ** 53).astype(np.int64)
 
 
+def _five_boxes(ideal, functional):
+    """The ideal, uniform, lp_attack_zero, depolarized (eta 0.03) and a
+    deterministic box."""
+    from randamp.ns_certify import zero_target_box
+    lp_attack_zero, _ = zero_target_box(functional)
+    return [ideal, uniform_box(), lp_attack_zero, depolarize(ideal, 0.03),
+            deterministic_behavior((1, 2, 3, 4, 1, 2, 3, 4, 1),
+                                   (4, 4, 3, 3, 2, 2, 1, 1, 4))]
+
+
 def test_bucket_table_is_the_count_at_both_ends_of_every_bucket(ideal,
                                                                 functional):
     """Entry [pair, h] is the count of cumulative entries <= k / 2^53 at
     both ends k of bucket h, or -1 where the two counts differ."""
-    from randamp.ns_certify import zero_target_box
-    lp_attack_zero, _ = zero_target_box(functional)
-    boxes = [ideal, uniform_box(), lp_attack_zero, depolarize(ideal, 0.03),
-             deterministic_behavior((1, 2, 3, 4, 1, 2, 3, 4, 1),
-                                    (4, 4, 3, 3, 2, 2, 1, 1, 4))]
     h = np.arange(256)
-    for b in boxes:
+    for b in _five_boxes(ideal, functional):
         low, high = h * 2.0 ** 45 / 2 ** 53, ((h + 1) * 2 ** 45 - 1) / 2.0 ** 53
         at_low = (b.cums[:, None, :] <= low[:, None]).sum(axis=2)
         at_high = (b.cums[:, None, :] <= high[:, None]).sum(axis=2)
@@ -192,12 +204,30 @@ def test_bucket_table_is_the_count_at_both_ends_of_every_bucket(ideal,
     assert (depolarize(ideal, 0.03).buckets < 0).any()
 
 
+def test_block_table_reads_only_the_settings(ideal, functional):
+    """Row `block` of the block table is 16 pair + the bucket row of the
+    block's setting pair, with -1 kept: so the device reads a block only
+    through its settings, and two blocks of one pair read the same row."""
+    for b in _five_boxes(ideal, functional):
+        rows = b.block_cells.reshape(256, 256)
+        assert b.block_cells.dtype == np.int16 and not rows.flags.writeable
+        for block in range(256):
+            pair = BLOCK_PAIR[block]
+            want = np.where(b.buckets[pair] < 0, -1, 16 * pair + b.buckets[pair])
+            assert np.array_equal(rows[block], want), (b.meta, block)
+        for u in ((1, 1), (2, 4), (8, 9)):
+            first, *rest = DEFAULT_MAP.blocks_of(u)
+            assert all(np.array_equal(rows[first], rows[other])
+                       for other in rest)
+
+
 def test_respond_chunk_on_a_split_bucket_and_on_a_bucket_edge(ideal):
-    """Draws k = t - 1 and k = t around a threshold t give codes c and c + 1:
-    through the compare when t lies strictly inside a bucket (depolarized
-    eta 0.03; and a cumulative entry 1/512, where k = t is r = cum exactly),
-    through the table when t is a bucket edge (uniform box, the threshold
-    5/16 of setting pair (3, 4)); both as `respond` gives them."""
+    """Draws k = t - 1 and k = t around a threshold t give codes c and c + 1,
+    so cells 16 pair + c and + c + 1: through the compare when t lies
+    strictly inside a bucket (depolarized eta 0.03; and a cumulative entry
+    1/512, where k = t is r = cum exactly), through the table when t is a
+    bucket edge (uniform box, the threshold 5/16 of setting pair (3, 4));
+    on each block of the pair, and as `respond` gives them."""
     noisy = depolarize(ideal, 0.03)
     t = _thresholds(noisy)
     pair, j = map(int, np.argwhere((t % 2 ** 45 != 0) & (t < 2 ** 53))[0])
@@ -212,11 +242,14 @@ def test_respond_chunk_on_a_split_bucket_and_on_a_bucket_edge(ideal):
         c = int((_thresholds(b)[p] < th).sum())
         assert b.buckets[p, [k >> 45 for k in ks]].tolist() == \
             ([-1, -1] if split else [c, c + 1])
-        dev = make_iid_device(b, seed=0)
-        dev.rng = _ForcedDraws(ks)
-        assert dev.respond_chunk(0, np.full(2, p)).tolist() == [c, c + 1]
-        dev.rng = _ForcedDraws(ks)
         u = (p // 9 + 1, p % 9 + 1)
+        assert pair_index(*u) == p
+        dev = make_iid_device(b, seed=0)
+        for block in DEFAULT_MAP.blocks_of(u):
+            dev.rng = _ForcedDraws(ks)
+            assert dev.respond_chunk(0, np.full(2, block, np.uint8)
+                                     ).tolist() == [16 * p + c, 16 * p + c + 1]
+        dev.rng = _ForcedDraws(ks)
         assert [dev.respond(k, u) for k in range(2)] == \
             [(c // 4 + 1, c % 4 + 1), ((c + 1) // 4 + 1, (c + 1) % 4 + 1)]
 
@@ -232,19 +265,23 @@ def test_devices_of_one_factory_share_their_tables(spec):
     factory = build_device_factory(spec)
     first = factory(1)
     behaviors = (first._b1, first._b2)
-    assert not any({"cums", "buckets"} & vars(b).keys() for b in behaviors)
-    first.respond_chunk(0, np.arange(81))
+    tables = {"cums", "buckets", "block_cells"}
+    assert not any(tables & vars(b).keys() for b in behaviors)
+    first.respond_chunk(0, np.arange(256, dtype=np.uint8))
     for seed in (2, 3):
         dev = factory(seed)
         for mine, theirs in zip((dev._b1, dev._b2), behaviors):
-            assert mine.buckets is theirs.buckets and mine.cums is theirs.cums
+            assert all(getattr(mine, t) is getattr(theirs, t) for t in tables)
 
 
 def test_iid_device_chi2_uniform():
-    dev = make_iid_device(uniform_box(), seed=123)
-    codes = dev.respond_chunk(0, np.zeros(100_000, np.intp))  # pair (1, 1)
-    _, p = chisquare(np.bincount(codes, minlength=16))
-    assert p > 1e-3
+    for block in BLOCKS:
+        dev = make_iid_device(uniform_box(), seed=123)
+        cells = dev.respond_chunk(0, np.full(100_000, block, np.uint8))
+        codes = cells - 16 * BLOCK_PAIR[block]
+        assert codes.min() >= 0 and codes.max() < 16
+        _, p = chisquare(np.bincount(codes, minlength=16))
+        assert p > 1e-3
 
 
 def test_iid_device_seed_fixture():

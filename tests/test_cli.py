@@ -752,6 +752,25 @@ def test_extract_detects_a_changed_stored_output(runner, tmp_path):
     assert "stored and recomputed outputs differ" in res.output
 
 
+@pytest.mark.parametrize("value", [5, [1], None, "upper"], ids=repr)
+def test_extract_rejects_a_stored_output_that_is_not_lowercase_hex(
+        runner, tmp_path, accepted_run_file, value):
+    """A summary output_hex that is not a string of lowercase hex digits
+    (5, [1], null, or one with an upper-case digit) is malformed input:
+    exit 2 with the summary's line, where it exited 1, "stored and
+    recomputed outputs differ"."""
+    lines = Path(accepted_run_file).read_text().splitlines()
+    summary = json.loads(lines[-1])
+    summary["output_hex"] = "A" + summary["output_hex"][1:] \
+        if value == "upper" else value
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+    res = runner.invoke(main, ["extract", str(path), "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert f"bad.jsonl:{len(lines)}: summary.output_hex: needs a string of" \
+        " lowercase hex digits" in res.output
+
+
 def test_report_fields_and_aborted_run(runner, tmp_path):
     cfg = write_config(tmp_path, dict(SMALL_SIM, device={"kind": "uniform"}))
     out = tmp_path / "out"

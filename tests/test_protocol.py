@@ -217,7 +217,9 @@ def test_transcript_codec_streams(tmp_path):
     ("Sn", 1.5, "summary.Sn: needs a finite number in [0, 1]"),
     ("Sn", math.nan, "summary.Sn: needs a finite number in [0, 1]"),
     ("verdict", "Maybe", "summary.verdict: needs Accept or AbortBell or"),
-    ("verdict", None, "summary.verdict: needs Accept or AbortBell or")])
+    ("verdict", None, "summary.verdict: needs Accept or AbortBell or"),
+    *[("output_hex", v, "summary.output_hex: needs a string of lowercase hex"
+       " digits") for v in (5, [1], None, "", "3A", "3g")]])
 def test_read_transcript_checks_the_summary_values(tmp_path, key, value,
                                                    message):
     lines = [dict(obj) for obj in _WELL_FORMED]
@@ -269,6 +271,36 @@ def test_bell_count_is_the_sum_over_the_bell_cells(seed, top):
     run = ProtocolRun(ProtocolParams(n=1), {}, {}, hist)
     assert run.bell_count == \
         sum(hist[c] for c in default_functional().bell_cells)
+
+
+@pytest.mark.parametrize("spec", [{"kind": "ideal"}, {"kind": "uniform"}],
+                         ids=lambda s: s["kind"])
+def test_cached_counts_are_a_recount_of_the_histogram(spec, tmp_path):
+    """n and bell_count are summed once a run and kept: on runs of
+    `run_protocol`, kept and not kept, of `replay_transcript` and of a
+    written and read transcript, n, bell_count, target_count and the
+    verdict equal a recount from hist, at the first read and after."""
+    functional = default_functional()
+    params = ProtocolParams(n=3000, mu1=1e-9, kappa=4e-10,
+                            enforce_bounds=False)
+    factory = build_device_factory(spec)
+    runs = [run_protocol(factory(1), SVSource(0, "unbiased", 2), params, keep)
+            for keep in (True, False)]
+    runs.append(replay_transcript(params, runs[0].cells))
+    write_transcript(runs[0], tmp_path / "t.jsonl")
+    runs.append(read_transcript(tmp_path / "t.jsonl")[2])
+    for run in runs:
+        hist = run.hist
+        n = sum(hist)
+        bell = sum(hist[c] for c in functional.bell_cells)
+        target = hist[functional.target_cell]
+        verdict = "AbortBell" if not bell / n <= params.delta else \
+            "AbortTomography" if not target / n >= params.mu1 else "Accept"
+        for _ in range(2):
+            assert (run.n, run.bell_count, run.target_count, run.verdict) == \
+                (n, bell, target, verdict), run.device_spec
+    assert [run.verdict for run in runs] == \
+        4 * ["Accept" if spec["kind"] == "ideal" else "AbortBell"]
 
 
 def _round_loop(device, source, params, keep_transcript=True):
@@ -475,6 +507,11 @@ def _read_transcript_lines(path):
         for key in ("Ln", "Sn"):
             parse_real(summary, key, "summary", lambda v: 0 <= v <= 1, "in [0, 1]")
         _field(summary, "verdict", "summary", lambda v: v in _VERDICTS, " or ".join(_VERDICTS))
+        if "output_hex" in summary and not (
+                isinstance(v := summary["output_hex"], str)
+                and re.fullmatch("[0-9a-f]+", v)):
+            raise ValueError("summary.output_hex: needs a string of lowercase"
+                             f" hex digits, got {v!r}")
     except ValueError as e:
         raise ValueError(f"{path}:{line_no}: {e}") from e
     return header, source, replay_transcript(params, np.array(cells)), summary

@@ -17,11 +17,12 @@ SIZES = (1, 623, 624, 625, 5000)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_stream_draws_are_randoms_draws(seed):
     """words(m) and uniforms(m), interleaved, are Random's getrandbits(32)
-    and random() draws, and leave Random's state."""
+    and random() draws, and leave Random's state.  The words come as the
+    uint64 array MT19937 draws them into."""
     stream, ref = Stream(seed), Random(seed)
     for m in SIZES:
         got = stream.words(m)
-        assert got.dtype == np.uint32
+        assert got.dtype == np.uint64
         assert got.tolist() == [ref.getrandbits(32) for _ in range(m)]
         assert stream.uniforms(m).tolist() == [ref.random() for _ in range(m)]
     assert stream.getstate() == ref.getstate()
