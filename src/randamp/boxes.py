@@ -19,23 +19,21 @@ no-signaling holds by construction).  Devices and bit sources share no
 state: a device is built, with its own generator, before any source bits
 are drawn.
 
-A round's outcome is inversion sampling on one uniform r = k / 2^53, the
-random() double of the round's two 32-bit words a, b with the integer
-k = (a >> 5) 2^26 + (b >> 6): its code 4 (x1-1) + (x2-1) is the count of
-the pair's cumulative probabilities (`Behavior.cums`) that are <= r.  The
-test cum <= r is exactly t <= k for the integer threshold
-t = ceil(cum 2^53).  The top 8 bits of k are a >> 24.  They cut the range
-of k into 256 buckets, and on each the code is fixed unless a threshold
-lies strictly inside it.  `Behavior.buckets` holds that code per setting
-pair and bucket (the guide table of Chen and Asau 1974; Devroye 1986,
-III.2.4), -1 for a bucket a threshold splits.  `Behavior.block_cells`
-spreads it over the 8-bit source blocks that choose the settings: its
-entry at block * 256 + bucket is the round's cell
-(`ks_bell.var_index`), 16 pair + code, with the pair the block's
-(`sv_source.BLOCK_PAIR`), so every block of one pair reads the same row.
-`Device.respond_chunk` reads each round's cell off it from the round's
-block and first word alone, and only rounds in a split bucket build r and
-compare it with the cumulative row.  That is the one sampler:
+A round's outcome is inversion sampling on the integer
+k = (a >> 5) 2^26 + (b >> 6) of its two 32-bit words a, b (random() is
+k / 2^53): its code 4 (x1-1) + (x2-1) is the count of the pair's integer
+thresholds t = ceil(cum 2^53) <= k, cum the pair's cumulative
+probabilities (`Behavior.thresholds`).  The top 8 bits of k are a >> 24.
+They cut the range of k into 256 buckets, and on each the code is fixed
+unless a threshold lies strictly inside it (the guide table of Chen and
+Asau 1974; Devroye 1986, III.2.4).  `Behavior.block_cells` spreads these
+codes over the 8-bit source blocks that choose the settings: its entry at
+block * 256 + bucket is the round's cell (`ks_bell.var_index`),
+16 pair + code, with the pair the block's (`sv_source.BLOCK_PAIR`), or -1
+for a bucket a threshold splits; so every block of one pair reads the same
+row.  `Device.respond_chunk` reads each round's cell off it from the
+round's block and first word alone, and only rounds in a split bucket form
+k and count the pair's thresholds <= k.  That is the one sampler:
 `Device.respond` is it on a single round.
 """
 
@@ -51,7 +49,7 @@ import numpy as np
 
 from .ks_bell import (N_CELLS, N_OUTCOMES, N_SETTINGS, KSModel,
                       gram_table, is_setting_pair, pair_index)
-from .seeding import Stream, uniforms_of
+from .seeding import Stream
 from .sv_source import BLOCK_PAIR
 
 
@@ -60,9 +58,9 @@ class Behavior:
     """Conditional probability table, indexed [u1-1, u2-1, x1-1, x2-1].
 
     `table` is float64; `exact` optionally carries the same entries as
-    Fractions (object ndarray) for certification-grade arithmetic.  `cums`,
-    `buckets` and `block_cells` are the sampling tables a `Device` reads,
-    built from `table` on first use and kept on the behavior.
+    Fractions (object ndarray) for certification-grade arithmetic.
+    `thresholds` and `block_cells` are the sampling tables a `Device`
+    reads, built from `table` on first use and kept on the behavior.
     """
 
     table: np.ndarray
@@ -70,49 +68,38 @@ class Behavior:
     meta: dict | None = None
 
     @cached_property
-    def cums(self) -> np.ndarray:
-        """Row `ks_bell.pair_index(u1, u2)`: the cumulative outcome
-        probabilities of that setting pair in row-major (x1 outer, x2
-        inner) order; the sampling order is fixed so transcripts are
-        reproducible bit for bit.  Built once per behavior."""
-        cums = np.cumsum(self.table.reshape(N_SETTINGS ** 2, N_OUTCOMES ** 2),
-                         axis=1)
-        cums[:, -1] = np.maximum(cums[:, -1], 1.0)  # guard the last bin against rounding
-        cums.flags.writeable = False    # shared by every device of the behavior
-        return cums
-
-    @cached_property
-    def buckets(self) -> np.ndarray:
-        """(81, 256) int8: entry [pair, h] is the code of every uniform in
-        [h/256, (h+1)/256) in row `pair` of `cums`, or -1 where a threshold
-        lies strictly inside that bucket.  Built once per behavior.
-
-        A uniform is k / 2^53 with k an integer, and its code is the count
-        of entries cum <= k / 2^53, i.e. of thresholds t = ceil(cum 2^53)
-        <= k (exact: scaling by 2^53 rounds nothing).  On a bucket
-        [h 2^45, (h+1) 2^45) of k that count is fixed unless some t lies
-        strictly inside; a t on the lower edge is counted throughout."""
-        t = np.clip(np.ceil(self.cums * 2.0 ** 53), 0, 2.0 ** 53).astype(np.int64)
-        first = -(-t >> 45)             # the first bucket that counts t, 0..256
-        rows = np.arange(N_SETTINGS ** 2)[:, None]
-        codes = np.bincount((rows * 257 + first).ravel(),
-                            minlength=N_SETTINGS ** 2 * 257).reshape(-1, 257)
-        codes = codes.cumsum(axis=1)[:, :256].astype(np.int8)
-        inside = t & (2 ** 45 - 1) != 0
-        codes[np.nonzero(inside)[0], (t >> 45)[inside]] = -1
-        codes.flags.writeable = False
-        return codes
+    def thresholds(self) -> np.ndarray:
+        """(81, 16) int64 in 0..2^53: row `ks_bell.pair_index(u1, u2)`
+        holds t = ceil(cum 2^53) for the cumulative outcome probabilities
+        cum of that setting pair in row-major (x1 outer, x2 inner) order,
+        the last set to 2^53 so that rounding never leaves a draw past it.
+        A draw k has code the count of t <= k; the order is fixed so
+        transcripts are reproducible bit for bit.  Built once per
+        behavior."""
+        cums = np.add.accumulate(
+            self.table.reshape(N_SETTINGS ** 2, N_OUTCOMES ** 2), axis=1)
+        t = np.clip(np.ceil(cums * 2.0 ** 53), 0, 2.0 ** 53).astype(np.int64)
+        t[:, -1] = 2 ** 53
+        t.flags.writeable = False   # shared by every device of the behavior
+        return t
 
     @cached_property
     def block_cells(self) -> np.ndarray:
-        """(65536,) int16: entry block * 256 + h is 16 p + buckets[p, h],
-        the cell of a round of 8-bit source block `block`, whose setting
-        pair is p = BLOCK_PAIR[block], with a draw in bucket h; or -1 where
-        buckets[p, h] is -1.  128 KB, built once per behavior."""
-        rows = self.buckets + np.arange(0, N_CELLS, N_OUTCOMES ** 2,
-                                        dtype=np.int16)[:, None]
-        rows[self.buckets < 0] = -1
-        cells = rows.take(BLOCK_PAIR, axis=0).ravel()
+        """(65536,) int16: entry block * 256 + h is 16 p + the code of every
+        draw k in bucket h, [h 2^45, (h+1) 2^45), in setting pair
+        p = BLOCK_PAIR[block]; or -1 where a threshold of p lies strictly
+        inside that bucket.  A t on a bucket's lower edge is counted
+        throughout it.  128 KB, built once per behavior."""
+        t = self.thresholds
+        first = -(-t >> 45)             # the first bucket that counts t, 0..256
+        rows = np.arange(N_SETTINGS ** 2)[:, None]
+        counts = np.bincount((rows * 257 + first).ravel(),
+                             minlength=N_SETTINGS ** 2 * 257).reshape(-1, 257)
+        cells = np.add.accumulate(counts[:, :256], axis=1, dtype=np.int16)
+        cells += np.arange(0, N_CELLS, N_OUTCOMES ** 2, dtype=np.int16)[:, None]
+        inside = t & (2 ** 45 - 1) != 0
+        cells[np.nonzero(inside)[0], (t >> 45)[inside]] = -1
+        cells = cells.take(BLOCK_PAIR, axis=0).ravel()
         cells.flags.writeable = False
         return cells
 
@@ -197,10 +184,9 @@ class Device:
         uint8 array.  Each round draws the two words a, b of one random(),
         and its cell is the `Behavior.block_cells` entry of its block, in
         the behavior the round plays, at bucket a >> 24 (the top 8 bits of
-        the draw's 53-bit integer).  Where that entry is -1 a threshold
+        the draw's 53-bit integer k).  Where that entry is -1 a threshold
         splits the bucket, and the cell is 16 pair + the count of the
-        pair's `cums` entries <= the round's uniform.  Both are exact (see
-        the module docstring), so a run answered in chunks of any size
+        pair's `thresholds` <= k.  So a run answered in chunks of any size
         draws the same words and gives the same cells, tau and memory."""
         w = self.rng.words(2 * len(blocks))
         if self.pattern and self.tau == math.inf:
@@ -231,21 +217,22 @@ class Device:
 _TOP_BYTE = 3 if sys.byteorder == "little" else 4
 
 
-def _cells(b: Behavior, blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The cells of rounds of source blocks `blocks` in behavior b whose
+def _cells(behavior: Behavior, blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The cells of rounds of source blocks `blocks` in `behavior` whose
     `random()` draws have first words w[0::2] and second words w[1::2],
     `Stream.words`' uint64 array: one `block_cells` read at the uint16
-    index block * 256 + (a >> 24), else the compare
+    index block * 256 + (a >> 24), else the count of thresholds <= k
     (`Device.respond_chunk`)."""
     index = np.left_shift(blocks, 8, dtype=np.uint16)
     index |= w.view(np.uint8)[_TOP_BYTE::16]
-    cells = b.block_cells.take(index)
+    cells = behavior.block_cells.take(index)
     (split,) = np.nonzero(cells < 0)
     if len(split):
         pairs = BLOCK_PAIR.take(blocks[split])
-        r = uniforms_of(w.reshape(-1, 2)[split].ravel())
+        a, b = w.reshape(-1, 2)[split].T.astype(np.int64)
+        k = (a >> 5) << 26 | b >> 6
         cells[split] = N_OUTCOMES ** 2 * pairs + \
-            (b.cums[pairs] <= r[:, None]).sum(axis=1)
+            (behavior.thresholds[pairs] <= k[:, None]).sum(axis=1)
     return cells
 
 

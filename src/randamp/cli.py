@@ -224,7 +224,9 @@ def certify(delta_grid, outdir):
         try:
             grid.append(Fraction(tok))
             float(grid[-1])             # the solver reads the cap as a float
-        except (ValueError, ZeroDivisionError) as e:
+        except ZeroDivisionError:
+            _fail_usage(f"bad grid: {tok.strip()} has a zero denominator")
+        except ValueError as e:
             _fail_usage(f"bad grid: {e}")
         except OverflowError:
             _fail_usage(f"bad grid: {tok.strip()} is too large for a float")

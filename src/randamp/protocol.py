@@ -65,8 +65,9 @@ import numpy as np
 from . import extractor as extractor_mod
 from .boxes import Behavior, Device
 from .bounds import markov_split_epsilon
-from .ks_bell import (N_CELLS, TARGET_SETTINGS, BellFunctional,
-                      build_bell_functional, build_ks_model, cell_entry)
+from .ks_bell import (N_CELLS, N_OUTCOMES, N_SETTINGS, TARGET_SETTINGS,
+                      BellFunctional, build_bell_functional, build_ks_model,
+                      cell_entry)
 from .seeding import derive_seed
 from .sv_source import BITS_PER_ROUND, BLOCK_PAIR, DEFAULT_MAP, SVSource
 
@@ -459,11 +460,21 @@ def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityRepor
         q_acc=q_acc,
         output_bias_bound=min(1.0, sqrt_term),
         guarantee_probability=max(0.0, 1.0 - sqrt_term),
-        # white-noise weight at which the expected Bell statistic under
-        # equal setting weights reaches delta (504/1296 per unit weight)
-        max_white_noise=delta / (504.0 / 1296.0),
+        # white-noise weight at which the expected Bell statistic under the
+        # unbiased source reaches delta
+        max_white_noise=delta / _noise_bell_mass(),
         params_valid=params.in_certified_regime(),
         map_name=DEFAULT_MAP.name)
+
+
+@lru_cache(maxsize=1)
+def _noise_bell_mass() -> float:
+    """The expected Bell statistic of white noise per unit weight: the
+    unbiased source draws each 8-bit block 1 time in 256, and white noise
+    puts 1/16 on each Bell cell of the block's setting pair (25/64)."""
+    cells = np.array(default_functional().bell_cells)
+    per_pair = np.bincount(cells // N_OUTCOMES ** 2, minlength=N_SETTINGS ** 2)
+    return per_pair.take(BLOCK_PAIR).mean() / N_OUTCOMES ** 2
 
 
 @dataclass
@@ -550,11 +561,12 @@ _JOINTS = np.array([tail + _RECORD_HEAD for tail in _RECORD_TAIL])  # S34
 # 2^12 rows (160 KB each at n = 10^5) are a small working set, made once per
 # call, and a block's dozen numpy calls cost little against its bytes.
 BLOCK_ROWS = 1 << 12
-# _DIGITS[w] is "0...0" to "9...9" (w digits) repeated, so any CHUNK
-# consecutive i read their last w digits as one slice of it.
+# _DIGITS[w] is "0...0" to "9...9" (w digits) repeated, so the at most
+# BLOCK_ROWS consecutive i of a record block read their last w digits as
+# one slice of it.
 _DIGITS = {w: np.tile(np.frombuffer(b"".join(b"%0*d" % (w, k) for k in
                                               range(10 ** w)), f"S{w}"),
-                      CHUNK // 10 ** w + 2) for w in (1, 2, 3)}
+                      BLOCK_ROWS // 10 ** w + 2) for w in (1, 2, 3)}
 # A tail's digits u1, u2, x1, x2 sit at these offsets; their weights give
 # the cell ((u1-1) 9 + u2-1) 16 + (x1-1) 4 + x2-1, as `var_index` does.  The
 # weighted sum of any four bytes is at most 255 x 165 < 2^24, so a float32
@@ -590,10 +602,11 @@ def _byte_field(rows: np.ndarray, start: int, width: int) -> np.ndarray:
 
 def _records(first: int, cells: np.ndarray, d: int,
              out: np.ndarray | None = None) -> np.ndarray:
-    """The records of rounds first, first + 1, ... in `cells`, whose i all
-    have d digits, as the rows of a (len(cells), 34 + d) uint8 array.  With
-    `out`, a flat uint8 array of at least len(cells) (34 + d) + 6 items,
-    the rows are its leading bytes (the last joint ends 6 bytes past)."""
+    """The records of rounds first, first + 1, ... in `cells`, at most
+    BLOCK_ROWS whose i all have d digits, as the rows of a
+    (len(cells), 34 + d) uint8 array.  With `out`, a flat uint8 array of
+    at least len(cells) (34 + d) + 6 items, the rows are its leading bytes
+    (the last joint ends 6 bytes past)."""
     count, head, width = len(cells), len(_HEAD), d + _JOINTS.itemsize
     if out is None:
         out = np.empty(count * width + head, np.uint8)

@@ -11,8 +11,7 @@ A `Stream(seed)` is the Mersenne Twister stream of ``random.Random(seed)``,
 drawn through numpy's `MT19937`, which is the same generator (Matsumoto and
 Nishimura 1998): keyed with Random's 624 key words and position, it yields
 the same 32-bit words at under half the cost a word, and the same random()
-doubles, a block at a time, at a third the cost.  `uniforms_of` turns drawn
-words into the uniforms that random() makes of them.
+doubles, a block at a time, at a third the cost.
 """
 
 from __future__ import annotations
@@ -88,10 +87,3 @@ class Stream:
         """The generator state in `random.Random.getstate()` form."""
         state = self._gen.bit_generator.state["state"]
         return 3, (*state["key"].tolist(), int(state["pos"])), None
-
-
-def uniforms_of(w: np.ndarray) -> np.ndarray:
-    """The random() values of the word pairs a, b = w[0::2], w[1::2]:
-    random() joins them as ((a >> 5) 2^26 + (b >> 6)) / 2^53, exactly in
-    float64."""
-    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0

@@ -57,11 +57,15 @@ REFILL_PIECE = 4096
 
 def _as_fraction(v) -> Fraction:
     """Exact conversion; floats convert by their exact binary value.  A bool
-    is not a number here."""
+    is not a number here, and a string over a zero denominator raises
+    ValueError naming it."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, (int, float, str)) and not isinstance(v, bool):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"{v!r} has a zero denominator") from None
     raise TypeError(f"cannot convert {type(v).__name__} to Fraction")
 
 

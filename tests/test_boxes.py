@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from random import Random
 
@@ -15,6 +17,7 @@ from randamp.ks_bell import (build_ks_model, classical_minimum, pair_index,
 from randamp.sv_source import BLOCK_PAIR, DEFAULT_MAP
 from randamp.ns_certify import _verify_primal, build_lp
 from checks import bell_sum, deterministic_behavior, residuals
+from sv_reference import _cumulative_rows
 
 
 def test_ideal_box_reference_values(ideal, functional):
@@ -174,9 +177,10 @@ def test_respond_chunk_counts_a_cumulative_entry_equal_to_r():
         assert cells.tolist() == [16 * BLOCK_PAIR[block] + j for j in range(16)]
 
 
-def _thresholds(b):
-    """Integer thresholds t = ceil(cum 2^53): a draw k counts cum iff t <= k."""
-    return np.ceil(b.cums * 2.0 ** 53).astype(np.int64)
+def _cums(b):
+    """The float cumulative rows of b's table, as the reference device
+    bisects them."""
+    return np.array(_cumulative_rows(b.table))
 
 
 def _five_boxes(ideal, functional):
@@ -189,33 +193,38 @@ def _five_boxes(ideal, functional):
                                    (4, 4, 3, 3, 2, 2, 1, 1, 4))]
 
 
-def test_bucket_table_is_the_count_at_both_ends_of_every_bucket(ideal,
-                                                                functional):
-    """Entry [pair, h] is the count of cumulative entries <= k / 2^53 at
-    both ends k of bucket h, or -1 where the two counts differ."""
+def test_block_table_is_the_count_at_both_ends_of_every_bucket(ideal,
+                                                               functional):
+    """The thresholds are ceil(cum 2^53) of the float cumulative rows, the
+    last 2^53; and on a block of setting pair p the block table's entry at
+    bucket h is 16 p + the count of cumulative entries <= k / 2^53 at both
+    ends k of bucket h, or -1 where the two counts differ."""
     h = np.arange(256)
+    low, high = h * 2.0 ** 45 / 2 ** 53, ((h + 1) * 2 ** 45 - 1) / 2.0 ** 53
     for b in _five_boxes(ideal, functional):
-        low, high = h * 2.0 ** 45 / 2 ** 53, ((h + 1) * 2 ** 45 - 1) / 2.0 ** 53
-        at_low = (b.cums[:, None, :] <= low[:, None]).sum(axis=2)
-        at_high = (b.cums[:, None, :] <= high[:, None]).sum(axis=2)
-        want = np.where(at_low == at_high, at_low, -1)
-        assert b.buckets.dtype == np.int8 and b.buckets.shape == (81, 256)
-        assert np.array_equal(b.buckets, want), b.meta
-    assert (depolarize(ideal, 0.03).buckets < 0).any()
+        cums = _cums(b)
+        t = b.thresholds
+        assert t.dtype == np.int64 and t.shape == (81, 16)
+        assert not t.flags.writeable
+        assert np.array_equal(t, np.minimum(np.ceil(cums * 2.0 ** 53), 2.0 ** 53))
+        assert (t[:, -1] == 2 ** 53).all()
+        at_low = (cums[:, None, :] <= low[:, None]).sum(axis=2)
+        at_high = (cums[:, None, :] <= high[:, None]).sum(axis=2)
+        want = np.where(at_low == at_high, 16 * np.arange(81)[:, None] + at_low,
+                        -1)
+        assert np.array_equal(b.block_cells.reshape(256, 256),
+                              want.take(BLOCK_PAIR, axis=0)), b.meta
+    assert (depolarize(ideal, 0.03).block_cells < 0).any()
 
 
 def test_block_table_reads_only_the_settings(ideal, functional):
-    """Row `block` of the block table is 16 pair + the bucket row of the
-    block's setting pair, with -1 kept: so the device reads a block only
-    through its settings, and two blocks of one pair read the same row."""
+    """Every block that the map sends to one setting pair reads the same
+    row of the block table, so the device reads a block only through its
+    settings."""
     for b in _five_boxes(ideal, functional):
         rows = b.block_cells.reshape(256, 256)
         assert b.block_cells.dtype == np.int16 and not rows.flags.writeable
-        for block in range(256):
-            pair = BLOCK_PAIR[block]
-            want = np.where(b.buckets[pair] < 0, -1, 16 * pair + b.buckets[pair])
-            assert np.array_equal(rows[block], want), (b.meta, block)
-        for u in ((1, 1), (2, 4), (8, 9)):
+        for u in itertools.product(range(1, 10), repeat=2):
             first, *rest = DEFAULT_MAP.blocks_of(u)
             assert all(np.array_equal(rows[first], rows[other])
                        for other in rest)
@@ -223,35 +232,58 @@ def test_block_table_reads_only_the_settings(ideal, functional):
 
 def test_respond_chunk_on_a_split_bucket_and_on_a_bucket_edge(ideal):
     """Draws k = t - 1 and k = t around a threshold t give codes c and c + 1,
-    so cells 16 pair + c and + c + 1: through the compare when t lies
-    strictly inside a bucket (depolarized eta 0.03; and a cumulative entry
-    1/512, where k = t is r = cum exactly), through the table when t is a
-    bucket edge (uniform box, the threshold 5/16 of setting pair (3, 4));
-    on each block of the pair, and as `respond` gives them."""
+    so cells 16 pair + c and + c + 1: through the count of thresholds <= k
+    when t lies strictly inside a bucket (depolarized eta 0.03; and a
+    cumulative entry 1/512, where k = t is r = cum exactly), through the
+    block table when t is a bucket edge (uniform box, the threshold 5/16 of
+    setting pair (3, 4)); on each block of the pair, and as `respond` gives
+    them."""
     noisy = depolarize(ideal, 0.03)
-    t = _thresholds(noisy)
+    t = noisy.thresholds
     pair, j = map(int, np.argwhere((t % 2 ** 45 != 0) & (t < 2 ** 53))[0])
     fine = Behavior(table=uniform_box().table.copy())
     fine.table[0, 0, 0, :2] = [1 / 512, 1 / 16 - 1 / 512]
     uni = uniform_box()
-    edge = int(_thresholds(uni)[21, 4])
+    edge = int(uni.thresholds[21, 4])
     assert edge == 5 * 2 ** 49
     for b, p, th, split in ((noisy, pair, int(t[pair, j]), True),
                             (fine, 0, 2 ** 44, True), (uni, 21, edge, False)):
         ks = [th - 1, th]
-        c = int((_thresholds(b)[p] < th).sum())
-        assert b.buckets[p, [k >> 45 for k in ks]].tolist() == \
-            ([-1, -1] if split else [c, c + 1])
+        c = int((b.thresholds[p] < th).sum())
         u = (p // 9 + 1, p % 9 + 1)
         assert pair_index(*u) == p
         dev = make_iid_device(b, seed=0)
         for block in DEFAULT_MAP.blocks_of(u):
+            assert b.block_cells[[block * 256 + (k >> 45) for k in ks]
+                                 ].tolist() == \
+                ([-1, -1] if split else [16 * p + c, 16 * p + c + 1])
             dev.rng = _ForcedDraws(ks)
             assert dev.respond_chunk(0, np.full(2, block, np.uint8)
                                      ).tolist() == [16 * p + c, 16 * p + c + 1]
         dev.rng = _ForcedDraws(ks)
         assert [dev.respond(k, u) for k in range(2)] == \
             [(c // 4 + 1, c % 4 + 1), ((c + 1) // 4 + 1, (c + 1) % 4 + 1)]
+
+
+@pytest.mark.parametrize("eta", [0.03, 0.3])
+def test_respond_chunk_bisects_at_every_split_threshold(ideal, eta):
+    """At every threshold t strictly inside a bucket, the draws k = t - 1
+    and k = t give the code that bisect_right gives on the float
+    cumulative row at k / 2^53 (`tests/sv_reference.py`)."""
+    b = depolarize(ideal, eta)
+    rows = _cumulative_rows(b.table)
+    inside = b.thresholds % 2 ** 45 != 0
+    pairs, _ = np.nonzero(inside)
+    ks = [k for th in b.thresholds[inside].tolist() for k in (th - 1, th)]
+    assert len(ks) > 1000       # 585 thresholds at eta 0.03, 583 at 0.3
+    blocks = [DEFAULT_MAP.blocks_of((p // 9 + 1, p % 9 + 1))[0]
+              for p in pairs.tolist() for _ in range(2)]
+    dev = make_iid_device(b, seed=0)
+    dev.rng = _ForcedDraws(ks)
+    cells = dev.respond_chunk(0, np.array(blocks, np.uint8))
+    assert cells.tolist() == [16 * BLOCK_PAIR[block] +
+                              bisect_right(rows[BLOCK_PAIR[block]], k / 2 ** 53)
+                              for block, k in zip(blocks, ks)]
 
 
 @pytest.mark.parametrize("spec", [{"kind": "depolarized", "eta": 0.3},
@@ -265,7 +297,7 @@ def test_devices_of_one_factory_share_their_tables(spec):
     factory = build_device_factory(spec)
     first = factory(1)
     behaviors = (first._b1, first._b2)
-    tables = {"cums", "buckets", "block_cells"}
+    tables = {"thresholds", "block_cells"}
     assert not any(tables & vars(b).keys() for b in behaviors)
     first.respond_chunk(0, np.arange(256, dtype=np.uint8))
     for seed in (2, 3):

@@ -76,7 +76,7 @@ def test_certify_rejects_negative_grid(runner, tmp_path):
     ("0,1e250", "bad grid: 1e250 needs a file name over 255 bytes"),
     # caps that are not numbers
     ("abc", "bad grid: Invalid literal for Fraction: 'abc'"),
-    ("1/0", "bad grid: Fraction(1, 0)")])
+    ("1/0", "bad grid: 1/0 has a zero denominator")])
 def test_certify_rejects_an_empty_or_overflowing_grid(runner, tmp_path, grid,
                                                       message):
     res = runner.invoke(main, ["certify", "--delta-grid", grid,
@@ -341,6 +341,20 @@ def test_source_strategy_flag_takes_a_name_or_a_json_spec(runner, tmp_path):
                                    value, "--out", str(tmp_path / "bad")])
         assert res.exit_code == 2, (value[:20], res.output)
         assert "error: source.strategy: " in res.output, res.output
+
+
+def test_a_bias_over_a_zero_denominator_is_named(runner, tmp_path):
+    """A bias "1/0" exits 2 naming the token and its zero denominator; the
+    message was "Fraction(1, 0)"."""
+    res = runner.invoke(main, ["simulate", "--config",
+                               write_config(tmp_path, SMALL_SIM),
+                               "--epsilon", "0.05", "--source-strategy",
+                               '["constant_bias", ["1/0"]]',
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "error: source.strategy: '1/0' has a zero denominator" in \
+        res.output, res.output
+    assert not (tmp_path / "out" / "campaign.csv").exists()
 
 
 def test_simulate_rejects_invalid_params(runner, tmp_path):

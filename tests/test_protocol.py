@@ -230,8 +230,8 @@ def test_read_transcript_checks_the_summary_values(tmp_path, key, value,
         read_transcript(path)
 
 
-# eta 0.5 puts every threshold of the device on a bucket edge of
-# `Behavior.buckets`, eta 0.3 puts 583 of 1296 inside a bucket.
+# eta 0.5 puts every threshold of the device (`Behavior.thresholds`) on a
+# bucket edge, eta 0.3 puts 583 of 1296 inside a bucket.
 DEVICE_SPECS = [{"kind": "ideal"}, {"kind": "uniform"},
                 {"kind": "depolarized", "eta": 0.5}, {"kind": "lp_attack_zero"},
                 {"kind": "switch_after", "k": 3},
@@ -579,11 +579,11 @@ def test_cells_are_two_byte_ints_wherever_a_run_is_made(tmp_path):
 
 @pytest.mark.parametrize("d", range(1, 20))
 def test_records_match_the_record_join_at_every_width(d):
-    """`_records` of 0, 1 and CHUNK rounds (or every d-digit i, if fewer) at
-    both ends of the digits-d range, from 10^(d-1) and up to 10^d - 1, is
-    the per-line join: no file of 10^d rounds needed."""
-    cells = np.random.default_rng(d).integers(0, N_CELLS, CHUNK)
-    for count in (0, 1, min(CHUNK, 9 * 10 ** (d - 1))):
+    """`_records` of 0, 1 and BLOCK_ROWS rounds (or every d-digit i, if
+    fewer) at both ends of the digits-d range, from 10^(d-1) and up to
+    10^d - 1, is the per-line join: no file of 10^d rounds needed."""
+    cells = np.random.default_rng(d).integers(0, N_CELLS, BLOCK_ROWS)
+    for count in (0, 1, min(BLOCK_ROWS, 9 * 10 ** (d - 1))):
         for first in (10 ** (d - 1), 10 ** d - count):
             rows = _records(first, cells[:count], d)
             assert rows.shape == (count, 34 + d) and rows.dtype == np.uint8
@@ -739,6 +739,23 @@ def test_security_report_gamma_other_branch():
     expect = (3 + 2 * math.sqrt(2e-8) / 0.5 ** 8) / 4
     assert rep.gamma == pytest.approx(expect)
     assert not rep.params_valid or params.in_certified_regime()
+
+
+def test_max_white_noise_reaches_delta_under_the_map(ideal, functional):
+    """At eta = max_white_noise, the expected Bell statistic of the
+    depolarized ideal box is delta when the unbiased source draws each
+    8-bit block 1 time in 256 and the mod-9 map picks its settings: white
+    noise puts 25/64 on Bell cells there, not the 504/1296 of equal setting
+    weights."""
+    params = ProtocolParams(n=100_000)
+    eta = security_report(params).max_white_noise
+    assert eta == pytest.approx(params.delta * 64 / 25, rel=1e-12)
+    table = depolarize(ideal, eta).table
+    bell = set(functional.bell_cells)
+    cells = [var_index(*DEFAULT_MAP.map_block(block), x1, x2)
+             for block in range(256) for x1 in range(1, 5) for x2 in range(1, 5)]
+    mass = sum(table.flat[c] for c in cells if c in bell) / 256
+    assert mass == pytest.approx(params.delta, rel=1e-9)
 
 
 def test_dc_distance_uniform_independent():

@@ -3,7 +3,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from randamp.seeding import Stream, uniforms_of
+from randamp.seeding import Stream
 
 # the ends of the 32-bit and 64-bit ranges, the first key past 32 bits, and
 # random 64-bit seeds
@@ -30,9 +30,3 @@ def test_stream_draws_are_randoms_draws(seed):
 
 def test_stream_state_before_any_draw():
     assert Stream(7).getstate() == Random(7).getstate()
-
-
-def test_uniforms_of_words_are_random_draws():
-    stream, ref = Stream(3), Random(3)
-    assert uniforms_of(stream.words(2000)).tolist() == \
-        [ref.random() for _ in range(1000)]
