@@ -37,11 +37,10 @@ from .extractor import output_hex
 from .ks_bell import build_bell_functional, build_ks_model
 from .ns_certify import (build_lp, load_highs, solve_lp, verify_certificate,
                          zero_target_box)
-from .protocol import (ProtocolRun, extract_output, monte_carlo, parse_int,
-                       parse_params, parse_real, parse_source,
-                       read_transcript, security_report, setting_pairs,
-                       write_transcript)
-from .sv_source import SVSource
+from .protocol import (CHUNK, ProtocolRun, extract_output, monte_carlo,
+                       parse_int, parse_params, parse_real, parse_source,
+                       read_transcript, security_report, write_transcript)
+from .sv_source import BLOCK_PAIR, SVSource
 
 EXIT_OK = 0
 EXIT_SCIENTIFIC = 1
@@ -95,8 +94,10 @@ def _load_run(path: str) -> tuple[dict, SVSource, ProtocolRun, dict]:
 
 
 def _check_settings(path: str, source: SVSource, run: ProtocolRun) -> None:
-    """Exit 1 unless `source` draws every round's stored settings."""
-    for k, pairs in setting_pairs(source, run.n):
+    """Exit 1 unless `source` draws every round's stored settings: 8 bits
+    a round, mapped by `DEFAULT_MAP`, CHUNK rounds at a time."""
+    for k in range(0, run.n, CHUNK):
+        pairs = BLOCK_PAIR.take(source.next_blocks(min(CHUNK, run.n - k)))
         if (moved := np.flatnonzero(pairs != run.cells[k:k + len(pairs)] // 16)).size:
             click.echo(f"{path}: round {k + moved[0] + 1} settings are"
                        f" not the source's", err=True)

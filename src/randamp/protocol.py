@@ -211,18 +211,18 @@ def parse_params(protocol, extractor, path: str = "protocol",
         raise ValueError(f"{extractor_path}: {e}") from e
 
 
-def parse_source(source, eps: float, path: str = "source"
-                 ) -> Callable[[int], SVSource]:
+def parse_source(source, eps: float) -> Callable[[int], SVSource]:
     """Source factory (seed -> SVSource) at eps for a source object whose
     `strategy` (default unbiased) is a `make_strategy` spec.  The strategy
     is built once here, so one that cannot be a source fails before a run,
     and every source of the factory shares that table."""
-    strategy = _field(source, "strategy", path, lambda v: True, "", "unbiased")
+    strategy = _field(source, "strategy", "source", lambda v: True, "",
+                      "unbiased")
     try:
         table = SVSource(eps, strategy).strategy
     # TypeError, ArithmeticError: a spec of the wrong shape, an infinite bias
     except (TypeError, ValueError, ArithmeticError) as e:
-        raise ValueError(f"{path}.strategy: {e}") from e
+        raise ValueError(f"source.strategy: {e}") from e
     return lambda seed: SVSource(eps, strategy, seed, table)
 
 
@@ -296,14 +296,6 @@ class ProtocolRun:
 # small against a batch's work, small enough that a batch's arrays (a few
 # MB) add little to peak memory, which arrays over a whole run would raise.
 CHUNK = 1 << 14
-
-
-def setting_pairs(source: SVSource, n: int):
-    """(k, `ks_bell.pair_index` of the settings of rounds k, k+1, ...) over
-    the next n rounds drawn from `source`, CHUNK rounds at a time: 8 bits a
-    round, mapped by `DEFAULT_MAP`."""
-    for k in range(0, n, CHUNK):
-        yield k, BLOCK_PAIR.take(source.next_blocks(min(CHUNK, n - k)))
 
 
 def run_protocol(device: Device, source: SVSource, params: ProtocolParams,

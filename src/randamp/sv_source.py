@@ -107,8 +107,8 @@ HALF = Fraction(1, 2)
 NODES = 1 << BITS_PER_ROUND     # heap nodes 1..255 of a block; 0 is unused
 
 
-# Most distinct thresholds any depth of a table row may hold, so a block is
-# one lookup in a table of 256**MAX_THRESHOLDS entries (64 KB).  Every
+# Most distinct thresholds any depth of a one-row table may hold, so a block
+# is one lookup in a table of 256**MAX_THRESHOLDS entries (64 KB).  Every
 # make_strategy kind needs at most two: avoid_target's 1/2 +- eps.
 MAX_THRESHOLDS = 2
 # Blocks per row of the sampler's compare: a row of 8 thresholds, one block,
@@ -128,11 +128,13 @@ class Strategy:
     The sampling tables, built once with the strategy, are what `walk`
     reads.  thresholds[k, r, j] is the k-th smallest distinct float of row
     r at depth j (the nodes 2^j .. 2^(j+1) - 1), +inf past the last, for
-    k < K <= MAX_THRESHOLDS.  blocks[r * 256**K + c] is the 8-bit value of
-    a block of row r whose compare bytes are c = B_0 | B_1 << 8 | ..., with
-    B_k the byte whose bit 7 - j says the depth-j uniform is >= thresholds[k,
-    r, j]: the bit at a node of depth j is bit 7 - j of B_k, k the rank of
-    the node's float among its depth's thresholds.
+    k < K <= MAX_THRESHOLDS.  blocks, of 256**K entries, is one table for
+    every row: blocks[c] is the 8-bit value of a block whose compare bytes
+    are c = B_0 | B_1 << 8 | ..., with B_k the byte whose bit 7 - j says
+    the depth-j uniform is >= thresholds[k, r, j] of the block's row r: the
+    bit at a node of depth j is bit 7 - j of B_k, k the rank of the node's
+    float among its depth's thresholds.  A table of more than one row has
+    K = 1, and every row's block table is then the identity.
     """
 
     name: str
@@ -175,9 +177,12 @@ def _sampling_tables(floats) -> tuple[np.ndarray, np.ndarray]:
     depths = [[sorted(set(row[1 << j:2 << j])) for j in range(BITS_PER_ROUND)]
               for row in floats]
     k_max = max(len(level) for row in depths for level in row)
-    if k_max > MAX_THRESHOLDS:
+    # A table of more rows (constant_bias, P(0) by depth alone) has one
+    # threshold a depth, so every row's block table is the identity.
+    limit = MAX_THRESHOLDS if len(floats) == 1 else 1
+    if k_max > limit:
         raise ValueError(f"a depth of the table has {k_max} distinct"
-                         f" thresholds, more than {MAX_THRESHOLDS}")
+                         f" thresholds, more than {limit}")
     thresholds = np.full((k_max, len(floats), BITS_PER_ROUND), np.inf)
     # The walk is built over q_0 q_1 .. q_7, each q_j the k_max compare
     # bits of depth j (bit k: the uniform reached threshold k), q_0 most
@@ -190,15 +195,14 @@ def _sampling_tables(floats) -> tuple[np.ndarray, np.ndarray]:
     order = np.zeros(1, np.intp)
     for k in range(k_max - 1, -1, -1):
         order = (order[:, None] | spread << k).ravel()
-    blocks = []
-    for r, (row, levels) in enumerate(zip(floats, depths)):
-        node = np.ones(1, np.uint16)    # reached by each q_0 .. q_j so far
+    for r, levels in enumerate(depths):
         for j, level in enumerate(levels):
             thresholds[:len(level), r, j] = level
-            rank = np.array([level.index(f) for f in row[1 << j:2 << j]])
-            node = (2 * node[:, None] + bit_of[rank[node - (1 << j)]]).ravel()
-        blocks.append((node - NODES).astype(np.uint8).take(order))
-    blocks = np.concatenate(blocks)
+    node = np.ones(1, np.uint16)        # reached by each q_0 .. q_j so far
+    for j, level in enumerate(depths[0]):
+        rank = np.array([level.index(f) for f in floats[0][1 << j:2 << j]])
+        node = (2 * node[:, None] + bit_of[rank[node - (1 << j)]]).ravel()
+    blocks = (node - NODES).astype(np.uint8).take(order)
     thresholds.setflags(write=False)
     blocks.setflags(write=False)
     return thresholds, blocks
@@ -209,8 +213,8 @@ def _table(name: str, eps: Fraction, p0_of: Callable[[int, int], Fraction],
            ) -> Strategy:
     """The strategy with P(0) = p0_of(r, node) at `node` of block row r,
     checked against the band |P(0) - 1/2| <= eps, with its sampling
-    tables; a depth of more than MAX_THRESHOLDS distinct floats raises
-    ValueError."""
+    tables; a depth of more than MAX_THRESHOLDS distinct floats, or of
+    more than one when n_rows > 1, raises ValueError."""
     rows = tuple(tuple([HALF] + [p0_of(r, node) for node in range(1, NODES)])
                  for r in range(n_rows))
     as_float = {p: float_of(p) for p in set().union(*rows)}
@@ -229,8 +233,9 @@ def walk(strategy: Strategy, first: int, u: np.ndarray) -> np.ndarray:
     modulo its row count.  Its bit at each depth is 0 when the uniform is
     below the float at the node the block has reached, else 1, so a uniform
     emits 0 with that float's probability.  This is read off the sampling
-    tables: K compares against the depths' sorted thresholds, each packed
-    to one byte a block, and one lookup.
+    tables: K compares against the depths' sorted thresholds of the
+    block's row, each packed to one byte a block, and one lookup in the
+    `blocks` table that every row shares.
     """
     thresholds, n_rows = strategy.thresholds, len(strategy.rows)
     # a row of the compare covers whole periods of n_rows blocks
@@ -241,14 +246,12 @@ def walk(strategy: Strategy, first: int, u: np.ndarray) -> np.ndarray:
     flat = u.reshape(-1)
     cut = len(flat) - len(flat) % width
     hit = np.empty(len(flat), bool)
-    index = np.zeros(len(u), np.intp if n_rows > 1 else np.uint16)
+    index = np.zeros(len(u), np.uint16)
     for k, tile in enumerate(tiles):
         np.greater_equal(flat[:cut].reshape(-1, width), tile,
                          out=hit[:cut].reshape(-1, width))
         np.greater_equal(flat[cut:], tile[:len(flat) - cut], out=hit[cut:])
-        index |= np.packbits(hit).astype(index.dtype) << 8 * k
-    if n_rows > 1:
-        index += (first + np.arange(len(u))) % n_rows << 8 * len(thresholds)
+        index |= np.packbits(hit).astype(np.uint16) << 8 * k
     return strategy.blocks.take(index)
 
 
@@ -330,10 +333,9 @@ class SVSource:
     `seeding.Stream`, as big-endian bytes, for the unbiased strategy, and
     for every other strategy 8-bit blocks, each bit one uniform compared
     at the block's node in the strategy's table (`walk`), REFILL_PIECE
-    blocks at a time.  So
-    the bits do not depend on how a caller splits its draws, and a draw
-    that ends inside a unit leaves the rest of that unit in the buffer,
-    already drawn from the generator.
+    blocks at a time.  So the bits do not depend on how a caller splits
+    its draws, and a draw that ends inside a unit leaves the rest of that
+    unit in the buffer, already drawn from the generator.
     """
 
     def __init__(self, eps=0, strategy="unbiased", seed: int = 0,

@@ -38,6 +38,19 @@ def test_split_constant_dominates_direct():
             assert azuma_bound(n, s) <= markov_split_epsilon(n, s) ** 2
 
 
+@pytest.mark.parametrize("bound,trials,slack", [
+    (0.0, 100, 3e-7), (1.0, 10 ** 4, 3e-8), (0.5, 100, 0.15), (0.1, 900, 0.03)])
+def test_tail_check_slack_is_three_standard_errors(bound, trials, slack):
+    """slack = 3 sqrt(max(b (1 - b), 1e-12) / trials): three binomial
+    standard errors of a frequency at the bound b, floored at b = 0 and 1.
+    A frequency passes up to bound + slack and fails one float past it."""
+    r = _tail_check(bound, bound, trials)
+    assert r["slack"] == pytest.approx(slack, rel=1e-12)
+    limit = bound + r["slack"]
+    assert _tail_check(limit, bound, trials)["passed"]
+    assert not _tail_check(math.nextafter(limit, 2), bound, trials)["passed"]
+
+
 def test_azuma_empirical_fair_coin():
     r = azuma_empirical(("fair_coin",), n=1000, s=0.1, trials=10_000, seed=1)
     assert r["empirical"] <= r["bound"] + r["slack"]

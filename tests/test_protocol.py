@@ -27,7 +27,8 @@ from randamp.protocol import (_RECORD_TAIL, _VERDICTS, BLOCK_ROWS, CELL_DTYPE,
                               replay_transcript, run_protocol, security_report,
                               select_params, wilson_interval, write_transcript)
 from randamp.seeding import derive_seed
-from randamp.sv_source import DEFAULT_MAP, SVSource, make_strategy
+from randamp.sv_source import (DEFAULT_MAP, SVSource, make_strategy,
+                               sv_chernoff_oracle)
 from checks import bell_sum, dc_distance
 from sv_reference import ReferenceDevice, ReferenceSource, stream_state
 
@@ -716,6 +717,24 @@ def test_security_report_values():
     assert rep.params_valid
     assert rep.map_name == "mod9"
     assert rep.output_bias_bound == 1.0        # vacuous at desk scale, reported
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_security_report_target_fraction(eps):
+    """zeta is the oracle's 1 - (1/2 - eps)^8, the guaranteed target
+    fraction mu5 is (1/2 - eps)^8 / 2, and its failure bound is
+    exp(-2 n mu5^2), since 1 - mu5 - zeta is mu5."""
+    params = ProtocolParams(n=100_000, eps=eps)
+    rep = security_report(params)
+    assert rep.zeta == pytest.approx(float(sv_chernoff_oracle(eps)["zeta"]),
+                                     rel=1e-12)
+    mu5 = (0.5 - eps) ** 8 / 2
+    assert rep.guaranteed_target_fraction == pytest.approx(mu5, rel=1e-12)
+    assert rep.target_fraction_failure_bound == pytest.approx(
+        math.exp(-2 * params.n * mu5 ** 2), rel=1e-9)
+    if eps == 0:                # what `randamp report` prints at its defaults
+        assert rep.target_fraction_failure_bound == pytest.approx(
+            0.4662937619003131, rel=1e-12)
 
 
 def test_min_entropy_bound_clamped_outside_certified_regime():

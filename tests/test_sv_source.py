@@ -318,8 +318,10 @@ def test_table_walk_is_the_reference_walk(strategy, first, m, seed, exact):
     """`walk` over the sampling tables is the depth-by-depth walk of
     `strategy.floats`, block for block, from any first block row, on
     uniforms of which a share `exact` equal a threshold of the table or
-    0.0.  Every table has at most MAX_THRESHOLDS = 2 thresholds a depth."""
+    0.0.  Every table has at most MAX_THRESHOLDS = 2 thresholds a depth,
+    and one block table of 256**K entries for all its rows."""
     assert len(strategy.thresholds) <= MAX_THRESHOLDS == 2
+    assert strategy.blocks.size == 256 ** len(strategy.thresholds)
     rng = np.random.default_rng(seed)
     u = rng.random((m, 8))
     values = sorted(set().union(*strategy.floats)) + [0.0]
@@ -331,12 +333,18 @@ def test_table_walk_is_the_reference_walk(strategy, first, m, seed, exact):
 
 
 def test_a_table_with_three_thresholds_at_a_depth_raises():
-    """Depth 2 (nodes 4..7) holds 1/2 - 1/10, 1/2 and 1/2 + 1/10."""
+    """Depth 2 (nodes 4..7) holds 1/2 - 1/10, 1/2 and 1/2 + 1/10.  A table
+    of two rows may hold only one threshold a depth: its rows share the
+    identity block table."""
     tenth = Fraction(1, 10)
-    with pytest.raises(ValueError, match="3 distinct thresholds"):
+    with pytest.raises(ValueError, match="3 distinct thresholds, more than 2"):
         _table("three", tenth,
                lambda r, node: HALF + tenth * (node % 3 - 1) if 4 <= node < 8
                else HALF)
+    with pytest.raises(ValueError, match="2 distinct thresholds, more than 1"):
+        _table("two rows", tenth,
+               lambda r, node: HALF + tenth * (node % 2) if 4 <= node < 8
+               else HALF, n_rows=2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
