@@ -93,9 +93,14 @@ def _load_run(path: str) -> tuple[dict, SVSource, ProtocolRun, dict]:
         _fail_usage(str(e))
 
 
-def _check_settings(path: str, source: SVSource, run: ProtocolRun) -> None:
-    """Exit 1 unless `source` draws every round's stored settings: 8 bits
-    a round, mapped by `DEFAULT_MAP`, CHUNK rounds at a time."""
+def _check_run(path: str, source: SVSource, run: ProtocolRun,
+               stored: str) -> None:
+    """Exit 1 unless `run`'s recomputed verdict is the `stored` one and
+    `source` draws every round's stored settings: 8 bits a round, mapped by
+    `DEFAULT_MAP`, CHUNK rounds at a time."""
+    if run.verdict != stored:
+        click.echo(f"stored verdict {stored}, recomputed {run.verdict}", err=True)
+        sys.exit(EXIT_SCIENTIFIC)
     for k in range(0, run.n, CHUNK):
         pairs = BLOCK_PAIR.take(source.next_blocks(min(CHUNK, run.n - k)))
         if (moved := np.flatnonzero(pairs != run.cells[k:k + len(pairs)] // 16)).size:
@@ -353,7 +358,7 @@ def report(config_path, q_acc, run_file, outdir):
     outdir = _outdir(outdir)
     try:
         params = parse_params(cfg["protocol"], cfg["extractor"])
-        rep = security_report(params, q_acc=q_acc).to_dict()
+        rep = security_report(params, q_acc=q_acc)
     except ValueError as e:
         _fail_usage(str(e))
     rep["version"] = __version__
@@ -364,11 +369,7 @@ def report(config_path, q_acc, run_file, outdir):
                   if getattr(run.params, k) != getattr(params, k)]
         if differ:
             _fail_usage(f"{run_file}: run params {', '.join(differ)} differ from the config")
-        if run.verdict != summary["verdict"]:
-            click.echo(f"stored verdict {summary['verdict']}, recomputed "
-                       f"{run.verdict}", err=True)
-            sys.exit(EXIT_SCIENTIFIC)
-        _check_settings(run_file, source, run)
+        _check_run(run_file, source, run, summary["verdict"])
         rep["run_verdict"] = run.verdict
         if run.verdict != "Accept":
             rep.pop("min_entropy_bound")
@@ -391,10 +392,7 @@ def extract_cmd(run_file, outdir):
     header, source, run, summary = _load_run(run_file)
     if summary["verdict"] != "Accept":
         _fail_usage("run was not accepted; nothing to extract")
-    if run.verdict != "Accept":
-        click.echo(f"stored verdict Accept, recomputed {run.verdict}", err=True)
-        sys.exit(EXIT_SCIENTIFIC)
-    _check_settings(run_file, source, run)
+    _check_run(run_file, source, run, "Accept")
     extract_output(run, source)
     hexed = output_hex(run.output_bits)
     rates = run.extraction

@@ -55,6 +55,7 @@ import json
 import math
 import operator
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -350,7 +351,7 @@ def extract_output(run: ProtocolRun, source: SVSource) -> None:
     # floor over the selected bits; at desk scale it is vanishing and
     # the report says so rather than hiding it.
     rate_t = -math.log2(0.5 + params.eps)
-    certified = security_report(params).min_entropy_bound / x_len
+    certified = security_report(params)["min_entropy_bound"] / x_len
     run.extraction = extractor_mod.extraction_report(
         x_len, run.n, cfg,
         honest_rate_x=0.5, rate_t=rate_t, certified_rate_x=certified)
@@ -364,9 +365,9 @@ def expected_tomography_rate(b: Behavior) -> float:
     return nu * float(b.table.flat[default_functional().target_cell])
 
 
-@dataclass(frozen=True)
-class SecurityReport:
-    """Derived security constants for a parameter set.
+def security_report(params: ProtocolParams, q_acc: float = 1.0) -> dict:
+    """All derived constants, recomputable from (n, eps, delta, mu1, kappa),
+    as the dict `report` writes: each value a Python int, float, bool or str.
 
     mu2 = 1 - sqrt(2 delta)          surviving fraction after the Bell side
     mu3 = (mu1-2k)/(2(1-k))          qualifying fraction from the tomography side
@@ -384,37 +385,6 @@ class SecurityReport:
     of min-entropy bits certifies nothing, so the bound is clamped at 0; so
     is the exponent of gamma^(mu4 n), a term above 1 that bounds nothing
     and can overflow.  `params_valid` says whether the chain applies at all.
-    """
-
-    n: int
-    eps: float
-    delta: float
-    mu1: float
-    kappa: float
-    mu2: float
-    mu3: float
-    mu4: float
-    gamma: float
-    eps_az1: float
-    eps_az2: float
-    delta1: float
-    min_entropy_bound: float
-    zeta: float
-    guaranteed_target_fraction: float
-    target_fraction_failure_bound: float
-    q_acc: float
-    output_bias_bound: float
-    guarantee_probability: float
-    max_white_noise: float
-    params_valid: bool
-    map_name: str
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-
-def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityReport:
-    """All derived constants, recomputable from (n, eps, delta, mu1, kappa).
 
     The headline guarantee: with probability at least
     1 - sqrt(delta1/q_acc) over accepted transcripts, every outcome sequence
@@ -442,7 +412,7 @@ def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityRepor
     mu5 = (0.5 - eps) ** 8 / 2.0
     chernoff_fail = math.exp(-2.0 * n * (1.0 - mu5 - zeta) ** 2)
     sqrt_term = math.sqrt(delta1 / q_acc)
-    return SecurityReport(
+    return dict(
         n=n, eps=eps, delta=delta, mu1=mu1, kappa=kappa,
         mu2=mu2, mu3=mu3, mu4=mu4, gamma=gamma,
         eps_az1=eps_az1, eps_az2=eps_az2, delta1=delta1,
@@ -454,7 +424,7 @@ def security_report(params: ProtocolParams, q_acc: float = 1.0) -> SecurityRepor
         guarantee_probability=max(0.0, 1.0 - sqrt_term),
         # white-noise weight at which the expected Bell statistic under the
         # unbiased source reaches delta
-        max_white_noise=delta / _noise_bell_mass(),
+        max_white_noise=float(delta / _noise_bell_mass()),
         params_valid=params.in_certified_regime(),
         map_name=DEFAULT_MAP.name)
 
@@ -677,14 +647,17 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
     count and the summary's Ln, Sn (numbers in [0, 1]), verdict and, when
     present, output_hex (a string of lowercase hex digits, as the writer
     writes it) are checked.  Any failure raises
-    ValueError("<path>:<line>: ...").
+    ValueError("<path>:<line>: ..."), and a path that is not a regular
+    file, such as a pipe, ValueError("<path>: ...").
     """
     with open(path, "rb") as fh:
+        if not stat.S_ISREG((info := os.fstat(fh.fileno())).st_mode):
+            raise ValueError(f"{path}: needs a regular file to seek in,"
+                             f" not a pipe or a device")
         header = _tagged(path, 1, fh.readline(), "header", "the header")
         # a record takes at least 35 bytes (one digit), so the rest of the
         # file bounds the record count
-        most = (os.fstat(fh.fileno()).st_size - fh.tell()) \
-            // (1 + _JOINTS.itemsize)
+        most = (info.st_size - fh.tell()) // (1 + _JOINTS.itemsize)
         cells = np.empty(most, CELL_DTYPE)
         got = np.empty(_block_bytes(most), np.uint8)
         want = np.empty(len(got) + len(_HEAD), np.uint8)

@@ -52,13 +52,11 @@ def _zero_key():
 class Stream:
     """The draws of ``random.Random(seed)``: `words(m)` are its next m
     getrandbits(32) values and `uniforms(m)` its next m random() values,
-    and the generator state after them is Random's (`getstate`).  numpy's
-    MT19937 makes a double from two words as random() does,
-    ((a >> 5) 2^26 + (b >> 6)) / 2^53.
+    and the MT19937 state after them is Random's.  numpy's MT19937 makes a
+    double from two words as random() does, ((a >> 5) 2^26 + (b >> 6)) / 2^53.
 
-    The generator is built on first use (a draw or `getstate`), with
-    `numpy.random` imported there, so a stream that never draws costs an
-    object and no import.
+    The generator is built on the first draw, with `numpy.random` imported
+    there, so a stream that never draws costs an object and no import.
     """
 
     def __init__(self, seed: int):
@@ -82,8 +80,3 @@ class Stream:
     def uniforms(self, m: int) -> np.ndarray:
         """The next m random() values, in draw order."""
         return self._gen.random(m)
-
-    def getstate(self) -> tuple:
-        """The generator state in `random.Random.getstate()` form."""
-        state = self._gen.bit_generator.state["state"]
-        return 3, (*state["key"].tolist(), int(state["pos"])), None

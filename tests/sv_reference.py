@@ -106,6 +106,15 @@ def _cumulative_rows(table):
     return rows
 
 
+def rng_state(rng):
+    """The generator state of a `seeding.Stream` or a `random.Random`, in
+    `random.Random.getstate()` form."""
+    if isinstance(rng, Random):
+        return rng.getstate()
+    state = rng._gen.bit_generator.state["state"]
+    return 3, (*state["key"].tolist(), int(state["pos"])), None
+
+
 def stream_state(source):
     """(generator state, bits drawn and not yet emitted, bits emitted) of an
     SVSource or a ReferenceSource."""
@@ -113,7 +122,7 @@ def stream_state(source):
         pending = source.pending
     else:
         pending = np.unpackbits(source._buf)[source._taken:].tolist()
-    return source.rng.getstate(), pending, source.bits_emitted
+    return rng_state(source.rng), pending, source.bits_emitted
 
 
 def walk(floats, rows, u):

@@ -270,7 +270,7 @@ def test_criterion_11_security_chain_high_precision():
         want = oracle(params.n, params.eps, params.delta, params.mu1,
                       params.kappa)
         for key, dec in want.items():
-            got = Decimal(getattr(rep, key))
+            got = Decimal(rep[key])
             rel = abs(got - dec) / abs(dec)
             worst = max(worst, float(rel))
             assert rel < Decimal("5e-12"), (key, params, float(rel))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import re
 import tracemalloc
 from fractions import Fraction
@@ -30,7 +31,8 @@ from randamp.seeding import derive_seed
 from randamp.sv_source import (DEFAULT_MAP, SVSource, make_strategy,
                                sv_chernoff_oracle)
 from checks import bell_sum, dc_distance
-from sv_reference import ReferenceDevice, ReferenceSource, stream_state
+from sv_reference import (ReferenceDevice, ReferenceSource, rng_state,
+                          stream_state)
 
 
 def test_select_params_examples():
@@ -95,7 +97,7 @@ def test_extraction_reads_a_prefix_and_counts_from_the_histogram(ideal, rule,
         output_hex(extract(x_bits, t_bits, params.extractor))
     assert run.extraction["x_bits_available"] == len(x_bits)
     assert run.extraction["certified_rate_x"] == \
-        security_report(params).min_entropy_bound / len(x_bits)
+        security_report(params)["min_entropy_bound"] / len(x_bits)
 
 
 def test_run_protocol_uniform_box_aborts_bell(ideal):
@@ -336,13 +338,13 @@ def test_respond_is_the_reference_device_round_by_round(spec):
             (rng.randrange(9) + 1, rng.randrange(9) + 1)
         assert dev.respond(k, u) == ref.respond(k, u), (spec, k)
         assert (dev.tau, dev._recent) == (ref.tau, ref._recent), (spec, k)
-    assert dev.rng.getstate() == ref.rng.getstate()
+    assert rng_state(dev.rng) == rng_state(ref.rng)
     if spec["kind"] in ("switch_after", "history_trigger"):
         assert dev.tau < 600
 
 
 def _state(device, source):
-    return (device.rng.getstate(), device.tau, list(device._recent),
+    return (rng_state(device.rng), device.tau, list(device._recent),
             stream_state(source))
 
 
@@ -404,6 +406,22 @@ def test_read_transcript_rejects_malformed(tmp_path):
     bad.write_text('{"type": "header"}\nnot json\n')
     with pytest.raises(ValueError, match="bad.jsonl:2"):
         read_transcript(bad)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_read_transcript_rejects_a_pipe():
+    """A pipe cannot be sought in: the reader names it in a ValueError
+    rather than fail on `tell` with only "Illegal seek".  The write end
+    stays open while the path is opened, which would block otherwise."""
+    r, w = os.pipe()
+    try:
+        os.write(w, b'{"type": "header"}\n')
+        path = f"/dev/fd/{r}"
+        with pytest.raises(ValueError, match=f"^{path}: needs a regular file"):
+            read_transcript(path)
+    finally:
+        os.close(w)
+        os.close(r)
 
 
 _JSON_VALUES = st.recursive(
@@ -704,19 +722,32 @@ def test_expected_tomography_rate(ideal, functional):
 def test_security_report_values():
     params = ProtocolParams(n=100_000)
     rep = security_report(params)
-    assert rep.mu2 == pytest.approx(1 - math.sqrt(2e-8), rel=1e-12)
-    assert rep.mu3 == pytest.approx(1.50015e-4, rel=1e-4)
-    assert rep.mu4 == pytest.approx(8.5936e-6, rel=1e-3)
-    assert rep.mu4 == pytest.approx(rep.mu2 + rep.mu3 - 1, rel=1e-6)
-    assert rep.gamma == 1 - 1e-4               # the kappa branch dominates
-    assert rep.eps_az1 == pytest.approx(2 * math.exp(-100_000 * 1e-16 / 4))
-    assert rep.eps_az2 == pytest.approx(2 * math.exp(-100_000 * 25e-8 / 16))
-    assert rep.delta1 == pytest.approx(
-        2 * (rep.eps_az1 + rep.eps_az2) + rep.gamma ** (rep.mu4 * params.n))
-    assert rep.min_entropy_bound / params.n == pytest.approx(1.24e-9, rel=1e-2)
-    assert rep.params_valid
-    assert rep.map_name == "mod9"
-    assert rep.output_bias_bound == 1.0        # vacuous at desk scale, reported
+    assert rep["mu2"] == pytest.approx(1 - math.sqrt(2e-8), rel=1e-12)
+    assert rep["mu3"] == pytest.approx(1.50015e-4, rel=1e-4)
+    assert rep["mu4"] == pytest.approx(8.5936e-6, rel=1e-3)
+    assert rep["mu4"] == pytest.approx(rep["mu2"] + rep["mu3"] - 1, rel=1e-6)
+    assert rep["gamma"] == 1 - 1e-4               # the kappa branch dominates
+    assert rep["eps_az1"] == pytest.approx(2 * math.exp(-100_000 * 1e-16 / 4))
+    assert rep["eps_az2"] == pytest.approx(2 * math.exp(-100_000 * 25e-8 / 16))
+    assert rep["delta1"] == pytest.approx(
+        2 * (rep["eps_az1"] + rep["eps_az2"]) + rep["gamma"] ** (rep["mu4"] * params.n))
+    assert rep["min_entropy_bound"] / params.n == pytest.approx(1.24e-9, rel=1e-2)
+    assert rep["params_valid"]
+    assert rep["map_name"] == "mod9"
+    assert rep["output_bias_bound"] == 1.0        # vacuous at desk scale, reported
+
+
+@pytest.mark.parametrize("q_acc, bias, probability", [
+    (1.0, 0.5730095937203802, 0.4269904062796198),
+    (0.5, 0.8103579388092588, 0.18964206119074123)])
+def test_security_report_guarantee(q_acc, bias, probability):
+    """At n = 10^17 delta1 is below 1, so neither end of the headline
+    guarantee is clamped: every output sequence has probability at most
+    sqrt(delta1/q_acc), with probability at least 1 - sqrt(delta1/q_acc)."""
+    rep = security_report(ProtocolParams(n=10 ** 17), q_acc)
+    assert rep["delta1"] == pytest.approx(0.3283399944955952, rel=1e-12)
+    assert rep["output_bias_bound"] == pytest.approx(bias, rel=1e-12)
+    assert rep["guarantee_probability"] == pytest.approx(probability, rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])
@@ -726,14 +757,14 @@ def test_security_report_target_fraction(eps):
     exp(-2 n mu5^2), since 1 - mu5 - zeta is mu5."""
     params = ProtocolParams(n=100_000, eps=eps)
     rep = security_report(params)
-    assert rep.zeta == pytest.approx(float(sv_chernoff_oracle(eps)["zeta"]),
+    assert rep["zeta"] == pytest.approx(float(sv_chernoff_oracle(eps)["zeta"]),
                                      rel=1e-12)
     mu5 = (0.5 - eps) ** 8 / 2
-    assert rep.guaranteed_target_fraction == pytest.approx(mu5, rel=1e-12)
-    assert rep.target_fraction_failure_bound == pytest.approx(
+    assert rep["guaranteed_target_fraction"] == pytest.approx(mu5, rel=1e-12)
+    assert rep["target_fraction_failure_bound"] == pytest.approx(
         math.exp(-2 * params.n * mu5 ** 2), rel=1e-9)
     if eps == 0:                # what `randamp report` prints at its defaults
-        assert rep.target_fraction_failure_bound == pytest.approx(
+        assert rep["target_fraction_failure_bound"] == pytest.approx(
             0.4662937619003131, rel=1e-12)
 
 
@@ -744,10 +775,10 @@ def test_min_entropy_bound_clamped_outside_certified_regime():
                    ProtocolParams(n=10 ** 5, mu1=1e-9, kappa=0.4,
                                   enforce_bounds=False)):
         rep = security_report(params)
-        assert rep.mu4 < 0
-        assert rep.min_entropy_bound == 0
-        assert rep.delta1 == 2 * (rep.eps_az1 + rep.eps_az2) + 1
-        assert not rep.params_valid
+        assert rep["mu4"] < 0
+        assert rep["min_entropy_bound"] == 0
+        assert rep["delta1"] == 2 * (rep["eps_az1"] + rep["eps_az2"]) + 1
+        assert not rep["params_valid"]
 
 
 def test_security_report_gamma_other_branch():
@@ -756,8 +787,8 @@ def test_security_report_gamma_other_branch():
                             enforce_bounds=False)
     rep = security_report(params)
     expect = (3 + 2 * math.sqrt(2e-8) / 0.5 ** 8) / 4
-    assert rep.gamma == pytest.approx(expect)
-    assert not rep.params_valid or params.in_certified_regime()
+    assert rep["gamma"] == pytest.approx(expect)
+    assert not rep["params_valid"] or params.in_certified_regime()
 
 
 def test_max_white_noise_reaches_delta_under_the_map(ideal, functional):
@@ -767,7 +798,7 @@ def test_max_white_noise_reaches_delta_under_the_map(ideal, functional):
     noise puts 25/64 on Bell cells there, not the 504/1296 of equal setting
     weights."""
     params = ProtocolParams(n=100_000)
-    eta = security_report(params).max_white_noise
+    eta = security_report(params)["max_white_noise"]
     assert eta == pytest.approx(params.delta * 64 / 25, rel=1e-12)
     table = depolarize(ideal, eta).table
     bell = set(functional.bell_cells)
@@ -934,7 +965,7 @@ def test_mu4_positive_whenever_params_admissible():
                     params = ProtocolParams(n=1000, eps=eps, delta=delta,
                                             mu1=mu1, kappa=kappa)
                     params.validate()
-                    assert security_report(params).mu4 > 0
+                    assert security_report(params)["mu4"] > 0
 
 
 def _run_without_cells():

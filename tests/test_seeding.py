@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from randamp.seeding import Stream
+from sv_reference import rng_state
 
 # the ends of the 32-bit and 64-bit ranges, the first key past 32 bits, and
 # random 64-bit seeds
@@ -25,8 +26,8 @@ def test_stream_draws_are_randoms_draws(seed):
         assert got.dtype == np.uint64
         assert got.tolist() == [ref.getrandbits(32) for _ in range(m)]
         assert stream.uniforms(m).tolist() == [ref.random() for _ in range(m)]
-    assert stream.getstate() == ref.getstate()
+    assert rng_state(stream) == ref.getstate()
 
 
 def test_stream_state_before_any_draw():
-    assert Stream(7).getstate() == Random(7).getstate()
+    assert rng_state(Stream(7)) == Random(7).getstate()
