@@ -12,22 +12,23 @@ not exceed a cap:
          sum over indicator cells of P  <=  cap
          P >= 0
 
-The 657 equality rows are one int8 table over the 1296 `var_index` cells,
-`_equalities()`, in that order: the 81 normalization rows in `pair_index`
-order, then Alice's rows (u1 outer, then x1, then u2 = 2..9, each her
-marginal at u2 minus that at u2 = 1), then Bob's rows likewise with the
-parties swapped.  The first 81 rows have rhs 1, all others rhs 0.  The
-table is built by the first LP, not at import, and HiGHS and the exact
-checks all read it.
+The 657 equality rows over the 1296 `var_index` cells are, in this order,
+the 81 normalization rows in `pair_index` order, then Alice's rows (u1
+outer, then x1, then u2 = 2..9, each her marginal at u2 minus that at
+u2 = 1), then Bob's rows likewise with the parties swapped.  The first 81
+rows have rhs 1, all others rhs 0.  They exist only as their 5904
+nonzeros (`_nonzeros`), built from index arithmetic over the cells by the
+first LP or exact check, not at import; HiGHS and the exact checks all
+read them.
 
 Every certified answer is backed by an exact rational primal/dual pair that
 an independent checker (`verify_certificate`) accepts.  The exact checks
 (`verify_certificate` and `_verify_primal`) scale each rational vector by
-the lcm of its denominators and scatter it through the table's nonzeros
-(`_nonzeros`) into object arrays of Python ints, never floats or
-fixed-width integers, so they are exact for any denominator.  The dual
-side proves the bound: free multipliers y on the 657 equality rows plus a
-nonnegative multiplier beta on the cap row with
+the lcm of its denominators and scatter it through those nonzeros into
+object arrays of Python ints, never floats or fixed-width integers, so
+they are exact for any denominator.  The dual side proves the bound: free
+multipliers y on the 657 equality rows plus a nonnegative multiplier beta
+on the cap row with
 
     E^T y + beta * b - M  >= 0   componentwise      (derived multipliers mu)
     bound = y . f + beta * cap
@@ -44,7 +45,7 @@ Bertsimas and Tsitsiklis 1997, ch. 5).  The exact checker settles the
 claim, not the float engine; a vertex that neither scale turns into a
 verified pair raises `CertificationError`.  HiGHS is imported once, by
 the first call of `load_highs` (`scipy.sparse` and `linprog`), which also
-builds the equality table's float CSR matrix once for every later solve.
+builds the equality rows' float CSR matrix once for every later solve.
 Only `certify` solves, and it calls `load_highs` on its own thread before
 its solver threads start.  Each solve runs its own HiGHS instance, so
 concurrent solves return the same bits as serial ones.  The
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,11 +67,14 @@ from functools import lru_cache
 import numpy as np
 
 from .boxes import Behavior
-from .ks_bell import N_CELLS, BellFunctional, cell_entry, var_index
+from .ks_bell import (N_CELLS, BellFunctional, cell_entry, is_setting_pair,
+                      var_index)
+from .protocol import _field
 from .sv_source import _as_fraction
 
 _MAX_DEN = 1000             # denominator bound of a scaled vertex entry
 _N_NORM = 81                # the leading rows, normalization (rhs 1)
+_N_EQ = 657                 # all equality rows: 81 + 288 Alice + 288 Bob
 
 
 class CertificationError(RuntimeError):
@@ -78,7 +83,8 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPProblem:
-    """The cap row and target of one LP; the equality rows are `_equalities`.
+    """The cap row and target of one LP; the equality rows, the same for
+    every LP, are `_nonzeros`.
 
     cap_cols: the indicator cells of the cap row (coefficients 1).
     delta_tilde: the exact cap value.  target_col: the target cell.
@@ -122,16 +128,36 @@ class DualCertificate:
 
     @staticmethod
     def from_json(text: str) -> "DualCertificate":
-        obj = json.loads(text)
-        n = obj["n_equalities"]
-        y = [Fraction(0)] * n
-        for k, v in obj["y"].items():
-            y[int(k)] = Fraction(v)
-        x1, x2, u1, u2 = obj["target"]
+        """The certificate `to_json` wrote, read as untrusted by the rules a
+        config is read by (ValueError("certificate.<field>: ...")):
+        n_equalities the int 657, y keyed by row numbers "0".."656" as
+        `to_json` writes them, target [x1, x2, u1, u2] in range, and each
+        y value, beta, bound and delta_tilde a string "p" or "p/q"."""
+        obj, at = json.loads(text), "certificate"
+        rows = [str(i) for i in range(_N_EQ)]       # the keys `to_json` writes
+        _field(obj, "n_equalities", at, lambda n: type(n) is int and n == _N_EQ,
+               f"the int {_N_EQ}")
+        ys = _field(obj, "y", at,
+                    lambda v: isinstance(v, dict) and v.keys() <= set(rows),
+                    f"an object keyed by row numbers 0..{_N_EQ - 1}")
+        y = [_fraction(ys, k, at + ".y") if k in ys else Fraction(0) for k in rows]
+        x1, x2, u1, u2 = _field(
+            obj, "target", at, lambda t: isinstance(t, list) and len(t) == 4
+            and is_setting_pair(t[:2]) and max(t[:2]) <= 4
+            and is_setting_pair(t[2:]), "[x1, x2, u1, u2] in range")
         return DualCertificate(
-            y=tuple(y), beta=Fraction(obj["beta"]), bound=Fraction(obj["bound"]),
-            delta_tilde=Fraction(obj["delta_tilde"]),
+            y=tuple(y), beta=_fraction(obj, "beta", at),
+            bound=_fraction(obj, "bound", at),
+            delta_tilde=_fraction(obj, "delta_tilde", at),
             target=var_index(u1, u2, x1, x2), sense=obj.get("sense", "max"))
+
+
+def _fraction(obj, key: str, path: str) -> Fraction:
+    """obj[key] as a Fraction, if it is a string as `str` writes one, with
+    q > 0 and no int past Python's 4300-digit limit."""
+    return Fraction(_field(
+        obj, key, path, lambda v: type(v) is str and len(v) <= 4300
+        and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", v), 'a string "p" or "p/q"'))
 
 
 @dataclass
@@ -143,30 +169,23 @@ class LPSolution:
 
 
 @lru_cache(maxsize=None)
-def _equalities() -> np.ndarray:
-    """The (657, 1296) equality table in {-1, 0, +1}, rows in the order
-    the module docstring gives; read-only, as every caller shares it."""
-    u1, u2, x1, x2 = (a.ravel() for a in np.indices((9, 9, 4, 4)))
-    own, out, other = (a.reshape(-1, 1) for a in np.indices((9, 4, 8)))
-
-    def signaling(u, x, v):     # (u, x)'s marginal at v = other + 1 minus at v = 0
-        fixed = (u == own) & (x == out)
-        return (fixed & (v == other + 1)).astype(np.int8) - (fixed & (v == 0))
-
-    norm = np.arange(_N_NORM)[:, None] == 9 * u1 + u2
-    table = np.concatenate([norm, signaling(u1, x1, u2), signaling(u2, x2, u1)],
-                           dtype=np.int8)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
 def _nonzeros() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cells, coefficients) of the nonzeros of `_equalities`, the
-    coefficients as Python ints in an object array."""
-    eq = _equalities()
-    rows, cells = np.nonzero(eq)
-    return rows, cells, eq[rows, cells].astype(object)
+    """(rows, cells, coefficients) of the 5904 nonzeros of the equality
+    rows in row-major order, the coefficients as Python ints in an object
+    array.  With cell = 16 (9 u1 + u2) + 4 x1 + x2, all 0-based, norm row
+    r holds cells 16r..16r+15 (+1); the row of a party's setting u,
+    outcome x and the other's setting k + 1 holds, over the other's
+    outcome y, the 4 cells at the other's setting 0 (-1), then the 4
+    larger ones at k + 1 (+1)."""
+    u, x, k, plus, y = np.ix_(range(9), range(4), range(8), range(2), range(4))
+    v = (k + 1) * plus              # the other's setting at each cell
+    cells = [np.arange(N_CELLS), 144 * u + 16 * v + 4 * x + y,    # Alice
+             144 * v + 16 * u + 4 * y + x]                          # Bob
+    rows = np.concatenate([np.arange(N_CELLS) // 16,
+                           np.arange(_N_NORM, _N_EQ).repeat(8)])
+    coef = np.concatenate([np.ones(N_CELLS, np.int8),
+                           np.tile(np.int8([-1, -1, -1, -1, 1, 1, 1, 1]), 576)])
+    return rows, np.concatenate([c.ravel() for c in cells]), coef.astype(object)
 
 
 def build_lp(f: BellFunctional, delta_tilde) -> LPProblem:
@@ -200,7 +219,7 @@ def verify_certificate(p: LPProblem, d: DualCertificate) -> bool:
     exceed the certificate's bound.  The multipliers are checked scaled by
     the lcm of the denominators of y and beta, on Python ints.
     """
-    if (d.sense not in ("max", "min") or len(d.y) != len(_equalities())
+    if (d.sense not in ("max", "min") or len(d.y) != _N_EQ
             or d.beta < 0 or d.delta_tilde != p.delta_tilde
             or d.target != p.target_col):
         return False
@@ -214,11 +233,14 @@ def verify_certificate(p: LPProblem, d: DualCertificate) -> bool:
 
 
 def _verify_primal(p: LPProblem, pf: list[Fraction]) -> bool:
-    """pf is nonnegative, meets every equality row and the cap, exactly:
-    checked scaled by the lcm of its denominators, on Python ints."""
+    """pf holds one entry per cell, is nonnegative, and meets every
+    equality row and the cap, exactly: checked scaled by the lcm of its
+    denominators, on Python ints."""
+    if len(pf) != N_CELLS:
+        return False
     scale, ints = _scaled(pf)
     rows, cells, coef = _nonzeros()
-    lhs = np.zeros(len(_equalities()), object)
+    lhs = np.zeros(_N_EQ, object)
     np.add.at(lhs, rows, ints[cells] * coef)
     lhs[:_N_NORM] -= scale
     return (bool((lhs == 0).all() and (ints >= 0).all())
@@ -227,7 +249,7 @@ def _verify_primal(p: LPProblem, pf: list[Fraction]) -> bool:
 
 @lru_cache(maxsize=None)
 def load_highs():
-    """(scipy.sparse, linprog, the equality table as a float CSR matrix).
+    """(scipy.sparse, linprog, the equality rows as a float CSR matrix).
 
     The first call imports scipy and builds the matrix from `_nonzeros`;
     every later solve reuses both.  Call it before solving on several
@@ -239,7 +261,7 @@ def load_highs():
 
     rows, cells, coef = _nonzeros()
     eq = sparse.csr_matrix((coef.astype(float), (rows, cells)),
-                           shape=_equalities().shape)
+                           shape=(_N_EQ, N_CELLS))
     for a in (eq.data, eq.indices, eq.indptr):
         a.flags.writeable = False
     return sparse, linprog, eq

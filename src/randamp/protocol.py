@@ -648,12 +648,15 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
     present, output_hex (a string of lowercase hex digits, as the writer
     writes it) are checked.  Any failure raises
     ValueError("<path>:<line>: ..."), and a path that is not a regular
-    file, such as a pipe, ValueError("<path>: ...").
+    file (a pipe, named or not, a directory, a device) ValueError("<path>:
+    ...") before any read, from an open that does not block.
     """
-    with open(path, "rb") as fh:
-        if not stat.S_ISREG((info := os.fstat(fh.fileno())).st_mode):
-            raise ValueError(f"{path}: needs a regular file to seek in,"
-                             f" not a pipe or a device")
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG((info := os.fstat(fd)).st_mode):
+        os.close(fd)
+        raise ValueError(f"{path}: needs a regular file to seek in,"
+                         f" not a pipe or a device")
+    with open(fd, "rb") as fh:
         header = _tagged(path, 1, fh.readline(), "header", "the header")
         # a record takes at least 35 bytes (one digit), so the rest of the
         # file bounds the record count

@@ -1,8 +1,9 @@
 """Checks of the product objects and claim oracles that no command runs.
 
 Product objects: the Bell sum of a table, a behavior's normalization and
-signaling residuals, the local deterministic boxes, and a source's exact
-conditional law.  Tables are (9, 9, 4, 4) arrays indexed [u1-1, u2-1,
+signaling residuals, the local deterministic boxes, a source's exact
+conditional law, and the LP's 657 equality rows as one dense table, the
+reference that `ns_certify._nonzeros` is pinned to.  Tables are (9, 9, 4, 4) arrays indexed [u1-1, u2-1,
 x1-1, x2-1], so flat entry c is cell c (`ks_bell.var_index`); an object
 table of Fractions sums exactly.
 
@@ -17,6 +18,7 @@ toy output box.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +26,7 @@ import sv_reference
 from randamp.bounds import _tail_check, chernoff_bound
 from randamp.boxes import Behavior
 from randamp.ks_bell import TARGET_SETTINGS, pair_index
+from randamp.ns_certify import _N_NORM
 from randamp.sv_source import (BITS_PER_ROUND, BLOCK_PAIR, _as_fraction,
                                make_strategy)
 
@@ -69,6 +72,24 @@ def exact_p0(source, history):
         node = 2 * node + b
     rows = source.strategy.rows
     return rows[len(history) // BITS_PER_ROUND % len(rows)][node]
+
+
+@lru_cache(maxsize=None)
+def equalities() -> np.ndarray:
+    """The (657, 1296) equality table in {-1, 0, +1}, rows in the order
+    the `ns_certify` docstring gives; read-only, as every caller shares it."""
+    u1, u2, x1, x2 = (a.ravel() for a in np.indices((9, 9, 4, 4)))
+    own, out, other = (a.reshape(-1, 1) for a in np.indices((9, 4, 8)))
+
+    def signaling(u, x, v):     # (u, x)'s marginal at v = other + 1 minus at v = 0
+        fixed = (u == own) & (x == out)
+        return (fixed & (v == other + 1)).astype(np.int8) - (fixed & (v == 0))
+
+    norm = np.arange(_N_NORM)[:, None] == 9 * u1 + u2
+    table = np.concatenate([norm, signaling(u1, x1, u2), signaling(u2, x2, u1)],
+                           dtype=np.int8)
+    table.flags.writeable = False
+    return table
 
 
 def linear_fraction(values, delta: float) -> list[int]:

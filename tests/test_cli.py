@@ -1008,7 +1008,7 @@ def test_output_that_cannot_be_written_exits_2(runner, tmp_path,
 def test_protocol_commands_load_no_scipy(tmp_path):
     """Only the LP needs scipy: a fresh process that imports randamp and
     its CLI and runs simulate, replay and extract loads no scipy module and
-    never builds the LP's equality table.  A subprocess, because other
+    never builds the LP's equality rows.  A subprocess, because other
     tests have imported scipy into this one."""
     code = ("import json, sys\n"
             "import randamp, randamp.cli\n"
@@ -1020,7 +1020,7 @@ def test_protocol_commands_load_no_scipy(tmp_path):
             "    ['extract', out + '/trial0.jsonl', '--out', out])]\n"
             "print(json.dumps({'codes': codes, 'scipy': sorted(\n"
             "    m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
-            "    'lp_tables': randamp.ns_certify._equalities.cache_info().currsize}))\n")
+            "    'lp_tables': randamp.ns_certify._nonzeros.cache_info().currsize}))\n")
     src = str(Path(randamp.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -1029,6 +1029,33 @@ def test_protocol_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     got = json.loads(proc.stdout)
     assert got == {"codes": [0, 0, 0], "scipy": [], "lp_tables": 0}, got
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_replay_rejects_a_fifo_a_directory_or_a_device(tmp_path):
+    """`replay` of a path that is not a regular file exits 2 with the
+    reader's message, a named pipe with no writer included, whose open
+    must not block.  A subprocess under a timeout, so that a reader that
+    blocks fails this test instead of hanging the suite."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    paths = [str(fifo), str(tmp_path), os.devnull]
+    code = ("import json, sys\n"
+            "import randamp.cli\n"
+            "from click.testing import CliRunner\n"
+            "res = [CliRunner().invoke(randamp.cli.main, ['replay', p])\n"
+            "       for p in sys.argv[1:]]\n"
+            "print(json.dumps([[r.exit_code, r.output] for r in res]))\n")
+    src = str(Path(randamp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for path, (exit_code, output) in zip(paths, json.loads(proc.stdout)):
+        assert exit_code == 2, (path, output)
+        assert output == (f"error: {path}: needs a regular file to seek in,"
+                          f" not a pipe or a device\n"), output
 
 
 def test_lp_attack_zero_loads_no_scipy(tmp_path):

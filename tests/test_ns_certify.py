@@ -3,16 +3,23 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from checks import equalities
 from randamp.boxes import ideal_quantum_box, uniform_box
 from randamp.ks_bell import cell_entry
 from randamp import ns_certify
 from randamp.ns_certify import (CertificationError, DualCertificate, _bound,
-                                _equalities, _verify_primal, build_lp,
+                                _nonzeros, _verify_primal, build_lp,
                                 load_highs, solve_lp, var_index,
                                 verify_certificate, zero_target_box)
 
@@ -30,7 +37,7 @@ def sol_zero(lp_zero):
 
 
 def test_problem_shape(lp_zero):
-    eq = _equalities()
+    eq = equalities()
     assert eq.shape == (81 + 288 + 288, 1296)
     assert set(np.unique(eq).tolist()) == {-1, 0, 1}
     assert len(lp_zero.cap_cols) == 504
@@ -40,9 +47,9 @@ def test_problem_shape(lp_zero):
 
 
 def test_equality_table_pinned(lp_zero):
-    """The table's bytes, and its rhs as the bound reads it: 1 on exactly
-    the 81 normalization rows that lead it."""
-    eq = _equalities()
+    """The reference table's bytes, and its rhs as the bound reads it: 1
+    on exactly the 81 normalization rows that lead it."""
+    eq = equalities()
     assert eq.dtype == np.int8 and eq.flags.c_contiguous
     assert not eq.flags.writeable       # one table, shared by every caller
     assert hashlib.sha256(eq.tobytes()).hexdigest() == \
@@ -52,23 +59,59 @@ def test_equality_table_pinned(lp_zero):
     assert rhs == [1] * 81 + [0] * 576
 
 
+def test_nonzeros_are_the_reference_table_nonzeros():
+    """`_nonzeros`, built from index arithmetic over the cells, is
+    `np.nonzero` of the dense reference: the same rows, cells and
+    coefficients in the same (row-major) order, the coefficients Python
+    ints in an object array."""
+    ref = equalities()
+    rows, cells = np.nonzero(ref)
+    got_rows, got_cells, got_coef = _nonzeros()
+    assert len(got_rows) == 5904
+    assert got_rows.dtype == got_cells.dtype == np.int64
+    assert np.array_equal(got_rows, rows) and np.array_equal(got_cells, cells)
+    assert got_coef.dtype == object
+    assert all(type(v) is int for v in got_coef)
+    assert got_coef.tolist() == ref[rows, cells].tolist()
+
+
+def test_nonzeros_build_in_a_small_working_set():
+    """The first build of `_nonzeros` in a process traces a peak under
+    0.6 MB: no dense (657, 1296) table (0.85 MB as int8, 1.67 MB traced
+    with its broadcast intermediates) is made on the way.  A subprocess,
+    so that no table another test cached can hide one."""
+    code = ("import tracemalloc\n"
+            "from randamp.ns_certify import _nonzeros\n"
+            "_nonzeros.cache_clear()\n"
+            "tracemalloc.start()\n"
+            "_nonzeros()\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    src = str(Path(ns_certify.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 0.6e6, proc.stdout
+
+
 def test_highs_matrix_is_the_equality_table(lp_zero):
     """HiGHS reads the table as one float CSR matrix, built once and left
     as built by a solve."""
     eq = load_highs()[2]
     assert eq.dtype == np.float64 and eq.has_canonical_format
     assert not any(a.flags.writeable for a in (eq.data, eq.indices, eq.indptr))
-    assert np.array_equal(eq.toarray(), _equalities())
+    assert np.array_equal(eq.toarray(), equalities())
     solve_lp(lp_zero, sense="min")
     assert load_highs()[2] is eq
-    assert np.array_equal(eq.toarray(), _equalities())
+    assert np.array_equal(eq.toarray(), equalities())
 
 
 def _row_residuals(exact: np.ndarray) -> np.ndarray:
     """E.P - rhs for an exact table whose entries are multiples of 1/64."""
     scaled = [v * 64 for v in exact.ravel()]
     assert all(v.denominator == 1 for v in scaled)
-    eq = _equalities().astype(np.int64)
+    eq = equalities().astype(np.int64)
     return eq @ np.array([int(v) for v in scaled]) - 64 * (np.arange(len(eq)) < 81)
 
 
@@ -226,7 +269,7 @@ def test_certificate_tamper_detection(functional, lp_zero, sol_zero):
     assert not verify_certificate(lp_zero, DualCertificate(
         y=tuple(bad_y), beta=cert.beta, bound=cert.bound,
         delta_tilde=cert.delta_tilde, target=cert.target))
-    zero = DualCertificate(y=tuple([Fraction(0)] * len(_equalities())),
+    zero = DualCertificate(y=tuple([Fraction(0)] * len(equalities())),
                            beta=Fraction(0), bound=Fraction(0),
                            delta_tilde=Fraction(0), target=cert.target)
     assert not verify_certificate(lp_zero, zero)
@@ -250,6 +293,65 @@ def test_certificate_json_roundtrip(lp_zero, sol_zero):
     assert back == sol_zero.certificate
     assert json.loads(text)["target"] == [1, 3, 1, 2]    # [x1, x2, u1, u2]
     assert verify_certificate(lp_zero, back)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ys=st.dictionaries(st.integers(0, 656), st.fractions(), max_size=12),
+       beta=st.fractions(), bound=st.fractions(), cap=st.fractions(),
+       target=st.integers(0, 1295), sense=st.sampled_from(["max", "min", "x"]))
+def test_certificate_json_roundtrip_any_certificate(ys, beta, bound, cap,
+                                                    target, sense):
+    y = [Fraction(0)] * 657
+    for row, v in ys.items():
+        y[row] = v
+    cert = DualCertificate(y=tuple(y), beta=beta, bound=bound, delta_tilde=cap,
+                           target=target, sense=sense)
+    assert DualCertificate.from_json(cert.to_json()) == cert
+
+
+def _with(text, **fields):
+    obj = json.loads(text)
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def test_certificate_json_rejects_malformed_fields(sol_zero):
+    """A certificate file is untrusted: each malformed field raises a
+    ValueError that names its JSON path, rather than land on another row,
+    index past the table or be read as something it is not."""
+    text = sol_zero.certificate.to_json()
+    y = json.loads(text)["y"]
+    cases = [
+        (_with(text, y={**y, "-1": "1"}), "y"),            # was row 656
+        (_with(text, y={**y, "0656": "1"}), "y"),          # was row 656 too
+        (_with(text, y={**y, "657": "1"}), "y"),
+        (_with(text, y={"5": "1"}, n_equalities=3), "n_equalities"),  # IndexError
+        (_with(text, n_equalities=True), "n_equalities"),
+        (_with(text, n_equalities=657.0), "n_equalities"),
+        (_with(text, n_equalities=656), "n_equalities"),
+        (_with(text, y={"5": 0.5}), "y.5"),                 # was 1/2
+        (_with(text, y={"5": 1}), "y.5"),
+        (_with(text, y={"5": "1/0"}), "y.5"),
+        (_with(text, y={"5": "1e999999999"}), "y.5"),
+        (_with(text, y={"5": "1" * 4301}), "y.5"),
+        (_with(text, y=[]), "y"),
+        (_with(text, beta=0.5), "beta"),
+        (_with(text, bound=None), "bound"),
+        (_with(text, delta_tilde="x"), "delta_tilde"),
+        (_with(text, target=[1, 3, 1, 10]), "target"),
+        (_with(text, target=[5, 3, 1, 2]), "target"),      # was [1, 3, 1, 3]
+        (_with(text, target=[1, 3, True, 2]), "target"),
+    ]
+    for bad, field in cases:
+        with pytest.raises(ValueError, match=f"^certificate\\.{field}: needs"):
+            DualCertificate.from_json(bad)
+    obj = json.loads(text)
+    del obj["n_equalities"]
+    with pytest.raises(ValueError, match="^certificate\\.n_equalities: needs"):
+        DualCertificate.from_json(json.dumps(obj))
+    with pytest.raises(ValueError, match="^certificate: needs a JSON object"):
+        DualCertificate.from_json("[]")
+    assert DualCertificate.from_json(text) == sol_zero.certificate
 
 
 def test_weak_duality_on_feasible_points(functional, sol_zero):
@@ -307,11 +409,22 @@ def test_integer_primal_check_sees_a_tiny_move(lp_zero, sol_zero):
             assert back == moved and not _verify_primal(lp_zero, back)
 
 
+def test_primal_check_needs_one_entry_per_cell(lp_zero, sol_zero):
+    """A vector one entry too long or too short fails the check, whatever
+    the extra entry or the entries it keeps."""
+    pf = list(sol_zero.primal.exact.ravel())
+    assert _verify_primal(lp_zero, pf)
+    assert not _verify_primal(lp_zero, pf + [Fraction(5)])
+    assert not _verify_primal(lp_zero, pf + [Fraction(0)])
+    assert not _verify_primal(lp_zero, pf[:-1])
+    assert not _verify_primal(lp_zero, [])
+
+
 @functools.lru_cache(maxsize=None)
 def _row_cells():
-    """(+1 cells, -1 cells) of each row of `_equalities`."""
+    """(+1 cells, -1 cells) of each row of `checks.equalities`."""
     return tuple((np.flatnonzero(row == 1).tolist(),
-                  np.flatnonzero(row == -1).tolist()) for row in _equalities())
+                  np.flatnonzero(row == -1).tolist()) for row in equalities())
 
 
 def _scaled(values):
@@ -320,8 +433,8 @@ def _scaled(values):
 
 
 def _reference_dual_ok(p, d) -> bool:
-    """`verify_certificate` as a loop over the rows of `_equalities`, one
-    row and one cell at a time, on Python ints."""
+    """`verify_certificate` as a loop over the rows of `checks.equalities`,
+    one row and one cell at a time, on Python ints."""
     rows = _row_cells()
     if (d.sense not in ("max", "min") or len(d.y) != len(rows) or d.beta < 0
             or d.delta_tilde != p.delta_tilde or d.target != p.target_col):
@@ -342,7 +455,7 @@ def _reference_dual_ok(p, d) -> bool:
 
 
 def _reference_primal_ok(p, pf) -> bool:
-    """`_verify_primal` as a loop over the rows of `_equalities`."""
+    """`_verify_primal` as a loop over the rows of `checks.equalities`."""
     scale, ints = _scaled(pf)
     if any(v < 0 for v in ints):
         return False
@@ -390,7 +503,7 @@ def test_exact_checks_match_the_scalar_reference(
     u1, u2, x1, x2 = cell_entry(cert.target)
     tampered = [
         dataclasses.replace(cert, y=tuple(bad_y)),
-        DualCertificate(y=tuple([Fraction(0)] * len(_equalities())),
+        DualCertificate(y=tuple([Fraction(0)] * len(equalities())),
                         beta=Fraction(0), bound=Fraction(0),
                         delta_tilde=Fraction(0), target=cert.target),
         dataclasses.replace(cert, bound=Fraction(1, 2)),
