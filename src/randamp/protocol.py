@@ -17,14 +17,14 @@ indicator average must not exceed delta) and then, only if it passed, the
 tomographic test (the empirical frequency of the target cell must reach
 mu1).  Both aborts are verdicts, not errors.  `replay_transcript` is the one path from cells back to a run;
 `read_transcript` reads in one pass the one layout `write_transcript`
-writes, both by one table of record texts in fixed-width blocks of at most
-BLOCK_ROWS = 2^12 rows.  Each call goes through one small set of buffers,
-made once for the call and reused for every block: the writer builds each
-block in one; the reader reads each block's bytes into one, decodes each
-row's cell with an exact float32 dot product of its four tail digits,
-builds the expected block into another and compares into a third.  On
-acceptance of a run whose transcript is kept, the extractor's t side is the
-next n bits of the same source (the stream positions of setting draws and
+writes, both by one table of record tails in fixed-width blocks of at most
+BLOCK_ROWS = 4000 rows, each laid over a template of its records in cell
+0 that is laid out once per digit width of i.  The writer gathers each
+block's tails into its template; the reader subtracts the template from
+each block's bytes, reads each row's cell with an exact float32 dot
+product of its four digits and checks every byte in place against a
+limit block.  On acceptance of a run whose transcript is kept, the
+extractor's t side is the next n bits of the same source (the stream positions of setting draws and
 extraction draws are disjoint by construction); it reads only the first L
 of them, so min(n, L) are drawn and fed to the two-source extractor
 together with the selected transcript bits.
@@ -508,34 +508,32 @@ def monte_carlo(device_factory: Callable[[int], Device],
 # The record of round i = 1, 2, ... in cell c is b'{"i": %d' % i and the
 # tail _RECORD_TAIL[c] (settings 1..9, outcomes 1..4), 34 + d bytes when i
 # has d digits.  So the records whose i have d digits are one fixed-width
-# block, written and read BLOCK_ROWS rows at a time as uint8 arrays
-# (`_records`).  Past the first head, the block is the d digits of each i
-# followed by its joint: its tail and the next record's head, _JOINTS[c].
-# Each field is filled for the whole block at once from a constant table:
-# the digits three at a time from _DIGITS, the joint as one fixed-width item
-# of _JOINTS.  Writer and reader use these tables and nothing else.
-_RECORD_TAIL = [b', "u": [%d, %d], "x": [%d, %d]}\n' % cell_entry(c)
-                for c in range(N_CELLS)]
+# block, written and read BLOCK_ROWS rows at a time as the rows of a uint8
+# array laid over a template (`_templates`): those records in cell 0.  The
+# writer gathers its cells' tails into the template's tail field; the
+# reader subtracts the template from the bytes it read.
+_RECORD_TAIL = np.array([b', "u": [%d, %d], "x": [%d, %d]}\n' % cell_entry(c)
+                         for c in range(N_CELLS)])      # S28
 _RECORD_HEAD = b'{"i": '
-_HEAD = np.frombuffer(_RECORD_HEAD, np.uint8)
-_JOINTS = np.array([tail + _RECORD_HEAD for tail in _RECORD_TAIL])  # S34
+_TAIL = _RECORD_TAIL.itemsize
+_RECORD_BYTES = len(_RECORD_HEAD) + _TAIL       # all but the digits of i
 # Rows per record block, a constant chosen by measurement: the buffers of
-# 2^12 rows (160 KB each at n = 10^5) are a small working set, made once per
-# call, and a block's dozen numpy calls cost little against its bytes.
-BLOCK_ROWS = 1 << 12
-# _DIGITS[w] is "0...0" to "9...9" (w digits) repeated, so the at most
-# BLOCK_ROWS consecutive i of a record block read their last w digits as
-# one slice of it.
-_DIGITS = {w: np.tile(np.frombuffer(b"".join(b"%0*d" % (w, k) for k in
-                                              range(10 ** w)), f"S{w}"),
-                      BLOCK_ROWS // 10 ** w + 2) for w in (1, 2, 3)}
+# 4000 rows (160 KB each at n = 10^5) are a small working set, made once per
+# call.  A multiple of 1000, so every block of 4 or more digits starts at a
+# multiple of 1000 and keeps its template's last three digits of i.
+BLOCK_ROWS = 4000
+# _LOW_DIGITS[w][r] is the last w digits of r, for r = 0..999.
+_LOW_DIGITS = {w: np.array([(b"%03d" % r)[3 - w:] for r in range(1000)])
+               for w in (1, 2, 3)}
 # A tail's digits u1, u2, x1, x2 sit at these offsets; their weights give
-# the cell ((u1-1) 9 + u2-1) 16 + (x1-1) 4 + x2-1, as `var_index` does.  The
-# weighted sum of any four bytes is at most 255 x 165 < 2^24, so a float32
-# dot product gives it exactly.
+# the cell ((u1-1) 9 + u2-1) 16 + (x1-1) 4 + x2-1, as `var_index` does.
+# Less cell 0's tail, a written tail is 0 but at these digits, which are at
+# most _TAIL_LIMIT.  Four bytes read as int8 weigh at most 128 x 165 < 2^15
+# in size, so a float32 dot product and an int16 hold their sum exactly.
 _TAIL_DIGITS = np.array([8, 11, 21, 24])
 _DIGIT_WEIGHTS = np.array([144, 16, 4, 1], np.float32)
-_CELL_OFFSET = ord("1") * 165       # the sum at digits 1, 1, 1, 1: cell 0
+_TAIL_LIMIT = np.zeros(_TAIL, np.uint8)
+_TAIL_LIMIT[_TAIL_DIGITS] = [N_SETTINGS - 1] * 2 + [N_OUTCOMES - 1] * 2
 _VERDICTS = ("Accept", "AbortBell", "AbortTomography")
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -554,7 +552,7 @@ def _record_blocks(n: int):
 def _block_bytes(n: int) -> int:
     """Bytes of the largest record block of rounds 1..n, taken as
     min(n, BLOCK_ROWS) records as wide as that of round n."""
-    return min(n, BLOCK_ROWS) * (len(str(n)) + _JOINTS.itemsize)
+    return min(n, BLOCK_ROWS) * (len(str(n)) + _RECORD_BYTES)
 
 
 def _byte_field(rows: np.ndarray, start: int, width: int) -> np.ndarray:
@@ -562,38 +560,37 @@ def _byte_field(rows: np.ndarray, start: int, width: int) -> np.ndarray:
     return rows[:, start:start + width].view(f"S{width}")[:, 0]
 
 
-def _records(first: int, cells: np.ndarray, d: int,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """The records of rounds first, first + 1, ... in `cells`, at most
-    BLOCK_ROWS whose i all have d digits, as the rows of a
-    (len(cells), 34 + d) uint8 array.  With `out`, a flat uint8 array of
-    at least len(cells) (34 + d) + 6 items, the rows are its leading bytes
-    (the last joint ends 6 bytes past)."""
-    count, head, width = len(cells), len(_HEAD), d + _JOINTS.itemsize
-    if out is None:
-        out = np.empty(count * width + head, np.uint8)
-    out[:head] = _HEAD
-    # row k of `shifted` starts after record k's head: its digits, its joint
-    shifted = out[head:head + count * width].reshape(count, width)
-    _byte_field(shifted, d, _JOINTS.itemsize)[:] = _JOINTS.take(cells)
-    end, p = d, 1               # the w digits of i // p end at byte `end`
-    while end > 0:
-        w = min(3, end)
-        lo, hi = first // p, (first + count - 1) // p
-        digits = _DIGITS[w][lo % 10 ** w:][:hi - lo + 1]
-        if p > 1:   # i // p is k on rows k p - first up to (k + 1) p - first
-            edges = np.clip([k * p - first for k in range(lo, hi + 2)], 0, count)
-            digits = np.repeat(digits, np.diff(edges))
-        _byte_field(shifted, end - w, w)[:] = digits
-        end, p = end - w, 1000 * p
-    return out[:count * width].reshape(count, width)
+def _templates(blocks, out: np.ndarray):
+    """(first, the (count, 34 + d) uint8 rows of records first.. in cell 0)
+    for each (first, count, d) of `blocks`, laid out in the flat array `out`
+    once per width and kept across its blocks: the last three digits of i
+    are refilled only for a block at another phase of 1000."""
+    rows = phase = None
+    for first, count, d in blocks:
+        head, width = len(_RECORD_HEAD), d + _RECORD_BYTES
+        if rows is None or rows.shape[1] != width or len(rows) < count:
+            rows = out[:count * width].reshape(count, width)
+            _byte_field(rows, 0, width)[:] = \
+                _RECORD_HEAD + b"0" * d + _RECORD_TAIL[0]
+            phase = None
+        if first % 1000 != phase:
+            phase, w = first % 1000, min(3, d)
+            _byte_field(rows, head + d - w, w)[:] = np.resize(
+                np.roll(_LOW_DIGITS[w], -phase), len(rows))
+        if d > 3:   # once per run of 1000 rows with one i // 1000
+            runs = [b"%d" % q for q in range(first // 1000,
+                                             (first + count - 1) // 1000 + 1)]
+            _byte_field(rows[:count], head, d - 3)[:] = np.repeat(
+                runs, 1000)[phase:phase + count]
+        yield first, rows[:count]
 
 
 def write_transcript(run: ProtocolRun, path, config_hash: str = "",
                      package_version: str = "") -> None:
     """JSON Lines: a header, a record per round, a summary.  The records go
-    block by block (`_record_blocks`): each is built by `_records` in one
-    buffer, made once for the call, and written in one call."""
+    block by block (`_record_blocks`): one take gathers each block's tails
+    into its template (`_templates`, in one buffer made for the call),
+    which is written in one call."""
     if run.cells is None:
         raise ValueError("run has no kept transcript")
     with open(path, "wb") as fh:
@@ -602,10 +599,11 @@ def write_transcript(run: ProtocolRun, path, config_hash: str = "",
                   "config_hash": config_hash, "params": run.params.to_dict(),
                   "device": run.device_spec, "source": run.source_spec}
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        rows = np.empty(_block_bytes(len(run.cells)) + len(_HEAD), np.uint8)
-        for first, count, d in _record_blocks(len(run.cells)):
-            fh.write(_records(first, run.cells[first - 1:first - 1 + count],
-                              d, rows))
+        out = np.empty(_block_bytes(n := len(run.cells)), np.uint8)
+        for first, rows in _templates(_record_blocks(n), out):
+            _byte_field(rows, rows.shape[1] - _TAIL, _TAIL)[:] = \
+                _RECORD_TAIL.take(run.cells[first - 1:first - 1 + len(rows)])
+            fh.write(rows)
         summary = {"type": "summary", "Ln": run.bell_average,
                    "Sn": run.target_frequency, "verdict": run.verdict}
         if run.output_bits is not None:
@@ -634,15 +632,17 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
     decoded as UTF-8, it must have the layout `write_transcript` writes:
     the header, the k-th record as b'{"i": k' and a `_RECORD_TAIL` entry
     (its cell), one summary, the end of the file.  The records are read
-    block by block (`_record_blocks`, BLOCK_ROWS rows at most) through one
-    working set made for the call: each block's bytes are read into one
-    buffer, each row's cell is read off its four tail digits by one exact
-    float32 dot product into one CELL_DTYPE array (as many items as the
-    file's length allows records), `_records` of those cells is built into
-    a second buffer, and the two are compared byte by byte, once, into one
-    bool buffer.  Only a block that differs (a tampered file, or the block
-    that holds the summary) is searched for its first differing row, and
-    the line that starts there is the summary.  Then its format version,
+    block by block (`_record_blocks`, BLOCK_ROWS rows at most) through
+    three buffers made for the call: each block's bytes are read into one,
+    less its template (`_templates`, in the second), and each row's cell is
+    read off its four tail digits by one exact float32 dot product into one
+    CELL_DTYPE array (as many items as the file's length allows records).
+    Every byte is then compared once, in place, with a limit block laid out
+    once per width in the third: 0 but at the digits, where it is 8 (u) or
+    3 (x).  So a row passes exactly when it is the record written for the
+    cell its digits name.  Only a block that fails (a tampered file, or the
+    block that holds the summary) is searched for its first failing row,
+    and the line that starts there is the summary.  Then its format version,
     `parse_header` (the rules a config is read by), n against the record
     count and the summary's Ln, Sn (numbers in [0, 1]), verdict and, when
     present, output_hex (a string of lowercase hex digits, as the writer
@@ -660,23 +660,23 @@ def read_transcript(path) -> tuple[dict, SVSource, ProtocolRun, dict]:
         header = _tagged(path, 1, fh.readline(), "header", "the header")
         # a record takes at least 35 bytes (one digit), so the rest of the
         # file bounds the record count
-        most = (info.st_size - fh.tell()) // (1 + _JOINTS.itemsize)
+        most = (info.st_size - fh.tell()) // (1 + _RECORD_BYTES)
         cells = np.empty(most, CELL_DTYPE)
-        got = np.empty(_block_bytes(most), np.uint8)
-        want = np.empty(len(got) + len(_HEAD), np.uint8)
-        differ = np.empty(len(got), bool)
-        done = 0
-        for first, count, d in _record_blocks(most):
-            width = d + _JOINTS.itemsize
+        got, out, limits = np.empty((3, _block_bytes(most)), np.uint8)
+        limit, done = np.empty((0, 0), np.uint8), 0
+        for first, want in _templates(_record_blocks(most), out):
+            count, width = want.shape
+            if limit.shape[1] != width or len(limit) < count:   # one a width
+                limit = limits[:count * width].reshape(count, width)
+                _byte_field(limit, 0, width)[:] = \
+                    bytes(width - _TAIL) + _TAIL_LIMIT.tobytes()
             at, size = fh.tell(), fh.readinto(got[:count * width])
             rows = got[:size - size % width].reshape(-1, width)
-            code = rows.take(len(_HEAD) + d + _TAIL_DIGITS, axis=1
-                             ).astype(np.float32) @ _DIGIT_WEIGHTS
-            np.clip(code, _CELL_OFFSET, _CELL_OFFSET + N_CELLS - 1, out=code)
-            block = cells[first - 1:first - 1 + len(rows)]
-            np.subtract(code, _CELL_OFFSET, out=block, casting="unsafe")
-            wrong = np.not_equal(rows, _records(first, block, d, want),
-                                 out=differ[:rows.size].reshape(rows.shape))
+            np.subtract(rows, want[:len(rows)], out=rows)
+            digits = rows.view(np.int8).take(width - _TAIL + _TAIL_DIGITS, 1)
+            cells[first - 1:first - 1 + len(rows)] = \
+                digits.astype(np.float32) @ _DIGIT_WEIGHTS
+            wrong = np.greater(rows, limit[:len(rows)], out=rows.view(bool))
             ok = int(np.argmax(wrong)) // width if wrong.any() else len(rows)
             done += ok
             if ok < count:
