@@ -1,14 +1,14 @@
 """Two-party conditional-probability behaviors and the stateful device.
 
-A Behavior is a table P(x1,x2|u1,u2) over 4x4 outcomes and 9x9 settings,
-nonnegative, normalized per setting pair, and no-signaling (each party's
-marginal is independent of the other party's setting).
+A Behavior is a float table P(x1,x2|u1,u2) over 4x4 outcomes and 9x9
+settings, nonnegative, normalized per setting pair, and no-signaling (each
+party's marginal is independent of the other party's setting).
 
 The ideal box for the 18-vector model has entries
 ``<v_a|v_b>^2 / (4 |v_a|^2 |v_b|^2)`` where v_a, v_b are the projector
 vectors selected by the settings and outcomes.  All denominators are powers
-of two not exceeding 64, so the float table is exact and the 504 indicator
-entries are exactly zero.
+of two not exceeding 64, so the float quotient of the integer Gram ratios
+is exact and the 504 indicator entries are exactly zero.
 
 A Device answers one round at a time with one model for every kind: it
 plays behavior b1 until round tau and b2 from then on (iid devices never
@@ -43,7 +43,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,15 +56,13 @@ from .sv_source import BLOCK_PAIR
 class Behavior:
     """Conditional probability table, indexed [u1-1, u2-1, x1-1, x2-1].
 
-    `table` is float64; `exact` optionally carries the same entries as
-    Fractions (object ndarray) for certification-grade arithmetic.
+    `table` is float64; `meta` is what a transcript header records of it.
     `thresholds` and `block_cells` are the sampling tables a `Device`
     reads, built from `table` on first use and kept on the behavior.
     """
 
     table: np.ndarray
-    exact: np.ndarray | None = None
-    meta: dict | None = None
+    meta: dict
 
     @cached_property
     def thresholds(self) -> np.ndarray:
@@ -105,38 +102,30 @@ class Behavior:
 
 
 def ideal_quantum_box(model: KSModel) -> Behavior:
-    """The maximally violating box, built in exact rational arithmetic.
+    """The maximally violating box.
 
     table(u1,u2,x1,x2) = <v_a|v_b>^2 / (4 |v_a|^2 |v_b|^2) with v_a, v_b
-    the vectors of the cell (`ks_bell.gram_table`).  Entries are dyadic
-    rationals, so the float table carries them exactly.
+    the vectors of the cell (`ks_bell.gram_table`), divided on integer
+    arrays; exact, as every denominator is a power of two at most 64.
     """
     g = gram_table(model)
     norm_sq = np.einsum("aaxx->ax", g)              # |v|^2 at (setting, slot)
     den = 4 * norm_sq[:, None, :, None] * norm_sq[None, :, None, :]
-    num = g ** 2
-    ratios = list(zip(num.ravel().tolist(), den.ravel().tolist()))
-    frac = {r: Fraction(*r) for r in set(ratios)}
-    exact = np.array([frac[r] for r in ratios], dtype=object).reshape(g.shape)
-    # each float quotient is exact: the entries are dyadic, denominators <= 64
-    return Behavior(table=num / den, exact=exact, meta={"kind": "ideal"})
+    return Behavior(table=g ** 2 / den, meta={"kind": "ideal"})
 
 
 def uniform_box() -> Behavior:
-    exact = np.full((N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES),
-                    Fraction(1, 16), dtype=object)
-    return Behavior(table=np.full(exact.shape, 1.0 / 16.0), exact=exact,
-                    meta={"kind": "uniform"})
+    table = np.full((N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES), 1 / 16)
+    return Behavior(table=table, meta={"kind": "uniform"})
 
 
 def depolarize(b: Behavior, eta: float) -> Behavior:
-    """Mix with white noise: (1-eta) * b + eta * uniform(1/16).  The mix is
-    a float table only: a float eta has no exact table to match."""
+    """Mix with white noise: (1-eta) * b + eta * uniform(1/16)."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"noise weight must be in [0,1], got {eta}")
     return Behavior(table=(1.0 - eta) * b.table + eta / 16.0,
                     meta={"kind": "depolarized", "eta": eta,
-                          "base": (b.meta or {}).get("kind")})
+                          "base": b.meta.get("kind")})
 
 
 class Device:
@@ -237,7 +226,7 @@ def _cells(behavior: Behavior, blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def make_iid_device(behavior: Behavior, seed: int = 0) -> Device:
-    return Device({"kind": "iid", "behavior": behavior.meta or {}},
+    return Device({"kind": "iid", "behavior": behavior.meta},
                   behavior, behavior, seed)
 
 

@@ -193,7 +193,7 @@ def build_device_factory(spec):
         box = depolarize(ideal_quantum_box(model), parse_real(
             spec, "eta", "device", lambda v: 0 <= v <= 1, "in [0, 1]"))
     elif kind == "lp_attack_zero":
-        box, _ = zero_target_box(build_bell_functional(model))
+        box = zero_target_box(build_bell_functional(model))
     else:                               # switch_after, history_trigger
         full = dict(spec, b1=ideal_quantum_box(model), b2=uniform_box())
         make_adversarial_device(full)   # checks k or pattern before any run
@@ -255,7 +255,7 @@ def certify(delta_grid, outdir):
     # solve per CPU, while this thread checks and writes in grid order.
     pool = ThreadPoolExecutor(min(len(grid), _cpus()))
     try:
-        solves = [pool.submit(solve_lp, problem, "max") for problem in problems]
+        solves = [pool.submit(solve_lp, problem) for problem in problems]
         for g, problem, solve in zip(grid, problems, solves):
             try:
                 sol = solve.result()

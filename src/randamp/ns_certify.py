@@ -49,10 +49,10 @@ builds the equality rows' float CSR matrix once for every later solve.
 Only `certify` solves, and it calls `load_highs` on its own thread before
 its solver threads start.  Each solve runs its own HiGHS instance, so
 concurrent solves return the same bits as serial ones.  The
-`lp_attack_zero` device's box, the cap-0 min vertex, is stored
-(`_ZERO_TARGET_WORDS`) and checked exactly on every build
-(`zero_target_box`).  So `import randamp.cli` and every `simulate` load
-no scipy module.
+`lp_attack_zero` device's box, the vertex minimizing P(target) at cap 0,
+is stored (`_ZERO_TARGET_WORDS`) and checked exactly on every build
+(`zero_target_box`).  So no solve minimizes, and `import randamp.cli` and
+every `simulate` load no scipy module.
 """
 
 from __future__ import annotations
@@ -97,14 +97,13 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Exact multipliers proving `M.P <= bound` (for the stated objective
-    sign) on every feasible table.
+    """Exact multipliers proving `M.P <= bound` on every feasible table.
 
     y: free multipliers for the 657 equality rows.
     beta: nonnegative multiplier for the cap row.
     target: the bounded cell, written [x1, x2, u1, u2] in JSON.
     The nonnegativity multipliers mu are derived during verification as
-    E^T y + beta*b - sign*M and must come out componentwise >= 0.
+    E^T y + beta*b - M and must come out componentwise >= 0.
     """
 
     y: tuple[Fraction, ...]
@@ -112,7 +111,6 @@ class DualCertificate:
     bound: Fraction
     delta_tilde: Fraction
     target: int
-    sense: str = "max"
 
     def to_json(self) -> str:
         u1, u2, x1, x2 = cell_entry(self.target)
@@ -120,7 +118,7 @@ class DualCertificate:
             "delta_tilde": str(self.delta_tilde),
             "bound": str(self.bound),
             "beta": str(self.beta),
-            "sense": self.sense,
+            "sense": "max",
             "target": [x1, x2, u1, u2],
             "y": {str(i): str(v) for i, v in enumerate(self.y) if v != 0},
             "n_equalities": len(self.y),
@@ -129,12 +127,16 @@ class DualCertificate:
     @staticmethod
     def from_json(text: str) -> "DualCertificate":
         """The certificate `to_json` wrote, read as untrusted by the rules a
-        config is read by (ValueError("certificate.<field>: ...")):
-        n_equalities the int 657, y keyed by row numbers "0".."656" as
-        `to_json` writes them, target [x1, x2, u1, u2] in range, and each
-        y value, beta, bound and delta_tilde a string "p" or "p/q"."""
-        obj, at = json.loads(text), "certificate"
+        config is read by (ValueError("certificate...: ...")): JSON nested
+        no deeper than the parser reaches, sense "max", n_equalities the
+        int 657, y keyed by rows "0".."656", target [x1, x2, u1, u2] in
+        range, and y's values, beta, bound and delta_tilde "p" or "p/q"."""
+        try:
+            obj, at = json.loads(text), "certificate"
+        except (ValueError, RecursionError) as e:   # RecursionError: too deep
+            raise ValueError(f"certificate: malformed JSON: {e}") from e
         rows = [str(i) for i in range(_N_EQ)]       # the keys `to_json` writes
+        _field(obj, "sense", at, lambda v: v == "max", '"max"')
         _field(obj, "n_equalities", at, lambda n: type(n) is int and n == _N_EQ,
                f"the int {_N_EQ}")
         ys = _field(obj, "y", at,
@@ -149,7 +151,7 @@ class DualCertificate:
             y=tuple(y), beta=_fraction(obj, "beta", at),
             bound=_fraction(obj, "bound", at),
             delta_tilde=_fraction(obj, "delta_tilde", at),
-            target=var_index(u1, u2, x1, x2), sense=obj.get("sense", "max"))
+            target=var_index(u1, u2, x1, x2))
 
 
 def _fraction(obj, key: str, path: str) -> Fraction:
@@ -162,8 +164,10 @@ def _fraction(obj, key: str, path: str) -> Fraction:
 
 @dataclass
 class LPSolution:
+    """A certified maximum; `primal` is its vertex, a Fraction per cell."""
+
     exact_optimum: Fraction
-    primal: Behavior
+    primal: tuple[Fraction, ...]
     certificate: DualCertificate
     certified_equality: bool
 
@@ -213,14 +217,13 @@ def _scaled(values) -> tuple[int, np.ndarray]:
 def verify_certificate(p: LPProblem, d: DualCertificate) -> bool:
     """Exact-arithmetic dual feasibility check, independent of any solver.
 
-    True iff the certificate is for the problem's cap and target entry, its
-    sense is "max" or "min", beta >= 0, all derived nonnegativity
-    multipliers are >= 0, and the recomputed bound y.f + beta*cap does not
-    exceed the certificate's bound.  The multipliers are checked scaled by
-    the lcm of the denominators of y and beta, on Python ints.
+    True iff the certificate is for the problem's cap and target entry,
+    beta >= 0, all derived nonnegativity multipliers are >= 0, and the
+    recomputed bound y.f + beta*cap does not exceed the certificate's
+    bound.  The multipliers are checked scaled by the lcm of the
+    denominators of y and beta, on Python ints.
     """
-    if (d.sense not in ("max", "min") or len(d.y) != _N_EQ
-            or d.beta < 0 or d.delta_tilde != p.delta_tilde
+    if (len(d.y) != _N_EQ or d.beta < 0 or d.delta_tilde != p.delta_tilde
             or d.target != p.target_col):
         return False
     scale, ys = _scaled((*d.y, d.beta))     # ys[-1] is beta, scaled
@@ -228,7 +231,7 @@ def verify_certificate(p: LPProblem, d: DualCertificate) -> bool:
     mu = np.zeros(N_CELLS, object)
     np.add.at(mu, cells, ys[rows] * coef)
     mu[list(p.cap_cols)] += ys[-1]
-    mu[p.target_col] -= scale if d.sense == "max" else -scale
+    mu[p.target_col] -= scale
     return bool((mu >= 0).all()) and _bound(p, d.y, d.beta) <= d.bound
 
 
@@ -267,10 +270,10 @@ def load_highs():
     return sparse, linprog, eq
 
 
-def _solve_float_highs(p: LPProblem, sense: str):
+def _solve_float_highs(p: LPProblem):
     sparse, linprog, eq = load_highs()
     c = np.zeros(N_CELLS)
-    c[p.target_col] = -1.0 if sense == "max" else 1.0
+    c[p.target_col] = -1.0              # linprog minimizes -P(target)
     cap = np.zeros((1, N_CELLS))
     cap[0, list(p.cap_cols)] = 1.0
     res = linprog(c=c, A_ub=sparse.csr_matrix(cap), b_ub=[float(p.delta_tilde)],
@@ -291,44 +294,31 @@ def _rounded(values: list[float], scale: int) -> list[Fraction]:
     return [table[v] for v in values]
 
 
-def _behavior(exact: np.ndarray, cap: Fraction, sense: str) -> Behavior:
-    """The certified LP vertex `exact` (Fractions, shape (9, 9, 4, 4))."""
-    return Behavior(table=exact.astype(float), exact=exact,
-                    meta={"kind": "lp_vertex", "delta_tilde": float(cap),
-                          "sense": sense, "certified": True})
-
-
-def solve_lp(p: LPProblem, sense: str = "max") -> LPSolution:
-    """Optimize P(target) over the feasible set, exactly.
+def solve_lp(p: LPProblem) -> LPSolution:
+    """Maximize P(target) over the feasible set, exactly.
 
     The float vertex and duals are rounded (`_rounded`) at the scales q,
     the cap's denominator, and 1 in turn, and the first pair that both
     exact checks accept is returned; else `CertificationError` is raised.
     """
-    if sense not in ("max", "min"):
-        raise ValueError("sense must be 'max' or 'min'")
-    x, y, beta = _solve_float_highs(p, sense)
+    x, y, beta = _solve_float_highs(p)
     for scale in (p.delta_tilde.denominator, 1):
         pf = _rounded(x, scale)
         yf = tuple(_rounded(y, scale))
         bf = max(_rounded([beta], scale)[0], Fraction(0))
         cert = DualCertificate(y=yf, beta=bf, bound=_bound(p, yf, bf),
-                               delta_tilde=p.delta_tilde, target=p.target_col,
-                               sense=sense)
+                               delta_tilde=p.delta_tilde, target=p.target_col)
         if _verify_primal(p, pf) and verify_certificate(p, cert):
             break
     else:
         raise CertificationError(
             f"could not produce an exact certificate (cap={p.delta_tilde})")
     value = pf[p.target_col]
-    primal = _behavior(np.array(pf, dtype=object).reshape(9, 9, 4, 4),
-                       p.delta_tilde, sense)
-    return LPSolution(exact_optimum=value, primal=primal, certificate=cert,
-                      certified_equality=(value if sense == "max" else -value)
-                      == cert.bound)
+    return LPSolution(exact_optimum=value, primal=tuple(pf), certificate=cert,
+                      certified_equality=value == cert.bound)
 
 
-# The cap-0 min vertex HiGHS returns (`solve_lp(build_lp(f, 0), "min")`): a
+# The vertex HiGHS returns when it minimizes P(target) at cap 0: a
 # permutation box.  Row u1, word u2 (both 1..9) lists x2 for x1 = 1..4; each
 # of those four cells has weight 1/4, every other cell 0.
 _ZERO_TARGET_WORDS = """
@@ -344,12 +334,12 @@ _ZERO_TARGET_WORDS = """
 """
 
 
-def zero_target_box(f: BellFunctional) -> tuple[Behavior, Fraction]:
-    """Feasible behavior minimizing P(target) at cap 0, exact: the box
-    that passes the Bell test optimally yet never gives the target.
+def zero_target_box(f: BellFunctional) -> Behavior:
+    """Feasible behavior minimizing P(target) at cap 0: the box that
+    passes the Bell test optimally yet never gives the target.
 
     It is built from `_ZERO_TARGET_WORDS`, the vertex HiGHS returns for
-    this LP (a test pins the two together), and solves nothing.  Every
+    this min (a test pins the two together), and solves nothing.  Every
     build checks it exactly: `_verify_primal` (normalized, no-signaling,
     nonnegative, zero on every indicator cell) and P(target) = 0, which
     nonnegativity certifies as the minimum.  A failed check raises
@@ -363,5 +353,6 @@ def zero_target_box(f: BellFunctional) -> tuple[Behavior, Fraction]:
         exact[4 * np.arange(324) + x2] = Fraction(1, 4)
     if not (_verify_primal(p, list(exact)) and exact[p.target_col] == 0):
         raise CertificationError("the stored cap-0 min vertex fails its exact check")
-    return (_behavior(exact.reshape(9, 9, 4, 4), p.delta_tilde, "min"),
-            exact[p.target_col])
+    return Behavior(table=exact.astype(float).reshape(9, 9, 4, 4),
+                    meta={"kind": "lp_vertex", "delta_tilde": 0.0,
+                          "sense": "min", "certified": True})

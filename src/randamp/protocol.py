@@ -457,9 +457,9 @@ class CampaignStats:
         return "\n".join(lines) + "\n"
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    if trials == 0:
-        return 0.0, 1.0
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson interval (z = 1.96) of successes in trials >= 1."""
+    z = 1.96
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -1,11 +1,13 @@
 """Checks of the product objects and claim oracles that no command runs.
 
-Product objects: the Bell sum of a table, a behavior's normalization and
-signaling residuals, the local deterministic boxes, a source's exact
-conditional law, and the LP's 657 equality rows as one dense table, the
-reference that `ns_certify._nonzeros` is pinned to.  Tables are (9, 9, 4, 4) arrays indexed [u1-1, u2-1,
-x1-1, x2-1], so flat entry c is cell c (`ks_bell.var_index`); an object
-table of Fractions sums exactly.
+Product objects: the Bell sum of a table, a float table as Fractions, a
+behavior's normalization and signaling residuals, the local deterministic
+boxes, a source's exact conditional law, the LP's 657 equality rows as one
+dense table, the reference that `ns_certify._nonzeros` is pinned to, and
+the vertex HiGHS returns when it minimizes the target, the reference that
+`ns_certify._ZERO_TARGET_WORDS` is pinned to.  Tables are (9, 9, 4, 4)
+arrays indexed [u1-1, u2-1, x1-1, x2-1], so flat entry c is cell c
+(`ks_bell.var_index`); an object table of Fractions sums exactly.
 
 Claim oracles: the Markov linear-fraction step and the qualifying-round
 count of the security chain, each checking its claimed bound
@@ -25,15 +27,15 @@ import numpy as np
 import sv_reference
 from randamp.bounds import _tail_check, chernoff_bound
 from randamp.boxes import Behavior
-from randamp.ks_bell import TARGET_SETTINGS, pair_index
-from randamp.ns_certify import _N_NORM
+from randamp.ks_bell import N_CELLS, TARGET_SETTINGS, pair_index
+from randamp.ns_certify import _N_NORM, load_highs
 from randamp.sv_source import (BITS_PER_ROUND, BLOCK_PAIR, _as_fraction,
                                make_strategy)
 
 
 def bell_sum(values, f, weights=None):
     """The sum of `values` at the Bell cells of f, each weighted by
-    weights[u1-1, u2-1] of its setting pair when given: on `Behavior.exact`
+    weights[u1-1, u2-1] of its setting pair when given: on an `exact_table`
     the exact indicator mass, on a float table with weights nu the Bell
     value under setting measure nu."""
     cells = np.array(f.bell_cells)
@@ -41,6 +43,13 @@ def bell_sum(values, f, weights=None):
     if weights is not None:
         terms = terms * np.asarray(weights).ravel()[cells // 16]
     return terms.sum()
+
+
+def exact_table(table) -> np.ndarray:
+    """The float table as an object array of Fractions, entry by entry:
+    Fraction(v) is v exactly, so a dyadic table keeps its exact values."""
+    return np.array([Fraction(v) for v in np.ravel(table).tolist()],
+                    dtype=object).reshape(np.shape(table))
 
 
 def residuals(table):
@@ -90,6 +99,22 @@ def equalities() -> np.ndarray:
                            dtype=np.int8)
     table.flags.writeable = False
     return table
+
+
+def highs_min_vertex(p) -> list[Fraction]:
+    """The vertex HiGHS returns when it minimizes P(target) over the LP p,
+    each entry the nearest fraction of denominator at most 1000: the same
+    HiGHS call `ns_certify` maximizes with, the objective's sign flipped."""
+    sparse, linprog, eq = load_highs()
+    c = np.zeros(N_CELLS)
+    c[p.target_col] = 1.0
+    cap = np.zeros((1, N_CELLS))
+    cap[0, list(p.cap_cols)] = 1.0
+    res = linprog(c=c, A_ub=sparse.csr_matrix(cap), b_ub=[float(p.delta_tilde)],
+                  A_eq=eq, b_eq=(np.arange(eq.shape[0]) < _N_NORM).astype(float),
+                  bounds=(0, None), method="highs-ds")
+    assert res.status == 0, res.message
+    return [Fraction(v).limit_denominator(1000) for v in res.x.tolist()]
 
 
 def linear_fraction(values, delta: float) -> list[int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -16,35 +17,38 @@ from randamp.ks_bell import (build_ks_model, classical_minimum, pair_index,
                              var_index)
 from randamp.sv_source import BLOCK_PAIR, DEFAULT_MAP
 from randamp.ns_certify import _verify_primal, build_lp
-from checks import bell_sum, deterministic_behavior, residuals
+from checks import bell_sum, deterministic_behavior, exact_table, residuals
 from sv_reference import _cumulative_rows
 
 
 def test_ideal_box_reference_values(ideal, functional):
-    assert bell_sum(ideal.exact, functional) == 0
+    exact = exact_table(ideal.table)
+    assert bell_sum(exact, functional) == 0
     assert bell_sum(ideal.table, functional) == 0.0
-    assert ideal.exact.flat[var_index(1, 2, 1, 3)] == Fraction(1, 16)
+    assert exact.flat[var_index(1, 2, 1, 3)] == Fraction(1, 16)
     assert ideal.table.flat[var_index(1, 2, 1, 3)] == 1 / 16
     # shared vector v4 at (x1,x2) = (4,1) for settings (1,2)
-    assert ideal.exact.flat[var_index(1, 2, 4, 1)] == Fraction(1, 4)
+    assert exact.flat[var_index(1, 2, 4, 1)] == Fraction(1, 4)
 
 
 def test_ideal_box_exact_table_frozen(ideal, functional):
-    # every one of the 1296 exact entries, in cell order
-    text = "\n".join(str(fr) for fr in ideal.exact.ravel())
+    # every one of the 1296 entries as a Fraction, in cell order
+    text = "\n".join(str(Fraction(v)) for v in ideal.table.ravel().tolist())
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "d06a72e4ff638a4db1f1d309492dd47f83c6e962c84b9cf1dbf0a52a43dd200a"
-    assert bell_sum(uniform_box().exact, functional) == Fraction(504, 16)
+    assert bell_sum(exact_table(uniform_box().table), functional) == \
+        Fraction(504, 16)
 
 
 def test_ideal_box_exact_rational_structure(ideal):
+    exact = exact_table(ideal.table)
     for idx in np.ndindex(9, 9, 4, 4):
-        fr = ideal.exact[idx]
+        fr = exact[idx]
         assert 64 % fr.denominator == 0
         assert float(fr) == ideal.table[idx]       # dyadic: floats exact
     for u1 in range(9):
         for u2 in range(9):
-            assert sum(ideal.exact[u1, u2].reshape(-1)) == 1
+            assert sum(exact[u1, u2].reshape(-1)) == 1
 
 
 def test_ideal_box_float_table_is_its_exact_table(model, ideal):
@@ -52,21 +56,23 @@ def test_ideal_box_float_table_is_its_exact_table(model, ideal):
     converted entry by entry, bit for bit; each exact entry is the cell's
     Gram ratio <v_a|v_b>^2 / (4 |v_a|^2 |v_b|^2) from vector coordinates."""
     assert ideal.table.dtype == np.float64
-    assert ideal.table.tobytes() == ideal.exact.astype(float).tobytes()
+    exact = exact_table(ideal.table)
+    assert ideal.table.tobytes() == exact.astype(float).tobytes()
 
     def inner(i, j):
         return sum(a * b for a, b in
                    zip(model.vectors[i - 1], model.vectors[j - 1]))
     for u1, u2, x1, x2 in np.ndindex(9, 9, 4, 4):
         a, b = model.bases[u1][x1], model.bases[u2][x2]
-        assert ideal.exact[u1, u2, x1, x2] == \
+        assert exact[u1, u2, x1, x2] == \
             Fraction(inner(a, b) ** 2, 4 * inner(a, a) * inner(b, b))
 
 
 def test_ideal_box_validates_exactly(ideal, functional):
     """Nonnegative, normalized and no-signaling in exact arithmetic, with
     no mass on a Bell cell; and the float table has residuals 0."""
-    assert _verify_primal(build_lp(functional, 0), list(ideal.exact.ravel()))
+    assert _verify_primal(build_lp(functional, 0),
+                          list(exact_table(ideal.table).ravel()))
     assert residuals(ideal.table) == (0.0, 0.0)
 
 
@@ -89,7 +95,8 @@ def test_validate_catches_normalization():
 def test_depolarize_endpoints(ideal, functional):
     assert np.array_equal(depolarize(ideal, 0.0).table, ideal.table)
     assert np.all(depolarize(ideal, 1.0).table == 1 / 16)
-    assert depolarize(ideal, 0.3).exact is None
+    assert [f.name for f in dataclasses.fields(depolarize(ideal, 0.3))] == \
+        ["table", "meta"]                   # a float table, no exact one
     with pytest.raises(ValueError):
         depolarize(ideal, 1.5)
 
@@ -187,7 +194,7 @@ def _five_boxes(ideal, functional):
     """The ideal, uniform, lp_attack_zero, depolarized (eta 0.03) and a
     deterministic box."""
     from randamp.ns_certify import zero_target_box
-    lp_attack_zero, _ = zero_target_box(functional)
+    lp_attack_zero = zero_target_box(functional)
     return [ideal, uniform_box(), lp_attack_zero, depolarize(ideal, 0.03),
             deterministic_behavior((1, 2, 3, 4, 1, 2, 3, 4, 1),
                                    (4, 4, 3, 3, 2, 2, 1, 1, 4))]
@@ -241,7 +248,7 @@ def test_respond_chunk_on_a_split_bucket_and_on_a_bucket_edge(ideal):
     noisy = depolarize(ideal, 0.03)
     t = noisy.thresholds
     pair, j = map(int, np.argwhere((t % 2 ** 45 != 0) & (t < 2 ** 53))[0])
-    fine = Behavior(table=uniform_box().table.copy())
+    fine = Behavior(table=uniform_box().table.copy(), meta={"kind": "fine"})
     fine.table[0, 0, 0, :2] = [1 / 512, 1 / 16 - 1 / 512]
     uni = uniform_box()
     edge = int(uni.thresholds[21, 4])

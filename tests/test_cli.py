@@ -150,7 +150,7 @@ def test_certify_digests(runner, tmp_path):
 def test_certify_solver_failure_exits_2(runner, tmp_path, monkeypatch):
     """A failure inside `solve_lp` exits 2, names the cap and writes no
     summary."""
-    def fail(problem, sense):
+    def fail(problem):
         raise CertificationError("no exact certificate")
 
     monkeypatch.setattr("randamp.cli.solve_lp", fail)
@@ -174,9 +174,9 @@ def test_certify_on_several_threads_matches_serial_solves(
     _report_cpus(monkeypatch, 4)
     threads = set()
 
-    def recorded(problem, sense):
+    def recorded(problem):
         threads.add(threading.get_ident())
-        return solve_lp(problem, sense)
+        return solve_lp(problem)
 
     monkeypatch.setattr("randamp.cli.solve_lp", recorded)
     grid = [Fraction(g) for g in ("0", "1/2", "1/7", "1009/1000000", "2")]
@@ -202,12 +202,12 @@ def test_certify_reports_the_first_failure_in_grid_order(runner, tmp_path,
     when they were solved first, no summary, and no solver thread is left."""
     _report_cpus(monkeypatch, 4)
 
-    def slow_or_fail(problem, sense):
+    def slow_or_fail(problem):
         if problem.delta_tilde == Fraction(1, 10):
             raise CertificationError("no exact certificate")
         if problem.delta_tilde == 0:
             time.sleep(0.3)             # the later caps finish first
-        return solve_lp(problem, sense)
+        return solve_lp(problem)
 
     monkeypatch.setattr("randamp.cli.solve_lp", slow_or_fail)
     before = threading.active_count()
@@ -268,6 +268,39 @@ def test_simulate_digests(runner, tmp_path, cfg, csv_digest, transcript_digest):
                          ("trial0.jsonl", transcript_digest)):
         body = "\n".join((out / name).read_text().splitlines()[1:])
         assert hashlib.sha256(body.encode()).hexdigest() == digest, name
+
+
+_SEED = '"seed": 9380863847830809416'      # derive_seed(424242, 0, 1)
+
+
+@pytest.mark.parametrize("device, header", [
+    ({"kind": "ideal"},
+     '{"behavior": {"kind": "ideal"}, "kind": "iid", ' + _SEED + '}'),
+    ({"kind": "uniform"},
+     '{"behavior": {"kind": "uniform"}, "kind": "iid", ' + _SEED + '}'),
+    ({"kind": "depolarized", "eta": 0.25},
+     '{"behavior": {"base": "ideal", "eta": 0.25, "kind": "depolarized"}, '
+     '"kind": "iid", ' + _SEED + '}'),
+    ({"kind": "lp_attack_zero"},
+     '{"behavior": {"certified": true, "delta_tilde": 0.0, "kind": "lp_vertex", '
+     '"sense": "min"}, "kind": "iid", ' + _SEED + '}'),
+    ({"kind": "switch_after", "k": 2000},
+     '{"k": 2000, "kind": "switch_after", ' + _SEED + '}'),
+    ({"kind": "history_trigger", "pattern": [[5, 5], [6, 6]]},
+     '{"kind": "history_trigger", "pattern": [[5, 5], [6, 6]], ' + _SEED + '}'),
+], ids=["ideal", "uniform", "depolarized", "lp_attack_zero", "switch_after",
+        "history_trigger"])
+def test_transcript_header_device_is_pinned(runner, tmp_path, device, header):
+    """The `device` object of trial 0's transcript header, as
+    `json.dumps(..., sort_keys=True)` writes it, for every device kind.
+    The frozen digests hash only the lines after the header, so this is
+    what holds a behavior's meta to its bytes."""
+    cfg = write_config(tmp_path, dict(SMALL_SIM, device=device, trials=1))
+    res = runner.invoke(main, ["simulate", "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    first = (tmp_path / "out" / "trial0.jsonl").read_text().splitlines()[0]
+    assert json.dumps(json.loads(first)["device"], sort_keys=True) == header
 
 
 def test_simulate_builds_the_source_strategy_once(runner, tmp_path,
@@ -1204,6 +1237,41 @@ def test_src_holds_no_test_only_code():
     reached |= {method for method, count in own.items()
                 if everywhere[method.split(".")[1]] > count}
     assert (defined | set(own)) - reached == set(_UNREACHED)
+
+
+# Dataclass fields that nothing in src/randamp reads, each with the reason
+# it stays.
+_UNREAD_FIELDS = {
+    "Strategy.floats": "the tests' reference walk (`sv_reference.walk`)"
+                       " reads it",
+    "LPSolution.primal": "the verified vertex behind `exact_optimum`;"
+                         " ROADMAP items 6 and 11 read it",
+}
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d, "id", None) == "dataclass"
+        or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+        for d in node.decorator_list)
+
+
+def test_src_dataclass_fields_are_read():
+    """Every field of a dataclass in src/randamp is read as an attribute
+    (`x.field`) somewhere in src/randamp, its own class's methods
+    included; or it is on _UNREAD_FIELDS, as Class.field, with its
+    reason.  The list holds nothing that is read."""
+    fields, reads = set(), set()
+    for path in Path(randamp.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        fields |= {f"{node.name}.{item.target.id}"
+                   for node in tree.body if _is_dataclass(node)
+                   for item in node.body if isinstance(item, ast.AnnAssign)}
+        reads |= {sub.attr for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Attribute)
+                  and isinstance(sub.ctx, ast.Load)}
+    assert {f for f in fields if f.split(".")[1] not in reads} == \
+        set(_UNREAD_FIELDS)
 
 
 def test_verify_bounds_rejects_a_negative_seed(runner, tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import equalities
+from checks import equalities, exact_table, highs_min_vertex
 from randamp.boxes import ideal_quantum_box, uniform_box
 from randamp.ks_bell import cell_entry
 from randamp import ns_certify
@@ -33,7 +33,7 @@ def lp_zero(functional):
 
 @pytest.fixture(scope="module")
 def sol_zero(lp_zero):
-    return solve_lp(lp_zero, sense="max")
+    return solve_lp(lp_zero)
 
 
 def test_problem_shape(lp_zero):
@@ -102,7 +102,7 @@ def test_highs_matrix_is_the_equality_table(lp_zero):
     assert eq.dtype == np.float64 and eq.has_canonical_format
     assert not any(a.flags.writeable for a in (eq.data, eq.indices, eq.indptr))
     assert np.array_equal(eq.toarray(), equalities())
-    solve_lp(lp_zero, sense="min")
+    solve_lp(lp_zero)
     assert load_highs()[2] is eq
     assert np.array_equal(eq.toarray(), equalities())
 
@@ -117,7 +117,7 @@ def _row_residuals(exact: np.ndarray) -> np.ndarray:
 
 def test_equality_rows_hold_exactly_on_no_signaling_boxes(model):
     for box in (ideal_quantum_box(model), uniform_box()):
-        assert not _row_residuals(box.exact).any()
+        assert not _row_residuals(exact_table(box.table)).any()
     # Alice answers 1 at u2 = 1 and 2 otherwise: normalized, Bob's side
     # fine, and only Alice's rows see the signal
     exact = np.full((9, 9, 4, 4), Fraction(0), dtype=object)
@@ -141,19 +141,18 @@ def test_optimum_at_zero_cap_is_three_quarters(sol_zero, lp_zero):
 
 
 def test_primal_at_zero_cap_is_attack_box(sol_zero, lp_zero, functional):
-    box = sol_zero.primal
-    assert _verify_primal(lp_zero, list(box.exact.ravel()))
-    assert box.exact.flat[TARGET] == Fraction(3, 4)
+    pf = sol_zero.primal
+    assert _verify_primal(lp_zero, list(pf))
+    assert pf[TARGET] == Fraction(3, 4)
     # cap = 0 plus nonnegativity force every indicator cell to exact zero
     for c in functional.bell_cells:
-        assert box.exact.flat[c] == 0
+        assert pf[c] == 0
 
 
 def test_zero_target_attack_box(functional, lp_zero):
-    box, val = zero_target_box(functional)
-    assert val == 0
-    assert _verify_primal(lp_zero, list(box.exact.ravel()))
-    assert box.exact.flat[TARGET] == 0
+    exact = exact_table(zero_target_box(functional).table)
+    assert _verify_primal(lp_zero, list(exact.ravel()))
+    assert exact.flat[TARGET] == 0
 
 
 def _permutation_words(exact) -> str:
@@ -167,17 +166,19 @@ def test_stored_zero_target_box_is_the_highs_vertex(functional):
     """The stored vertex is the one HiGHS returns for the cap-0 min LP; on
     a mismatch the message holds the rows to paste into
     `_ZERO_TARGET_WORDS`."""
-    box, val = zero_target_box(functional)
-    sol = solve_lp(build_lp(functional, 0), sense="min")
-    ref = sol.primal
-    assert set(ref.exact.ravel()) == {0, Fraction(1, 4)}
-    assert ((ref.exact != 0).sum(axis=3) == 1).all()
-    words = _permutation_words(ref.exact)
-    assert box.exact.shape == ref.exact.shape, words
-    assert (box.exact == ref.exact).all(), words
-    assert np.array_equal(box.table, ref.table), words
-    assert box.meta == ref.meta
-    assert val == sol.exact_optimum == 0
+    box = zero_target_box(functional)
+    ref = np.array(highs_min_vertex(build_lp(functional, 0)),
+                   dtype=object).reshape(9, 9, 4, 4)
+    assert set(ref.ravel()) == {0, Fraction(1, 4)}
+    assert ((ref != 0).sum(axis=3) == 1).all()
+    words = _permutation_words(ref)
+    exact = exact_table(box.table)
+    assert exact.shape == ref.shape, words
+    assert (exact == ref).all(), words
+    assert np.array_equal(box.table, ref.astype(float)), words
+    assert box.meta == {"kind": "lp_vertex", "delta_tilde": 0.0,
+                        "sense": "min", "certified": True}
+    assert exact.flat[TARGET] == ref.flat[TARGET] == 0
 
 
 def test_tampered_zero_target_box_fails_its_exact_check(functional, monkeypatch):
@@ -206,7 +207,7 @@ def test_tampered_zero_target_box_fails_its_exact_check(functional, monkeypatch)
         with pytest.raises(CertificationError):
             zero_target_box(functional)
     monkeypatch.undo()
-    assert zero_target_box(functional)[1] == 0
+    assert zero_target_box(functional).table.flat[TARGET] == 0
 
 
 def _piecewise_optimum(d: Fraction) -> Fraction:
@@ -231,7 +232,7 @@ def test_ordinary_caps_certify(functional, cap):
     assert sol.exact_optimum == sol.certificate.bound == _piecewise_optimum(d)
     assert sol.certified_equality
     assert verify_certificate(p, sol.certificate)
-    assert _verify_primal(p, list(sol.primal.exact.ravel()))
+    assert _verify_primal(p, list(sol.primal))
 
 
 def test_grid_certified_values(functional):
@@ -245,7 +246,7 @@ def test_grid_certified_values(functional):
     }
     for cap, expect in frozen.items():
         p = build_lp(functional, cap)
-        sol = solve_lp(p, sense="max")
+        sol = solve_lp(p)
         assert sol.exact_optimum == expect
         assert sol.certified_equality
         assert verify_certificate(p, sol.certificate)
@@ -277,7 +278,7 @@ def test_certificate_tamper_detection(functional, lp_zero, sol_zero):
     assert not verify_certificate(lp_zero, dataclasses.replace(cert, bound=Fraction(1, 2)))
     # a valid certificate for another cap or another target entry proves
     # nothing about this problem, though its multipliers may fit it
-    half = solve_lp(build_lp(functional, Fraction(1, 2)), sense="max").certificate
+    half = solve_lp(build_lp(functional, Fraction(1, 2))).certificate
     assert half.bound == Fraction(5, 6)
     assert not verify_certificate(lp_zero, half)
     assert cert.target == lp_zero.target_col
@@ -298,14 +299,14 @@ def test_certificate_json_roundtrip(lp_zero, sol_zero):
 @settings(max_examples=60, deadline=None)
 @given(ys=st.dictionaries(st.integers(0, 656), st.fractions(), max_size=12),
        beta=st.fractions(), bound=st.fractions(), cap=st.fractions(),
-       target=st.integers(0, 1295), sense=st.sampled_from(["max", "min", "x"]))
+       target=st.integers(0, 1295))
 def test_certificate_json_roundtrip_any_certificate(ys, beta, bound, cap,
-                                                    target, sense):
+                                                    target):
     y = [Fraction(0)] * 657
     for row, v in ys.items():
         y[row] = v
     cert = DualCertificate(y=tuple(y), beta=beta, bound=bound, delta_tilde=cap,
-                           target=target, sense=sense)
+                           target=target)
     assert DualCertificate.from_json(cert.to_json()) == cert
 
 
@@ -354,6 +355,51 @@ def test_certificate_json_rejects_malformed_fields(sol_zero):
     assert DualCertificate.from_json(text) == sol_zero.certificate
 
 
+def test_certificate_json_too_deep_or_not_json_is_malformed(sol_zero):
+    """Text nested past the parser's recursion limit, anywhere or in one
+    field, raises the ValueError of malformed JSON, as text that is no
+    JSON at all does; a RecursionError never escapes."""
+    obj = json.loads(sol_zero.certificate.to_json())
+    nested_y = json.dumps({**obj, "y": "Y"}).replace(
+        '"Y"', '{"0":' * 50_000 + '"1"' + "}" * 50_000)
+    for bad in ("[" * 100_000 + "]" * 100_000, nested_y, "", "{", "max"):
+        with pytest.raises(ValueError, match="^certificate: malformed JSON: "):
+            DualCertificate.from_json(bad)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=12)
+
+
+@st.composite
+def _mutated_certificates(draw, text):
+    """The text with one character deleted, inserted or replaced, or one
+    top-level field's value replaced by arbitrary JSON."""
+    kind = draw(st.sampled_from(["delete", "insert", "replace", "field"]))
+    if kind == "field":
+        obj = json.loads(text)
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(_JSON)
+        return json.dumps(obj)
+    at = draw(st.integers(0, len(text) - (kind != "insert")))
+    char = "" if kind == "delete" else draw(st.characters())
+    return text[:at] + char + text[at + (kind != "insert"):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_certificate_json_fuzz_raises_only_value_error(sol_zero, data):
+    """A real certificate's text, mutated once, reads as a certificate or
+    raises ValueError, and nothing else."""
+    bad = data.draw(_mutated_certificates(sol_zero.certificate.to_json()))
+    try:
+        cert = DualCertificate.from_json(bad)
+    except ValueError:
+        return
+    assert isinstance(cert, DualCertificate)
+
+
 def test_weak_duality_on_feasible_points(functional, sol_zero):
     # any verified certificate bounds any feasible primal's target entry
     val = solve_lp(build_lp(functional, Fraction(1, 10))).exact_optimum
@@ -398,7 +444,7 @@ def test_integer_check_sees_a_tiny_move_of_beta(functional, lp_zero, sol_zero):
 
 
 def test_integer_primal_check_sees_a_tiny_move(lp_zero, sol_zero):
-    pf = list(sol_zero.primal.exact.ravel())
+    pf = list(sol_zero.primal)
     assert _verify_primal(lp_zero, pf)
     for cell in (TARGET, 0, 1295):
         for step in (Fraction(1, 10 ** 15), -Fraction(1, 10 ** 15)):
@@ -412,7 +458,7 @@ def test_integer_primal_check_sees_a_tiny_move(lp_zero, sol_zero):
 def test_primal_check_needs_one_entry_per_cell(lp_zero, sol_zero):
     """A vector one entry too long or too short fails the check, whatever
     the extra entry or the entries it keeps."""
-    pf = list(sol_zero.primal.exact.ravel())
+    pf = list(sol_zero.primal)
     assert _verify_primal(lp_zero, pf)
     assert not _verify_primal(lp_zero, pf + [Fraction(5)])
     assert not _verify_primal(lp_zero, pf + [Fraction(0)])
@@ -436,7 +482,7 @@ def _reference_dual_ok(p, d) -> bool:
     """`verify_certificate` as a loop over the rows of `checks.equalities`,
     one row and one cell at a time, on Python ints."""
     rows = _row_cells()
-    if (d.sense not in ("max", "min") or len(d.y) != len(rows) or d.beta < 0
+    if (len(d.y) != len(rows) or d.beta < 0
             or d.delta_tilde != p.delta_tilde or d.target != p.target_col):
         return False
     scale, ys = _scaled((*d.y, d.beta))
@@ -449,7 +495,7 @@ def _reference_dual_ok(p, d) -> bool:
             mu[c] -= yr
     for c in p.cap_cols:
         mu[c] += beta
-    mu[p.target_col] -= scale if d.sense == "max" else -scale
+    mu[p.target_col] -= scale
     return (all(m >= 0 for m in mu)
             and sum(d.y[:81], Fraction(0)) + d.beta * p.delta_tilde <= d.bound)
 
@@ -492,10 +538,7 @@ def test_exact_checks_match_the_scalar_reference(
         functional, model, lp_zero, sol_zero, grid_solutions):
     for p, sol in grid_solutions:
         assert _dual(p, sol.certificate)
-        assert _primal(p, list(sol.primal.exact.ravel()))
-    low = solve_lp(lp_zero, sense="min")
-    assert _dual(lp_zero, low.certificate)
-    assert _primal(lp_zero, list(low.primal.exact.ravel()))
+        assert _primal(p, list(sol.primal))
     # the tamper cases of the tests above
     cert, half = sol_zero.certificate, grid_solutions[10]
     bad_y = list(cert.y)
@@ -522,7 +565,7 @@ def test_exact_checks_match_the_scalar_reference(
                                     beta=half[1].certificate.beta + step)
         assert not _dual(half[0], moved)
     assert _dual(lp_zero, dataclasses.replace(cert, beta=cert.beta + _TINY))
-    pf = list(sol_zero.primal.exact.ravel())
+    pf = list(sol_zero.primal)
     for cell in (TARGET, 0, 1295):
         for step in (Fraction(1, 10 ** 15), -Fraction(1, 10 ** 15)):
             moved = list(pf)
@@ -536,7 +579,7 @@ def test_exact_checks_match_the_scalar_reference(
     y[100] += big
     assert _dual(lp_zero, wide)
     assert not _dual(lp_zero, dataclasses.replace(wide, y=tuple(y)))
-    ideal = ideal_quantum_box(model).exact.ravel()
+    ideal = exact_table(ideal_quantum_box(model).table).ravel()
     mix = [(1 - big) * a + big * b for a, b in zip(pf, ideal)]
     assert _primal(lp_zero, mix)
     mix[1] -= big
@@ -544,14 +587,16 @@ def test_exact_checks_match_the_scalar_reference(
     assert not _primal(lp_zero, mix)
 
 
-def test_certificate_of_unknown_sense_fails(lp_zero):
-    """Every sense but "max" was checked as "min"."""
-    cert = solve_lp(lp_zero, sense="min").certificate
-    assert verify_certificate(lp_zero, cert) is True
-    for sense in ("MAX", "foo", ""):
-        assert verify_certificate(lp_zero, dataclasses.replace(cert, sense=sense)) is False
-        text = json.loads(cert.to_json())
-        text["sense"] = sense
-        back = DualCertificate.from_json(json.dumps(text))
-        assert back.sense == sense
-        assert verify_certificate(lp_zero, back) is False
+def test_certificate_of_unknown_sense_fails(lp_zero, sol_zero):
+    """A certificate is read only with sense "max", the one objective it
+    proves: any other sense, or none, raises a ValueError naming it."""
+    cert = sol_zero.certificate
+    obj = json.loads(cert.to_json())
+    assert obj["sense"] == "max"
+    assert verify_certificate(lp_zero, DualCertificate.from_json(cert.to_json()))
+    texts = [_with(cert.to_json(), sense=sense)
+             for sense in ("min", "MAX", "foo", "", None, 1, ["max"])]
+    texts.append(json.dumps({k: v for k, v in obj.items() if k != "sense"}))
+    for text in texts:
+        with pytest.raises(ValueError, match='^certificate\\.sense: needs "max"'):
+            DualCertificate.from_json(text)
